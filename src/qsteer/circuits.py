@@ -378,7 +378,7 @@ def _pauli_matrix_2q(s: str) -> ComplexMatrix:
 # qubit-qutrit synthesis
 
 
-def _su2_block_gates_01(u: ComplexMatrix, wire: int, dim: int = 3) -> tuple[list[Gate], float]:
+def _su2_block_gates_01(u: ComplexMatrix, wire: int, dim: int = 3) -> list[Gate]:
     """Gates for u acting on the (01) levels of ``wire``.
 
     On a dim-3 wire a determinant phase of u cannot be a global phase (it
@@ -387,16 +387,15 @@ def _su2_block_gates_01(u: ComplexMatrix, wire: int, dim: int = 3) -> tuple[list
     theta, phi, lam, g = zyz_angles(u)
     gates = [Gate(U3, (theta, phi, lam), (wire,))]
     if dim == 2 or abs(g) < 1e-15:
-        return gates, g
+        return gates
     # diag(e^{ig}, e^{ig}, 1) = e^{i 2g/3} rz(-2g/3) rz12(-4g/3)
-    gates += [
+    return gates + [
         Gate(RZ, (-2.0 * g / 3.0,), (wire,)),
         Gate(SUBSPACE_RZ12, (-4.0 * g / 3.0,), (wire,)),
     ]
-    return gates, 2.0 * g / 3.0
 
 
-def _su2_block_gates_12(u: ComplexMatrix, wire: int) -> tuple[list[Gate], float]:
+def _su2_block_gates_12(u: ComplexMatrix, wire: int) -> list[Gate]:
     """Gates for u acting on the (12) levels of ``wire`` (|0> untouched)."""
     alpha, beta, xi, g = zxz_angles(u)
     gates = [
@@ -405,13 +404,12 @@ def _su2_block_gates_12(u: ComplexMatrix, wire: int) -> tuple[list[Gate], float]
         Gate(SUBSPACE_RZ12, (alpha,), (wire,)),
     ]
     if abs(g) < 1e-15:
-        return gates, 0.0
+        return gates
     # diag(1, e^{ig}, e^{ig}) = e^{i 2g/3} rz(4g/3) rz12(2g/3)
-    gates += [
+    return gates + [
         Gate(RZ, (4.0 * g / 3.0,), (wire,)),
         Gate(SUBSPACE_RZ12, (2.0 * g / 3.0,), (wire,)),
     ]
-    return gates, 2.0 * g / 3.0
 
 
 def _givens_rotation(a: complex, b: complex) -> ComplexMatrix:
@@ -422,7 +420,7 @@ def _givens_rotation(a: complex, b: complex) -> ComplexMatrix:
     return np.array([[a.conjugate(), b.conjugate()], [-b, a]], dtype=complex) / n
 
 
-def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> tuple[list[Gate], float]:
+def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> list[Gate]:
     """Gate sequence implementing an arbitrary 3x3 unitary on one qutrit wire
     via a Givens chain of (01) and (12) subspace rotations."""
     m = np.asarray(w3, dtype=complex).copy()
@@ -446,56 +444,49 @@ def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> tuple[list[Gate], float
         Gate(RZ, (a,), (wire,)),
         Gate(SUBSPACE_RZ12, (b,), (wire,)),
     ]
-    phase = gm
     for sub, g in reversed(rotations):
         maker = _su2_block_gates_01 if sub == "01" else _su2_block_gates_12
-        extra, dphase = maker(dagger(g), wire)
-        gates.extend(extra)
-        phase += dphase
-    return gates, phase
+        gates.extend(maker(dagger(g), wire))
+    return gates
 
 
-def _h12_gates(wire: int) -> tuple[list[Gate], float]:
+def _h12_gates(wire: int) -> list[Gate]:
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
     return _su2_block_gates_12(h, wire)
 
 
-def _ha_gates(wire: int) -> tuple[list[Gate], float]:
+def _ha_gates(wire: int) -> list[Gate]:
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
     return _su2_block_gates_01(h, wire, dim=2)
 
 
-def _cx_a12_gates(anc: int, system: int) -> tuple[list[Gate], float]:
+def _cx_a12_gates(anc: int, system: int) -> list[Gate]:
     """Ancilla-controlled X on the system's (12) subspace, from two cx23
     applications (a controlled Z on |2>) conjugated by (12) Hadamards."""
-    h1, p1 = _h12_gates(system)
-    h2, p2 = _h12_gates(system)
-    gates = h1 + [Gate(QUBIT_QUTRIT_CNOT, (), (anc, system)), Gate(QUBIT_QUTRIT_CNOT, (), (anc, system))] + h2
-    return gates, p1 + p2
+    cz2 = [Gate(QUBIT_QUTRIT_CNOT, (), (anc, system)), Gate(QUBIT_QUTRIT_CNOT, (), (anc, system))]
+    return _h12_gates(system) + cz2 + _h12_gates(system)
 
 
-def _cx_12a_gates(anc: int, system: int) -> tuple[list[Gate], float]:
+def _cx_12a_gates(anc: int, system: int) -> list[Gate]:
     """X on the ancilla controlled by the system being in |2>."""
-    ha1, q1 = _ha_gates(anc)
-    h121, q2 = _h12_gates(system)
-    mid, q3 = _cx_a12_gates(anc, system)
-    ha2, q4 = _ha_gates(anc)
-    h122, q5 = _h12_gates(system)
-    return ha1 + h121 + mid + ha2 + h122, q1 + q2 + q3 + q4 + q5
+    return (
+        _ha_gates(anc)
+        + _h12_gates(system)
+        + _cx_a12_gates(anc, system)
+        + _ha_gates(anc)
+        + _h12_gates(system)
+    )
 
 
-def _crx_12a_gates(anc: int, system: int, angle: float) -> tuple[list[Gate], float]:
+def _crx_12a_gates(anc: int, system: int, angle: float) -> list[Gate]:
     """RX(angle) on the ancilla controlled by the system being in |2>."""
-    cx1, p1 = _cx_12a_gates(anc, system)
-    cx2, p2 = _cx_12a_gates(anc, system)
-    gates = (
+    return (
         [Gate(RZ, (math.pi / 2,), (anc,))]
-        + cx1
+        + _cx_12a_gates(anc, system)
         + [Gate(U3, (-angle / 2, 0.0, 0.0), (anc,))]
-        + cx2
+        + _cx_12a_gates(anc, system)
         + [Gate(U3, (angle / 2, 0.0, 0.0), (anc,)), Gate(RZ, (-math.pi / 2,), (anc,))]
     )
-    return gates, p1 + p2
 
 
 def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
@@ -517,17 +508,13 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
     exchange = qutrit_exchange_gate(spec.target)
     target_u = qutrit_steering_unitary(spec.target, spec.coupling)
 
-    gates: list[Gate] = []
-    phase = 0.0
-    for part, dphase in (
-        _local_qutrit_gates(w3, 1),
-        _cx_a12_gates(0, 1),
-        _crx_12a_gates(0, 1, 2.0 * spec.coupling),
-        _cx_a12_gates(0, 1),
-        _local_qutrit_gates(exchange @ dagger(w3), 1),
-    ):
-        gates.extend(part)
-        phase += dphase
+    gates = (
+        _local_qutrit_gates(w3, 1)
+        + _cx_a12_gates(0, 1)
+        + _crx_12a_gates(0, 1, 2.0 * spec.coupling)
+        + _cx_a12_gates(0, 1)
+        + _local_qutrit_gates(exchange @ dagger(w3), 1)
+    )
     meta = {"target": spec.label or "qutrit", "J": spec.coupling}
     return _reconcile_phase(Circuit((2, 3), tuple(gates), 0.0, meta), target_u, 1e-6)
 

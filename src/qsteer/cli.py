@@ -151,10 +151,6 @@ def _record_payload(rec: RunRecord) -> dict:
     }
 
 
-class _Fail(SystemExit):
-    pass
-
-
 def _die(code: int, kind: str, message: str) -> None:
     print(json.dumps({"error": {"kind": kind, "message": message}}), file=sys.stderr)
     raise SystemExit(code)
@@ -262,7 +258,7 @@ def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_pat
         budget = max_steps if max_steps is not None else steps
         batch = run_nonblind_batch(rho0, op, budget, trajectories, noise, seed=seed)
         stats = repetition_stats(batch)
-        fids = np.array([fidelity(batch.final_states[i], op.target) for i in range(trajectories)])
+        fids = fidelity(batch.final_states, op.target)
         rows = [[label, coupling, budget, float(fids.mean()), float(fids.std())]]
         if csv_on:
             write_csv(out / "fidelity_vs_n.csv", ["target", "J", "n", "mean_fid", "std"], rows)

@@ -6,10 +6,12 @@ cycle; the true projection acts on the state, the classical record may be
 corrupted by a readout confusion matrix, and the run stops at the first
 recorded "1".
 
-Randomness model: every trajectory owns an independent stream of the Philox
-counter PRNG keyed by (seed, trajectory index).  Batched execution therefore
-produces bit-identical results to running the same trajectories one at a
-time, in any order.
+Randomness model: trajectory i of a run with seed s owns the Philox4x64-10
+stream of numpy.random.Philox(key=((s + 1) << 64) + i), and cycle t uses its
+draws 2t (true outcome) and 2t + 1 (readout).  One engine serves single runs
+and batches; it generates these draws itself, only for trajectories still
+running, so a trajectory records the same outcomes alone or in a batch of any
+size.  Seeds range over [0, 2**64 - 2].
 
 Noise channels (depolarizing, then amplitude damping) act on the system only,
 after each entangle-measure-reset cycle.  Ancilla reset is perfect unless
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
-from .linalg import dagger, kron, partial_trace
+from .linalg import kron, partial_trace
 from .states import DensityState, fidelity
 from .steering import KrausSet, SteeringOperator, averaged_step, kraus_from_unitary
 
@@ -199,13 +201,173 @@ def measure_ancilla(joint: DensityState, outcome: int) -> tuple[DensityState, fl
     return DensityState(matrix=post, dims=(ds,)), p
 
 
-def _trajectory_generator(seed: int, index: int) -> np.random.Generator:
-    # disjoint 128-bit Philox keys per (seed, trajectory)
-    return np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + index))
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+# SC'11) on uint64 arrays, bit-compatible with numpy.random.Philox: one pass
+# draws the next block of every live trajectory's stream at once.  Counter
+# words 0 and 2 are multiplied in each round, so they are kept as one (2, m)
+# array, as are words 1 and 3 and the two key words.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
+# Trajectories per pass, so that a pass's (2, chunk) temporaries stay in cache.
+_PHILOX_CHUNK = 8192
+MAX_SEED = 2**64 - 2  # seed + 1 is key word 1 and must fit in 64 bits
 
 
-def _sample(probs: np.ndarray, u: float) -> int:
-    return int(np.searchsorted(np.cumsum(probs), u, side="right"))
+def _philox_mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products _PHILOX_M * x, from
+    32-bit limbs; no intermediate sum can overflow."""
+    x_lo, x_hi = x & _LO32, x >> _SHIFT32
+    mid = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> _SHIFT32)
+    low_cross = x_lo * _PHILOX_M_HI + (mid & _LO32)
+    hi = x_hi * _PHILOX_M_HI + (mid >> _SHIFT32) + (low_cross >> _SHIFT32)
+    return hi, x * _PHILOX_M
+
+
+def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
+    """(len(indices), 4) uint64 words of each trajectory's Philox block.
+
+    Trajectory i's stream has key words (i, seed + 1); block b is the output
+    at counter b + 1, which numpy.random.Philox(key=((seed + 1) << 64) + i)
+    emits as words 4b .. 4b + 3 of its raw stream.
+    """
+    words = np.empty((len(indices), 4), dtype=np.uint64)
+    for start in range(0, len(indices), _PHILOX_CHUNK):
+        part = indices[start : start + _PHILOX_CHUNK]
+        key = np.stack([part, np.full_like(part, seed + 1)])
+        even = np.stack([np.full_like(part, block + 1), np.zeros_like(part)])
+        odd = np.zeros_like(even)
+        for r in range(10):
+            if r:
+                key = key + _PHILOX_W
+            hi, lo = _philox_mulhilo(even)
+            # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+            even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        words[start : start + len(part)] = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+    return words
+
+
+def _to_unit_double(words: np.ndarray) -> np.ndarray:
+    """numpy's uint64 -> [0, 1) map: the top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
+def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
+    """(d^2, K d^2) map from a row-major vec(rho) to the K outcome branches.
+
+    Block k is the transpose of N o sum_{A in group k} A (x) A*, so a row of
+    vec(rho) @ result holds the unnormalized, noise-applied branches
+    N(sum_A A rho A^dag).  The noise superoperator N is read off by applying
+    apply_noise to the d^2 matrix units; it preserves trace, so each
+    branch's trace is still its outcome's weight.
+    """
+    d = op.system_dim
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
+    blocks = [
+        noise_map @ sum(kron(a, a.conj()) for a in grp) for grp in _cycle_kraus(op, noise)
+    ]
+    return np.concatenate([b.T for b in blocks], axis=1)
+
+
+def _run_trajectories(
+    rho0: DensityState,
+    op: SteeringOperator,
+    max_steps: int,
+    n_trajectories: int,
+    noise: NoiseConfig,
+    seed: int,
+    early_stop: bool,
+    stop_fidelity: float | None = None,
+    first_index: int = 0,
+    track_fidelity: bool = False,
+):
+    """The non-blind engine behind run_nonblind and run_nonblind_batch.
+
+    Runs trajectories first_index .. first_index + n_trajectories - 1.  Step
+    s of trajectory i uses draws 2s (true outcome) and 2s + 1 (readout) of
+    its stream, so its outcomes do not depend on which other trajectories
+    run beside it.  A trajectory leaves the working set when it stops; only
+    live ones draw uniforms and are propagated.
+
+    Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
+    stop, repetitions (n,) with 0 for none, fidelities (n, max_steps + 1)
+    with NaN after a stop, or None unless ``track_fidelity``).
+    ``stop_fidelity`` acts only with ``track_fidelity``.
+    """
+    if max_steps < 1 or n_trajectories < 1:
+        raise ConfigError("max_steps and n_trajectories must be >= 1")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be an integer in [0, 2**64 - 2], got {seed!r}")
+    if not 0 <= first_index <= 2**64 - n_trajectories:
+        raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
+    if stop_fidelity is not None and not 0.0 <= stop_fidelity <= 1.0:
+        raise ConfigError("stop_fidelity must lie in [0, 1]")
+    if rho0.dim != op.system_dim:
+        raise DimensionMismatchError("initial state does not match the system dimension")
+    confusion = noise.readout_confusion
+    if confusion is not None and confusion.shape[0] != op.ancilla_dim:
+        raise ConfigError("readout confusion size does not match ancilla dim")
+    confusion_cum = None if confusion is None else np.cumsum(confusion, axis=1)
+    n, d, n_out = n_trajectories, op.system_dim, op.ancilla_dim
+    prop = _step_superoperator(op, noise)
+    diag = np.arange(d) * (d + 1)  # vec positions of the diagonal
+    final = np.empty((n, d * d), dtype=complex)
+    recorded = np.full((max_steps, n), -1, dtype=np.int64)  # step-major: a step writes one row
+    reps = np.zeros(n, dtype=np.int64)
+    fids = None
+    if track_fidelity:
+        fids = np.full((n, max_steps + 1), np.nan)
+        fids[:, 0] = fidelity(rho0, op.target)
+    indices = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
+    live = np.arange(n)
+    vecs = np.broadcast_to(rho0.matrix.reshape(-1), (n, d * d))
+    for step in range(max_steps):
+        if live.size == 0:
+            break
+        m = live.size
+        if step % 2 == 0:  # one Philox block serves two steps
+            draws = _to_unit_double(_philox_block(seed, indices[live], step // 2))
+            u, u_next = draws[:, :2], draws[:, 2:]
+        else:
+            u = u_next
+        branches = (vecs @ prop).reshape(m, n_out, d * d)
+        weights = sum(branches[:, :, j].real for j in diag)  # (m, n_out) traces
+        total = sum(weights[:, k] for k in range(n_out))
+        # outcome k is the number of cumulative probabilities u reaches; the
+        # last one is 1 up to rounding, so it is never counted
+        true_k = np.zeros(m, dtype=np.int64)
+        cum = 0.0
+        for k in range(n_out - 1):
+            cum = cum + weights[:, k] / total
+            true_k += u[:, 0] >= cum
+        rows = np.arange(m)
+        chosen = branches.reshape(m * n_out, d * d)[rows * n_out + true_k]
+        norm = np.maximum(weights[rows, true_k], 1e-300)
+        vecs = (chosen.view(np.float64) / norm[:, None]).view(complex)
+        if confusion_cum is None:
+            rec_k = true_k
+        else:
+            rec_k = np.zeros(m, dtype=np.int64)
+            for k in range(n_out - 1):
+                rec_k += u[:, 1] >= confusion_cum[true_k, k]
+        recorded[step, live] = rec_k
+        hit = (rec_k == 1) & (reps[live] == 0)
+        reps[live[hit]] = step + 1
+        done = hit if early_stop else None
+        if track_fidelity:
+            step_fids = fidelity(vecs.reshape(m, d, d), op.target)
+            fids[live, step + 1] = step_fids
+            if stop_fidelity is not None:
+                done = step_fids >= stop_fidelity
+        if done is not None and np.any(done):
+            final[live[done]] = vecs[done]
+            keep = ~done
+            live, vecs, u_next = live[keep], vecs[keep], u_next[keep]
+    final[live] = vecs
+    return final.reshape(n, d, d), recorded.T, reps, fids
 
 
 def run_nonblind(
@@ -227,46 +389,17 @@ def run_nonblind(
     ``stop_fidelity`` optionally ends the run once the conditioned state
     crosses a fidelity threshold instead; it is off by default.
     """
-    if max_steps < 1:
-        raise ConfigError("max_steps must be >= 1")
-    if stop_fidelity is not None and not 0.0 <= stop_fidelity <= 1.0:
-        raise ConfigError("stop_fidelity must lie in [0, 1]")
-    if rho0.dim != op.system_dim:
-        raise DimensionMismatchError("initial state does not match the system dimension")
-    groups = _cycle_kraus(op, noise)
-    confusion = noise.readout_confusion
-    if confusion is not None and confusion.shape[0] != op.ancilla_dim:
-        raise ConfigError("readout confusion size does not match ancilla dim")
-    uniforms = _trajectory_generator(seed, trajectory_index).random((max_steps, 2))
-    fids = [fidelity(rho0, op.target)]
-    outcomes: list[int] = []
-    reps: int | None = None
-    mat = rho0.matrix
-    for step in range(max_steps):
-        branches = [sum(a @ mat @ dagger(a) for a in grp) for grp in groups]
-        probs = np.array([float(np.trace(b).real) for b in branches])
-        probs = probs / probs.sum()
-        true_k = _sample(probs, uniforms[step, 0])
-        mat = branches[true_k] / max(float(np.trace(branches[true_k]).real), 1e-300)
-        mat = apply_noise(mat, noise)
-        if confusion is None:
-            recorded = true_k
-        else:
-            recorded = _sample(confusion[true_k], uniforms[step, 1])
-        outcomes.append(recorded)
-        fids.append(fidelity(mat, op.target))
-        if recorded == 1 and reps is None:
-            reps = step + 1
-            if early_stop and stop_fidelity is None:
-                break
-        if stop_fidelity is not None and fids[-1] >= stop_fidelity:
-            break
+    _, recorded, reps, fids = _run_trajectories(
+        rho0, op, max_steps, 1, noise, seed, early_stop,
+        stop_fidelity=stop_fidelity, first_index=trajectory_index, track_fidelity=True,
+    )
+    n_steps = int(np.sum(recorded[0] >= 0))
     return RunRecord(
         seed=seed,
         mode="nonblind",
-        fidelities=tuple(fids),
-        outcomes=tuple(outcomes),
-        repetitions_to_success=reps,
+        fidelities=tuple(fids[0, : n_steps + 1].tolist()),
+        outcomes=tuple(recorded[0, :n_steps].tolist()),
+        repetitions_to_success=int(reps[0]) or None,
         coupling=op.coupling,
         target_label=op.label,
         trajectory_index=trajectory_index,
@@ -298,54 +431,15 @@ def run_nonblind_batch(
 ) -> TrajectoryBatch:
     """Sample many non-blind trajectories at once.
 
-    Each trajectory i consumes exactly the stream of run_nonblind(seed,
-    trajectory_index=i), so the batch is reproducible and order-insensitive.
+    Trajectory i is run_nonblind(seed, trajectory_index=i): the same stream,
+    outcomes and stopping rule, so the batch is reproducible and
+    order-insensitive.
     """
-    if max_steps < 1 or n_trajectories < 1:
-        raise ConfigError("max_steps and n_trajectories must be >= 1")
-    groups = _cycle_kraus(op, noise)
-    confusion = noise.readout_confusion
-    n, d = n_trajectories, op.system_dim
-    uniforms = np.empty((n, max_steps, 2))
-    for i in range(n):
-        uniforms[i] = _trajectory_generator(seed, i).random((max_steps, 2))
-    states = np.broadcast_to(rho0.matrix, (n, d, d)).copy()
-    recorded = np.full((n, max_steps), -1, dtype=np.int64)
-    reps = np.zeros(n, dtype=np.int64)
-    active = np.ones(n, dtype=bool)
-    for step in range(max_steps):
-        if not np.any(active):
-            break
-        branches = np.stack(
-            [
-                sum(np.einsum("ij,njk,lk->nil", a, states, a.conj()) for a in grp)
-                for grp in groups
-            ],
-            axis=1,
-        )  # (n, outcomes, d, d)
-        probs = np.einsum("nkii->nk", branches).real
-        probs = probs / probs.sum(axis=1, keepdims=True)
-        cum = np.cumsum(probs, axis=1)
-        u0 = uniforms[:, step, 0]
-        true_k = (u0[:, None] >= cum).sum(axis=1)
-        chosen = branches[np.arange(n), true_k]
-        norm = np.einsum("nii->n", chosen).real
-        new_states = chosen / norm[:, None, None]
-        new_states = apply_noise(new_states, noise)
-        if confusion is None:
-            rec_k = true_k
-        else:
-            ccum = np.cumsum(confusion, axis=1)
-            u1 = uniforms[:, step, 1]
-            rec_k = (u1[:, None] >= ccum[true_k]).sum(axis=1)
-        states[active] = new_states[active]
-        recorded[active, step] = rec_k[active]
-        hit = active & (rec_k == 1) & (reps == 0)
-        reps[hit] = step + 1
-        if early_stop:
-            active = active & ~hit
+    final, recorded, reps, _ = _run_trajectories(
+        rho0, op, max_steps, n_trajectories, noise, seed, early_stop
+    )
     return TrajectoryBatch(
-        final_states=states, recorded_outcomes=recorded, repetitions=reps, seed=seed
+        final_states=final, recorded_outcomes=recorded, repetitions=reps, seed=seed
     )
 
 
@@ -437,26 +531,22 @@ def repetition_stats(records) -> RepetitionStats:
     are counted separately and excluded from the mean and CDF.
     """
     if isinstance(records, TrajectoryBatch):
-        reps = [int(r) if r > 0 else None for r in records.repetitions]
+        reps = np.asarray(records.repetitions, dtype=np.int64)
     else:
-        reps = [r.repetitions_to_success for r in records]
-    n_records = len(reps)
+        reps = np.array([r.repetitions_to_success or 0 for r in records], dtype=np.int64)
+    n_records = reps.size
     if n_records == 0:
         raise ConfigError("no records given")
-    successes = sorted(r for r in reps if r is not None)
-    n_failures = n_records - len(successes)
-    counts: dict[int, int] = {}
-    for r in successes:
-        counts[r] = counts.get(r, 0) + 1
-    cdf = []
-    acc = 0
-    for value in sorted(counts):
-        acc += counts[value]
-        cdf.append((value, acc / len(successes)))
-    mean = float(np.mean(successes)) if successes else None
+    successes = reps[reps > 0]
+    n_failures = n_records - successes.size
+    tally = np.bincount(successes)
+    values = np.flatnonzero(tally)
+    cdf = np.cumsum(tally[values]) / successes.size
+    counts = dict(zip(values.tolist(), tally[values].tolist()))
+    mean = float(successes.mean()) if successes.size else None
     return RepetitionStats(
         counts=counts,
-        cdf=tuple(cdf),
+        cdf=tuple(zip(values.tolist(), cdf.tolist())),
         mean_repetitions=mean,
         n_failures=n_failures,
         n_records=n_records,

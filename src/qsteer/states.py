@@ -188,16 +188,21 @@ def from_gellmann_vector(n) -> DensityState:
     return DensityState(matrix=m, dims=(3,))
 
 
-def fidelity(rho: DensityState | ComplexMatrix, ket: np.ndarray) -> float:
-    """<ket| rho |ket>, clamped to [0, 1]."""
+def fidelity(rho: DensityState | ComplexMatrix, ket: np.ndarray) -> float | np.ndarray:
+    """<ket| rho |ket>, clamped to [0, 1].
+
+    A stack of matrices (..., d, d) gives an array of fidelities.
+    """
     mat = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
-    if mat.shape[0] != ket.shape[0]:
+    if mat.shape[-1] != ket.shape[0]:
         raise DimensionMismatchError(
-            f"state dim {mat.shape[0]} does not match ket dim {ket.shape[0]}"
+            f"state dim {mat.shape[-1]} does not match ket dim {ket.shape[0]}"
         )
-    val = float((ket.conj() @ mat @ ket).real)
-    return min(1.0, max(0.0, val))
+    val = (ket.conj() @ mat @ ket).real
+    if mat.ndim == 2:
+        return min(1.0, max(0.0, float(val)))
+    return np.clip(val, 0.0, 1.0)
 
 
 def random_density(dim: int, seed: int) -> DensityState:

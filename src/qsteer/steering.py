@@ -42,6 +42,10 @@ class TargetSpec:
     coupling: float
     label: str | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.coupling):
+            raise ConfigError(f"coupling J={self.coupling} is not finite")
+
     @property
     def system_dim(self) -> int:
         return 2 if isinstance(self.target, QubitTarget) else 3

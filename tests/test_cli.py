@@ -72,6 +72,19 @@ class TestSteerCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
+    @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+    def test_nonfinite_coupling_is_config_error(self, runner, tmp_path, target, coupling):
+        result = runner.invoke(
+            main,
+            ["steer", "--target", target, "--J", coupling, "--N", "2",
+             "--mode", "blind", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 2
+        error = json.loads(result.stderr.strip().splitlines()[-1])["error"]
+        assert error["kind"] == "config"
+        assert "not finite" in error["message"]
+
     def test_noise_file_unknown_key_rejected(self, runner, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"depolarizing_p": 0.1, "mystery": 1}))

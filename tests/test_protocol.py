@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qsteer.errors import ConfigError, OutcomeImpossibleError
+from qsteer.errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
 from qsteer.linalg import kron
 from qsteer.protocol import (
+    MAX_SEED,
     NoiseConfig,
+    RunRecord,
+    _philox_block,
+    _run_trajectories,
+    _to_unit_double,
     amplitude_damping_kraus,
     apply_noise,
     measure_ancilla,
@@ -362,3 +367,113 @@ class TestQutritProtocol:
         assert rec.fidelities[-1] >= 1 - 1e-10
         ok, _ = __import__("qsteer").steering_inequality_holds(rec.fidelities)
         assert ok
+
+
+class TestTrajectoryBoundary:
+    """Both entry points share one engine, so they reject the same inputs."""
+
+    @staticmethod
+    def entry_points(rho, op, noise=NoiseConfig(), seed=0):
+        return (
+            lambda: run_nonblind(rho, op, 5, noise, seed=seed),
+            lambda: run_nonblind_batch(rho, op, 5, 10, noise, seed=seed),
+        )
+
+    def test_confusion_size_must_match_ancilla(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        noise = NoiseConfig(readout_confusion=np.eye(3))
+        for run in self.entry_points(random_density(2, 0), op, noise):
+            with pytest.raises(ConfigError):
+                run()
+
+    def test_initial_state_dimension_must_match(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        for run in self.entry_points(random_density(3, 0), op):
+            with pytest.raises(DimensionMismatchError):
+                run()
+
+    @pytest.mark.parametrize("seed", [-1, MAX_SEED + 1, 2**64, 1.5])
+    def test_seed_range(self, seed):
+        op = make_steering_operator(PLUS_QUARTER)
+        for run in self.entry_points(random_density(2, 0), op, seed=seed):
+            with pytest.raises(ConfigError):
+                run()
+
+    def test_largest_seed_accepted(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        rho = random_density(2, 0)
+        batch = run_nonblind_batch(rho, op, 5, 3, seed=MAX_SEED)
+        single = run_nonblind(rho, op, 5, seed=MAX_SEED, trajectory_index=2)
+        assert batch.repetitions[2] == (single.repetitions_to_success or 0)
+
+
+class TestPhiloxStreams:
+    @pytest.mark.parametrize("seed", [0, 17, 2**63])
+    def test_uniforms_match_numpy_philox(self, seed):
+        max_steps = 7  # odd: the last block is half used
+        indices = np.concatenate([np.arange(2000), 2**40 + np.arange(1000) * 7919])
+        blocks = [
+            _to_unit_double(_philox_block(seed, indices.astype(np.uint64), b))
+            for b in range((max_steps + 1) // 2)
+        ]
+        draws = np.concatenate(blocks, axis=1)[:, : 2 * max_steps]
+        for i, row in zip(indices.tolist(), draws):
+            key = ((seed + 1) << 64) + i
+            want = np.random.Generator(np.random.Philox(key=key)).random(2 * max_steps)
+            assert np.array_equal(row, want), i
+
+    def test_outcomes_do_not_depend_on_the_batch(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        rho = random_density(2, 8)
+        noise = NoiseConfig(
+            depolarizing_p=0.03, readout_confusion=np.array([[0.9, 0.1], [0.15, 0.85]])
+        )
+        big = run_nonblind_batch(rho, op, 15, 300, noise, seed=4)
+        small = run_nonblind_batch(rho, op, 15, 37, noise, seed=4)
+        assert np.array_equal(small.recorded_outcomes, big.recorded_outcomes[:37])
+        assert np.array_equal(small.repetitions, big.repetitions[:37])
+        # a window of trajectories run without any of the others
+        _, recorded, reps, _ = _run_trajectories(
+            rho, op, 15, 50, noise, 4, early_stop=True, first_index=211
+        )
+        assert np.array_equal(recorded, big.recorded_outcomes[211:261])
+        assert np.array_equal(reps, big.repetitions[211:261])
+
+
+class TestRepetitionStatsReference:
+    @staticmethod
+    def reference(reps):
+        """The per-record loop the vectorized statistics must reproduce."""
+        successes = sorted(int(r) for r in reps if r > 0)
+        counts: dict[int, int] = {}
+        for r in successes:
+            counts[r] = counts.get(r, 0) + 1
+        cdf, acc = [], 0
+        for value in sorted(counts):
+            acc += counts[value]
+            cdf.append((value, acc / len(successes)))
+        mean = float(np.mean(successes)) if successes else None
+        return counts, tuple(cdf), mean, len(reps) - len(successes)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        reps = rng.geometric(0.3, size=5000)
+        reps[rng.random(5000) < 0.2] = 0
+        records = [
+            RunRecord(0, "nonblind", (0.0,), (1,), int(r) or None, 0.5, "+", i)
+            for i, r in enumerate(reps)
+        ]
+        counts, cdf, mean, failures = self.reference(reps)
+        stats = repetition_stats(records)
+        assert list(stats.counts.items()) == list(counts.items())
+        assert stats.cdf == cdf
+        assert stats.mean_repetitions == mean
+        assert stats.n_failures == failures
+        assert stats.n_records == len(reps)
+
+    def test_all_failures(self):
+        records = [RunRecord(0, "nonblind", (0.0,), (0,), None, 0.5, "+", i) for i in range(3)]
+        stats = repetition_stats(records)
+        assert stats.counts == {} and stats.cdf == () and stats.mean_repetitions is None
+        assert stats.n_failures == 3
