@@ -61,6 +61,7 @@ from .protocol import (
     RepetitionStats,
     RunRecord,
     TrajectoryBatch,
+    channel_spectrum,
     measure_ancilla,
     repetition_stats,
     run_blind,

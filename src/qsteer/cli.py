@@ -29,7 +29,7 @@ from .protocol import (
     NO_NOISE,
     NoiseConfig,
     RunRecord,
-    apply_noise,
+    _blind_states,
     repetition_stats,
     run_blind,
     run_nonblind_batch,
@@ -44,7 +44,7 @@ from .states import (
     fidelity,
     stabilizer_catalog,
 )
-from .steering import TargetSpec, averaged_step, kraus_from_unitary, make_steering_operator
+from .steering import TargetSpec, make_steering_operator
 from .tomography import (
     KrausSet,
     average_gate_fidelity,
@@ -437,18 +437,14 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
     n_shots = None if shots == "inf" else int(shots)
     op = make_steering_operator(TargetSpec(target, coupling, label))
     d = op.system_dim
-    rho = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-    kset = kraus_from_unitary(op)
+    rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+    states = _blind_states(rho0, op, steps, noise)
+    exact = fidelity(states, op.target).tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
     rows = []
-    states = [rho]
-    for n in range(steps):
-        nxt = averaged_step(states[-1], kset)
-        nxt = DensityState(matrix=apply_noise(nxt.matrix, noise), dims=nxt.dims)
-        states.append(nxt)
     for n, st in enumerate(states):
-        rec = reconstruct(st, shots=n_shots, seed=(seed << 16) + n)
-        rows.append([label, coupling, n, fidelity(st, op.target), fidelity(rec, op.target)])
+        rec = reconstruct(DensityState(matrix=st, dims=(d,)), shots=n_shots, seed=(seed << 16) + n)
+        rows.append([label, coupling, n, exact[n], fidelity(rec, op.target)])
     out = _outdir(out_dir)
     if fmt in ("csv", "both"):
         write_csv(

@@ -25,8 +25,8 @@ def dagger(m: ComplexMatrix) -> ComplexMatrix:
 
 
 def hermiticity_defect(m: ComplexMatrix) -> float:
-    """max |m - m^dagger| elementwise."""
-    return float(np.max(np.abs(m - dagger(m))))
+    """max |m - m^dagger| elementwise, over a stack (..., d, d) too."""
+    return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
 
 
 def unitarity_defect(m: ComplexMatrix) -> float:

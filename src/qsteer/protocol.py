@@ -22,14 +22,14 @@ in the classical mixture (1 - eps)|0><0| + eps|1><1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
 from .linalg import kron, partial_trace
-from .states import DensityState, fidelity
-from .steering import KrausSet, SteeringOperator, averaged_step, kraus_from_unitary
+from .states import DensityState, fidelity, validate_density
+from .steering import SteeringOperator, kraus_from_unitary
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,6 @@ class NoiseConfig:
             if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-12:
                 raise ConfigError("readout confusion rows must sum to 1")
 
-    def is_trivial(self) -> bool:
-        return (
-            self.depolarizing_p == 0.0
-            and self.amplitude_damping_gamma == 0.0
-            and self.reset_infidelity == 0.0
-        )
-
 
 NO_NOISE = NoiseConfig()
 
@@ -87,8 +80,6 @@ def depolarizing_apply(mat: np.ndarray, p: float) -> np.ndarray:
     d = mat.shape[-1]
     eye = np.eye(d, dtype=complex)
     tr = np.trace(mat, axis1=-2, axis2=-1)
-    if mat.ndim == 2:
-        return (1.0 - p) * mat + p * tr * eye / d
     return (1.0 - p) * mat + p * tr[..., None, None] * eye / d
 
 
@@ -128,18 +119,7 @@ def _cycle_kraus(op: SteeringOperator, noise: NoiseConfig) -> tuple[tuple[np.nda
         return tuple((a,) for a in base)
     flipped = np.zeros(op.ancilla_dim, dtype=complex)
     flipped[1] = 1.0
-    alt = kraus_from_unitary(
-        SteeringOperator(
-            hamiltonian=op.hamiltonian,
-            unitary=op.unitary,
-            ancilla_init=flipped,
-            ancilla_dim=op.ancilla_dim,
-            system_dim=op.system_dim,
-            coupling=op.coupling,
-            target=op.target,
-            label=op.label,
-        )
-    ).operators
+    alt = kraus_from_unitary(replace(op, ancilla_init=flipped)).operators
     w0, w1 = math.sqrt(1.0 - eps), math.sqrt(eps)
     return tuple((w0 * base[k], w1 * alt[k]) for k in range(op.ancilla_dim))
 
@@ -157,21 +137,10 @@ def run_blind(
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    if rho0.dim != op.system_dim:
-        raise DimensionMismatchError("initial state does not match the system dimension")
-    groups = _cycle_kraus(op, noise)
-    flat = KrausSet(operators=tuple(a for grp in groups for a in grp))
-    fids = [fidelity(rho0, op.target)]
-    state = rho0
-    for _ in range(steps):
-        state = averaged_step(state, flat)
-        mat = apply_noise(state.matrix, noise)
-        state = DensityState(matrix=mat, dims=state.dims)
-        fids.append(fidelity(state, op.target))
     return RunRecord(
         seed=seed,
         mode="blind",
-        fidelities=tuple(fids),
+        fidelities=tuple(fidelity(_blind_states(rho0, op, steps, noise), op.target).tolist()),
         outcomes=None,
         repetitions_to_success=None,
         coupling=op.coupling,
@@ -255,21 +224,56 @@ def _to_unit_double(words: np.ndarray) -> np.ndarray:
 
 
 def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
-    """(d^2, K d^2) map from a row-major vec(rho) to the K outcome branches.
+    """(K, d^2, d^2) superoperators N o sum_{A in group k} A (x) A*, one per
+    outcome k, acting on a row-major vec(rho) column.
 
-    Block k is the transpose of N o sum_{A in group k} A (x) A*, so a row of
-    vec(rho) @ result holds the unnormalized, noise-applied branches
-    N(sum_A A rho A^dag).  The noise superoperator N is read off by applying
-    apply_noise to the d^2 matrix units; it preserves trace, so each
-    branch's trace is still its outcome's weight.
+    Branch k, N(sum_A A rho A^dag), is unnormalized and noise-applied; the
+    sum over k is the blind cycle channel.  The noise superoperator N is
+    read off by applying apply_noise to the d^2 matrix units; it preserves
+    trace, so each branch's trace is still its outcome's weight.
     """
     d = op.system_dim
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
-    blocks = [
-        noise_map @ sum(kron(a, a.conj()) for a in grp) for grp in _cycle_kraus(op, noise)
-    ]
-    return np.concatenate([b.T for b in blocks], axis=1)
+    blocks = []
+    for grp in _cycle_kraus(op, noise):
+        kraus = np.array(grp)  # A (x) A* by broadcasting: [(i, k), (j, l)] = A_ij A*_kl
+        pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
+        blocks.append(noise_map @ pairs.sum(axis=0).reshape(d * d, d * d))
+    return np.array(blocks)
+
+
+def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.ndarray:
+    """Eigenvalue moduli of the blind cycle channel, in descending order.
+
+    The first is 1 (the channel preserves trace).  The second, |lambda_2|,
+    is the factor by which a blind run's distance to its fixed point shrinks
+    per cycle; |lambda_2| = 1 flags a second fixed point, such as a dark
+    subspace the cycle never steers out of.
+    """
+    return np.sort(np.abs(np.linalg.eigvals(_step_superoperator(op, noise).sum(axis=0))))[::-1]
+
+
+def _blind_states(
+    rho0: DensityState, op: SteeringOperator, steps: int, noise: NoiseConfig
+) -> np.ndarray:
+    """(steps + 1, d, d) states of a blind run: rho0, then ``steps`` cycles
+    of the averaged channel, each one product of its superoperator with
+    vec(rho).  The whole stack is validated once, with the DensityState
+    checks, at the end."""
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
+    if rho0.dim != op.system_dim:
+        raise DimensionMismatchError("initial state does not match the system dimension")
+    d = op.system_dim
+    channel = _step_superoperator(op, noise).sum(axis=0)
+    vecs = np.empty((steps + 1, d * d), dtype=complex)
+    vecs[0] = rho0.matrix.reshape(-1)
+    for n in range(steps):
+        vecs[n + 1] = channel @ vecs[n]
+    states = vecs.reshape(steps + 1, d, d)
+    validate_density(states)
+    return states
 
 
 def _run_trajectories(
@@ -312,10 +316,11 @@ def _run_trajectories(
         raise ConfigError("readout confusion size does not match ancilla dim")
     confusion_cum = None if confusion is None else np.cumsum(confusion, axis=1)
     n, d, n_out = n_trajectories, op.system_dim, op.ancilla_dim
-    prop = _step_superoperator(op, noise)
+    # (d^2, K d^2): a row of vec(rho) @ prop holds the K outcome branches
+    prop = np.concatenate([b.T for b in _step_superoperator(op, noise)], axis=1)
     diag = np.arange(d) * (d + 1)  # vec positions of the diagonal
     final = np.empty((n, d * d), dtype=complex)
-    recorded = np.full((max_steps, n), -1, dtype=np.int64)  # step-major: a step writes one row
+    recorded = np.full((max_steps, n), -1, dtype=np.int8)  # step-major: a step writes one row
     reps = np.zeros(n, dtype=np.int64)
     fids = None
     if track_fidelity:
@@ -411,7 +416,7 @@ class TrajectoryBatch:
     """Vectorized non-blind trajectories (identical to per-trajectory runs)."""
 
     final_states: np.ndarray  # (n, d, d), state when the trajectory ended
-    recorded_outcomes: np.ndarray  # (n, max_steps), -1 after an early stop
+    recorded_outcomes: np.ndarray  # (n, max_steps) int8, -1 after an early stop
     repetitions: np.ndarray  # (n,), 0 means no recorded success
     seed: int
 
@@ -464,11 +469,12 @@ def sweep(
     """Blind-run fidelity grid over (target, J, step).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
-    Blind runs are deterministic, so repeats reproduce the same sequence; the
-    parameter exists for interface parity with stochastic pipelines.  Each
-    row also carries the across-target average fidelity of its (J, step)
-    cell, which is the stabilizer average when the six stabilizer targets
-    are swept.
+    Blind runs are deterministic, so each cell is computed once and its std
+    is 0 whatever ``repeats`` is; the parameter exists for interface parity
+    with stochastic pipelines.  Each row also carries the across-target
+    average fidelity of its (J, step) cell, which is the stabilizer average
+    when the six stabilizer targets are swept; a coupling listed more than
+    once gets None there.
     """
     from .steering import TargetSpec, make_steering_operator
 
@@ -476,43 +482,31 @@ def sweep(
     couplings = list(couplings)
     if not targets or not couplings:
         raise ConfigError("sweep needs nonempty target and coupling grids")
-    if repeats < 1:
-        raise ConfigError("repeats must be >= 1")
-    rows: list[SweepRow] = []
-    table: dict[tuple[float, int], list[float]] = {}
-    runs: dict[tuple[str, float], list[tuple[float, ...]]] = {}
-    for label, target in targets:
-        for coupling in couplings:
+    if repeats < 1 or steps < 1:
+        raise ConfigError("repeats and steps must be >= 1")
+    fids = np.empty((len(targets), len(couplings), steps + 1))
+    for i, (label, target) in enumerate(targets):
+        for j, coupling in enumerate(couplings):
             op = make_steering_operator(TargetSpec(target, coupling, label))
             rho0 = initial_state
             if rho0 is None:
                 d = op.system_dim
                 rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-            fid_runs = [
-                run_blind(rho0, op, steps, noise).fidelities for _ in range(repeats)
-            ]
-            runs[(label, coupling)] = fid_runs
-            for n in range(steps + 1):
-                vals = [fr[n] for fr in fid_runs]
-                table.setdefault((coupling, n), []).append(float(np.mean(vals)))
-    for label, target in targets:
-        for coupling in couplings:
-            fid_runs = runs[(label, coupling)]
-            for n in range(steps + 1):
-                vals = [fr[n] for fr in fid_runs]
-                cell = table[(coupling, n)]
-                agg = float(np.mean(cell)) if len(cell) == len(targets) else None
-                rows.append(
-                    SweepRow(
-                        target_label=label,
-                        coupling=coupling,
-                        step=n,
-                        mean_fidelity=float(np.mean(vals)),
-                        std_fidelity=float(np.std(vals)),
-                        stabilizer_average=agg,
-                    )
-                )
-    return rows
+            fids[i, j] = fidelity(_blind_states(rho0, op, steps, noise), op.target)
+    average = fids.mean(axis=0)
+    return [
+        SweepRow(
+            target_label=label,
+            coupling=coupling,
+            step=n,
+            mean_fidelity=float(fids[i, j, n]),
+            std_fidelity=0.0,
+            stabilizer_average=float(average[j, n]) if couplings.count(coupling) == 1 else None,
+        )
+        for i, (label, _) in enumerate(targets)
+        for j, coupling in enumerate(couplings)
+        for n in range(steps + 1)
+    ]
 
 
 @dataclass(frozen=True)

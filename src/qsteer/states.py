@@ -114,6 +114,23 @@ def target_ket(spec: QubitTarget | QutritTarget) -> np.ndarray:
     return ket
 
 
+def validate_density(mat: np.ndarray) -> None:
+    """Check a (d, d) matrix or a (..., d, d) stack: unit trace within 1e-10,
+    Hermitian within TOL.hermiticity, no eigenvalue below -1e-9.
+
+    Raises DimensionMismatchError naming the first violated condition.
+    """
+    traces = np.trace(mat, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > 1e-10
+    if off.any():
+        bad = np.ravel(traces)[np.ravel(off)][0]
+        raise DimensionMismatchError(f"trace {bad} is not 1 within 1e-10")
+    if hermiticity_defect(mat) > TOL.hermiticity:
+        raise DimensionMismatchError("density matrix is not Hermitian within 1e-12")
+    if np.linalg.eigvalsh(mat).min() < -1e-9:
+        raise DimensionMismatchError("density matrix has eigenvalue below -1e-9")
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Positive semidefinite unit-trace matrix with declared subsystem dims."""
@@ -130,12 +147,7 @@ class DensityState:
             raise DimensionMismatchError(
                 f"dims {self.dims} do not match matrix shape {mat.shape}"
             )
-        if abs(np.trace(mat) - 1.0) > 1e-10:
-            raise DimensionMismatchError(f"trace {np.trace(mat)} is not 1 within 1e-10")
-        if hermiticity_defect(mat) > TOL.hermiticity:
-            raise DimensionMismatchError("density matrix is not Hermitian within 1e-12")
-        if float(np.min(np.linalg.eigvalsh(mat))) < -1e-9:
-            raise DimensionMismatchError("density matrix has eigenvalue below -1e-9")
+        validate_density(mat)
 
     @property
     def dim(self) -> int:

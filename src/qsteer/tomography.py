@@ -56,10 +56,6 @@ class PauliTransferMatrix:
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise DimensionMismatchError("PTM must be square")
 
-    @property
-    def n_qubits(self) -> int:
-        return int(round(math.log(self.r.shape[0], 4)))
-
 
 def simulate_shots(
     rho: DensityState,

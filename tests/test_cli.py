@@ -244,3 +244,38 @@ class TestTomoAndQpt:
         assert payload["average_gate_fidelity"] == pytest.approx(1.0, abs=1e-9)
         grid = (tmp_path / "r_minus_i.csv").read_text().splitlines()
         assert len(grid) == 17  # header + 16 rows
+
+
+NOISE_FILES = {
+    "depolarizing_p": {"depolarizing_p": 0.05},
+    "amplitude_damping_gamma": {"amplitude_damping_gamma": 0.1},
+    "readout_confusion": {"readout_confusion": [[0.9, 0.1], [0.2, 0.8]]},
+    "reset_infidelity": {"reset_infidelity": 0.3},
+    "all": {
+        "depolarizing_p": 0.05,
+        "amplitude_damping_gamma": 0.1,
+        "readout_confusion": [[0.9, 0.1], [0.2, 0.8]],
+        "reset_infidelity": 0.3,
+    },
+}
+
+
+class TestTomoMatchesSteer:
+    @pytest.mark.parametrize("key", sorted(NOISE_FILES))
+    @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
+    def test_exact_fidelities_equal_blind_steer(self, runner, tmp_path, target, key):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps(NOISE_FILES[key]))
+        common = ["--target", target, "--J", "0.9", "--N", "6", "--noise", str(noise),
+                  "--out", str(tmp_path)]
+        result = runner.invoke(main, ["tomo", *common, "--shots", "inf"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["steer", *common, "--mode", "blind"])
+        assert result.exit_code == 0, result.output
+        tomo = json.loads((tmp_path / "tomo.json").read_text())
+        steer = json.loads((tmp_path / "records.json").read_text())
+        exact = [row["exact"] for row in tomo["fidelities"]]
+        blind = steer["records"][0]["fidelities"]
+        assert len(exact) == len(blind) == 7
+        assert np.max(np.abs(np.subtract(exact, blind))) <= 1e-12
+        assert tomo["config"]["noise"] == steer["config"]["noise"]

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qsteer.errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
-from qsteer.linalg import kron
+from qsteer.linalg import expm_i_herm, kron
 from qsteer.protocol import (
     MAX_SEED,
     NoiseConfig,
@@ -14,6 +15,7 @@ from qsteer.protocol import (
     _to_unit_double,
     amplitude_damping_kraus,
     apply_noise,
+    channel_spectrum,
     measure_ancilla,
     repetition_stats,
     run_blind,
@@ -30,7 +32,14 @@ from qsteer.states import (
     random_density,
     stabilizer_catalog,
 )
-from qsteer.steering import TargetSpec, averaged_step, kraus_from_unitary, make_steering_operator
+from qsteer.steering import (
+    KrausSet,
+    TargetSpec,
+    averaged_step,
+    build_qutrit_hamiltonian,
+    kraus_from_unitary,
+    make_steering_operator,
+)
 
 from conftest import channel_superoperator, ginibre_density
 
@@ -477,3 +486,133 @@ class TestRepetitionStatsReference:
         stats = repetition_stats(records)
         assert stats.counts == {} and stats.cdf == () and stats.mean_repetitions is None
         assert stats.n_failures == 3
+
+
+CONFUSION = np.array([[0.9, 0.1], [0.2, 0.8]])
+NOISE_KEYS = {
+    "depolarizing_p": NoiseConfig(depolarizing_p=0.07),
+    "amplitude_damping_gamma": NoiseConfig(amplitude_damping_gamma=0.11),
+    "readout_confusion": NoiseConfig(readout_confusion=CONFUSION),
+    "reset_infidelity": NoiseConfig(reset_infidelity=0.13),
+    "all": NoiseConfig(0.07, 0.11, CONFUSION, 0.13),
+}
+QUTRIT_QUARTER = TargetSpec(QUTRIT_EQUAL_TARGET, math.pi / 4, "qutrit-equal")
+
+
+class TestBlindReference:
+    """run_blind against the per-step Kraus loop: averaged_step, then
+    apply_noise, then a validated DensityState, once per cycle."""
+
+    @staticmethod
+    def loop_fidelities(spec, rho, steps, noise):
+        op = make_steering_operator(spec)
+        flipped = make_steering_operator(spec, ancilla_init=np.array([0.0, 1.0], dtype=complex))
+        eps = noise.reset_infidelity
+        kset = KrausSet(
+            operators=tuple(math.sqrt(1.0 - eps) * a for a in kraus_from_unitary(op).operators)
+            + tuple(math.sqrt(eps) * a for a in kraus_from_unitary(flipped).operators)
+        )
+        state, fids = rho, [fidelity(rho, op.target)]
+        for _ in range(steps):
+            state = averaged_step(state, kset)
+            state = DensityState(matrix=apply_noise(state.matrix, noise), dims=state.dims)
+            fids.append(fidelity(state, op.target))
+        return fids
+
+    @pytest.mark.parametrize("key", sorted(NOISE_KEYS))
+    @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
+    def test_matches_step_loop(self, spec, key):
+        rho = random_density(spec.system_dim, 3)
+        rec = run_blind(rho, make_steering_operator(spec), 25, NOISE_KEYS[key])
+        want = self.loop_fidelities(spec, rho, 25, NOISE_KEYS[key])
+        assert len(rec.fidelities) == 26
+        assert np.max(np.abs(np.subtract(rec.fidelities, want))) <= 1e-13
+
+    def test_late_states_are_validated(self):
+        # a unitary scaled by 1 + 1e-12 grows the trace by about 2e-12 per
+        # cycle, which leaves the 1e-10 trace tolerance only after ~50 cycles
+        op = make_steering_operator(PLUS_QUARTER)
+        leaky = replace(op, unitary=(1.0 + 1e-12) * op.unitary)
+        rho = random_density(2, 0)
+        run_blind(rho, leaky, 30)
+        with pytest.raises(DimensionMismatchError, match="trace"):
+            run_blind(rho, leaky, 100)
+
+    def test_initial_state_dimension_must_match(self):
+        with pytest.raises(DimensionMismatchError):
+            run_blind(random_density(3, 0), make_steering_operator(PLUS_QUARTER), 3)
+
+
+class TestSweepGrid:
+    TARGETS = [(e.label, e.target) for e in stabilizer_catalog()]
+
+    def test_duplicate_coupling_has_no_stabilizer_average(self):
+        rows = sweep(self.TARGETS, [0.7, 0.3, 0.7], 3)
+        assert len(rows) == 6 * 3 * 4
+        for r in rows:
+            assert (r.stabilizer_average is None) == (r.coupling == 0.7)
+        cell = [r.mean_fidelity for r in rows if r.coupling == 0.3 and r.step == 2]
+        for r in rows:
+            if r.coupling == 0.3 and r.step == 2:
+                assert r.stabilizer_average == pytest.approx(np.mean(cell), abs=1e-15)
+
+    def test_repeats_give_exactly_zero_std(self):
+        once = sweep(self.TARGETS, [0.7], 5)
+        thrice = sweep(self.TARGETS, [0.7], 5, repeats=3)
+        assert [r.std_fidelity for r in thrice] == [0.0] * len(thrice)
+        assert thrice == once
+
+    def test_matches_run_blind(self):
+        rho = random_density(2, 4)
+        for r in sweep(self.TARGETS[:2], [0.4, 1.1], 6, initial_state=rho):
+            spec = TargetSpec(dict(self.TARGETS)[r.target_label], r.coupling)
+            want = run_blind(rho, make_steering_operator(spec), 6).fidelities[r.step]
+            assert r.mean_fidelity == want
+
+
+class TestOutcomeRecord:
+    def test_int8_record_keeps_values(self):
+        # reference counts and rows from the int64 record of the same run
+        op = make_steering_operator(PLUS_QUARTER)
+        rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
+        noise = NoiseConfig(readout_confusion=CONFUSION)
+        batch = run_nonblind_batch(rho, op, 12, 400, noise, seed=5)
+        rec = batch.recorded_outcomes
+        assert rec.dtype == np.int8 and rec.shape == (400, 12)
+        assert [int(np.sum(rec == v)) for v in (-1, 0, 1)] == [2681, 1789, 330]
+        assert np.bincount(batch.repetitions).tolist() == [
+            70, 108, 59, 42, 20, 15, 13, 13, 11, 11, 12, 16, 10
+        ]
+        assert rec[:4].tolist() == [
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, -1, -1, -1],
+            [1] + [-1] * 11,
+            [0, 0, 0, 0, 0, 0, 0, 1, -1, -1, -1, -1],
+            [1] + [-1] * 11,
+        ]
+
+
+class TestChannelSpectrum:
+    @pytest.mark.parametrize("coupling", [0.3, math.pi / 4])
+    def test_second_modulus_is_the_convergence_rate(self, coupling):
+        plus = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), coupling, "+"))
+        qutrit = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, coupling))
+        rate = abs(math.cos(coupling))
+        for op, rate in ((plus, rate), (qutrit, math.sqrt(rate))):
+            moduli = channel_spectrum(op)
+            assert moduli.shape == (op.system_dim**2,)
+            assert np.all(np.diff(moduli) <= 0.0)
+            assert moduli[0] == pytest.approx(1.0, abs=1e-12)
+            assert moduli[1] == pytest.approx(rate, abs=1e-12)
+
+    @pytest.mark.parametrize("coupling", [0.3, math.pi / 4])
+    def test_bare_qutrit_generator_flags_a_dark_fixed_point(self, coupling):
+        op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, coupling))
+        h = coupling * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
+        bare = replace(op, hamiltonian=h, unitary=expm_i_herm(h))
+        assert channel_spectrum(bare)[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_depolarizing_shrinks_every_mode_but_the_fixed_point(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        clean, noisy = channel_spectrum(op), channel_spectrum(op, NoiseConfig(depolarizing_p=0.1))
+        assert noisy[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(noisy[1:], 0.9 * clean[1:], atol=1e-12)

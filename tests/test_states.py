@@ -22,6 +22,7 @@ from qsteer.states import (
     random_density,
     stabilizer_catalog,
     target_ket,
+    validate_density,
 )
 
 from conftest import ginibre_density
@@ -225,3 +226,32 @@ class TestDensityState:
         with pytest.raises(DimensionMismatchError):
             DensityState(matrix=mat, dims=(2, 2))
         DensityState(matrix=mat, dims=(2, 3))
+
+
+# One bad 2x2 matrix per DensityState check, with the message that names it.
+BAD_DENSITIES = {
+    "trace": (np.diag([0.5 + 1e-9, 0.5]).astype(complex), "trace"),
+    "hermiticity": (np.array([[0.5, 1e-6], [0.0, 0.5]], dtype=complex), "Hermitian"),
+    "eigenvalue": (np.diag([1.0 + 1e-8, -1e-8]).astype(complex), "eigenvalue"),
+}
+
+
+class TestValidateDensity:
+    @pytest.mark.parametrize("kind", sorted(BAD_DENSITIES))
+    def test_rejects_what_density_state_rejects(self, kind):
+        bad, message = BAD_DENSITIES[kind]
+        with pytest.raises(DimensionMismatchError, match=message):
+            DensityState(matrix=bad, dims=(2,))
+        with pytest.raises(DimensionMismatchError, match=message):
+            validate_density(bad)
+
+    @pytest.mark.parametrize("kind", sorted(BAD_DENSITIES))
+    def test_one_bad_matrix_fails_a_stack(self, kind, rng):
+        bad, message = BAD_DENSITIES[kind]
+        stack = np.stack([ginibre_density(2, rng) for _ in range(6)])
+        validate_density(stack)
+        stack[4] = bad
+        with pytest.raises(DimensionMismatchError, match=message):
+            validate_density(stack)
+        with pytest.raises(DimensionMismatchError, match=message):
+            validate_density(stack.reshape(2, 3, 2, 2))
