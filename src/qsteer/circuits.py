@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, kak_decompose
 from .linalg import ComplexMatrix, dagger, expm_i_herm, phase_invariant_distance
-from .states import QubitTarget, QutritTarget
+from .states import QubitTarget, QutritTarget, pauli_string_matrix
 from .steering import (
     TargetSpec,
     build_qubit_hamiltonian,
@@ -356,7 +356,7 @@ def synth_pauli_string_circuit(
             block, dphase = _pauli_exp_block(coeff / reps, s)
             gates.extend(block)
             phase += dphase
-    h = sum(c * _pauli_matrix_2q(s) for c, s in parsed)
+    h = sum(c * pauli_string_matrix(s) for c, s in parsed)
     target = expm_i_herm(h)
     circuit = Circuit((2, 2), tuple(gates), phase, {"terms": list(parsed), "trotter_steps": reps})
     if commuting:
@@ -366,12 +366,6 @@ def synth_pauli_string_circuit(
     tr = np.trace(dagger(raw) @ target)
     adj = float(np.angle(tr)) if abs(tr) > 1e-12 else 0.0
     return Circuit(circuit.wire_dims, circuit.gates, adj, circuit.metadata)
-
-
-def _pauli_matrix_2q(s: str) -> ComplexMatrix:
-    from .states import pauli_string_matrix
-
-    return pauli_string_matrix(s)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,8 @@ from .states import (
     fidelity,
     stabilizer_catalog,
 )
-from .steering import TargetSpec, make_steering_operator
+from .steering import KrausSet, TargetSpec, make_steering_operator
 from .tomography import (
-    KrausSet,
     average_gate_fidelity,
     compose_ptm,
     invert_ptm,

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
 from .linalg import kron, partial_trace
 from .states import DensityState, fidelity, validate_density
-from .steering import SteeringOperator, kraus_from_unitary
+from .steering import KrausSet, SteeringOperator, kraus_from_unitary
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def apply_noise(mat: np.ndarray, noise: NoiseConfig) -> np.ndarray:
     if noise.depolarizing_p > 0.0:
         out = depolarizing_apply(out, noise.depolarizing_p)
     if noise.amplitude_damping_gamma > 0.0:
-        ops = amplitude_damping_kraus(d, noise.amplitude_damping_gamma)
-        out = sum(np.einsum("ij,...jk,lk->...il", k, out, k.conj()) for k in ops)
+        out = KrausSet(amplitude_damping_kraus(d, noise.amplitude_damping_gamma)).apply(out)
     return out
 
 
@@ -235,12 +234,7 @@ def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
     d = op.system_dim
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
-    blocks = []
-    for grp in _cycle_kraus(op, noise):
-        kraus = np.array(grp)  # A (x) A* by broadcasting: [(i, k), (j, l)] = A_ij A*_kl
-        pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
-        blocks.append(noise_map @ pairs.sum(axis=0).reshape(d * d, d * d))
-    return np.array(blocks)
+    return np.array([noise_map @ KrausSet(grp).superoperator() for grp in _cycle_kraus(op, noise)])
 
 
 def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.ndarray:
@@ -485,13 +479,14 @@ def sweep(
     if repeats < 1 or steps < 1:
         raise ConfigError("repeats and steps must be >= 1")
     fids = np.empty((len(targets), len(couplings), steps + 1))
+    mixed = {}  # the default initial state, one per system dimension
     for i, (label, target) in enumerate(targets):
         for j, coupling in enumerate(couplings):
             op = make_steering_operator(TargetSpec(target, coupling, label))
-            rho0 = initial_state
-            if rho0 is None:
-                d = op.system_dim
-                rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+            d = op.system_dim
+            if initial_state is None and d not in mixed:
+                mixed[d] = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+            rho0 = mixed[d] if initial_state is None else initial_state
             fids[i, j] = fidelity(_blind_states(rho0, op, steps, noise), op.target)
     average = fids.mean(axis=0)
     return [

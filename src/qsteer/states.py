@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -35,14 +36,23 @@ GELL_MANN = (
 )
 
 
+# Subsystem dims declared for a state of each supported total dimension.
+_SUBSYSTEM_DIMS = {2: (2,), 3: (3,), 4: (2, 2), 6: (2, 3)}
+
+
+@cache
 def pauli_string_matrix(label: str) -> ComplexMatrix:
-    """Tensor product of single-qubit Paulis, e.g. "XZ" -> X (x) Z."""
+    """Tensor product of single-qubit Paulis, e.g. "XZ" -> X (x) Z.
+
+    Built once per label; the returned array is shared and read-only.
+    """
     out = np.array([[1.0 + 0j]])
     for ch in label:
         try:
             out = np.kron(out, PAULIS[ch])
         except KeyError:
             raise ConfigError(f"unknown Pauli letter {ch!r} in {label!r}") from None
+    out.setflags(write=False)
     return out
 
 
@@ -222,14 +232,13 @@ def random_density(dim: int, seed: int) -> DensityState:
 
     Uses the Philox counter PRNG so draws replay across platforms.
     """
-    if dim not in (2, 3, 4, 6):
+    if dim not in _SUBSYSTEM_DIMS:
         raise DimensionMismatchError(f"unsupported dimension {dim}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     m = m / np.trace(m).real
-    dims = {2: (2,), 3: (3,), 4: (2, 2), 6: (2, 3)}[dim]
-    return DensityState(matrix=m, dims=dims)
+    return DensityState(matrix=m, dims=_SUBSYSTEM_DIMS[dim])
 
 
 @dataclass(frozen=True)

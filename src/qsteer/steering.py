@@ -61,6 +61,19 @@ class KrausSet:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        """The operator sum sum_k A_k rho A_k^dagger on a (d, d) matrix or
+        on each matrix of a (..., d, d) stack."""
+        return sum(a @ mat @ dagger(a) for a in self.operators)
+
+    def superoperator(self) -> ComplexMatrix:
+        """(d^2, d^2) matrix sum_k A_k (x) A_k*, so that vec(apply(rho)) =
+        superoperator() @ vec(rho) with row-major vec."""
+        d = self.dim
+        kraus = np.array(self.operators)  # [(i, k), (j, l)] = A_ij A*_kl by broadcasting
+        pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
+        return pairs.sum(axis=0).reshape(d * d, d * d)
+
     def completeness_defect(self) -> float:
         d = self.dim
         acc = sum(dagger(a) @ a for a in self.operators)
@@ -237,7 +250,7 @@ def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
         raise DimensionMismatchError(
             f"state dim {mat.shape[0]} does not match Kraus dim {kraus.dim}"
         )
-    out = sum(a @ mat @ dagger(a) for a in kraus.operators)
+    out = kraus.apply(mat)
     if isinstance(rho, DensityState):
         return DensityState(matrix=out, dims=rho.dims)
     return out

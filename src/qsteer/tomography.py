@@ -18,8 +18,15 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
-from .linalg import ComplexMatrix, dagger, herm_eig, kron, require_hermitian
-from .states import DensityState, GELL_MANN, PAULIS, fidelity
+from .linalg import ComplexMatrix, dagger, herm_eig, require_hermitian
+from .states import (
+    DensityState,
+    GELL_MANN,
+    PAULIS,
+    _SUBSYSTEM_DIMS,
+    pauli_string_matrix,
+    validate_density,
+)
 from .steering import KrausSet
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -137,8 +144,7 @@ def mle_project(rho_raw: ComplexMatrix) -> DensityState:
             break
     mat = (v * out) @ dagger(v)
     mat = mat / np.trace(mat).real
-    dims = {2: (2,), 3: (3,), 4: (2, 2), 6: (2, 3)}.get(d, (d,))
-    return DensityState(matrix=mat, dims=dims)
+    return DensityState(matrix=mat, dims=_SUBSYSTEM_DIMS.get(d, (d,)))
 
 
 def qubit_state_tomo(ex: float, ey: float, ez: float) -> DensityState:
@@ -189,85 +195,63 @@ def tomo_qutrit_state(
 # ---------------------------------------------------------------------------
 # process tomography
 
-_INPUT_KETS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": KET_PLUS,
-    "+i": KET_PLUS_I,
-}
+# product inputs over {|0>, |1>, |+>, |+i>} per wire
+_INPUT_KETS = np.array([[1.0, 0.0], [0.0, 1.0], KET_PLUS, KET_PLUS_I], dtype=complex)
+# eigenbases of X, Y, Z, each sorted ascending: column 0 is the -1 eigenvector
+_SETTING_BASES = np.array([np.linalg.eigh(PAULIS[ch])[1] for ch in "XYZ"])
 
 
-def _pauli_basis(n: int) -> tuple[list[str], list[np.ndarray]]:
-    labels, mats = [], []
-    for combo in product("IXYZ", repeat=n):
-        labels.append("".join(combo))
-        m = np.array([[1.0 + 0j]])
-        for ch in combo:
-            m = np.kron(m, PAULIS[ch])
-        mats.append(m)
-    return labels, mats
+def _kron_all(factors: np.ndarray, n: int) -> np.ndarray:
+    """Kronecker products of every n-tuple of the (m, a, b) ``factors``, as
+    an (m^n, a^n, b^n) stack in itertools.product order."""
+    out = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n):
+        (m, a, b), (f, fa, fb) = out.shape, factors.shape
+        pairs = out[:, None, :, None, :, None] * factors[None, :, None, :, None, :]
+        out = pairs.reshape(m * f, a * fa, b * fb)
+    return out
 
 
-def _input_states(n: int) -> list[np.ndarray]:
-    kets = []
-    for combo in product(("0", "1", "+", "+i"), repeat=n):
-        k = np.array([1.0 + 0j])
-        for ch in combo:
-            k = np.kron(k, _INPUT_KETS[ch])
-        kets.append(k)
-    return kets
-
-
-def apply_kraus(mat: np.ndarray, kraus: KrausSet) -> np.ndarray:
-    return sum(a @ mat @ dagger(a) for a in kraus.operators)
+def _pauli_basis(n: int) -> np.ndarray:
+    """(4^n, 4^n) matrix B whose column k is the row-major vec(P_k), with the
+    Pauli strings P_k in itertools.product("IXYZ") order.  The strings are
+    orthogonal, B^dag B = d I, so R = Re(B^dag S B) / d turns a superoperator
+    S into its PTM and S = B R B^dag / d turns it back."""
+    labels = ("".join(combo) for combo in product("IXYZ", repeat=n))
+    return np.stack([pauli_string_matrix(label).reshape(-1) for label in labels], axis=1)
 
 
 def _measured_pauli_expectations(
     rho_out: np.ndarray, n: int, shots: int | None, seed: int
-) -> dict[str, float]:
-    """Expectations of all 4^n Pauli strings from 3^n measurement settings.
+) -> np.ndarray:
+    """(m, 4^n) expectations of all Pauli strings, in _pauli_basis order, on
+    each of the (m, d, d) states, from 3^n product X/Y/Z settings.
 
-    Each setting rotates into the product eigenbasis of a tensor of X/Y/Z and
-    measures bit outcomes; substrings (with identities) reuse the marginals.
+    Each setting's bit outcomes give the strings that keep its letter or an
+    identity on each wire; a string is read from the first setting that
+    covers it.  With shots, state i and setting s draw one multinomial
+    sample from Philox key ((seed + 7919 i) << 32) + s.
     """
     d = 2**n
-    state = DensityState(matrix=rho_out, dims=(2,) * n)
-    out: dict[str, float] = {"I" * n: 1.0}
-    basis_vecs = {
-        "X": np.linalg.eigh(PAULIS["X"])[1],
-        "Y": np.linalg.eigh(PAULIS["Y"])[1],
-        "Z": np.linalg.eigh(PAULIS["Z"])[1],
-    }
-    setting_index = 0
-    for setting in product("XYZ", repeat=n):
-        v = np.array([[1.0 + 0j]])
-        for ch in setting:
-            v = np.kron(v, basis_vecs[ch])
-        probs = np.einsum("ij,jk,ki->i", dagger(v), rho_out, v).real
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        if shots is not None:
-            rng = np.random.Generator(np.random.Philox(key=(seed << 32) + setting_index))
-            probs = rng.multinomial(shots, probs) / shots
-        # eigenvalue of outcome bitstring b on the support of a substring
-        for support in product((False, True), repeat=n):
-            if not any(support):
-                continue
-            label = "".join(ch if keep else "I" for ch, keep in zip(setting, support))
-            if label in out:
-                continue
-            val = 0.0
-            for idx, p in enumerate(probs):
-                bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-                # eigh sorts ascending: index 0 is the -1 eigenvector
-                sign = 1.0
-                for q in range(n):
-                    if support[q]:
-                        sign *= 1.0 if bits[q] == 1 else -1.0
-                val += sign * p
-            out[label] = val
-        setting_index += 1
-    return out
+    rotations = _kron_all(_SETTING_BASES, n)
+    probs = np.einsum("sji,njk,ski->nsi", rotations.conj(), rho_out, rotations).real
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum(axis=-1, keepdims=True)
+    if shots is not None:
+        for i, s in np.ndindex(probs.shape[:2]):
+            rng = np.random.Generator(np.random.Philox(key=((seed + 7919 * i) << 32) + s))
+            probs[i, s] = rng.multinomial(shots, probs[i, s]) / shots
+    # signs[t, b]: eigenvalue of outcome b on support t (a nonempty subset of
+    # wires), the product over kept wires of +1 for bit 1 and -1 for bit 0
+    supports = np.array(list(product((0, 1), repeat=n))[1:])
+    bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    signs = np.prod(np.where(supports[:, None, :] == 1, 2 * bits - 1, 1), axis=-1)
+    # string index of (setting, support): letter digits I=0, X=1, Y=2, Z=3
+    letters = np.array(list(product((1, 2, 3), repeat=n)))
+    strings = (letters[:, None, :] * supports[None, :, :]) @ 4 ** np.arange(n - 1, -1, -1)
+    _, first = np.unique(strings, return_index=True)  # strings 1 .. 4^n - 1
+    values = (probs @ signs.T).reshape(len(probs), -1)[:, first]
+    return np.concatenate([np.ones((len(probs), 1)), values], axis=1)
 
 
 def process_tomography(
@@ -284,38 +268,26 @@ def process_tomography(
     d = 2**n_wires
     if channel.dim != d:
         raise DimensionMismatchError("channel dimension does not match wire count")
-    labels, paulis = _pauli_basis(n_wires)
-    inputs = _input_states(n_wires)
-    # measured data: m[i][label] = Tr[P_label E(|in_i><in_i|)]
-    data = []
-    for i, ket in enumerate(inputs):
-        rho_out = apply_kraus(np.outer(ket, ket.conj()), channel)
-        data.append(
-            _measured_pauli_expectations(rho_out, n_wires, shots, seed + 7919 * i)
-        )
-    # express each Pauli in the span of the input projectors:
-    # P_k = sum_i c_{k,i} |in_i><in_i|, then Tr[P_j E(P_k)] is a data combination
-    basis_mat = np.stack([np.outer(k, k.conj()).reshape(-1) for k in inputs], axis=1)
-    basis_inv = np.linalg.inv(basis_mat)
-    r = np.zeros((4**n_wires, 4**n_wires))
-    for kcol, p_in in enumerate(paulis):
-        c = basis_inv @ p_in.reshape(-1)
-        for jrow, lab in enumerate(labels):
-            val = sum(c[i] * data[i][lab] for i in range(len(inputs)))
-            r[jrow, kcol] = float(np.real(val)) / d
-    r = _project_ptm_physical(r, n_wires)
-    return PauliTransferMatrix(r=r)
+    kets = _kron_all(_INPUT_KETS[:, :, None], n_wires)[:, :, 0]
+    inputs = kets[:, :, None] * kets.conj()[:, None, :]
+    outputs = channel.apply(inputs)
+    validate_density(outputs)
+    # data[i, j] = measured Tr[P_j E(|in_i><in_i|)]; with P_k = sum_i c_ik |in_i><in_i|,
+    # Tr[P_j E(P_k)] = sum_i c_ik data[i, j]
+    data = _measured_pauli_expectations(outputs, n_wires, shots, seed)
+    coeffs = np.linalg.inv(inputs.reshape(len(inputs), -1).T) @ _pauli_basis(n_wires)
+    r = np.real(data.T @ coeffs) / d
+    return PauliTransferMatrix(r=_project_ptm_physical(r, n_wires))
 
 
 def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
+    """Nearest PTM with a positive semidefinite Choi matrix: negative Choi
+    eigenvalues are clipped to zero and the trace is restored."""
     d = 2**n
-    labels, paulis = _pauli_basis(n)
-    # Choi matrix from the PTM
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for j, pj in enumerate(paulis):
-        for k, pk in enumerate(paulis):
-            choi += r[j, k] * np.kron(pk.T, pj)
-    choi /= d * d
+    basis = _pauli_basis(n)
+    sup = basis @ r @ dagger(basis) / d
+    # normalized Choi matrix J / d, J[(a, i), (b, k)] = E(|a><b|)[i, k] = sup[(i, k), (a, b)]
+    choi = sup.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
     choi = 0.5 * (choi + dagger(choi))
     w, v = np.linalg.eigh(choi)
     if float(w.min()) > -1e-12:
@@ -327,11 +299,8 @@ def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
     if tr <= 0:
         raise NumericalError("Choi projection collapsed to zero")
     projected *= d / tr
-    out = np.zeros_like(r)
-    for j, pj in enumerate(paulis):
-        for k, pk in enumerate(paulis):
-            out[j, k] = float(np.real(np.trace(np.kron(pk.T, pj).conj().T @ projected))) / d
-    return out
+    sup = projected.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return np.real(dagger(basis) @ sup @ basis) / d
 
 
 def ptm_of_kraus(channel: KrausSet) -> PauliTransferMatrix:
@@ -340,13 +309,8 @@ def ptm_of_kraus(channel: KrausSet) -> PauliTransferMatrix:
     n = int(round(math.log2(d)))
     if 2**n != d:
         raise DimensionMismatchError("PTM defined for qubit registers")
-    labels, paulis = _pauli_basis(n)
-    r = np.zeros((4**n, 4**n))
-    for k, pk in enumerate(paulis):
-        out = apply_kraus(pk, channel)
-        for j, pj in enumerate(paulis):
-            r[j, k] = float(np.trace(pj @ out).real) / d
-    return PauliTransferMatrix(r=r)
+    basis = _pauli_basis(n)
+    return PauliTransferMatrix(r=np.real(dagger(basis) @ channel.superoperator() @ basis) / d)
 
 
 def ptm_of_unitary(u: ComplexMatrix) -> PauliTransferMatrix:

@@ -13,11 +13,14 @@ from qsteer.states import (
     QutritTarget,
     QUTRIT_EQUAL_KET,
     QUTRIT_EQUAL_TARGET,
+    SX,
+    SZ,
     bloch_vector,
     fidelity,
     from_bloch_vector,
     from_gellmann_vector,
     gellmann_vector,
+    pauli_string_matrix,
     pure_state,
     random_density,
     stabilizer_catalog,
@@ -134,6 +137,23 @@ class TestGellMann:
         rho = pure_state(QUTRIT_EQUAL_KET)
         back = from_gellmann_vector(gellmann_vector(rho))
         assert fidelity(back, QUTRIT_EQUAL_KET) >= 1 - 1e-12
+
+
+class TestPauliStringMatrix:
+    def test_shared_read_only_result(self):
+        a = pauli_string_matrix("XZ")
+        b = pauli_string_matrix("XZ")
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, np.kron(SX, SZ))
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 2.0
+        assert np.array_equal(pauli_string_matrix("XZ"), np.kron(SX, SZ))
+
+    def test_unknown_letter_rejected(self):
+        for _ in range(2):  # a failed label is not cached
+            with pytest.raises(ConfigError):
+                pauli_string_matrix("XQ")
 
 
 class TestStabilizerCatalog:

@@ -33,7 +33,7 @@ from qsteer.steering import (
     steering_inequality_holds,
 )
 
-from conftest import ginibre_density
+from conftest import channel_superoperator, ginibre_density
 
 
 def explicit_qubit_matrix(theta, phi, coupling):
@@ -203,6 +203,20 @@ class TestKraus:
             want = np.zeros((2, 2), dtype=complex)
             want[0, k] = 1.0  # |0><k|
             assert np.allclose(a, want, atol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_superoperator_and_stacked_apply(self, dim, rng):
+        ops = tuple(rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
+        kset = KrausSet(operators=ops)
+        sup = kset.superoperator()
+        assert np.max(np.abs(sup - channel_superoperator(ops))) < 1e-13
+        stack = np.array([ginibre_density(dim, rng) for _ in range(5)]).reshape(5, 1, dim, dim)
+        out = kset.apply(stack)
+        assert out.shape == stack.shape
+        for m, got in zip(stack[:, 0], out[:, 0]):
+            want = sum(a @ m @ dagger(a) for a in ops)
+            assert np.max(np.abs(got - want)) < 1e-13
+            assert np.max(np.abs(sup @ m.reshape(-1) - want.reshape(-1))) < 1e-13
 
 
 class TestAveragedStep:

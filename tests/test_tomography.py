@@ -1,16 +1,19 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteer import tomography
 from qsteer.errors import ConfigError, NumericalError
 from qsteer.states import (
     GELL_MANN,
     PAULIS,
     QubitTarget,
     fidelity,
+    pauli_string_matrix,
     pure_state,
     random_density,
     target_ket,
@@ -229,6 +232,78 @@ class TestProcessTomography:
         chan = KrausSet(operators=(np.eye(2, dtype=complex),))
         with pytest.raises(ConfigError):
             process_tomography(chan, 3)
+
+
+def loop_pauli_basis(n):
+    return [pauli_string_matrix("".join(c)) for c in product("IXYZ", repeat=n)]
+
+
+def loop_ptm_of_kraus(ops):
+    """R_jk = Tr[P_j E(P_k)] / d, one Pauli pair at a time."""
+    d = ops[0].shape[0]
+    paulis = loop_pauli_basis(int(round(math.log2(d))))
+    r = np.zeros((d * d, d * d))
+    for k, pk in enumerate(paulis):
+        out = sum(a @ pk @ a.conj().T for a in ops)
+        for j, pj in enumerate(paulis):
+            r[j, k] = float(np.trace(pj @ out).real) / d
+    return r
+
+
+def loop_project_ptm(r, n):
+    """Choi matrix sum_jk R_jk P_k^T (x) P_j / d^2 built term by term,
+    negative eigenvalues clipped, trace restored, PTM read back term by
+    term; also reports whether any eigenvalue was clipped."""
+    d = 2**n
+    paulis = loop_pauli_basis(n)
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for j, pj in enumerate(paulis):
+        for k, pk in enumerate(paulis):
+            choi += r[j, k] * np.kron(pk.T, pj)
+    choi /= d * d
+    choi = 0.5 * (choi + choi.conj().T)
+    w, v = np.linalg.eigh(choi)
+    truncated = float(w.min()) <= -1e-12
+    projected = (v * np.clip(w, 0.0, None)) @ v.conj().T if truncated else choi
+    projected = projected * d / float(np.trace(projected).real)
+    out = np.zeros_like(r)
+    for j, pj in enumerate(paulis):
+        for k, pk in enumerate(paulis):
+            out[j, k] = float(np.real(np.trace(np.kron(pk.T, pj).conj().T @ projected))) / d
+    return out, truncated
+
+
+class TestChannelConversions:
+    def test_ptm_of_kraus_matches_loop(self, rng):
+        for _ in range(10):
+            spec = TargetSpec(
+                QubitTarget(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+                rng.uniform(0.2, 1.5),
+            )
+            op = make_steering_operator(spec)
+            for ops in (kraus_from_unitary(op).operators, (op.unitary,)):
+                got = ptm_of_kraus(KrausSet(operators=ops)).r
+                assert np.max(np.abs(got - loop_ptm_of_kraus(ops))) < 1e-12
+
+    def test_choi_projection_matches_loop_on_finite_shot_ptms(self, rng, monkeypatch):
+        raw = []
+        project = tomography._project_ptm_physical
+        monkeypatch.setattr(
+            tomography, "_project_ptm_physical", lambda r, n: raw.append(r) or project(r, n)
+        )
+        for seed in range(6):
+            spec = TargetSpec(
+                QubitTarget(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+                rng.uniform(0.2, 1.5),
+            )
+            op = make_steering_operator(spec)
+            process_tomography(KrausSet(operators=(op.unitary,)), 2, shots=256, seed=seed)
+        n_truncated = 0
+        for r in raw:
+            want, truncated = loop_project_ptm(r, 2)
+            n_truncated += truncated
+            assert np.max(np.abs(project(r, 2) - want)) < 1e-12
+        assert n_truncated == len(raw) == 6
 
 
 class TestAverageGateFidelity:
