@@ -83,14 +83,12 @@ from .circuits import (
     evaluate_circuit,
     parse_text,
     synth_kak_circuit,
-    synth_pauli_string_circuit,
     synth_qutrit_circuit,
 )
 from .tomography import (
     PauliTransferMatrix,
     ShotCounts,
     average_gate_fidelity,
-    mitigate_readout,
     mle_project,
     process_tomography,
     ptm_of_kraus,

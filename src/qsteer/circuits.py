@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, kak_decompose
 from .linalg import ComplexMatrix, dagger, expm_i_herm, phase_invariant_distance
-from .states import QubitTarget, QutritTarget, pauli_string_matrix
+from .states import QubitTarget, QutritTarget
 from .steering import (
     TargetSpec,
     build_qubit_hamiltonian,
@@ -93,7 +93,6 @@ class Circuit:
     wire_dims: tuple[int, ...]
     gates: tuple[Gate, ...]
     global_phase: float = 0.0
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "wire_dims", tuple(int(d) for d in self.wire_dims))
@@ -232,14 +231,12 @@ def zxz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
 def _reconcile_phase(circuit: Circuit, target: ComplexMatrix, tol: float) -> Circuit:
     """Set the circuit's global phase so it matches ``target`` exactly, and
     verify the phase-invariant distance meets ``tol``."""
-    raw = evaluate_circuit(
-        Circuit(circuit.wire_dims, circuit.gates, 0.0, dict(circuit.metadata))
-    )
+    raw = evaluate_circuit(circuit)
     dist = phase_invariant_distance(raw, target)
     if dist > tol:
         raise NumericalError(f"synthesized circuit distance {dist:.3e} exceeds {tol:.1e}")
-    phase = float(np.angle(np.trace(dagger(raw) @ target)))
-    return Circuit(circuit.wire_dims, circuit.gates, phase, dict(circuit.metadata))
+    phase = circuit.global_phase + float(np.angle(np.trace(dagger(raw) @ target)))
+    return Circuit(circuit.wire_dims, circuit.gates, phase)
 
 
 def _u3_gate(u: ComplexMatrix, wire: int) -> Gate:
@@ -285,87 +282,7 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
         _u3_gate(post0, 0),
         _u3_gate(post1, 1),
     )
-    meta = {"target": spec.label or f"qubit({spec.target.theta}, {spec.target.phi})", "J": spec.coupling}
-    return _reconcile_phase(Circuit((2, 2), gates, 0.0, meta), u, 1e-9)
-
-
-_BASIS_CHANGE = {
-    # V with V P V^dag = Z: pre-gate V, post-gate V^dag
-    "X": ((U3, (-math.pi / 2, 0.0, 0.0)), (U3, (math.pi / 2, 0.0, 0.0))),
-    "Y": ((RX, (math.pi / 2,)), (RX, (-math.pi / 2,))),
-}
-
-
-def _pauli_exp_block(theta: float, string: str) -> tuple[list[Gate], float]:
-    """Gates for exp(-i theta P), plus a global-phase contribution."""
-    active = [(w, ch) for w, ch in enumerate(string) if ch != "I"]
-    if not active:
-        return [], -theta
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for w, ch in active:
-        if ch in _BASIS_CHANGE:
-            (vk, vp), (wk, wp) = _BASIS_CHANGE[ch]
-            pre.append(Gate(vk, vp, (w,)))
-            post.append(Gate(wk, wp, (w,)))
-    core: list[Gate] = []
-    if len(active) == 1:
-        core = [Gate(RZ, (2.0 * theta,), (active[0][0],))]
-    else:
-        core = [
-            Gate(CNOT, (), (active[0][0], active[1][0])),
-            Gate(RZ, (2.0 * theta,), (active[1][0],)),
-            Gate(CNOT, (), (active[0][0], active[1][0])),
-        ]
-    return pre + core + list(reversed(post)), 0.0
-
-
-def _strings_commute(p: str, q: str) -> bool:
-    anti = sum(1 for a, b in zip(p, q) if a != "I" and b != "I" and a != b)
-    return anti % 2 == 0
-
-
-def synth_pauli_string_circuit(
-    terms, trotter_steps: int | None = None
-) -> Circuit:
-    """Circuit for exp(-i sum_j coeff_j P_j) over two qubits.
-
-    ``terms`` is a sequence of (coefficient, string) pairs with strings over
-    {I, X, Y, Z}^2.  Pairwise-commuting families are synthesized exactly as a
-    product of string exponentials; otherwise first-order Trotterization with
-    ``trotter_steps`` slices (default 256) is used.
-    """
-    parsed = []
-    for coeff, s in terms:
-        s = str(s).upper()
-        if len(s) != 2 or any(ch not in "IXYZ" for ch in s):
-            raise ConfigError(f"bad Pauli string {s!r}")
-        parsed.append((float(coeff), s))
-    if not parsed:
-        raise ConfigError("need at least one term")
-    commuting = all(
-        _strings_commute(a[1], b[1]) for i, a in enumerate(parsed) for b in parsed[i + 1 :]
-    )
-    reps = 1 if commuting else int(trotter_steps or 256)
-    if reps < 1:
-        raise ConfigError("trotter_steps must be positive")
-    gates: list[Gate] = []
-    phase = 0.0
-    for _ in range(reps):
-        for coeff, s in parsed:
-            block, dphase = _pauli_exp_block(coeff / reps, s)
-            gates.extend(block)
-            phase += dphase
-    h = sum(c * pauli_string_matrix(s) for c, s in parsed)
-    target = expm_i_herm(h)
-    circuit = Circuit((2, 2), tuple(gates), phase, {"terms": list(parsed), "trotter_steps": reps})
-    if commuting:
-        return _reconcile_phase(circuit, target, 1e-9)
-    # Trotterized: align the phase but accept the method error
-    raw = evaluate_circuit(Circuit(circuit.wire_dims, circuit.gates, 0.0))
-    tr = np.trace(dagger(raw) @ target)
-    adj = float(np.angle(tr)) if abs(tr) > 1e-12 else 0.0
-    return Circuit(circuit.wire_dims, circuit.gates, adj, circuit.metadata)
+    return _reconcile_phase(Circuit((2, 2), gates), u, 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +426,7 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
         + _cx_a12_gates(0, 1)
         + _local_qutrit_gates(exchange @ dagger(w3), 1)
     )
-    meta = {"target": spec.label or "qutrit", "J": spec.coupling}
-    return _reconcile_phase(Circuit((2, 3), tuple(gates), 0.0, meta), target_u, 1e-6)
+    return _reconcile_phase(Circuit((2, 3), tuple(gates)), target_u, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .protocol import (
     NoiseConfig,
     RunRecord,
     _blind_states,
+    _check_seed,
     repetition_stats,
     run_blind,
     run_nonblind_batch,
@@ -193,6 +194,15 @@ _format_opt = click.option(
 )
 
 
+def _parse_shots(text: str) -> int | None:
+    """--shots: 'inf' (exact expectations, None) or an integer >= 1."""
+    if text == "inf":
+        return None
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"--shots must be 'inf' or an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _outdir(out_dir: str) -> Path:
     p = Path(out_dir)
     p.mkdir(parents=True, exist_ok=True)
@@ -219,8 +229,7 @@ def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_pat
     """Run the steering protocol and write fidelity_vs_n.csv + records.json."""
     if steps < 1:
         raise ConfigError("--N must be >= 1")
-    if seed < 0:
-        raise ConfigError("--seed must be nonnegative")
+    _check_seed(seed)
     label, target = parse_target(target_text)
     noise = load_noise(noise_path)
     op = make_steering_operator(TargetSpec(target, coupling, label))
@@ -299,12 +308,11 @@ def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_pat
 @click.option("--Js", "js_text", required=True, help="comma-separated couplings (radians)")
 @click.option("--N", "steps", type=int, default=10, show_default=True)
 @click.option("--noise", "noise_path", default=None)
-@click.option("--repeats", type=int, default=1, show_default=True)
 @_seed_opt
 @_out_opt
 @_format_opt
 @_guard
-def sweep_cmd(targets_text, js_text, steps, noise_path, repeats, seed, out_dir, fmt):
+def sweep_cmd(targets_text, js_text, steps, noise_path, seed, out_dir, fmt):
     """Fidelity grid over targets x couplings x steps (blind runs)."""
     targets = [parse_target(t) for t in targets_text.split(",") if t.strip()]
     try:
@@ -312,7 +320,7 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, repeats, seed, out_dir, 
     except ValueError as exc:
         raise ConfigError(f"bad --Js list: {exc}") from exc
     noise = load_noise(noise_path)
-    rows = sweep(targets, js, steps, noise, repeats)
+    rows = sweep(targets, js, steps, noise)
     out = _outdir(out_dir)
     csv_rows = [
         [r.target_label, r.coupling, r.step, r.mean_fidelity, r.std_fidelity,
@@ -331,7 +339,6 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, repeats, seed, out_dir, 
             "targets": [t[0] for t in targets],
             "couplings": js,
             "steps": steps,
-            "repeats": repeats,
             "noise": _noise_echo(noise),
             "seed": seed,
         }
@@ -431,9 +438,10 @@ def circuit(target_text, coupling, out_dir):
 @_guard
 def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
     """Blind run with state tomography at each step; exact vs reconstructed."""
+    n_shots = _parse_shots(shots)
+    _check_seed(seed)
     label, target = parse_target(target_text)
     noise = load_noise(noise_path)
-    n_shots = None if shots == "inf" else int(shots)
     op = make_steering_operator(TargetSpec(target, coupling, label))
     d = op.system_dim
     rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
@@ -483,7 +491,8 @@ def qpt(target_text, coupling, shots, seed, out_dir, fmt):
     label, target = parse_target(target_text)
     if not isinstance(target, QubitTarget):
         raise ConfigError("qpt applies to qubit steering operators")
-    n_shots = None if shots == "inf" else int(shots)
+    n_shots = _parse_shots(shots)
+    _check_seed(seed)
     op = make_steering_operator(TargetSpec(target, coupling, label))
     chan = KrausSet(operators=(op.unitary,))
     rec = process_tomography(chan, 2, shots=n_shots, seed=seed)

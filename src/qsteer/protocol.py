@@ -184,6 +184,11 @@ _PHILOX_CHUNK = 8192
 MAX_SEED = 2**64 - 2  # seed + 1 is key word 1 and must fit in 64 bits
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"seed must be an integer in [0, 2**64 - 2], got {seed!r}")
+
+
 def _philox_mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit products _PHILOX_M * x, from
     32-bit limbs; no intermediate sum can overflow."""
@@ -278,7 +283,6 @@ def _run_trajectories(
     noise: NoiseConfig,
     seed: int,
     early_stop: bool,
-    stop_fidelity: float | None = None,
     first_index: int = 0,
     track_fidelity: bool = False,
 ):
@@ -293,16 +297,12 @@ def _run_trajectories(
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
     stop, repetitions (n,) with 0 for none, fidelities (n, max_steps + 1)
     with NaN after a stop, or None unless ``track_fidelity``).
-    ``stop_fidelity`` acts only with ``track_fidelity``.
     """
     if max_steps < 1 or n_trajectories < 1:
         raise ConfigError("max_steps and n_trajectories must be >= 1")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= MAX_SEED:
-        raise ConfigError(f"seed must be an integer in [0, 2**64 - 2], got {seed!r}")
+    _check_seed(seed)
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
-    if stop_fidelity is not None and not 0.0 <= stop_fidelity <= 1.0:
-        raise ConfigError("stop_fidelity must lie in [0, 1]")
     if rho0.dim != op.system_dim:
         raise DimensionMismatchError("initial state does not match the system dimension")
     confusion = noise.readout_confusion
@@ -355,15 +355,11 @@ def _run_trajectories(
         recorded[step, live] = rec_k
         hit = (rec_k == 1) & (reps[live] == 0)
         reps[live[hit]] = step + 1
-        done = hit if early_stop else None
         if track_fidelity:
-            step_fids = fidelity(vecs.reshape(m, d, d), op.target)
-            fids[live, step + 1] = step_fids
-            if stop_fidelity is not None:
-                done = step_fids >= stop_fidelity
-        if done is not None and np.any(done):
-            final[live[done]] = vecs[done]
-            keep = ~done
+            fids[live, step + 1] = fidelity(vecs.reshape(m, d, d), op.target)
+        if early_stop and np.any(hit):
+            final[live[hit]] = vecs[hit]
+            keep = ~hit
             live, vecs, u_next = live[keep], vecs[keep], u_next[keep]
     final[live] = vecs
     return final.reshape(n, d, d), recorded.T, reps, fids
@@ -377,7 +373,6 @@ def run_nonblind(
     seed: int = 0,
     trajectory_index: int = 0,
     early_stop: bool = True,
-    stop_fidelity: float | None = None,
 ) -> RunRecord:
     """One stochastic trajectory with per-cycle ancilla readout.
 
@@ -385,12 +380,10 @@ def run_nonblind(
     conditioning always uses the true projection.  The run stops at the first
     recorded "1" (unless ``early_stop`` is off) and reports the 1-based cycle
     index as ``repetitions_to_success``, or None if the budget is exhausted.
-    ``stop_fidelity`` optionally ends the run once the conditioned state
-    crosses a fidelity threshold instead; it is off by default.
     """
     _, recorded, reps, fids = _run_trajectories(
         rho0, op, max_steps, 1, noise, seed, early_stop,
-        stop_fidelity=stop_fidelity, first_index=trajectory_index, track_fidelity=True,
+        first_index=trajectory_index, track_fidelity=True,
     )
     n_steps = int(np.sum(recorded[0] >= 0))
     return RunRecord(
@@ -457,18 +450,15 @@ def sweep(
     couplings,
     steps: int,
     noise: NoiseConfig = NO_NOISE,
-    repeats: int = 1,
     initial_state: DensityState | None = None,
 ) -> list[SweepRow]:
     """Blind-run fidelity grid over (target, J, step).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
     Blind runs are deterministic, so each cell is computed once and its std
-    is 0 whatever ``repeats`` is; the parameter exists for interface parity
-    with stochastic pipelines.  Each row also carries the across-target
-    average fidelity of its (J, step) cell, which is the stabilizer average
-    when the six stabilizer targets are swept; a coupling listed more than
-    once gets None there.
+    is 0.  Each row also carries the across-target average fidelity of its
+    (J, step) cell, which is the stabilizer average when the six stabilizer
+    targets are swept; a coupling listed more than once gets None there.
     """
     from .steering import TargetSpec, make_steering_operator
 
@@ -476,8 +466,8 @@ def sweep(
     couplings = list(couplings)
     if not targets or not couplings:
         raise ConfigError("sweep needs nonempty target and coupling grids")
-    if repeats < 1 or steps < 1:
-        raise ConfigError("repeats and steps must be >= 1")
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
     fids = np.empty((len(targets), len(couplings), steps + 1))
     mixed = {}  # the default initial state, one per system dimension
     for i, (label, target) in enumerate(targets):

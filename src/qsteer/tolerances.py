@@ -7,8 +7,6 @@ from dataclasses import dataclass
 class Tolerances:
     hermiticity: float = 1e-12
     unitarity: float = 1e-12
-    reconstruction: float = 1e-10
-    equality: float = 1e-9
 
 
 TOL = Tolerances()

@@ -1,7 +1,6 @@
 """Simulated measurement with shot noise, state tomography (qubit and
-qutrit), the eigenvalue truncate-and-redistribute physical projection,
-process tomography with Pauli-transfer-matrix analysis, and readout-error
-mitigation.
+qutrit), the eigenvalue truncate-and-redistribute physical projection, and
+process tomography with Pauli-transfer-matrix analysis.
 
 "Infinite shots" (``shots=None``) computes exact Born expectations and is the
 normative mode for acceptance checks; finite-shot mode draws one multinomial
@@ -18,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
-from .linalg import ComplexMatrix, dagger, herm_eig, require_hermitian
+from .linalg import ComplexMatrix, dagger, herm_eig
 from .states import (
     DensityState,
     GELL_MANN,
@@ -37,7 +36,6 @@ KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 class ShotCounts:
     """Counts per outcome for one measurement basis."""
 
-    basis: str
     counts: dict[int, int]
     shots: int
 
@@ -64,25 +62,12 @@ class PauliTransferMatrix:
             raise DimensionMismatchError("PTM must be square")
 
 
-def simulate_shots(
-    rho: DensityState,
-    observable: ComplexMatrix,
-    shots: int,
-    confusion: np.ndarray | None = None,
-    seed: int = 0,
-    basis_label: str = "",
-) -> ShotCounts:
-    """Measure ``observable`` on ``rho`` with finite shots.
-
-    Outcomes are indices into the observable's ascending eigenbasis; Born
-    probabilities are corrupted by the row-stochastic confusion matrix before
-    a single multinomial draw keyed by ``seed``.
-    """
+def _sample_counts(
+    rho: DensityState, vecs: ComplexMatrix, shots: int, confusion, seed: int
+) -> np.ndarray:
+    """The draw of simulate_shots over the eigenbasis columns ``vecs``."""
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    observable = np.asarray(observable, dtype=complex)
-    require_hermitian(observable, 1e-10)
-    _, vecs = herm_eig(observable)
     probs = np.einsum("ij,jk,ki->i", dagger(vecs), rho.matrix, vecs).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
@@ -92,15 +77,24 @@ def simulate_shots(
             raise DimensionMismatchError("confusion matrix does not match outcome count")
         probs = confusion.T @ probs
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sample = rng.multinomial(shots, probs)
-    return ShotCounts(
-        basis=basis_label, counts={k: int(c) for k, c in enumerate(sample)}, shots=shots
-    )
+    return rng.multinomial(shots, probs)
 
 
-def expectation_from_counts(counts: ShotCounts, eigenvalues: np.ndarray) -> float:
-    freqs = counts.frequencies(len(eigenvalues))
-    return float(np.dot(np.sort(eigenvalues), freqs))
+def simulate_shots(
+    rho: DensityState,
+    observable: ComplexMatrix,
+    shots: int,
+    confusion: np.ndarray | None = None,
+    seed: int = 0,
+) -> ShotCounts:
+    """Measure ``observable`` on ``rho`` with finite shots.
+
+    Outcomes are indices into the observable's ascending eigenbasis; Born
+    probabilities are corrupted by the row-stochastic confusion matrix before
+    a single multinomial draw keyed by ``seed``.
+    """
+    sample = _sample_counts(rho, herm_eig(observable)[1], shots, confusion, seed)
+    return ShotCounts(counts={k: int(c) for k, c in enumerate(sample)}, shots=shots)
 
 
 def measure_expectation(
@@ -113,9 +107,8 @@ def measure_expectation(
     """<observable> on rho, exact when shots is None, sampled otherwise."""
     if shots is None:
         return float(np.trace(rho.matrix @ observable).real)
-    w, _ = herm_eig(np.asarray(observable, dtype=complex))
-    counts = simulate_shots(rho, observable, shots, confusion, seed)
-    return expectation_from_counts(counts, w)
+    w, vecs = herm_eig(observable)
+    return float(np.dot(w, _sample_counts(rho, vecs, shots, confusion, seed) / shots))
 
 
 def mle_project(rho_raw: ComplexMatrix) -> DensityState:
@@ -127,7 +120,6 @@ def mle_project(rho_raw: ComplexMatrix) -> DensityState:
     eigenbasis.
     """
     rho_raw = np.asarray(rho_raw, dtype=complex)
-    require_hermitian(rho_raw, 1e-10)
     if abs(np.trace(rho_raw).real - 1.0) > 1e-8:
         raise ConfigError("mle_project expects a unit-trace matrix")
     w, v = herm_eig(rho_raw)
@@ -147,49 +139,54 @@ def mle_project(rho_raw: ComplexMatrix) -> DensityState:
     return DensityState(matrix=mat, dims=_SUBSYSTEM_DIMS.get(d, (d,)))
 
 
+# Tomography observables B_k with Tr(B_i B_j) = 2 delta_ij: the Paulis and
+# the Gell-Mann matrices.
+_QUBIT_BASIS = np.array([PAULIS[p] for p in "XYZ"])
+_QUTRIT_BASIS = np.array(GELL_MANN)
+
+
+def _reconstruct(expectations, basis: np.ndarray) -> DensityState:
+    """rho = I/d + (1/2) sum_k e_k B_k, physically projected if needed."""
+    expectations = np.asarray(expectations, dtype=float)
+    if expectations.shape != (len(basis),):
+        raise DimensionMismatchError(f"need {len(basis)} expectations")
+    d = basis.shape[-1]
+    m = np.eye(d, dtype=complex) / d + 0.5 * np.tensordot(expectations, basis, axes=1)
+    if float(np.min(np.linalg.eigvalsh(m))) >= -1e-12:
+        return DensityState(matrix=m, dims=(d,))
+    return mle_project(m)
+
+
+def _measure_and_reconstruct(rho, basis, shots, confusion, seed) -> DensityState:
+    """Measure every observable of ``basis`` on rho and reconstruct.  With
+    shots, observable i draws from Philox key (seed << 4) + i."""
+    exps = [measure_expectation(rho, b, shots, confusion, (seed << 4) + i)
+            for i, b in enumerate(basis)]
+    return _reconstruct(exps, basis)
+
+
 def qubit_state_tomo(ex: float, ey: float, ez: float) -> DensityState:
     """State from Pauli expectations, physically projected if needed."""
-    m = 0.5 * (
-        np.eye(2, dtype=complex) + ex * PAULIS["X"] + ey * PAULIS["Y"] + ez * PAULIS["Z"]
-    )
-    if float(np.min(np.linalg.eigvalsh(m))) >= -1e-12:
-        return DensityState(matrix=m, dims=(2,))
-    return mle_project(m)
+    return _reconstruct([ex, ey, ez], _QUBIT_BASIS)
 
 
 def qutrit_state_tomo(expectations) -> DensityState:
     """State from the eight Gell-Mann expectations <l_i> = 2 n_i."""
-    expectations = np.asarray(expectations, dtype=float)
-    if expectations.shape != (8,):
-        raise DimensionMismatchError("need 8 Gell-Mann expectations")
-    m = np.eye(3, dtype=complex) / 3.0
-    for e, l in zip(expectations, GELL_MANN):
-        m = m + 0.5 * e * l
-    if float(np.min(np.linalg.eigvalsh(m))) >= -1e-12:
-        return DensityState(matrix=m, dims=(3,))
-    return mle_project(m)
+    return _reconstruct(expectations, _QUTRIT_BASIS)
 
 
 def tomo_qubit_state(
     rho: DensityState, shots: int | None = None, confusion=None, seed: int = 0
 ) -> DensityState:
     """Measure X, Y, Z (exactly or with shots) and reconstruct."""
-    ex, ey, ez = (
-        measure_expectation(rho, PAULIS[p], shots, confusion, seed + i)
-        for i, p in enumerate("XYZ")
-    )
-    return qubit_state_tomo(ex, ey, ez)
+    return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, confusion, seed)
 
 
 def tomo_qutrit_state(
     rho: DensityState, shots: int | None = None, confusion=None, seed: int = 0
 ) -> DensityState:
     """Measure the eight Gell-Mann observables and reconstruct."""
-    exps = [
-        measure_expectation(rho, l, shots, confusion, seed + i)
-        for i, l in enumerate(GELL_MANN)
-    ]
-    return qutrit_state_tomo(exps)
+    return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, confusion, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -337,37 +334,6 @@ def average_gate_fidelity(
     f_pro = float(np.trace(ideal.r.T @ reconstructed.r)) / d2
     f_avg = (d * f_pro + 1.0) / (d + 1.0)
     return min(1.0, max(0.0, f_avg))
-
-
-def project_to_simplex(p: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    p = np.asarray(p, dtype=float)
-    u = np.sort(p)[::-1]
-    css = np.cumsum(u)
-    rho_idx = np.nonzero(u * np.arange(1, len(p) + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho_idx] - 1.0) / (rho_idx + 1.0)
-    return np.clip(p - theta, 0.0, None)
-
-
-def mitigate_readout(counts: ShotCounts | np.ndarray, confusion: np.ndarray) -> np.ndarray:
-    """Invert a row-stochastic confusion matrix on empirical frequencies.
-
-    Solves confusion^T p_true = p_empirical (rows of the confusion matrix are
-    indexed by the true outcome) and projects the result onto the simplex.
-    Raises on singular matrices; the condition number gates invertibility.
-    """
-    confusion = np.asarray(confusion, dtype=float)
-    n = confusion.shape[0]
-    if isinstance(counts, ShotCounts):
-        p_emp = counts.frequencies(n)
-    else:
-        p_emp = np.asarray(counts, dtype=float)
-        p_emp = p_emp / p_emp.sum()
-    cond = float(np.linalg.cond(confusion))
-    if not math.isfinite(cond) or cond > 1e12:
-        raise NumericalError(f"confusion matrix is singular (condition number {cond:.3e})")
-    p_corr = np.linalg.solve(confusion.T, p_emp)
-    return project_to_simplex(p_corr)
 
 
 def reconstruction_fidelity(rho_true: DensityState, rho_rec: DensityState) -> float:

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +20,6 @@ from qsteer.circuits import (
     evaluate_circuit,
     parse_text,
     synth_kak_circuit,
-    synth_pauli_string_circuit,
     synth_qutrit_circuit,
     u3_matrix,
     zxz_angles,
@@ -34,7 +32,6 @@ from qsteer.states import (
     QubitTarget,
     QutritTarget,
     QUTRIT_EQUAL_TARGET,
-    pauli_string_matrix,
     stabilizer_catalog,
 )
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
@@ -153,53 +150,6 @@ class TestKakSynthesis:
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):
             synth_kak_circuit(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4))
-
-
-class TestPauliStringSynthesis:
-    def test_commuting_pair_exact(self):
-        coupling = 0.8
-        c = synth_pauli_string_circuit([(coupling / 2, "XZ"), (-coupling / 2, "YY")])
-        want = scipy.linalg.expm(
-            -1j * (coupling / 2) * (pauli_string_matrix("XZ") - pauli_string_matrix("YY"))
-        )
-        assert np.max(np.abs(evaluate_circuit(c) - want)) < 1e-12
-
-    def test_single_zz_ladder(self):
-        theta = 0.37
-        c = synth_pauli_string_circuit([(theta / 2, "ZZ")])
-        kinds = [g.kind for g in c.gates]
-        assert kinds == [CNOT, RZ, CNOT]
-        want = scipy.linalg.expm(-1j * (theta / 2) * pauli_string_matrix("ZZ"))
-        assert np.max(np.abs(evaluate_circuit(c) - want)) < 1e-14
-
-    def test_identity_string_is_phase(self):
-        c = synth_pauli_string_circuit([(0.4, "II")])
-        assert np.allclose(evaluate_circuit(c), np.exp(-0.4j) * np.eye(4), atol=1e-14)
-
-    @pytest.mark.parametrize("steps,bound", [(64, 1e-3), (1024, 1e-4)])
-    def test_noncommuting_trotter_error(self, steps, bound):
-        terms = [(-0.35, "XX"), (0.42, "XZ")]
-        h = sum(coeff * pauli_string_matrix(s) for coeff, s in terms)
-        want = scipy.linalg.expm(-1j * h)
-        c = synth_pauli_string_circuit(terms, trotter_steps=steps)
-        assert phase_invariant_distance(evaluate_circuit(c), want) <= bound
-
-    def test_trotter_error_shrinks_linearly(self):
-        terms = [(-0.35, "XX"), (0.42, "XZ")]
-        h = sum(coeff * pauli_string_matrix(s) for coeff, s in terms)
-        want = scipy.linalg.expm(-1j * h)
-        errs = [
-            phase_invariant_distance(
-                evaluate_circuit(synth_pauli_string_circuit(terms, trotter_steps=r)), want
-            )
-            for r in (32, 64, 128)
-        ]
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[0] / errs[2] > 8  # better than O(1/r) would need
-
-    def test_bad_string_rejected(self):
-        with pytest.raises(ConfigError):
-            synth_pauli_string_circuit([(0.1, "XQ")])
 
 
 class TestQutritSynthesis:

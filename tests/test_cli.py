@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from qsteer import tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError
 from qsteer.states import QubitTarget, QutritTarget
@@ -244,6 +245,48 @@ class TestTomoAndQpt:
         assert payload["average_gate_fidelity"] == pytest.approx(1.0, abs=1e-9)
         grid = (tmp_path / "r_minus_i.csv").read_text().splitlines()
         assert len(grid) == 17  # header + 16 rows
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["tomo", "--shots", "64", "--seed", "-1"],
+            ["tomo", "--shots", "abc"],
+            ["tomo", "--shots", "0"],
+            ["tomo", "--seed", str(2**113)],
+            ["qpt", "--shots", "64", "--seed", "-1"],
+            ["qpt", "--shots", "abc"],
+            ["qpt", "--shots", "0"],
+            ["qpt", "--shots", "-5"],
+            ["qpt", "--seed", str(2**96)],
+        ],
+    )
+    def test_bad_shots_or_seed_is_config_error(self, runner, tmp_path, args):
+        result = runner.invoke(
+            main, [args[0], "--target", "+", "--J", "0.9", *args[1:], "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("target,n_observables", [("+", 3), ("qutrit-equal", 8)])
+    def test_tomo_shot_keys_are_distinct(self, runner, tmp_path, monkeypatch, target, n_observables):
+        keys = []
+        measure = tomography.measure_expectation
+
+        def record(rho, observable, shots, confusion, seed):
+            keys.append(seed)
+            return measure(rho, observable, shots, confusion, seed)
+
+        monkeypatch.setattr(tomography, "measure_expectation", record)
+        result = runner.invoke(
+            main,
+            ["tomo", "--target", target, "--J", "0.785", "--N", "10", "--shots", "64",
+             "--seed", "3", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(keys) == 11 * n_observables
+        assert len(set(keys)) == len(keys)
 
 
 NOISE_FILES = {
