@@ -4,8 +4,9 @@ emission, and tomography, with CSV/JSON result persistence.
 Conventions: all angles in radians; CSV files are RFC-4180 with a header row
 and floats at 17 significant digits; JSON files are single documents with
 sorted keys so identical seeds reproduce byte-identical outputs.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure.  Errors print one
-machine-readable JSON object to stderr.
+0 success, 2 usage or configuration error, 3 numerical failure.  Errors,
+click's usage errors included, print one machine-readable JSON object to
+stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -23,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, QsteerError
 from .circuits import emit_text, evaluate_circuit, parse_text, synth_kak_circuit, synth_qutrit_circuit, CNOT
-from .geometry import CNOT_GATE, cphase_gate, kak_decompose, locally_equivalent, weyl_coordinates
+from .geometry import CNOT_GATE, cphase_gate, kak_decompose, locally_equivalent
 from .linalg import phase_invariant_distance
 from .protocol import (
     NO_NOISE,
@@ -112,30 +115,18 @@ def load_noise(path: str | None) -> NoiseConfig:
         raise ConfigError(f"noise file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("noise file must hold a JSON object")
-    allowed = {
-        "depolarizing_p",
-        "amplitude_damping_gamma",
-        "readout_confusion",
-        "reset_infidelity",
-    }
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in fields(NoiseConfig)}
     if unknown:
         raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "readout_confusion" in kwargs and kwargs["readout_confusion"] is not None:
-        kwargs["readout_confusion"] = np.asarray(kwargs["readout_confusion"], dtype=float)
-    return NoiseConfig(**kwargs)
+    try:
+        return NoiseConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad noise value: {exc}") from exc
 
 
 def _noise_echo(noise: NoiseConfig) -> dict:
-    return {
-        "depolarizing_p": noise.depolarizing_p,
-        "amplitude_damping_gamma": noise.amplitude_damping_gamma,
-        "reset_infidelity": noise.reset_infidelity,
-        "readout_confusion": None
-        if noise.readout_confusion is None
-        else [[float(v) for v in row] for row in noise.readout_confusion],
-    }
+    confusion = noise.readout_confusion
+    return {**asdict(noise), "readout_confusion": None if confusion is None else confusion.tolist()}
 
 
 def _record_payload(rec: RunRecord) -> dict:
@@ -156,23 +147,39 @@ def _die(code: int, kind: str, message: str) -> None:
     raise SystemExit(code)
 
 
-def _guard(fn):
-    def wrapper(*args, **kwargs):
+@contextmanager
+def _errors_as_json():
+    """The one error path: exit 2 for a usage or configuration error, 3 for
+    any other library error, each with one JSON line on stderr."""
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise  # a bare `qsteer` prints the help
+    except click.ClickException as exc:
+        _die(2, "config", exc.format_message())
+    except ConfigError as exc:
+        _die(2, "config", str(exc))
+    except QsteerError as exc:
+        _die(3, "numerical", str(exc))
+
+
+class _Qsteer(click.Group):
+    """Sends errors in the group's own options and in resolving, parsing or
+    running a command through :func:`_errors_as_json`, and times each
+    command."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        with _errors_as_json():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx: click.Context) -> None:
         t0 = time.monotonic()
-        try:
-            fn(*args, **kwargs)
-        except (ConfigError, click.ClickException) as exc:
-            _die(2, "config", str(exc))
-        except QsteerError as exc:
-            _die(3, "numerical", str(exc))
+        with _errors_as_json():
+            super().invoke(ctx)
         print(f"done in {time.monotonic() - t0:.2f}s", file=sys.stderr)
 
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
 
-
-@click.group()
+@click.group(cls=_Qsteer)
 @click.version_option(version=__version__)
 def main() -> None:
     """Measurement-induced steering simulator."""
@@ -203,14 +210,30 @@ def _parse_shots(text: str) -> int | None:
     return int(text)
 
 
-def _outdir(out_dir: str) -> Path:
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+def _operator(target_text: str, coupling: float):
+    """(spec, steering operator) for a --target and --J pair."""
+    label, target = parse_target(target_text)
+    spec = TargetSpec(target, coupling, label)
+    return spec, make_steering_operator(spec)
 
 
-def _base_payload(config: dict) -> dict:
-    return {"config": config, "tool_version": __version__}
+def _maximally_mixed(d: int) -> DensityState:
+    return DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+
+
+def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
+           tables: dict | None = None) -> Path:
+    """Write each ``{file: (header, rows)}`` table as CSV unless fmt is
+    'json', and ``json_name`` with the config, tool version and results
+    unless fmt is 'csv'.  Returns the output directory."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if fmt != "json":
+        for name, (header, rows) in (tables or {}).items():
+            write_csv(out / name, header, rows)
+    if fmt != "csv":
+        write_json(out / json_name, {"config": config, "tool_version": __version__, **results})
+    return out
 
 
 @main.command()
@@ -219,23 +242,19 @@ def _base_payload(config: dict) -> dict:
 @click.option("--N", "steps", type=int, default=10, show_default=True, help="protocol cycles")
 @click.option("--mode", type=click.Choice(["blind", "nonblind"]), default="blind", show_default=True)
 @click.option("--trajectories", type=int, default=1000, show_default=True)
-@click.option("--max-steps", "max_steps", type=int, default=None, help="nonblind cycle budget (defaults to N)")
 @click.option("--noise", "noise_path", type=click.Path(exists=False), default=None)
 @_seed_opt
 @_out_opt
 @_format_opt
-@_guard
-def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_path, seed, out_dir, fmt):
+def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, out_dir, fmt):
     """Run the steering protocol and write fidelity_vs_n.csv + records.json."""
     if steps < 1:
         raise ConfigError("--N must be >= 1")
     _check_seed(seed)
-    label, target = parse_target(target_text)
+    spec, op = _operator(target_text, coupling)
+    label = spec.label
     noise = load_noise(noise_path)
-    op = make_steering_operator(TargetSpec(target, coupling, label))
-    d = op.system_dim
-    rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-    out = _outdir(out_dir)
+    rho0 = _maximally_mixed(op.system_dim)
     config = {
         "command": "steer",
         "target": label,
@@ -243,58 +262,44 @@ def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_pat
         "steps": steps,
         "mode": mode,
         "trajectories": trajectories if mode == "nonblind" else None,
-        "max_steps": max_steps,
         "noise": _noise_echo(noise),
         "seed": seed,
         "initial_state": "maximally-mixed",
     }
-    payload = _base_payload(config)
-    csv_on = fmt in ("csv", "both")
-    json_on = fmt in ("json", "both")
+    fid_header = ["target", "J", "n", "mean_fid", "std"]
     if mode == "blind":
-        rec = run_blind(rho0, op, steps, noise, seed=seed)
-        rows = [
-            [label, coupling, n, f, 0.0]
-            for n, f in enumerate(rec.fidelities)
-        ]
-        if csv_on:
-            write_csv(out / "fidelity_vs_n.csv", ["target", "J", "n", "mean_fid", "std"], rows)
-        payload["records"] = [_record_payload(rec)]
+        rec = run_blind(rho0, op, steps, noise)
+        fid_rows = [[label, coupling, n, f, 0.0] for n, f in enumerate(rec.fidelities)]
+        tables = {"fidelity_vs_n.csv": (fid_header, fid_rows)}
+        results = {"records": [_record_payload(rec)]}
     else:
         if trajectories < 1:
             raise ConfigError("--trajectories must be >= 1")
-        budget = max_steps if max_steps is not None else steps
-        batch = run_nonblind_batch(rho0, op, budget, trajectories, noise, seed=seed)
+        batch = run_nonblind_batch(rho0, op, steps, trajectories, noise, seed=seed)
         stats = repetition_stats(batch)
         fids = fidelity(batch.final_states, op.target)
-        rows = [[label, coupling, budget, float(fids.mean()), float(fids.std())]]
-        if csv_on:
-            write_csv(out / "fidelity_vs_n.csv", ["target", "J", "n", "mean_fid", "std"], rows)
-        hist_rows = []
+        mean_fid, std_fid = float(fids.mean()), float(fids.std())
         total = sum(stats.counts.values())
         cdf_map = dict(stats.cdf)
-        for value in sorted(stats.counts):
-            hist_rows.append(
-                [value, stats.counts[value], stats.counts[value] / total, cdf_map[value]]
-            )
-        if csv_on:
-            write_csv(
-                out / "repetitions_hist.csv",
-                ["repetitions", "count", "frequency", "cdf"],
-                hist_rows,
-            )
-        payload["records"] = {
-            "final_fidelity_mean": float(fids.mean()),
-            "final_fidelity_std": float(fids.std()),
-            "repetitions": {
-                "mean": stats.mean_repetitions,
-                "failures": stats.n_failures,
-                "n_trajectories": stats.n_records,
-                "counts": {str(k): v for k, v in sorted(stats.counts.items())},
-            },
+        hist_rows = [[value, count, count / total, cdf_map[value]]
+                     for value, count in sorted(stats.counts.items())]
+        tables = {
+            "fidelity_vs_n.csv": (fid_header, [[label, coupling, steps, mean_fid, std_fid]]),
+            "repetitions_hist.csv": (["repetitions", "count", "frequency", "cdf"], hist_rows),
         }
-    if json_on:
-        write_json(out / "records.json", payload)
+        results = {
+            "records": {
+                "final_fidelity_mean": mean_fid,
+                "final_fidelity_std": std_fid,
+                "repetitions": {
+                    "mean": stats.mean_repetitions,
+                    "failures": stats.n_failures,
+                    "n_trajectories": stats.n_records,
+                    "counts": {str(k): v for k, v in sorted(stats.counts.items())},
+                },
+            }
+        }
+    _write(out_dir, fmt, "records.json", config, results, tables)
 
 
 @main.command("sweep")
@@ -308,11 +313,9 @@ def steer(target_text, coupling, steps, mode, trajectories, max_steps, noise_pat
 @click.option("--Js", "js_text", required=True, help="comma-separated couplings (radians)")
 @click.option("--N", "steps", type=int, default=10, show_default=True)
 @click.option("--noise", "noise_path", default=None)
-@_seed_opt
 @_out_opt
 @_format_opt
-@_guard
-def sweep_cmd(targets_text, js_text, steps, noise_path, seed, out_dir, fmt):
+def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir, fmt):
     """Fidelity grid over targets x couplings x steps (blind runs)."""
     targets = [parse_target(t) for t in targets_text.split(",") if t.strip()]
     try:
@@ -321,41 +324,19 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, seed, out_dir, fmt):
         raise ConfigError(f"bad --Js list: {exc}") from exc
     noise = load_noise(noise_path)
     rows = sweep(targets, js, steps, noise)
-    out = _outdir(out_dir)
-    csv_rows = [
-        [r.target_label, r.coupling, r.step, r.mean_fidelity, r.std_fidelity,
-         "" if r.stabilizer_average is None else r.stabilizer_average]
-        for r in rows
-    ]
-    if fmt in ("csv", "both"):
-        write_csv(
-            out / "sweep.csv",
-            ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"],
-            csv_rows,
-        )
-    payload = _base_payload(
-        {
-            "command": "sweep",
-            "targets": [t[0] for t in targets],
-            "couplings": js,
-            "steps": steps,
-            "noise": _noise_echo(noise),
-            "seed": seed,
-        }
-    )
-    payload["rows"] = [
-        {
-            "target": r.target_label,
-            "J": r.coupling,
-            "n": r.step,
-            "mean_fid": r.mean_fidelity,
-            "std": r.std_fidelity,
-            "stabilizer_avg": r.stabilizer_average,
-        }
-        for r in rows
-    ]
-    if fmt in ("json", "both"):
-        write_json(out / "sweep.json", payload)
+    config = {
+        "command": "sweep",
+        "targets": [t[0] for t in targets],
+        "couplings": js,
+        "steps": steps,
+        "noise": _noise_echo(noise),
+    }
+    header = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
+    csv_rows = [[r.target_label, r.coupling, r.step, r.mean_fidelity, r.std_fidelity,
+                 r.stabilizer_average] for r in rows]  # the csv module writes None as ""
+    json_rows = [dict(zip(header, row)) for row in csv_rows]
+    _write(out_dir, fmt, "sweep.json", config, {"rows": json_rows},
+           {"sweep.csv": (header, csv_rows)})
 
 
 def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
@@ -367,7 +348,6 @@ def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
 @click.option("--J", "coupling", type=float, default=None)
 @click.option("--circuit", "circuit_path", type=click.Path(exists=False), default=None)
 @_out_opt
-@_guard
 def kak(target_text, coupling, circuit_path, out_dir):
     """KAK-decompose a steering operator or a circuit file; write kak.json."""
     if circuit_path is not None:
@@ -381,49 +361,43 @@ def kak(target_text, coupling, circuit_path, out_dir):
         u = evaluate_circuit(circuit)
         source = {"circuit": circuit_path}
     elif target_text is not None and coupling is not None:
-        label, target = parse_target(target_text)
-        if not isinstance(target, QubitTarget):
+        spec, op = _operator(target_text, coupling)
+        if not isinstance(spec.target, QubitTarget):
             raise ConfigError("kak applies to qubit steering operators")
-        op = make_steering_operator(TargetSpec(target, coupling, label))
         u = op.unitary
-        source = {"target": label, "coupling": coupling}
+        source = {"target": spec.label, "coupling": coupling}
     else:
         raise ConfigError("pass either --circuit or both --target and --J")
     dec = kak_decompose(u)
-    payload = _base_payload({"command": "kak", **source})
-    payload["weyl_coordinates"] = [float(v) for v in dec.c]
-    payload["global_phase"] = dec.global_phase
-    payload["k1_local"] = [_matrix_payload(m) for m in dec.k1_local]
-    payload["k2_local"] = [_matrix_payload(m) for m in dec.k2_local]
-    payload["reassembly_distance"] = phase_invariant_distance(u, dec.reassemble())
-    payload["locally_equivalent_cnot"] = locally_equivalent(u, CNOT_GATE)
-    payload["locally_equivalent_cphase"] = locally_equivalent(u, cphase_gate(math.pi))
-    out = _outdir(out_dir)
-    write_json(out / "kak.json", payload)
+    results = {
+        "weyl_coordinates": [float(v) for v in dec.c],
+        "global_phase": dec.global_phase,
+        "k1_local": [_matrix_payload(m) for m in dec.k1_local],
+        "k2_local": [_matrix_payload(m) for m in dec.k2_local],
+        "reassembly_distance": phase_invariant_distance(u, dec.reassemble()),
+        "locally_equivalent_cnot": locally_equivalent(u, CNOT_GATE),
+        "locally_equivalent_cphase": locally_equivalent(u, cphase_gate(math.pi)),
+    }
+    _write(out_dir, "both", "kak.json", {"command": "kak", **source}, results)
 
 
 @main.command()
 @_target_opt
 @_j_opt
 @_out_opt
-@_guard
 def circuit(target_text, coupling, out_dir):
     """Synthesize the steering circuit; write circuit.txt + verify.json."""
-    label, target = parse_target(target_text)
-    spec = TargetSpec(target, coupling, label)
-    if isinstance(target, QubitTarget):
-        circ = synth_kak_circuit(spec)
-    else:
-        circ = synth_qutrit_circuit(spec)
-    op = make_steering_operator(spec)
-    dist = phase_invariant_distance(evaluate_circuit(circ), op.unitary)
-    out = _outdir(out_dir)
+    spec, op = _operator(target_text, coupling)
+    synth = synth_kak_circuit if isinstance(spec.target, QubitTarget) else synth_qutrit_circuit
+    circ = synth(spec)
+    results = {
+        "phase_invariant_distance": phase_invariant_distance(evaluate_circuit(circ), op.unitary),
+        "gate_count": len(circ.gates),
+        "cnot_count": circ.count(CNOT),
+    }
+    config = {"command": "circuit", "target": spec.label, "coupling": coupling}
+    out = _write(out_dir, "both", "verify.json", config, results)
     (out / "circuit.txt").write_text(emit_text(circ))
-    payload = _base_payload({"command": "circuit", "target": label, "coupling": coupling})
-    payload["phase_invariant_distance"] = dist
-    payload["gate_count"] = len(circ.gates)
-    payload["cnot_count"] = circ.count(CNOT)
-    write_json(out / "verify.json", payload)
 
 
 @main.command()
@@ -435,47 +409,36 @@ def circuit(target_text, coupling, out_dir):
 @_seed_opt
 @_out_opt
 @_format_opt
-@_guard
 def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
     """Blind run with state tomography at each step; exact vs reconstructed."""
     n_shots = _parse_shots(shots)
     _check_seed(seed)
-    label, target = parse_target(target_text)
+    spec, op = _operator(target_text, coupling)
+    label = spec.label
     noise = load_noise(noise_path)
-    op = make_steering_operator(TargetSpec(target, coupling, label))
     d = op.system_dim
-    rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-    states = _blind_states(rho0, op, steps, noise)
+    states = _blind_states(_maximally_mixed(d), op, steps, noise)
     exact = fidelity(states, op.target).tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
     rows = []
     for n, st in enumerate(states):
         rec = reconstruct(DensityState(matrix=st, dims=(d,)), shots=n_shots, seed=(seed << 16) + n)
         rows.append([label, coupling, n, exact[n], fidelity(rec, op.target)])
-    out = _outdir(out_dir)
-    if fmt in ("csv", "both"):
-        write_csv(
-            out / "tomo_fidelities.csv",
-            ["target", "J", "n", "exact_fid", "reconstructed_fid"],
-            rows,
-        )
-    payload = _base_payload(
-        {
-            "command": "tomo",
-            "target": label,
-            "coupling": coupling,
-            "steps": steps,
-            "shots": shots,
-            "noise": _noise_echo(noise),
-            "seed": seed,
-        }
-    )
-    payload["fidelities"] = [
-        {"n": int(r[2]), "exact": r[3], "reconstructed": r[4]} for r in rows
-    ]
-    payload["estimator"] = "linear-inversion+eigenvalue-truncation"
-    if fmt in ("json", "both"):
-        write_json(out / "tomo.json", payload)
+    config = {
+        "command": "tomo",
+        "target": label,
+        "coupling": coupling,
+        "steps": steps,
+        "shots": shots,
+        "noise": _noise_echo(noise),
+        "seed": seed,
+    }
+    results = {
+        "fidelities": [{"n": int(r[2]), "exact": r[3], "reconstructed": r[4]} for r in rows],
+        "estimator": "linear-inversion+eigenvalue-truncation",
+    }
+    header = ["target", "J", "n", "exact_fid", "reconstructed_fid"]
+    _write(out_dir, fmt, "tomo.json", config, results, {"tomo_fidelities.csv": (header, rows)})
 
 
 @main.command()
@@ -485,40 +448,30 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
 @_seed_opt
 @_out_opt
 @_format_opt
-@_guard
 def qpt(target_text, coupling, shots, seed, out_dir, fmt):
     """Process tomography of the two-qubit steering unitary channel."""
-    label, target = parse_target(target_text)
-    if not isinstance(target, QubitTarget):
+    spec, op = _operator(target_text, coupling)
+    if not isinstance(spec.target, QubitTarget):
         raise ConfigError("qpt applies to qubit steering operators")
     n_shots = _parse_shots(shots)
     _check_seed(seed)
-    op = make_steering_operator(TargetSpec(target, coupling, label))
-    chan = KrausSet(operators=(op.unitary,))
-    rec = process_tomography(chan, 2, shots=n_shots, seed=seed)
+    rec = process_tomography(KrausSet(operators=(op.unitary,)), 2, shots=n_shots, seed=seed)
     ideal = ptm_of_unitary(op.unitary)
     err = compose_ptm(rec, invert_ptm(ideal))
     dev = np.abs(err.r - np.eye(err.r.shape[0]))
-    out = _outdir(out_dir)
-    if fmt in ("csv", "both"):
-        write_csv(
-            out / "ptm.csv",
-            [f"c{j}" for j in range(rec.r.shape[1])],
-            [list(map(float, row)) for row in rec.r],
-        )
-        write_csv(
-            out / "r_minus_i.csv",
-            [f"c{j}" for j in range(dev.shape[1])],
-            [list(map(float, row)) for row in dev],
-        )
-    payload = _base_payload(
-        {"command": "qpt", "target": label, "coupling": coupling, "shots": shots, "seed": seed}
-    )
-    payload["average_gate_fidelity"] = average_gate_fidelity(rec, ideal)
-    payload["max_abs_r_minus_i"] = float(dev.max())
-    payload["estimator"] = "linear-inversion+choi-truncation"
-    if fmt in ("json", "both"):
-        write_json(out / "qpt.json", payload)
+    config = {"command": "qpt", "target": spec.label, "coupling": coupling, "shots": shots,
+              "seed": seed}
+    results = {
+        "average_gate_fidelity": average_gate_fidelity(rec, ideal),
+        "max_abs_r_minus_i": float(dev.max()),
+        "estimator": "linear-inversion+choi-truncation",
+    }
+    columns = [f"c{j}" for j in range(rec.r.shape[1])]
+    tables = {
+        "ptm.csv": (columns, [list(map(float, row)) for row in rec.r]),
+        "r_minus_i.csv": (columns, [list(map(float, row)) for row in dev]),
+    }
+    _write(out_dir, fmt, "qpt.json", config, results, tables)
 
 
 if __name__ == "__main__":

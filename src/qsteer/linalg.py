@@ -110,30 +110,6 @@ def expm_i_herm(h: ComplexMatrix) -> ComplexMatrix:
     return (v * np.exp(-1j * w)) @ dagger(v)
 
 
-def herm_log_unitary(u: ComplexMatrix) -> ComplexMatrix:
-    """Hermitian h with expm_i_herm(h) = u, for unitary u.
-
-    The eigenvectors come from a Hermitian eigensolver, so repeated
-    eigenvalues of u (such as a degenerate -1) still give an orthonormal
-    basis: the Cayley transform i (1 + z)(1 - z)^-1 of z = e^{-i c} u is
-    Hermitian with the eigenvectors of u, where e^{i c} is the middle of the
-    widest gap in u's spectrum.  The eigenphases of u are taken in
-    (c - 2 pi, c), so the branch cut lies in that gap.
-    """
-    u = np.asarray(u, dtype=complex)
-    phases = np.sort(np.angle(np.linalg.eigvals(u)))
-    gaps = np.diff(np.append(phases, phases[0] + 2 * np.pi))
-    k = int(np.argmax(gaps))
-    cut = phases[k] + gaps[k] / 2
-    z = np.exp(-1j * cut) * u
-    eye = np.eye(u.shape[0])
-    cayley = 1j * np.linalg.solve(eye - z, eye + z)
-    _, v = np.linalg.eigh((cayley + dagger(cayley)) / 2)
-    # eigenphases of z lie in (0, 2 pi); angle(-z) puts its branch cut at z = 1
-    theta = cut - np.pi + np.angle(-np.diag(dagger(v) @ z @ v))
-    return (v * -theta) @ dagger(v)
-
-
 def phase_invariant_distance(u: ComplexMatrix, v: ComplexMatrix) -> float:
     """1 - |Tr(u^dagger v)| / d, zero iff u and v agree up to a global phase."""
     u = np.asarray(u, dtype=complex)

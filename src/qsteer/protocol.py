@@ -65,7 +65,7 @@ NO_NOISE = NoiseConfig()
 class RunRecord:
     """Outcome of one protocol execution."""
 
-    seed: int
+    seed: int | None
     mode: str
     fidelities: tuple[float, ...]
     outcomes: tuple[int, ...] | None
@@ -128,16 +128,16 @@ def run_blind(
     op: SteeringOperator,
     steps: int,
     noise: NoiseConfig = NO_NOISE,
-    seed: int = 0,
 ) -> RunRecord:
     """Deterministic averaged-channel iteration for ``steps`` cycles.
 
-    The record holds steps + 1 fidelities, including the initial state's.
+    The record holds steps + 1 fidelities, including the initial state's,
+    and no seed: a blind run draws no randomness.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
     return RunRecord(
-        seed=seed,
+        seed=None,
         mode="blind",
         fidelities=tuple(fidelity(_blind_states(rho0, op, steps, noise), op.target).tolist()),
         outcomes=None,

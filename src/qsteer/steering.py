@@ -7,10 +7,9 @@ Conventions used throughout:
 * Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit.
 * The ancilla reset state defaults to |0>.  With that convention one averaged
   step at theta=pi/2, phi=0, J=pi/2 maps every input to |+><+| exactly.
-* ``SteeringOperator.hamiltonian`` has the coupling J already folded in, and
-  ``unitary = exp(-i H)``.  For a qutrit target the cycle unitary is the
-  paper's entangling rotation followed by a system-only exchange gate, and
-  H is its Hermitian logarithm.
+* For a qubit target ``SteeringOperator.unitary = exp(-i H)`` with the
+  coupling J folded into H; for a qutrit target it is the paper's
+  entangling rotation followed by a system-only exchange gate.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import ComplexMatrix, dagger, expm_i_herm, herm_log_unitary, kron, partial_trace
+from .linalg import ComplexMatrix, dagger, expm_i_herm, kron, partial_trace
 from .states import (
     DensityState,
     QubitTarget,
@@ -82,9 +81,8 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class SteeringOperator:
-    """Entangling generator H, its unitary U = exp(-i H), and ancilla data."""
+    """The joint ancilla (x) system cycle unitary U and ancilla data."""
 
-    hamiltonian: ComplexMatrix
     unitary: ComplexMatrix
     ancilla_init: np.ndarray
     ancilla_dim: int
@@ -205,9 +203,8 @@ def make_steering_operator(
 ) -> SteeringOperator:
     """Build the full steering operator for a target spec.
 
-    For qubit targets H = build_qubit_hamiltonian(theta, phi, J) and
-    U = exp(-i H).  For qutrit targets U = qutrit_steering_unitary(target, J)
-    and H is its Hermitian logarithm, so exp(-i H) = U still holds.
+    For qubit targets U = exp(-i H) with H = build_qubit_hamiltonian(theta,
+    phi, J); for qutrit targets U = qutrit_steering_unitary(target, J).
     """
     if isinstance(spec.target, QubitTarget):
         h = build_qubit_hamiltonian(spec.target.theta, spec.target.phi, spec.coupling)
@@ -215,7 +212,6 @@ def make_steering_operator(
         system_dim = 2
     elif isinstance(spec.target, QutritTarget):
         u = qutrit_steering_unitary(spec.target, spec.coupling)
-        h = herm_log_unitary(u)
         system_dim = 3
     else:
         raise ConfigError(f"unsupported target {type(spec.target).__name__}")
@@ -223,7 +219,6 @@ def make_steering_operator(
     if anc.shape != (2,) or abs(np.linalg.norm(anc) - 1.0) > 1e-12:
         raise ConfigError("ancilla_init must be a normalized qubit ket")
     return SteeringOperator(
-        hamiltonian=h,
         unitary=u,
         ancilla_init=anc,
         ancilla_dim=2,

@@ -160,6 +160,8 @@ def _reconstruct(expectations, basis: np.ndarray) -> DensityState:
 def _measure_and_reconstruct(rho, basis, shots, confusion, seed) -> DensityState:
     """Measure every observable of ``basis`` on rho and reconstruct.  With
     shots, observable i draws from Philox key (seed << 4) + i."""
+    if rho.dim != basis.shape[-1]:
+        raise DimensionMismatchError(f"{basis.shape[-1]}-level tomography of a dim-{rho.dim} state")
     exps = [measure_expectation(rho, b, shots, confusion, (seed << 4) + i)
             for i, b in enumerate(basis)]
     return _reconstruct(exps, basis)

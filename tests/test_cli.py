@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qsteer import tomography
+from qsteer import __version__, cli, tomography
 from qsteer.cli import main, parse_target
-from qsteer.errors import ConfigError
+from qsteer.errors import ConfigError, NumericalError
 from qsteer.states import QubitTarget, QutritTarget
 
 
@@ -96,6 +96,21 @@ class TestSteerCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "raw", [{"depolarizing_p": "x"}, {"reset_infidelity": None}, {"readout_confusion": "ab"}]
+    )
+    def test_noise_file_bad_value_is_config_error(self, runner, tmp_path, raw):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps(raw))
+        result = runner.invoke(
+            main,
+            ["steer", "--target", "+", "--J", "0.5", "--noise", str(noise),
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+
     def test_noise_file_applied(self, runner, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"depolarizing_p": 0.2}))
@@ -137,25 +152,85 @@ class TestDeterminism:
             assert read(out_a / name) == read(out_b / name), name
 
 
-class TestFormatFlag:
-    def test_csv_only(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["steer", "--target", "+", "--J", "0.5", "--N", "2", "--format", "csv",
-             "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["fidelity_vs_n.csv"]
+FORMAT_CASES = {
+    "steer-blind": (
+        ["steer", "--target", "+", "--J", "0.5", "--N", "2"],
+        ["fidelity_vs_n.csv"],
+        ["records.json"],
+    ),
+    "steer-nonblind": (
+        ["steer", "--target", "+", "--J", "0.5", "--N", "5", "--mode", "nonblind",
+         "--trajectories", "20"],
+        ["fidelity_vs_n.csv", "repetitions_hist.csv"],
+        ["records.json"],
+    ),
+    "sweep": (["sweep", "--Js", "0.5", "--N", "2"], ["sweep.csv"], ["sweep.json"]),
+    "tomo": (
+        ["tomo", "--target", "+", "--J", "0.5", "--N", "2"],
+        ["tomo_fidelities.csv"],
+        ["tomo.json"],
+    ),
+    "qpt": (["qpt", "--target", "+", "--J", "0.5"], ["ptm.csv", "r_minus_i.csv"], ["qpt.json"]),
+}
 
-    def test_json_only(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["sweep", "--Js", "0.5", "--N", "2", "--format", "json", "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["sweep.json"]
+
+class TestFormatFlag:
+    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+    def test_csv_only(self, runner, tmp_path, case):
+        args, csv_files, _ = FORMAT_CASES[case]
+        result = runner.invoke(main, [*args, "--format", "csv", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == csv_files
+
+    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
+    def test_json_only(self, runner, tmp_path, case):
+        args, _, json_files = FORMAT_CASES[case]
+        result = runner.invoke(main, [*args, "--format", "json", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == json_files
+
+
+class TestErrorPath:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["steer", "--target", "+", "--J", "0.5", "--N", "abc"],
+            ["steer", "--target", "+", "--J", "0.5", "--mode", "sideways"],
+            ["sweep", "--Js", "0.3", "--repeats", "2"],
+            ["bogus"],
+            ["--bogus", "steer"],
+            ["steer", "--target", "+", "--J", "0.5", "--max-steps", "3"],
+            ["sweep", "--Js", "0.3", "--seed", "1"],
+        ],
+    )
+    def test_usage_error_is_one_json_line(self, runner, tmp_path, args):
+        result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "config" and error["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_library_error_exits_3(self, runner, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NumericalError("eigensolver did not converge")
+
+        monkeypatch.setattr(cli, "run_blind", fail)
+        result = runner.invoke(main, ["steer", "--target", "+", "--J", "0.5",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert json.loads(lines[0]) == {
+            "error": {"kind": "numerical", "message": "eigensolver did not converge"}
+        }
+        assert len(lines) == 1
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["steer", "--help"]])
+    def test_help_and_version_exit_0(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0 and result.stderr == ""
+        assert result.stdout.startswith("Usage:") or __version__ in result.stdout
 
 
 class TestSweepCommand:

@@ -9,7 +9,6 @@ from qsteer.linalg import (
     dagger,
     expm_i_herm,
     herm_eig,
-    herm_log_unitary,
     kron,
     partial_trace,
     phase_invariant_distance,
@@ -135,27 +134,6 @@ class TestExpm:
             h = random_hermitian(6, rng)
             u = expm_i_herm(h)
             assert np.max(np.abs(dagger(u) @ u - np.eye(6))) < 1e-12
-
-
-class TestHermLogUnitary:
-    def test_identity_has_zero_generator(self):
-        assert np.allclose(herm_log_unitary(I3), np.zeros((3, 3)), atol=1e-15)
-
-    def test_roundtrip_haar(self, rng):
-        for n in (2, 3, 6, 9):
-            for _ in range(10):
-                u = haar_unitary(n, rng)
-                h = herm_log_unitary(u)
-                assert np.max(np.abs(h - dagger(h))) < 1e-12
-                assert np.max(np.abs(expm_i_herm(h) - u)) < 1e-12
-
-    def test_degenerate_minus_one(self, rng):
-        # a repeated eigenvalue -1 must still give a Hermitian generator
-        v = haar_unitary(6, rng)
-        u = (v * np.array([-1, -1, -1, 1, 1j, -1j])) @ dagger(v)
-        h = herm_log_unitary(u)
-        assert np.max(np.abs(h - dagger(h))) < 1e-12
-        assert np.max(np.abs(expm_i_herm(h) - u)) < 1e-12
 
 
 class TestHermEig:

@@ -589,7 +589,7 @@ class TestChannelSpectrum:
     def test_bare_qutrit_generator_flags_a_dark_fixed_point(self, coupling):
         op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, coupling))
         h = coupling * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
-        bare = replace(op, hamiltonian=h, unitary=expm_i_herm(h))
+        bare = replace(op, unitary=expm_i_herm(h))
         assert channel_spectrum(bare)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_shrinks_every_mode_but_the_fixed_point(self):

@@ -163,7 +163,6 @@ class TestSteeringOperator:
             )
             op = make_steering_operator(spec)
             assert np.max(np.abs(dagger(op.unitary) @ op.unitary - np.eye(4))) < 1e-12
-            assert np.max(np.abs(op.unitary - expm_i_herm(op.hamiltonian))) < 1e-11
             kset = kraus_from_unitary(op)
             assert len(kset.operators) == op.ancilla_dim
             assert kset.completeness_defect() < 1e-10
@@ -190,7 +189,6 @@ class TestKraus:
         from qsteer.steering import SteeringOperator
 
         op = SteeringOperator(
-            hamiltonian=np.zeros((4, 4), dtype=complex),
             unitary=SWAP_GATE,
             ancilla_init=np.array([1, 0], dtype=complex),
             ancilla_dim=2,
@@ -305,7 +303,6 @@ class TestFixedPoints:
         dark = (p1 - p2) / np.sqrt(2)
         h = (math.pi / 2) * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
         op = SteeringOperator(
-            hamiltonian=h,
             unitary=expm_i_herm(h),
             ancilla_init=np.array([1, 0], dtype=complex),
             ancilla_dim=2,
@@ -358,7 +355,6 @@ class TestQutritSteeringContract:
         assert moduli[0] == pytest.approx(1.0, abs=1e-12)
         assert moduli[1] < 1
         assert moduli[1] == pytest.approx(math.sqrt(abs(math.cos(coupling))), abs=1e-6)
-        assert np.max(np.abs(expm_i_herm(op.hamiltonian) - op.unitary)) <= 1e-12
 
 
 class TestAnalyticPlusTrajectory:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteer import tomography
-from qsteer.errors import ConfigError
+from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.states import (
     GELL_MANN,
     PAULIS,
@@ -190,6 +190,12 @@ class TestStateTomography:
             tomo_qubit_state(plus, shots=4096, seed=(3 << 16) + n)
         xyz = np.reshape(values, (3, 3))
         assert xyz[0, 2] != xyz[1, 1] and xyz[1, 2] != xyz[2, 1]
+
+    @pytest.mark.parametrize("shots", [None, 64])
+    @pytest.mark.parametrize("tomo,dim", [(tomo_qubit_state, 3), (tomo_qutrit_state, 2)])
+    def test_wrong_state_dimension_rejected(self, tomo, dim, shots):
+        with pytest.raises(DimensionMismatchError):
+            tomo(random_density(dim, 0), shots=shots)
 
     def test_finite_shot_quality(self):
         fids = []
