@@ -24,6 +24,7 @@ digits), EBNF::
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -128,72 +129,79 @@ def rx_matrix(a: float) -> ComplexMatrix:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def ry_matrix(a: float) -> ComplexMatrix:
-    c, s = math.cos(a / 2), math.sin(a / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def rz_matrix(a: float) -> ComplexMatrix:
-    return np.diag([np.exp(-1j * a / 2), np.exp(1j * a / 2)])
+    return np.array([[cmath.exp(-0.5j * a), 0], [0, cmath.exp(0.5j * a)]])
 
 
 def u3_matrix(theta: float, phi: float, lam: float) -> ComplexMatrix:
     """U3(theta, phi, lam) = RZ(phi) RY(theta) RZ(lam)."""
-    return rz_matrix(phi) @ ry_matrix(theta) @ rz_matrix(lam)
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([
+        [cmath.exp(-0.5j * (phi + lam)) * c, -cmath.exp(-0.5j * (phi - lam)) * s],
+        [cmath.exp(0.5j * (phi - lam)) * s, cmath.exp(0.5j * (phi + lam)) * c],
+    ])
 
 
-def _embed_subspace(m2: ComplexMatrix, dim: int, lo: int) -> ComplexMatrix:
-    out = np.eye(dim, dtype=complex)
-    out[lo : lo + 2, lo : lo + 2] = m2
-    return out
+# one-wire kind -> (2x2 rotation, lowest level it acts on); a qutrit's third
+# level is left untouched
+_ONE_WIRE = {
+    RX: (rx_matrix, 0),
+    RZ: (rz_matrix, 0),
+    U3: (u3_matrix, 0),
+    SUBSPACE_RX12: (rx_matrix, 1),
+    SUBSPACE_RZ12: (rz_matrix, 1),
+}
+_TWO_WIRE = {CNOT: CNOT_GATE, QUBIT_QUTRIT_CNOT: CX23_GATE}
 
 
-def _gate_local_matrix(g: Gate, dims: tuple[int, ...]) -> ComplexMatrix:
-    """Operator on the gate's own wires, in gate wire order."""
-    if g.kind == RX:
-        return _embed_subspace(rx_matrix(g.params[0]), dims[0], 0)
-    if g.kind == RZ:
-        return _embed_subspace(rz_matrix(g.params[0]), dims[0], 0)
-    if g.kind == U3:
-        return _embed_subspace(u3_matrix(*g.params), dims[0], 0)
-    if g.kind == SUBSPACE_RX12:
-        return _embed_subspace(rx_matrix(g.params[0]), 3, 1)
-    if g.kind == SUBSPACE_RZ12:
-        return _embed_subspace(rz_matrix(g.params[0]), 3, 1)
-    if g.kind == CNOT:
-        return CNOT_GATE
-    if g.kind == QUBIT_QUTRIT_CNOT:
-        return CX23_GATE
-    raise ConfigError(f"gate {g.kind} has no local matrix")
-
-
-def _embed(op: ComplexMatrix, wires: tuple[int, ...], wire_dims: tuple[int, ...]) -> ComplexMatrix:
-    """Embed an operator acting on ``wires`` (in that order) into the full space."""
-    n = len(wire_dims)
-    rest = [i for i in range(n) if i not in wires]
-    order = list(wires) + rest
-    rest_dim = int(np.prod([wire_dims[i] for i in rest])) if rest else 1
-    full = np.kron(op, np.eye(rest_dim, dtype=complex))
-    dims_ordered = [wire_dims[i] for i in order]
-    tensor = full.reshape(dims_ordered + dims_ordered)
-    perm = [order.index(i) for i in range(n)]
-    tensor = tensor.transpose(perm + [p + n for p in perm])
-    d = int(np.prod(wire_dims))
-    return np.ascontiguousarray(tensor.reshape(d, d))
+def _apply(total: ComplexMatrix, op: ComplexMatrix, wires: tuple[int, ...],
+           dims: tuple[int, ...]) -> ComplexMatrix:
+    """``op`` (acting on ``wires``, in that order) times ``total``, as one
+    matmul on a (pre, block, rest) view of ``total``'s rows."""
+    if len(wires) == 2 and wires[0] > wires[1]:
+        da, db = dims[wires[0]], dims[wires[1]]
+        op = op.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+        wires = wires[::-1]
+    lo, hi = wires[0], wires[-1]
+    pre = math.prod(dims[:lo])
+    if hi - lo == len(wires) - 1:
+        return (op @ total.reshape(pre, len(op), -1)).reshape(total.shape)
+    # wires between the two: bring ``hi`` next to ``lo`` and back
+    t = np.moveaxis(total.reshape(*dims, -1), hi, lo + 1)
+    moved = t.shape
+    t = (op @ t.reshape(pre, len(op), -1)).reshape(moved)
+    return np.moveaxis(t, lo + 1, hi).reshape(total.shape)
 
 
 def evaluate_circuit(circuit: Circuit) -> ComplexMatrix:
     """Unitary of the circuit: gates applied in sequence order, times the
-    global phase."""
-    d = circuit.dim
-    total = np.eye(d, dtype=complex)
+    global phase.
+
+    A run of one-wire gates is multiplied into one pending block per wire,
+    applied when a two-wire gate touches the wire or at the end; phase gates
+    add to one scalar."""
+    dims = circuit.wire_dims
+    total = np.eye(circuit.dim, dtype=complex)
+    pending: dict[int, ComplexMatrix] = {}
+    phase = circuit.global_phase
     for g in circuit.gates:
         if g.kind == PHASE:
-            total = np.exp(1j * g.params[0]) * total
-            continue
-        dims = tuple(circuit.wire_dims[w] for w in g.wires)
-        total = _embed(_gate_local_matrix(g, dims), g.wires, circuit.wire_dims) @ total
-    return np.exp(1j * circuit.global_phase) * total
+            phase += g.params[0]
+        elif len(g.wires) == 1:
+            w = g.wires[0]
+            if w not in pending:
+                pending[w] = np.eye(dims[w], dtype=complex)
+            rotation, lo = _ONE_WIRE[g.kind]
+            block = pending[w]
+            block[lo : lo + 2] = rotation(*g.params) @ block[lo : lo + 2]
+        else:
+            for w in g.wires:
+                if w in pending:
+                    total = _apply(total, pending.pop(w), (w,), dims)
+            total = _apply(total, _TWO_WIRE[g.kind], g.wires, dims)
+    for w, block in pending.items():
+        total = _apply(total, block, (w,), dims)
+    return np.exp(1j * phase) * total
 
 
 def zyz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
@@ -289,15 +297,16 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
 # qubit-qutrit synthesis
 
 
-def _su2_block_gates_01(u: ComplexMatrix, wire: int, dim: int = 3) -> list[Gate]:
-    """Gates for u acting on the (01) levels of ``wire``.
+def _su2_block_gates_01(angles: tuple[float, float, float, float], wire: int) -> list[Gate]:
+    """Gates for the 2x2 unitary with ``zyz_angles`` ``angles``, acting on the
+    (01) levels of a dim-3 ``wire``.
 
-    On a dim-3 wire a determinant phase of u cannot be a global phase (it
-    must not touch |2>), so it is realized as an rz/rz12 diagonal pair.
+    Its determinant phase cannot be a global phase (it must not touch |2>),
+    so it is realized as an rz/rz12 diagonal pair.
     """
-    theta, phi, lam, g = zyz_angles(u)
+    theta, phi, lam, g = angles
     gates = [Gate(U3, (theta, phi, lam), (wire,))]
-    if dim == 2 or abs(g) < 1e-15:
+    if abs(g) < 1e-15:
         return gates
     # diag(e^{ig}, e^{ig}, 1) = e^{i 2g/3} rz(-2g/3) rz12(-4g/3)
     return gates + [
@@ -306,9 +315,10 @@ def _su2_block_gates_01(u: ComplexMatrix, wire: int, dim: int = 3) -> list[Gate]
     ]
 
 
-def _su2_block_gates_12(u: ComplexMatrix, wire: int) -> list[Gate]:
-    """Gates for u acting on the (12) levels of ``wire`` (|0> untouched)."""
-    alpha, beta, xi, g = zxz_angles(u)
+def _su2_block_gates_12(angles: tuple[float, float, float, float], wire: int) -> list[Gate]:
+    """Gates for the 2x2 unitary with ``zxz_angles`` ``angles``, acting on the
+    (12) levels of ``wire`` (|0> untouched)."""
+    alpha, beta, xi, g = angles
     gates = [
         Gate(SUBSPACE_RZ12, (xi,), (wire,)),
         Gate(SUBSPACE_RX12, (beta,), (wire,)),
@@ -356,19 +366,23 @@ def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> list[Gate]:
         Gate(SUBSPACE_RZ12, (b,), (wire,)),
     ]
     for sub, g in reversed(rotations):
-        maker = _su2_block_gates_01 if sub == "01" else _su2_block_gates_12
-        gates.extend(maker(dagger(g), wire))
+        angles, maker = ((zyz_angles, _su2_block_gates_01) if sub == "01"
+                         else (zxz_angles, _su2_block_gates_12))
+        gates.extend(maker(angles(dagger(g)), wire))
     return gates
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
+_HADAMARD_ZXZ = zxz_angles(_HADAMARD)
+_HADAMARD_U3 = zyz_angles(_HADAMARD)[:3]
+
+
 def _h12_gates(wire: int) -> list[Gate]:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    return _su2_block_gates_12(h, wire)
+    return _su2_block_gates_12(_HADAMARD_ZXZ, wire)
 
 
 def _ha_gates(wire: int) -> list[Gate]:
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-    return _su2_block_gates_01(h, wire, dim=2)
+    return [Gate(U3, _HADAMARD_U3, (wire,))]
 
 
 def _cx_a12_gates(anc: int, system: int) -> list[Gate]:

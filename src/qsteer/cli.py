@@ -187,6 +187,9 @@ def main() -> None:
 
 _target_opt = click.option("--target", "target_text", required=True, help="target state")
 _j_opt = click.option("--J", "coupling", type=float, required=True, help="coupling strength (radians)")
+_steps_opt = click.option(
+    "--N", "steps", type=click.IntRange(min=1), default=10, show_default=True, help="protocol cycles"
+)
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 _out_opt = click.option(
     "--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True
@@ -239,7 +242,7 @@ def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
 @main.command()
 @_target_opt
 @_j_opt
-@click.option("--N", "steps", type=int, default=10, show_default=True, help="protocol cycles")
+@_steps_opt
 @click.option("--mode", type=click.Choice(["blind", "nonblind"]), default="blind", show_default=True)
 @click.option("--trajectories", type=int, default=1000, show_default=True)
 @click.option("--noise", "noise_path", type=click.Path(exists=False), default=None)
@@ -248,8 +251,6 @@ def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
 @_format_opt
 def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, out_dir, fmt):
     """Run the steering protocol and write fidelity_vs_n.csv + records.json."""
-    if steps < 1:
-        raise ConfigError("--N must be >= 1")
     _check_seed(seed)
     spec, op = _operator(target_text, coupling)
     label = spec.label
@@ -311,7 +312,7 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
     help="comma-separated target labels",
 )
 @click.option("--Js", "js_text", required=True, help="comma-separated couplings (radians)")
-@click.option("--N", "steps", type=int, default=10, show_default=True)
+@_steps_opt
 @click.option("--noise", "noise_path", default=None)
 @_out_opt
 @_format_opt
@@ -403,7 +404,7 @@ def circuit(target_text, coupling, out_dir):
 @main.command()
 @_target_opt
 @_j_opt
-@click.option("--N", "steps", type=int, default=10, show_default=True)
+@_steps_opt
 @click.option("--shots", default="inf", show_default=True, help="shots per observable, or 'inf'")
 @click.option("--noise", "noise_path", default=None)
 @_seed_opt

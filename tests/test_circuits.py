@@ -27,6 +27,7 @@ from qsteer.circuits import (
 )
 from qsteer.circuits import rx_matrix, rz_matrix
 from qsteer.errors import ConfigError
+from qsteer.geometry import CNOT_GATE
 from qsteer.linalg import expm_i_herm, phase_invariant_distance
 from qsteer.states import (
     QubitTarget,
@@ -95,10 +96,92 @@ class TestEvaluate:
         c = Circuit((2,), (Gate(PHASE, (0.5,), ()),))
         assert np.allclose(evaluate_circuit(c), np.exp(0.5j) * np.eye(2))
 
+    def test_matches_kron_reference_on_random_circuits(self):
+        seen_kinds, seen_pairs = set(), set()
+        for seed in range(200):
+            c = random_circuit(np.random.default_rng(seed))
+            dev = np.max(np.abs(evaluate_circuit(c) - kron_reference(c)))
+            assert dev <= 1e-13, (seed, dev)
+            seen_kinds |= {g.kind for g in c.gates}
+            seen_pairs |= {(g.wires[0] > g.wires[1], abs(g.wires[0] - g.wires[1]) > 1)
+                           for g in c.gates if len(g.wires) == 2}
+        assert seen_kinds == {RX, RZ, U3, SUBSPACE_RX12, SUBSPACE_RZ12, CNOT, QUBIT_QUTRIT_CNOT, PHASE}
+        assert {(True, False), (False, True), (True, True)} <= seen_pairs
+
+    @pytest.mark.parametrize(
+        "target, coupling, tol",
+        [(QubitTarget(math.pi / 2, 0.0), 0.785, 1e-9), (QUTRIT_EQUAL_TARGET, 0.5, 1e-6)],
+    )
+    def test_readme_circuits(self, target, coupling, tol):
+        spec = TargetSpec(target, coupling)
+        synth = synth_kak_circuit if isinstance(target, QubitTarget) else synth_qutrit_circuit
+        c = synth(spec)
+        u = evaluate_circuit(c)
+        assert phase_invariant_distance(u, make_steering_operator(spec).unitary) <= tol
+        assert np.max(np.abs(u - kron_reference(c))) <= 1e-13
+
     def test_gate_order_is_application_order(self):
         c = Circuit((2,), (Gate(RX, (math.pi,), (0,)), Gate(RZ, (math.pi,), (0,))))
         want = rz_matrix(math.pi) @ rx_matrix(math.pi)
         assert np.allclose(evaluate_circuit(c), want, atol=1e-14)
+
+
+def kron_reference(circuit):
+    """Every gate Kronecker-embedded into the full space, one full product per
+    gate, with 2x2 rotations built independently of ``qsteer.circuits``."""
+    dims, n = circuit.wire_dims, len(circuit.wire_dims)
+    total = np.exp(1j * circuit.global_phase) * np.eye(circuit.dim, dtype=complex)
+    x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
+    rx = lambda a: math.cos(a / 2) * np.eye(2) - 1j * math.sin(a / 2) * x
+    ry = lambda a: math.cos(a / 2) * np.eye(2) - 1j * math.sin(a / 2) * y
+    rz = lambda a: np.diag(np.exp([-0.5j * a, 0.5j * a]))
+    two_wire = {CNOT: CNOT_GATE, QUBIT_QUTRIT_CNOT: np.diag([1, 1, 1, 1, 1, 1j])}
+    one_wire = {RX: (rx, 0), RZ: (rz, 0), U3: (lambda t, p, l: rz(p) @ ry(t) @ rz(l), 0),
+                SUBSPACE_RX12: (rx, 1), SUBSPACE_RZ12: (rz, 1)}
+    for g in circuit.gates:
+        if g.kind == PHASE:
+            total = np.exp(1j * g.params[0]) * total
+            continue
+        if g.kind in two_wire:
+            op = two_wire[g.kind]
+        else:
+            rotation, lo = one_wire[g.kind]
+            op = np.eye(dims[g.wires[0]], dtype=complex)
+            op[lo : lo + 2, lo : lo + 2] = rotation(*g.params)
+        rest = [i for i in range(n) if i not in g.wires]
+        order = [*g.wires, *rest]
+        full = np.kron(op, np.eye(math.prod(dims[i] for i in rest)))
+        perm = [order.index(i) for i in range(n)]
+        full = full.reshape([dims[i] for i in order] * 2).transpose(perm + [p + n for p in perm])
+        total = full.reshape(circuit.dim, circuit.dim) @ total
+    return total
+
+
+def random_circuit(rng):
+    """1-3 wires of dim 2 or 3; every gate kind, two-wire gates in either
+    wire order and on non-adjacent wires, and long one-wire runs."""
+    dims = tuple(int(d) for d in rng.choice([2, 3], size=int(rng.integers(1, 4))))
+    n = len(dims)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    pair_gates = [Gate(CNOT, (), p) for p in pairs if dims[p[0]] == dims[p[1]] == 2]
+    pair_gates += [Gate(QUBIT_QUTRIT_CNOT, (), p) for p in pairs
+                   if (dims[p[0]], dims[p[1]]) == (2, 3)]
+
+    def one_wire(w):
+        kinds = [RX, RZ, U3] + ([SUBSPACE_RX12, SUBSPACE_RZ12] if dims[w] == 3 else [])
+        kind = kinds[int(rng.integers(len(kinds)))]
+        return Gate(kind, tuple(rng.uniform(-7, 7, 3 if kind == U3 else 1)), (w,))
+
+    gates = []
+    for _ in range(int(rng.integers(1, 6))):
+        w = int(rng.integers(n))
+        gates += [one_wire(w) for _ in range(int(rng.integers(0, 12)))]
+        gates += [one_wire(int(rng.integers(n))) for _ in range(int(rng.integers(0, 3)))]
+        if rng.random() < 0.3:
+            gates.append(Gate(PHASE, (rng.uniform(-7, 7),), ()))
+        if pair_gates:
+            gates.append(pair_gates[int(rng.integers(len(pair_gates)))])
+    return Circuit(dims, tuple(gates), float(rng.uniform(-3, 3)))
 
 
 class TestAngleExtraction:

@@ -201,6 +201,13 @@ class TestErrorPath:
             ["--bogus", "steer"],
             ["steer", "--target", "+", "--J", "0.5", "--max-steps", "3"],
             ["sweep", "--Js", "0.3", "--seed", "1"],
+            *(
+                [*command, "--N", steps]
+                for command in (["steer", "--target", "+", "--J", "0.5"],
+                                ["sweep", "--Js", "0.5"],
+                                ["tomo", "--target", "+", "--J", "0.5"])
+                for steps in ("0", "-1")
+            ),
         ],
     )
     def test_usage_error_is_one_json_line(self, runner, tmp_path, args):
