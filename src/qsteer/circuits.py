@@ -236,15 +236,18 @@ def zxz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
     return alpha, beta, xi, g
 
 
-def _reconcile_phase(circuit: Circuit, target: ComplexMatrix, tol: float) -> Circuit:
+def _reconcile_phase(
+    circuit: Circuit, target: ComplexMatrix, tol: float
+) -> tuple[Circuit, float]:
     """Set the circuit's global phase so it matches ``target`` exactly, and
-    verify the phase-invariant distance meets ``tol``."""
+    verify the phase-invariant distance meets ``tol``.  Returns the circuit
+    and that distance."""
     raw = evaluate_circuit(circuit)
     dist = phase_invariant_distance(raw, target)
     if dist > tol:
         raise NumericalError(f"synthesized circuit distance {dist:.3e} exceeds {tol:.1e}")
     phase = circuit.global_phase + float(np.angle(np.trace(dagger(raw) @ target)))
-    return Circuit(circuit.wire_dims, circuit.gates, phase)
+    return Circuit(circuit.wire_dims, circuit.gates, phase), dist
 
 
 def _u3_gate(u: ComplexMatrix, wire: int) -> Gate:
@@ -262,7 +265,12 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
     h = build_qubit_hamiltonian(spec.target.theta, spec.target.phi, spec.coupling)
-    u = expm_i_herm(h)
+    return _synth_kak(expm_i_herm(h))[0]
+
+
+def _synth_kak(u: ComplexMatrix) -> tuple[Circuit, float]:
+    """synth_kak_circuit for the qubit steering unitary ``u``, with the
+    circuit's phase-invariant distance to it."""
     dec = kak_decompose(u)
     if abs(dec.c[0] - dec.c[1]) > 1e-9 or abs(dec.c[2]) > 1e-9:
         raise NumericalError(f"steering operator has unexpected Weyl coordinates {dec.c}")
@@ -428,10 +436,15 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
     """
     if not isinstance(spec.target, QutritTarget):
         raise ConfigError("synth_qutrit_circuit handles qutrit targets")
+    return _synth_qutrit(spec, qutrit_steering_unitary(spec.target, spec.coupling))[0]
+
+
+def _synth_qutrit(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
+    """synth_qutrit_circuit given the steering unitary ``u`` of ``spec``,
+    with the circuit's phase-invariant distance to it."""
     psi, w_bright, w_dark = qutrit_bright_dark(spec.target)
     w3 = np.vstack([w_dark.conj(), psi.conj(), w_bright.conj()])
     exchange = qutrit_exchange_gate(spec.target)
-    target_u = qutrit_steering_unitary(spec.target, spec.coupling)
 
     gates = (
         _local_qutrit_gates(w3, 1)
@@ -440,7 +453,15 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
         + _cx_a12_gates(0, 1)
         + _local_qutrit_gates(exchange @ dagger(w3), 1)
     )
-    return _reconcile_phase(Circuit((2, 3), tuple(gates)), target_u, 1e-6)
+    return _reconcile_phase(Circuit((2, 3), tuple(gates)), u, 1e-6)
+
+
+def _synthesize(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
+    """The steering circuit of ``spec`` whose unitary is ``u`` (its steering
+    operator's), with the circuit's phase-invariant distance to ``u``."""
+    if isinstance(spec.target, QubitTarget):
+        return _synth_kak(u)
+    return _synth_qutrit(spec, u)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, QsteerError
-from .circuits import emit_text, evaluate_circuit, parse_text, synth_kak_circuit, synth_qutrit_circuit, CNOT
+from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text
 from .geometry import CNOT_GATE, cphase_gate, kak_decompose, locally_equivalent
 from .linalg import phase_invariant_distance
 from .protocol import (
@@ -74,8 +74,7 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def write_json(path: Path, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
@@ -389,10 +388,9 @@ def kak(target_text, coupling, circuit_path, out_dir):
 def circuit(target_text, coupling, out_dir):
     """Synthesize the steering circuit; write circuit.txt + verify.json."""
     spec, op = _operator(target_text, coupling)
-    synth = synth_kak_circuit if isinstance(spec.target, QubitTarget) else synth_qutrit_circuit
-    circ = synth(spec)
+    circ, distance = _synthesize(spec, op.unitary)
     results = {
-        "phase_invariant_distance": phase_invariant_distance(evaluate_circuit(circ), op.unitary),
+        "phase_invariant_distance": distance,
         "gate_count": len(circ.gates),
         "cnot_count": circ.count(CNOT),
     }
@@ -421,10 +419,8 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
     states = _blind_states(_maximally_mixed(d), op, steps, noise)
     exact = fidelity(states, op.target).tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
-    rows = []
-    for n, st in enumerate(states):
-        rec = reconstruct(DensityState(matrix=st, dims=(d,)), shots=n_shots, seed=(seed << 16) + n)
-        rows.append([label, coupling, n, exact[n], fidelity(rec, op.target)])
+    recs = reconstruct(states, shots=n_shots, seed=[(seed << 16) + n for n in range(steps + 1)])
+    rows = [[label, coupling, n, exact[n], fidelity(rec, op.target)] for n, rec in enumerate(recs)]
     config = {
         "command": "tomo",
         "target": label,

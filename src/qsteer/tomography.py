@@ -62,22 +62,52 @@ class PauliTransferMatrix:
             raise DimensionMismatchError("PTM must be square")
 
 
-def _sample_counts(
-    rho: DensityState, vecs: ComplexMatrix, shots: int, confusion, seed: int
-) -> np.ndarray:
-    """The draw of simulate_shots over the eigenbasis columns ``vecs``."""
+def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
+    """(m, K) counts whose row j equals
+    ``Generator(Philox(key=keys[j])).multinomial(shots, probs[j])``.
+
+    A Philox stream is its 128-bit key, so one bit generator per call is
+    re-keyed for each row (both key words, zero counter) instead of a
+    generator being built per draw.  It is local to the call, so calls stay
+    safe to run concurrently.
+    """
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    probs = np.einsum("ij,jk,ki->i", dagger(vecs), rho.matrix, vecs).real
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # zero counter, empty output buffer
+    words = state["state"]["key"]
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for j, key in enumerate(keys):
+        key = int(key)
+        if not 0 <= key < 1 << 128:
+            raise ConfigError(f"Philox key {key} is outside [0, 2**128)")
+        words[:] = key & (2**64 - 1), key >> 64
+        bitgen.state = state
+        counts[j] = rng.multinomial(shots, probs[j])
+    return counts
+
+
+def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, confusion) -> np.ndarray:
+    """(n, K, d) outcome probabilities of the (n, d, d) states ``mats`` in
+    the (K, d, d) eigenbases ``vecs`` (columns), corrupted by the
+    row-stochastic confusion matrix when one is given."""
+    probs = np.einsum("kji,njl,kli->nki", vecs.conj(), mats, vecs).real
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
+    probs = probs / probs.sum(axis=-1, keepdims=True)
     if confusion is not None:
         confusion = np.asarray(confusion, dtype=float)
-        if confusion.shape != (len(probs), len(probs)):
+        if confusion.shape != (probs.shape[-1],) * 2:
             raise DimensionMismatchError("confusion matrix does not match outcome count")
-        probs = confusion.T @ probs
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.multinomial(shots, probs)
+        probs = probs @ confusion
+    return probs
+
+
+def _draw(rho: DensityState, observable: ComplexMatrix, shots: int, confusion, seed: int):
+    """(ascending eigenvalues, counts) of one draw of ``observable`` on rho."""
+    w, vecs = herm_eig(observable)
+    probs = _outcome_probs(rho.matrix[None], vecs[None], confusion)[0]
+    return w, _keyed_multinomial(shots, probs, [seed])[0]
 
 
 def simulate_shots(
@@ -93,7 +123,7 @@ def simulate_shots(
     probabilities are corrupted by the row-stochastic confusion matrix before
     a single multinomial draw keyed by ``seed``.
     """
-    sample = _sample_counts(rho, herm_eig(observable)[1], shots, confusion, seed)
+    sample = _draw(rho, observable, shots, confusion, seed)[1]
     return ShotCounts(counts={k: int(c) for k, c in enumerate(sample)}, shots=shots)
 
 
@@ -107,8 +137,8 @@ def measure_expectation(
     """<observable> on rho, exact when shots is None, sampled otherwise."""
     if shots is None:
         return float(np.trace(rho.matrix @ observable).real)
-    w, vecs = herm_eig(observable)
-    return float(np.dot(w, _sample_counts(rho, vecs, shots, confusion, seed) / shots))
+    w, counts = _draw(rho, observable, shots, confusion, seed)
+    return float(np.dot(w, counts / shots))
 
 
 def mle_project(rho_raw: ComplexMatrix) -> DensityState:
@@ -140,54 +170,90 @@ def mle_project(rho_raw: ComplexMatrix) -> DensityState:
 
 
 # Tomography observables B_k with Tr(B_i B_j) = 2 delta_ij: the Paulis and
-# the Gell-Mann matrices.
+# the Gell-Mann matrices, with their ascending eigenvalues and eigenvector
+# columns per dimension, computed once.
 _QUBIT_BASIS = np.array([PAULIS[p] for p in "XYZ"])
 _QUTRIT_BASIS = np.array(GELL_MANN)
+_EIGENBASES = {2: np.linalg.eigh(_QUBIT_BASIS), 3: np.linalg.eigh(_QUTRIT_BASIS)}
 
 
-def _reconstruct(expectations, basis: np.ndarray) -> DensityState:
-    """rho = I/d + (1/2) sum_k e_k B_k, physically projected if needed."""
+def _reconstruct(expectations: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rho = I/d + (1/2) sum_k e_k B_k for each row of the (n, K)
+    ``expectations``; the rows with an eigenvalue below -1e-12 are replaced
+    by their mle_project.  The (n, d, d) result is not validated."""
+    n, k = expectations.shape
+    d = basis.shape[-1]
+    # a stack of (1, K) by (K, d*d) products takes the vector-matrix kernel of
+    # the one-state np.tensordot(e, basis, axes=1), so rows match it bit for
+    # bit; one (n, K) by (K, d*d) product rounds differently
+    sums = np.matmul(expectations[:, None, :], basis.reshape(k, d * d)).reshape(n, d, d)
+    m = np.eye(d, dtype=complex) / d + 0.5 * sums
+    for j in np.flatnonzero(np.linalg.eigvalsh(m).min(axis=-1) < -1e-12):
+        m[j] = mle_project(m[j]).matrix
+    return m
+
+
+def _from_expectations(expectations, basis: np.ndarray) -> DensityState:
     expectations = np.asarray(expectations, dtype=float)
     if expectations.shape != (len(basis),):
         raise DimensionMismatchError(f"need {len(basis)} expectations")
     d = basis.shape[-1]
-    m = np.eye(d, dtype=complex) / d + 0.5 * np.tensordot(expectations, basis, axes=1)
-    if float(np.min(np.linalg.eigvalsh(m))) >= -1e-12:
-        return DensityState(matrix=m, dims=(d,))
-    return mle_project(m)
+    return DensityState(matrix=_reconstruct(expectations[None], basis)[0], dims=(d,))
 
 
-def _measure_and_reconstruct(rho, basis, shots, confusion, seed) -> DensityState:
-    """Measure every observable of ``basis`` on rho and reconstruct.  With
-    shots, observable i draws from Philox key (seed << 4) + i."""
-    if rho.dim != basis.shape[-1]:
-        raise DimensionMismatchError(f"{basis.shape[-1]}-level tomography of a dim-{rho.dim} state")
-    exps = [measure_expectation(rho, b, shots, confusion, (seed << 4) + i)
-            for i, b in enumerate(basis)]
-    return _reconstruct(exps, basis)
+def _measure_and_reconstruct(rho, basis, shots, confusion, seed):
+    """Measure every observable on one state or on each of an (n, d, d)
+    stack and reconstruct, returning the input's kind.  With shots, the
+    state with seed k draws observable i from Philox key (k << 4) + i;
+    ``seed`` is one int per state of a stack, or one int for all."""
+    d = basis.shape[-1]
+    one = isinstance(rho, DensityState)
+    mats = rho.matrix[None] if one else np.asarray(rho, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (d, d):
+        raise DimensionMismatchError(f"{d}-level tomography of states of shape {mats.shape[1:]}")
+    if shots is None:
+        exps = np.trace(mats[:, None] @ basis, axis1=-2, axis2=-1).real
+    else:
+        seeds = [seed] * len(mats) if np.ndim(seed) == 0 else list(seed)
+        if len(seeds) != len(mats):
+            raise DimensionMismatchError(f"{len(seeds)} seeds for {len(mats)} states")
+        keys = [(int(s) << 4) + i for s in seeds for i in range(len(basis))]
+        w, vecs = _EIGENBASES[d]
+        probs = _outcome_probs(mats, vecs, confusion)
+        counts = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape)
+        # a stack of (1, d) by (d, 1) products takes the dot kernel of the
+        # one-state np.dot(w, counts / shots); an elementwise sum rounds differently
+        exps = np.matmul((counts / shots)[..., None, :], w[..., None])[..., 0, 0]
+    recs = _reconstruct(exps, basis)
+    if one:
+        return DensityState(matrix=recs[0], dims=(d,))
+    validate_density(recs)
+    return recs
 
 
 def qubit_state_tomo(ex: float, ey: float, ez: float) -> DensityState:
     """State from Pauli expectations, physically projected if needed."""
-    return _reconstruct([ex, ey, ez], _QUBIT_BASIS)
+    return _from_expectations([ex, ey, ez], _QUBIT_BASIS)
 
 
 def qutrit_state_tomo(expectations) -> DensityState:
     """State from the eight Gell-Mann expectations <l_i> = 2 n_i."""
-    return _reconstruct(expectations, _QUTRIT_BASIS)
+    return _from_expectations(expectations, _QUTRIT_BASIS)
 
 
 def tomo_qubit_state(
-    rho: DensityState, shots: int | None = None, confusion=None, seed: int = 0
-) -> DensityState:
-    """Measure X, Y, Z (exactly or with shots) and reconstruct."""
+    rho: DensityState | np.ndarray, shots: int | None = None, confusion=None, seed=0
+) -> DensityState | np.ndarray:
+    """Measure X, Y, Z (exactly or with shots) and reconstruct, on one
+    state or on each state of an (n, 2, 2) stack (one seed per state)."""
     return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, confusion, seed)
 
 
 def tomo_qutrit_state(
-    rho: DensityState, shots: int | None = None, confusion=None, seed: int = 0
-) -> DensityState:
-    """Measure the eight Gell-Mann observables and reconstruct."""
+    rho: DensityState | np.ndarray, shots: int | None = None, confusion=None, seed=0
+) -> DensityState | np.ndarray:
+    """Measure the eight Gell-Mann observables and reconstruct, on one
+    state or on each state of an (n, 3, 3) stack (one seed per state)."""
     return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, confusion, seed)
 
 
@@ -197,7 +263,7 @@ def tomo_qutrit_state(
 # product inputs over {|0>, |1>, |+>, |+i>} per wire
 _INPUT_KETS = np.array([[1.0, 0.0], [0.0, 1.0], KET_PLUS, KET_PLUS_I], dtype=complex)
 # eigenbases of X, Y, Z, each sorted ascending: column 0 is the -1 eigenvector
-_SETTING_BASES = np.array([np.linalg.eigh(PAULIS[ch])[1] for ch in "XYZ"])
+_SETTING_BASES = _EIGENBASES[2][1]
 
 
 def _kron_all(factors: np.ndarray, n: int) -> np.ndarray:
@@ -233,13 +299,10 @@ def _measured_pauli_expectations(
     """
     d = 2**n
     rotations = _kron_all(_SETTING_BASES, n)
-    probs = np.einsum("sji,njk,ski->nsi", rotations.conj(), rho_out, rotations).real
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum(axis=-1, keepdims=True)
+    probs = _outcome_probs(rho_out, rotations, None)
     if shots is not None:
-        for i, s in np.ndindex(probs.shape[:2]):
-            rng = np.random.Generator(np.random.Philox(key=((seed + 7919 * i) << 32) + s))
-            probs[i, s] = rng.multinomial(shots, probs[i, s]) / shots
+        keys = [((seed + 7919 * i) << 32) + s for i, s in np.ndindex(probs.shape[:2])]
+        probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots
     # signs[t, b]: eigenvalue of outcome b on support t (a nonempty subset of
     # wires), the product over kept wires of +1 for bit 1 and -1 for bit 0
     supports = np.array(list(product((0, 1), repeat=n))[1:])

@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from qsteer import __version__, cli, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
-from qsteer.states import QubitTarget, QutritTarget
+from qsteer.protocol import _blind_states
+from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 
 @pytest.fixture
@@ -354,13 +355,13 @@ class TestTomoAndQpt:
     @pytest.mark.parametrize("target,n_observables", [("+", 3), ("qutrit-equal", 8)])
     def test_tomo_shot_keys_are_distinct(self, runner, tmp_path, monkeypatch, target, n_observables):
         keys = []
-        measure = tomography.measure_expectation
+        draw = tomography._keyed_multinomial
 
-        def record(rho, observable, shots, confusion, seed):
-            keys.append(seed)
-            return measure(rho, observable, shots, confusion, seed)
+        def record(shots, probs, row_keys):
+            keys.extend(row_keys)
+            return draw(shots, probs, row_keys)
 
-        monkeypatch.setattr(tomography, "measure_expectation", record)
+        monkeypatch.setattr(tomography, "_keyed_multinomial", record)
         result = runner.invoke(
             main,
             ["tomo", "--target", target, "--J", "0.785", "--N", "10", "--shots", "64",
@@ -369,6 +370,61 @@ class TestTomoAndQpt:
         assert result.exit_code == 0, result.output
         assert len(keys) == 11 * n_observables
         assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("target,shots,noisy", [
+        ("+", "64", False), ("-i", "inf", True), ("qutrit-equal", "4096", False),
+        ("qutrit:0.4,1.1,0.3,2.0", "1", True),
+    ])
+    def test_tomo_rows_equal_per_step_calls(self, runner, tmp_path, target, shots, noisy):
+        seed, steps = 2**40 + 5, 10
+        noise_args = []
+        if noisy:
+            noise_file = tmp_path / "noise.json"
+            noise_file.write_text(json.dumps(NOISE_FILES["all"]))
+            noise_args = ["--noise", str(noise_file)]
+        result = runner.invoke(
+            main,
+            ["tomo", "--target", target, "--J", "0.785", "--N", str(steps), "--shots", shots,
+             "--seed", str(seed), *noise_args, "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        _, op = cli._operator(target, 0.785)
+        d = op.system_dim
+        noise = cli.load_noise(noise_args[1] if noisy else None)
+        states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
+        tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
+        n_shots = None if shots == "inf" else int(shots)
+        want = [
+            fidelity(tomo(DensityState(matrix=st, dims=(d,)), shots=n_shots, seed=(seed << 16) + n),
+                     op.target)
+            for n, st in enumerate(states)
+        ]
+        rows = json.loads((tmp_path / "tomo.json").read_text())["fidelities"]
+        assert [row["reconstructed"] for row in rows] == want
+
+    def test_tomo_builds_one_generator_and_no_state_per_step(self, runner, tmp_path, monkeypatch):
+        built = {"philox": 0, "state": 0, "projected": 0}
+
+        def counting(name, make):
+            def wrapped(*args, **kwargs):
+                built[name] += 1
+                return make(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.random, "Philox", counting("philox", np.random.Philox))
+        monkeypatch.setattr(DensityState, "__post_init__",
+                            counting("state", DensityState.__post_init__))
+        monkeypatch.setattr(tomography, "mle_project",
+                            counting("projected", tomography.mle_project))
+        result = runner.invoke(
+            main,
+            ["tomo", "--target", "qutrit-equal", "--J", "0.785", "--N", "10", "--shots", "4096",
+             "--seed", "3", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert built["philox"] == 1
+        # the maximally mixed start state, and one per projected estimate
+        assert built["state"] == 1 + built["projected"]
 
 
 NOISE_FILES = {

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qsteer import tomography
 from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.states import (
+    DensityState,
     GELL_MANN,
     PAULIS,
     QubitTarget,
@@ -178,13 +179,14 @@ class TestStateTomography:
         # tomo seeds step n with (seed << 16) + n; with a key of seed + i per
         # observable, Z at step n and Y at step n + 1 read one stream
         values = []
-        measure = tomography.measure_expectation
+        draw = tomography._keyed_multinomial
 
         def record(*args):
-            values.append(measure(*args))
-            return values[-1]
+            counts = draw(*args)
+            values.extend(counts[:, 1])  # +1 outcomes, one value per observable
+            return counts
 
-        monkeypatch.setattr(tomography, "measure_expectation", record)
+        monkeypatch.setattr(tomography, "_keyed_multinomial", record)
         plus = pure_state(target_ket(QubitTarget(math.pi / 2, 0.0)))
         for n in range(3):
             tomo_qubit_state(plus, shots=4096, seed=(3 << 16) + n)
@@ -204,6 +206,89 @@ class TestStateTomography:
             rec = tomo_qutrit_state(rho, shots=4096, seed=10_000 + seed)
             fids.append(reconstruction_fidelity(rho, rec))
         assert min(fids) >= 0.99
+
+
+MAX_SEED = 2**64 - 2
+# keys of the keyed draw: below 2**64, on both sides of 2**64, the first
+# and last tomo keys (k << 4) + i of a run at the largest seed, with
+# k = (seed << 16) + n for steps n = 0 .. 10, and the largest qpt key
+# ((seed + 7919 i) << 32) + s for 16 inputs and 9 settings
+KEYED_DRAW_KEYS = [
+    0,
+    5,
+    2**63 + 11,
+    2**64 - 1,
+    2**64,
+    ((MAX_SEED << 16) << 4) + 0,
+    (((MAX_SEED << 16) + 10) << 4) + 7,
+    ((MAX_SEED + 7919 * 15) << 32) + 8,
+]
+
+
+class TestKeyedDraws:
+    @pytest.mark.parametrize("shots", [1, 64, 4096])
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_rows_equal_fresh_generators(self, shots, order):
+        keys = KEYED_DRAW_KEYS[::order]
+        probs = np.random.default_rng(shots).dirichlet(np.ones(3), size=len(keys))
+        got = tomography._keyed_multinomial(shots, probs, keys)
+        for row, key, p in zip(got, keys, probs):
+            want = np.random.Generator(np.random.Philox(key=key)).multinomial(shots, p)
+            assert np.array_equal(row, want), key
+
+    @pytest.mark.parametrize("key", [-1, 2**128])
+    def test_key_outside_128_bits_rejected(self, key):
+        with pytest.raises(ConfigError):
+            tomography._keyed_multinomial(8, np.array([[0.5, 0.5]]), [key])
+
+    def test_process_tomography_draws_equal_fresh_generators(self, monkeypatch):
+        op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
+        chan = KrausSet(operators=(op.unitary,))
+        got = process_tomography(chan, 2, shots=256, seed=MAX_SEED)
+
+        def fresh(shots, probs, keys):
+            return np.array([np.random.Generator(np.random.Philox(key=k)).multinomial(shots, p)
+                             for k, p in zip(keys, probs)])
+
+        monkeypatch.setattr(tomography, "_keyed_multinomial", fresh)
+        assert np.array_equal(got.r, process_tomography(chan, 2, shots=256, seed=MAX_SEED).r)
+
+
+def tomography_stack(d: int) -> np.ndarray:
+    """Ginibre states and pure states; a pure state's finite-shot estimate
+    often has a negative eigenvalue, so its row needs mle_project."""
+    rng = np.random.default_rng(d)
+    kets = rng.normal(size=(6, d)) + 1j * rng.normal(size=(6, d))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    pure = [pure_state(ket).matrix for ket in kets]
+    return np.array([random_density(d, s).matrix for s in range(6)] + pure)
+
+
+class TestStackedStateTomography:
+    @pytest.mark.parametrize("with_confusion", [False, True])
+    @pytest.mark.parametrize("shots", [None, 1, 16, 4096])
+    @pytest.mark.parametrize("tomo,d", [(tomo_qubit_state, 2), (tomo_qutrit_state, 3)])
+    def test_stack_equals_one_state_calls(self, monkeypatch, tomo, d, shots, with_confusion):
+        stack = tomography_stack(d)
+        confusion = None
+        if with_confusion:
+            confusion = np.full((d, d), 0.05)
+            np.fill_diagonal(confusion, 1.0 - 0.05 * (d - 1))
+        seeds = [((2**40 + 5) << 16) + n for n in range(len(stack))]
+        projected = []
+        project = tomography.mle_project
+        monkeypatch.setattr(tomography, "mle_project", lambda m: projected.append(m) or project(m))
+        got = tomo(stack, shots=shots, confusion=confusion, seed=seeds)
+        if shots in (1, 16):
+            assert projected
+        assert got.shape == stack.shape
+        for mat, seed, rec in zip(stack, seeds, got):
+            one = tomo(DensityState(matrix=mat, dims=(d,)), shots=shots, confusion=confusion, seed=seed)
+            assert np.array_equal(rec, one.matrix)
+
+    def test_one_seed_per_state(self):
+        with pytest.raises(DimensionMismatchError):
+            tomo_qubit_state(tomography_stack(2), shots=8, seed=[1, 2])
 
 
 class TestProcessTomography:
