@@ -18,6 +18,8 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from functools import cache
+from itertools import repeat
 from pathlib import Path
 
 import click
@@ -60,21 +62,58 @@ from .tomography import (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+@cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """Encoder for a container at nesting ``depth``: CPython's C encoder,
+    with each item separator followed by a newline and the indentation of
+    depth + 1.  What it is given holds no container, so it has no cycle to
+    check for."""
+    return json.JSONEncoder(
+        sort_keys=True, check_circular=False, separators=(",\n" + "  " * (depth + 1), ": ")
+    )
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` at nesting
+    ``depth``, from one :func:`_encoder` call per container.  In a container
+    that holds containers, those are encoded as 0, written here and spliced
+    in: the encoder writes a newline only in an item separator, so splitting
+    at them gives the items in order."""
+    encoder = _encoder(depth)
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return encoder.encode(obj)
+    is_dict = isinstance(obj, dict)
+    sep = encoder.item_separator  # "," + newline + the items' indentation
+    if any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        keys = sorted(obj) if is_dict else range(len(obj))  # the encoder's item order
+        nested = [i for i, k in enumerate(keys) if isinstance(obj[k], _CONTAINERS)]
+        flat = dict(obj) if is_dict else list(obj)
+        for i in nested:
+            flat[keys[i]] = 0
+        items = encoder.encode(flat)[1:-1].split(sep)
+        for i in nested:  # drop the "0", keep a dict item's '"key": '
+            items[i] = items[i][:-1] + _indented(obj[keys[i]], depth + 1)
+        body = sep.join(items)
+    else:
+        body = encoder.encode(obj)[1:-1]
+    opening, closing = "{}" if is_dict else "[]"
+    return opening + sep[1:] + body + "\n" + "  " * depth + closing
 
 
 def write_json(path: Path, payload) -> None:
+    """Writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(_indented(payload) + "\n")
 
 
 def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
@@ -302,13 +341,31 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
     _write(out_dir, fmt, "records.json", config, results, tables)
 
 
+# sweep.csv's columns, one per SweepRow field; the csv module writes None as ""
+SWEEP_HEADER = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
+_ANGLE_COUNTS = {"qubit": 2, "qutrit": 4}
+
+
+def _split_targets(text: str) -> list[str]:
+    """Splits a comma-separated target list; a qubit:/qutrit: token takes
+    its following 2 or 4 comma-separated numbers along."""
+    parts = text.split(",")
+    tokens = []
+    while parts:
+        kind, colon, _ = parts[0].strip().partition(":")
+        take = _ANGLE_COUNTS.get(kind, 1) if colon else 1
+        tokens.append(",".join(parts[:take]))
+        del parts[:take]
+    return [t for t in tokens if t.strip()]
+
+
 @main.command("sweep")
 @click.option(
     "--targets",
     "targets_text",
     default="0,1,+,-,i,-i",
     show_default=True,
-    help="comma-separated target labels",
+    help="comma-separated target labels or explicit angles",
 )
 @click.option("--Js", "js_text", required=True, help="comma-separated couplings (radians)")
 @_steps_opt
@@ -317,7 +374,7 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
 @_format_opt
 def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir, fmt):
     """Fidelity grid over targets x couplings x steps (blind runs)."""
-    targets = [parse_target(t) for t in targets_text.split(",") if t.strip()]
+    targets = [parse_target(t) for t in _split_targets(targets_text)]
     try:
         js = [float(v) for v in js_text.split(",") if v.strip()]
     except ValueError as exc:
@@ -331,12 +388,9 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir, fmt):
         "steps": steps,
         "noise": _noise_echo(noise),
     }
-    header = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
-    csv_rows = [[r.target_label, r.coupling, r.step, r.mean_fidelity, r.std_fidelity,
-                 r.stabilizer_average] for r in rows]  # the csv module writes None as ""
-    json_rows = [dict(zip(header, row)) for row in csv_rows]
+    json_rows = [dict(zip(SWEEP_HEADER, row)) for row in rows]
     _write(out_dir, fmt, "sweep.json", config, {"rows": json_rows},
-           {"sweep.csv": (header, csv_rows)})
+           {"sweep.csv": (SWEEP_HEADER, rows)})
 
 
 def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,21 +257,33 @@ def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.
 def _blind_states(
     rho0: DensityState, op: SteeringOperator, steps: int, noise: NoiseConfig
 ) -> np.ndarray:
-    """(steps + 1, d, d) states of a blind run: rho0, then ``steps`` cycles
-    of the averaged channel, each one product of its superoperator with
-    vec(rho).  The whole stack is validated once, with the DensityState
-    checks, at the end."""
+    """(steps + 1, d, d) states of a blind run: the one-cell case of
+    :func:`_blind_grid`."""
+    return _blind_grid(rho0, [op], steps, noise)[:, 0]
+
+
+def _blind_grid(
+    rho0: DensityState, ops: list[SteeringOperator], steps: int, noise: NoiseConfig
+) -> np.ndarray:
+    """(steps + 1, cells, d, d) states of one blind run per operator, every
+    operator of rho0's dimension: rho0, then ``steps`` cycles of that
+    operator's averaged channel.  One batched product of the stacked
+    (cells, d^2, d^2) superoperators with the cells' vec(rho) columns
+    advances every cell per step; the whole stack is validated once, with
+    the DensityState checks, at the end.  With its trailing unit axis each
+    cell's product is the matrix-vector product of a run alone, so a cell's
+    states do not depend on the grid around it, bit for bit."""
     if steps < 0:
         raise ConfigError("steps must be >= 0")
-    if rho0.dim != op.system_dim:
+    d = rho0.dim
+    if any(op.system_dim != d for op in ops):
         raise DimensionMismatchError("initial state does not match the system dimension")
-    d = op.system_dim
-    channel = _step_superoperator(op, noise).sum(axis=0)
-    vecs = np.empty((steps + 1, d * d), dtype=complex)
-    vecs[0] = rho0.matrix.reshape(-1)
+    channels = np.array([_step_superoperator(op, noise).sum(axis=0) for op in ops])
+    vecs = np.empty((steps + 1, len(ops), d * d, 1), dtype=complex)
+    vecs[0] = rho0.matrix.reshape(-1, 1)
     for n in range(steps):
-        vecs[n + 1] = channel @ vecs[n]
-    states = vecs.reshape(steps + 1, d, d)
+        np.matmul(channels, vecs[n], out=vecs[n + 1])
+    states = vecs.reshape(steps + 1, len(ops), d, d)
     validate_density(states)
     return states
 
@@ -435,8 +448,10 @@ def run_nonblind_batch(
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One (target, J, step) cell of a sweep; the fields are in the order of
+    the sweep.csv columns."""
+
     target_label: str
     coupling: float
     step: int
@@ -455,6 +470,7 @@ def sweep(
     """Blind-run fidelity grid over (target, J, step).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
+    The cells of each system dimension run as one :func:`_blind_grid`.
     Blind runs are deterministic, so each cell is computed once and its std
     is 0.  Each row also carries the across-target average fidelity of its
     (J, step) cell, which is the stabilizer average when the six stabilizer
@@ -468,29 +484,26 @@ def sweep(
         raise ConfigError("sweep needs nonempty target and coupling grids")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    fids = np.empty((len(targets), len(couplings), steps + 1))
-    mixed = {}  # the default initial state, one per system dimension
+    groups = {}  # system dimension -> [(i, j, operator)]
     for i, (label, target) in enumerate(targets):
         for j, coupling in enumerate(couplings):
             op = make_steering_operator(TargetSpec(target, coupling, label))
-            d = op.system_dim
-            if initial_state is None and d not in mixed:
-                mixed[d] = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-            rho0 = mixed[d] if initial_state is None else initial_state
-            fids[i, j] = fidelity(_blind_states(rho0, op, steps, noise), op.target)
-    average = fids.mean(axis=0)
+            groups.setdefault(op.system_dim, []).append((i, j, op))
+    fids = np.empty((len(targets), len(couplings), steps + 1))
+    for d, cells in groups.items():
+        rho0 = initial_state
+        if rho0 is None:
+            rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+        states = _blind_grid(rho0, [op for _, _, op in cells], steps, noise)
+        for c, (i, j, op) in enumerate(cells):
+            fids[i, j] = fidelity(states[:, c], op.target)
+    average = fids.mean(axis=0).tolist()
+    unique = [couplings.count(coupling) == 1 for coupling in couplings]
     return [
-        SweepRow(
-            target_label=label,
-            coupling=coupling,
-            step=n,
-            mean_fidelity=float(fids[i, j, n]),
-            std_fidelity=0.0,
-            stabilizer_average=float(average[j, n]) if couplings.count(coupling) == 1 else None,
-        )
-        for i, (label, _) in enumerate(targets)
-        for j, coupling in enumerate(couplings)
-        for n in range(steps + 1)
+        SweepRow(label, coupling, n, f, 0.0, average[j][n] if unique[j] else None)
+        for (label, _), target_fids in zip(targets, fids.tolist())
+        for j, (coupling, cell_fids) in enumerate(zip(couplings, target_fids))
+        for n, f in enumerate(cell_fids)
     ]
 
 

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qsteer import __version__, cli, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
-from qsteer.protocol import _blind_states
+from qsteer.protocol import _blind_states, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 
@@ -253,6 +255,81 @@ class TestSweepCommand:
         assert len(finals) == 6
         for ln in finals:
             assert float(ln.split(",")[5]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_explicit_angle_targets(self, runner, tmp_path):
+        text = "qubit:0.3,1.2,+,qutrit:0.4,1.1,0.3,2.0,0"
+        result = runner.invoke(main, ["sweep", "--targets", text, "--Js", "0.7,0.3,0.7",
+                                      "--N", "3", "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads((tmp_path / "sweep.json").read_text())
+        labels = ["qubit:0.3,1.2", "+", "qutrit:0.4,1.1,0.3,2.0", "0"]
+        assert payload["config"]["targets"] == labels
+        rows = sweep([parse_target(t) for t in labels], [0.7, 0.3, 0.7], 3)
+        assert [list(r.values()) for r in payload["rows"]] == [
+            [r.coupling, r.mean_fidelity, r.step, r.stabilizer_average, r.std_fidelity,
+             r.target_label] for r in rows
+        ]
+
+    @pytest.mark.parametrize(
+        "text", ["qubit:0.3", "qubit:0.3,+", "+,qutrit:0.4,1.1,0.3", "qubit:0.3,,1.2"]
+    )
+    def test_short_angle_list_is_one_json_line(self, runner, tmp_path, text):
+        result = runner.invoke(main, ["sweep", "--targets", text, "--Js", "0.5",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "config"
+        assert not list(tmp_path.iterdir())
+
+
+class TestWriteCsv:
+    def test_each_float_at_17_digits(self, tmp_path):
+        floats = [0.1, 1 / 3, -0.0, 0.0, float("nan"), -float("inf"), 1e-300]
+        rows = [[f, i, "x", None] for i, f in enumerate(floats)]
+        cli.write_csv(tmp_path / "t.csv", ["f", "i", "s", "none"], rows)
+        assert (tmp_path / "t.csv").read_text().splitlines() == [
+            "f,i,s,none", "0.10000000000000001,0,x,", "0.33333333333333331,1,x,", "-0,2,x,",
+            "0,3,x,", "nan,4,x,", "-inf,5,x,", "1e-300,6,x,",
+        ]
+
+
+# JSON values: every scalar kind json.dumps accepts (floats include NaN,
+# +-inf and -0.0; text includes non-ASCII and control characters), nested
+# in lists, tuples and dicts with str or int keys, empty ones included.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**100), 2**100) | st.floats() | st.text(),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(st.integers(-5, 5), children, max_size=3)
+    ),
+    max_leaves=30,
+)
+
+
+class TestWriteJson:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=_json_values)
+    @example(payload={"b": [float("nan"), float("inf"), -float("inf"), -0.0, 2**64],
+                      "a": {"t": (True, False, None), "e": [], "d": {}, "\u00e9\x01": ["\x1f"]}})
+    @example(payload=[[[]], {}, (), "x"])
+    def test_bytes_equal_stdlib_indent(self, tmp_path, payload):
+        cli.write_json(tmp_path / "p.json", payload)
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "p.json").read_bytes() == want.encode()
+
+    @pytest.mark.parametrize(
+        "payload",
+        [np.int64(3), {"a": np.int64(3)}, [1, [np.int64(3)]], {"a": {1, 2}}, [{"a": [set()]}]],
+    )
+    def test_unserializable_raises_type_error(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            json.dumps(payload, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli.write_json(tmp_path / "p.json", payload)
 
 
 class TestKakCommand:

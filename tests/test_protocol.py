@@ -12,6 +12,7 @@ from qsteer.protocol import (
     RunRecord,
     _philox_block,
     _run_trajectories,
+    _step_superoperator,
     _to_unit_double,
     amplitude_damping_kraus,
     apply_noise,
@@ -27,6 +28,7 @@ from qsteer.states import (
     DensityState,
     QubitTarget,
     QUTRIT_EQUAL_TARGET,
+    QutritTarget,
     fidelity,
     pure_state,
     random_density,
@@ -549,6 +551,48 @@ class TestSweepGrid:
             spec = TargetSpec(dict(self.TARGETS)[r.target_label], r.coupling)
             want = run_blind(rho, make_steering_operator(spec), 6).fidelities[r.step]
             assert r.mean_fidelity == want
+
+
+class TestBatchedSweepGrid:
+    QUBITS = [("-i", stabilizer_catalog()[5].target), ("q", QubitTarget(0.3, 1.2))]
+    QUTRITS = [("qutrit-equal", QUTRIT_EQUAL_TARGET), ("r", QutritTarget(0.4, 1.1, 0.3, 2.0))]
+    COUPLINGS = [0.7, 0.3, 0.7]
+    NOISE = NoiseConfig(
+        depolarizing_p=0.01,
+        amplitude_damping_gamma=0.02,
+        reset_infidelity=0.05,
+        readout_confusion=CONFUSION,
+    )
+
+    @pytest.mark.parametrize("start", [None, 2, 3])
+    def test_every_cell_equals_run_blind(self, start):
+        # no start state: the mixed grid, each dimension from its mixed state
+        if start is None:
+            targets = [self.QUBITS[0], *self.QUTRITS, self.QUBITS[1]]
+            rho = None
+        else:
+            targets = self.QUBITS if start == 2 else self.QUTRITS
+            rho = random_density(start, 7)
+        rows = sweep(targets, self.COUPLINGS, 6, self.NOISE, initial_state=rho)
+        assert len(rows) == len(targets) * 3 * 7
+        for r in rows:
+            op = make_steering_operator(TargetSpec(dict(targets)[r.target_label], r.coupling))
+            d = op.system_dim
+            rho0 = rho or DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+            assert r.mean_fidelity == run_blind(rho0, op, 6, self.NOISE).fidelities[r.step]
+            # and the plain per-cell iteration, one matrix-vector product a step
+            channel = _step_superoperator(op, self.NOISE).sum(axis=0)
+            vecs = [rho0.matrix.ravel()]
+            for _ in range(6):
+                vecs.append(channel @ vecs[-1])
+            want = fidelity(np.reshape(vecs, (7, d, d)), op.target)[r.step]
+            assert r.mean_fidelity == want
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_start_state_matching_some_cells_rejected(self, d):
+        targets = [self.QUBITS[0], self.QUTRITS[0]]
+        with pytest.raises(DimensionMismatchError):
+            sweep(targets, self.COUPLINGS, 3, self.NOISE, initial_state=random_density(d, 1))
 
 
 class TestOutcomeRecord:
