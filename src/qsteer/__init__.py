@@ -63,6 +63,7 @@ from .protocol import (
     TrajectoryBatch,
     channel_spectrum,
     measure_ancilla,
+    repetition_law,
     repetition_stats,
     run_blind,
     run_nonblind,

@@ -6,6 +6,13 @@ cycle; the true projection acts on the state, the classical record may be
 corrupted by a readout confusion matrix, and the run stops at the first
 recorded "1".
 
+A trajectory's state is set by its history of true outcomes alone, so the
+non-blind engine propagates a table of distinct conditional states, one row
+index per trajectory, not one state per trajectory.  With the early stop
+every live trajectory has recorded only "0"s, so the table stays small (at
+most two rows without readout confusion).  :func:`repetition_law` gives the
+exact law of the stopping cycle from the same per-outcome superoperators.
+
 Randomness model: trajectory i of a run with seed s owns the Philox4x64-10
 stream of numpy.random.Philox(key=((s + 1) << 64) + i), and cycle t uses its
 draws 2t (true outcome) and 2t + 1 (readout).  One engine serves single runs
@@ -172,15 +179,20 @@ def measure_ancilla(joint: DensityState, outcome: int) -> tuple[DensityState, fl
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
 # SC'11) on uint64 arrays, bit-compatible with numpy.random.Philox: one pass
-# draws the next block of every live trajectory's stream at once.  Counter
-# words 0 and 2 are multiplied in each round, so they are kept as one (2, m)
-# array, as are words 1 and 3 and the two key words.
+# draws a block of many lanes at once, a lane being one (trajectory, block)
+# pair.  Counter words 0 and 2 are multiplied in each round, so once every
+# word varies by lane they are kept as one (2, lanes) array, as are words 1
+# and 3.  A round maps (c0, c1, c2, c3) to (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1,
+# lo0), with (hi_j, lo_j) the 128-bit product of multiplier j and word 2j.
 _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
-_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
-# Trajectories per pass, so that a pass's (2, chunk) temporaries stay in cache.
+_MASK64 = 2**64 - 1
+# (multiplier, low limb, high limb) for both multiplied words, and for each alone
+_PHILOX_MUL = (_PHILOX_M, _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32)
+_PHILOX_MUL0, _PHILOX_MUL1 = (tuple(a[j] for a in _PHILOX_MUL) for j in (0, 1))
+# Lanes per pass, so that a pass's (2, chunk) temporaries stay in cache.
 _PHILOX_CHUNK = 8192
 MAX_SEED = 2**64 - 2  # seed + 1 is key word 1 and must fit in 64 bits
 
@@ -190,36 +202,64 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be an integer in [0, 2**64 - 2], got {seed!r}")
 
 
-def _philox_mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products _PHILOX_M * x, from
-    32-bit limbs; no intermediate sum can overflow."""
+def _philox_mulhilo(x: np.ndarray, mul=_PHILOX_MUL) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products of x and the multiplier
+    of ``mul``, from 32-bit limbs; no intermediate sum can overflow."""
+    m, m_lo, m_hi = mul
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    mid = x_hi * _PHILOX_M_LO + ((x_lo * _PHILOX_M_LO) >> _SHIFT32)
-    low_cross = x_lo * _PHILOX_M_HI + (mid & _LO32)
-    hi = x_hi * _PHILOX_M_HI + (mid >> _SHIFT32) + (low_cross >> _SHIFT32)
-    return hi, x * _PHILOX_M
+    mid = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    low_cross = x_lo * m_hi + (mid & _LO32)
+    hi = x_hi * m_hi + (mid >> _SHIFT32) + (low_cross >> _SHIFT32)
+    return hi, x * m
 
 
-def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
-    """(len(indices), 4) uint64 words of each trajectory's Philox block.
+def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray) -> np.ndarray:
+    """(lanes, 4) output words for key words (index, seed + 1) and counter
+    words (counter, 0, 0, 0); ``index`` and ``counter`` broadcast together.
+
+    Round 1 and the word-2 half of round 2 depend on the counter alone, and
+    the rest of round 2 on the index alone, so they run on the short operand
+    (one value for every lane of a batch).  Key word 1 is one value, so only
+    key word 0 is an array add per round.
+    """
+    # round 1: counter words 1-3 are zero, so c0 <- k0, c1 <- 0
+    hi, c3 = _philox_mulhilo(counter, _PHILOX_MUL0)
+    c2 = hi ^ np.uint64(seed + 1)
+    # round 2
+    hi0, lo0 = _philox_mulhilo(index, _PHILOX_MUL0)
+    hi1, lo1 = _philox_mulhilo(c2, _PHILOX_MUL1)
+    k0 = index + np.uint64(_PHILOX_W[0])
+    k1 = np.uint64((seed + 1 + _PHILOX_W[1]) & _MASK64)
+    even = np.stack(np.broadcast_arrays(hi1 ^ k0, hi0 ^ c3 ^ k1))
+    odd = np.stack(np.broadcast_arrays(lo1, lo0))
+    for r in range(2, 10):
+        k0 = index + np.uint64(r * _PHILOX_W[0] & _MASK64)
+        k1 = np.uint64((seed + 1 + r * _PHILOX_W[1]) & _MASK64)
+        hi, lo = _philox_mulhilo(even)
+        even = hi[::-1] ^ odd
+        even[0] ^= k0
+        even[1] ^= k1
+        odd = lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+
+
+def _philox_block(seed: int, indices: np.ndarray, block) -> np.ndarray:
+    """(lanes, 4) uint64 words of Philox blocks: block ``block`` of each
+    trajectory in ``indices``, or, for one index and an array of blocks,
+    each of those blocks of its stream.
 
     Trajectory i's stream has key words (i, seed + 1); block b is the output
     at counter b + 1, which numpy.random.Philox(key=((seed + 1) << 64) + i)
     emits as words 4b .. 4b + 3 of its raw stream.
     """
-    words = np.empty((len(indices), 4), dtype=np.uint64)
-    for start in range(0, len(indices), _PHILOX_CHUNK):
-        part = indices[start : start + _PHILOX_CHUNK]
-        key = np.stack([part, np.full_like(part, seed + 1)])
-        even = np.stack([np.full_like(part, block + 1), np.zeros_like(part)])
-        odd = np.zeros_like(even)
-        for r in range(10):
-            if r:
-                key = key + _PHILOX_W
-            hi, lo = _philox_mulhilo(even)
-            # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
-            even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
-        words[start : start + len(part)] = np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+    seed = int(seed)
+    index = np.asarray(indices, dtype=np.uint64).reshape(-1)
+    counter = np.asarray(block, dtype=np.uint64).reshape(-1) + np.uint64(1)
+    (lanes,) = np.broadcast_shapes(index.shape, counter.shape)
+    words = np.empty((lanes, 4), dtype=np.uint64)
+    for start in range(0, lanes, _PHILOX_CHUNK):
+        part = [a if a.size == 1 else a[start : start + _PHILOX_CHUNK] for a in (index, counter)]
+        words[start : start + _PHILOX_CHUNK] = _philox_rounds(seed, *part)
     return words
 
 
@@ -252,6 +292,44 @@ def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.
     subspace the cycle never steers out of.
     """
     return np.sort(np.abs(np.linalg.eigvals(_step_superoperator(op, noise).sum(axis=0))))[::-1]
+
+
+def _readout_confusion(rho0: DensityState, op: SteeringOperator, noise: NoiseConfig):
+    """The run's readout confusion, or None; rejects an initial state or a
+    confusion that does not fit the operator."""
+    if rho0.dim != op.system_dim:
+        raise DimensionMismatchError("initial state does not match the system dimension")
+    confusion = noise.readout_confusion
+    if confusion is not None and confusion.shape[0] != op.ancilla_dim:
+        raise ConfigError("readout confusion size does not match ancilla dim")
+    return confusion
+
+
+def repetition_law(
+    rho0: DensityState, op: SteeringOperator, max_steps: int, noise: NoiseConfig = NO_NOISE
+) -> tuple[np.ndarray, float]:
+    """Exact law of the non-blind run's stopping cycle.
+
+    R_r = sum_k C[k, r] S_k is the superoperator of recorded outcome r, with
+    S_k the per-outcome superoperators of :func:`_step_superoperator` and C
+    the readout confusion (the identity without one).  Returns (pmf, failure):
+    pmf[n - 1] = tr(R_1 R_0^(n-1) vec rho0) is the probability that the first
+    recorded "1" comes at cycle n, for n = 1 .. max_steps, and failure =
+    tr(R_0^max_steps vec rho0) that none comes; together they sum to 1.
+    """
+    if max_steps < 1:
+        raise ConfigError("max_steps must be >= 1")
+    confusion = _readout_confusion(rho0, op, noise)
+    if confusion is None:
+        confusion = np.eye(op.ancilla_dim)
+    stay, stop = np.tensordot(confusion.T, _step_superoperator(op, noise), axes=1)[:2]
+    diag = np.arange(op.system_dim) * (op.system_dim + 1)  # vec positions of the diagonal
+    vec = rho0.matrix.reshape(-1)
+    pmf = np.empty(max_steps)
+    for n in range(max_steps):
+        pmf[n] = (stop @ vec)[diag].real.sum()
+        vec = stay @ vec
+    return pmf, float(vec[diag].real.sum())
 
 
 def _blind_states(
@@ -305,7 +383,14 @@ def _run_trajectories(
     s of trajectory i uses draws 2s (true outcome) and 2s + 1 (readout) of
     its stream, so its outcomes do not depend on which other trajectories
     run beside it.  A trajectory leaves the working set when it stops; only
-    live ones draw uniforms and are propagated.
+    live ones draw uniforms.  A single trajectory draws all its Philox
+    blocks in one call, a batch one block per two steps.
+
+    States live in a table (T, d^2) of distinct conditional states, with one
+    row index per live trajectory.  A step propagates the table once, draws
+    each trajectory's outcome against its row's cumulative weights, keys the
+    children by row * K + outcome and merges them with a presence mask and a
+    cumsum (O(live), no sort); only present children are normalized.
 
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
     stop, repetitions (n,) with 0 for none, fidelities (n, max_steps + 1)
@@ -316,11 +401,7 @@ def _run_trajectories(
     _check_seed(seed)
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
-    if rho0.dim != op.system_dim:
-        raise DimensionMismatchError("initial state does not match the system dimension")
-    confusion = noise.readout_confusion
-    if confusion is not None and confusion.shape[0] != op.ancilla_dim:
-        raise ConfigError("readout confusion size does not match ancilla dim")
+    confusion = _readout_confusion(rho0, op, noise)
     confusion_cum = None if confusion is None else np.cumsum(confusion, axis=1)
     n, d, n_out = n_trajectories, op.system_dim, op.ancilla_dim
     # (d^2, K d^2): a row of vec(rho) @ prop holds the K outcome branches
@@ -334,31 +415,37 @@ def _run_trajectories(
         fids = np.full((n, max_steps + 1), np.nan)
         fids[:, 0] = fidelity(rho0, op.target)
     indices = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
+    # Philox blocks per draw: a lone trajectory draws its whole stream at once
+    span = (max_steps + 1) // 2 if n == 1 else 1
     live = np.arange(n)
-    vecs = np.broadcast_to(rho0.matrix.reshape(-1), (n, d * d))
+    table = rho0.matrix.reshape(1, d * d)  # the distinct conditional states
+    row = np.zeros(n, dtype=np.int64)  # each live trajectory's table row
     for step in range(max_steps):
         if live.size == 0:
             break
         m = live.size
-        if step % 2 == 0:  # one Philox block serves two steps
-            draws = _to_unit_double(_philox_block(seed, indices[live], step // 2))
-            u, u_next = draws[:, :2], draws[:, 2:]
-        else:
-            u = u_next
-        branches = (vecs @ prop).reshape(m, n_out, d * d)
-        weights = sum(branches[:, :, j].real for j in diag)  # (m, n_out) traces
-        total = sum(weights[:, k] for k in range(n_out))
+        offset = step % (2 * span)  # one Philox block serves two steps
+        if offset == 0:
+            blocks = step // 2 + np.arange(span)
+            draws = _to_unit_double(_philox_block(seed, indices[live], blocks)).reshape(m, -1)
+        u = draws[:, 2 * offset : 2 * offset + 2]
+        branches = (table @ prop).reshape(-1, d * d)  # row t K + k: branch k of row t
+        weights = sum(branches[:, j].real for j in diag)  # (T K,) traces
+        per_row = weights.reshape(-1, n_out)
+        total = sum(per_row[:, k] for k in range(n_out))
         # outcome k is the number of cumulative probabilities u reaches; the
         # last one is 1 up to rounding, so it is never counted
+        cum = np.cumsum(per_row[:, :-1] / total[:, None], axis=1)[row]
         true_k = np.zeros(m, dtype=np.int64)
-        cum = 0.0
         for k in range(n_out - 1):
-            cum = cum + weights[:, k] / total
-            true_k += u[:, 0] >= cum
-        rows = np.arange(m)
-        chosen = branches.reshape(m * n_out, d * d)[rows * n_out + true_k]
-        norm = np.maximum(weights[rows, true_k], 1e-300)
-        vecs = (chosen.view(np.float64) / norm[:, None]).view(complex)
+            true_k += u[:, 0] >= cum[:, k]
+        # trajectories that share a parent row and an outcome share a child row
+        key = row * n_out + true_k
+        present = np.zeros(weights.size, dtype=bool)
+        present[key] = True
+        row = (np.cumsum(present) - 1)[key]
+        norm = np.maximum(weights[present], 1e-300)
+        table = (branches[present].view(np.float64) / norm[:, None]).view(complex)
         if confusion_cum is None:
             rec_k = true_k
         else:
@@ -369,12 +456,12 @@ def _run_trajectories(
         hit = (rec_k == 1) & (reps[live] == 0)
         reps[live[hit]] = step + 1
         if track_fidelity:
-            fids[live, step + 1] = fidelity(vecs.reshape(m, d, d), op.target)
+            fids[live, step + 1] = fidelity(table.reshape(-1, d, d), op.target)[row]
         if early_stop and np.any(hit):
-            final[live[hit]] = vecs[hit]
+            final[live[hit]] = table[row[hit]]
             keep = ~hit
-            live, vecs, u_next = live[keep], vecs[keep], u_next[keep]
-    final[live] = vecs
+            live, row, draws = live[keep], row[keep], draws[keep]
+    final[live] = table[row]
     return final.reshape(n, d, d), recorded.T, reps, fids
 
 
@@ -472,9 +559,11 @@ def sweep(
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
     The cells of each system dimension run as one :func:`_blind_grid`.
     Blind runs are deterministic, so each cell is computed once and its std
-    is 0.  Each row also carries the across-target average fidelity of its
-    (J, step) cell, which is the stabilizer average when the six stabilizer
-    targets are swept; a coupling listed more than once gets None there.
+    is 0.  Each row also carries the average fidelity of its (J, step) cell
+    over the swept targets of its own system dimension, which is the
+    stabilizer average when the six stabilizer targets are swept; qubit and
+    qutrit rows are averaged apart, and a coupling listed more than once gets
+    None there.
     """
     from .steering import TargetSpec, make_steering_operator
 
@@ -490,6 +579,7 @@ def sweep(
             op = make_steering_operator(TargetSpec(target, coupling, label))
             groups.setdefault(op.system_dim, []).append((i, j, op))
     fids = np.empty((len(targets), len(couplings), steps + 1))
+    dims = np.empty(len(targets), dtype=int)
     for d, cells in groups.items():
         rho0 = initial_state
         if rho0 is None:
@@ -497,11 +587,12 @@ def sweep(
         states = _blind_grid(rho0, [op for _, _, op in cells], steps, noise)
         for c, (i, j, op) in enumerate(cells):
             fids[i, j] = fidelity(states[:, c], op.target)
-    average = fids.mean(axis=0).tolist()
+            dims[i] = d
+    average = {d: fids[dims == d].mean(axis=0).tolist() for d in groups}
     unique = [couplings.count(coupling) == 1 for coupling in couplings]
     return [
-        SweepRow(label, coupling, n, f, 0.0, average[j][n] if unique[j] else None)
-        for (label, _), target_fids in zip(targets, fids.tolist())
+        SweepRow(label, coupling, n, f, 0.0, average[d][j][n] if unique[j] else None)
+        for (label, _), d, target_fids in zip(targets, dims.tolist(), fids.tolist())
         for j, (coupling, cell_fids) in enumerate(zip(couplings, target_fids))
         for n, f in enumerate(cell_fids)
     ]

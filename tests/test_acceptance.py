@@ -21,7 +21,7 @@ from qsteer.circuits import CNOT, evaluate_circuit, synth_kak_circuit
 from qsteer.cli import main as cli_main
 from qsteer.geometry import CNOT_GATE, canonicalize_weyl_vector, cphase_gate, locally_equivalent, weyl_coordinates
 from qsteer.linalg import dagger, expm_i_herm, kron, partial_trace, phase_invariant_distance
-from qsteer.protocol import run_blind, run_nonblind_batch, repetition_stats
+from qsteer.protocol import NoiseConfig, repetition_law, run_blind, run_nonblind_batch, repetition_stats
 from qsteer.states import (
     DensityState,
     GELL_MANN,
@@ -247,6 +247,51 @@ def test_criterion_08_nonblind_speedup_and_geometric_law():
     )
     assert mean_nonblind <= blind_steps
     assert ks < 0.01
+    assert elapsed < budget
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        NoiseConfig(depolarizing_p=0.05),
+        NoiseConfig(amplitude_damping_gamma=0.08),
+        NoiseConfig(reset_infidelity=0.1),
+        NoiseConfig(readout_confusion=np.array([[0.93, 0.07], [0.1, 0.9]])),
+    ],
+    ids=["depolarizing_p", "amplitude_damping_gamma", "reset_infidelity", "readout_confusion"],
+)
+@pytest.mark.parametrize("label", ["+", "qutrit-equal"])
+def test_criterion_08_exact_repetition_law(label, noise):
+    """Criterion 8's geometric law is the noiseless case of repetition_law;
+    under each noise key the sampled stopping cycles follow the exact law."""
+    from scipy.stats import chi2
+
+    budget, t0 = 60.0, time.monotonic()
+    target = PLUS if label == "+" else QUTRIT_EQUAL_TARGET
+    op = make_steering_operator(TargetSpec(target, math.pi / 4, label))
+    rho0 = random_density(op.system_dim, 12)
+    steps, n = 20, 40_000
+    pmf, failure = repetition_law(rho0, op, steps, noise)
+    batch = run_nonblind_batch(rho0, op, steps, n, noise, seed=13)
+    observed = np.bincount(batch.repetitions, minlength=steps + 1)  # bin 0: no success
+    expected = n * np.concatenate([[failure], pmf])
+    # pool the tail so that every bin expects at least 5 counts
+    last = int(np.flatnonzero(expected >= 5)[-1])
+    observed = np.append(observed[:last], observed[last:].sum())
+    expected = np.append(expected[:last], expected[last:].sum())
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    p_value = float(chi2.sf(stat, expected.size - 1))
+    elapsed = time.monotonic() - t0
+    ok = p_value > 1e-3 and abs(pmf.sum() + failure - 1.0) <= 1e-12 and elapsed < budget
+    _report(
+        8,
+        f"{label} repetitions vs exact law: chi2 {stat:.1f} on {expected.size - 1} dof, p {p_value:.3f}",
+        ok,
+        elapsed,
+        budget,
+    )
+    assert abs(pmf.sum() + failure - 1.0) <= 1e-12
+    assert p_value > 1e-3
     assert elapsed < budget
 
 

@@ -18,6 +18,7 @@ from qsteer.protocol import (
     apply_noise,
     channel_spectrum,
     measure_ancilla,
+    repetition_law,
     repetition_stats,
     run_blind,
     run_nonblind,
@@ -416,6 +417,15 @@ class TestPhiloxStreams:
             want = np.random.Generator(np.random.Philox(key=key)).random(2 * max_steps)
             assert np.array_equal(row, want), i
 
+    @pytest.mark.parametrize("seed", [0, 17, 2**63, MAX_SEED])
+    def test_one_index_many_blocks_match_numpy_philox(self, seed):
+        # the single-trajectory draw: one index, a vector of counter blocks
+        for i in (0, 5, 2**40 + 7919, 2**64 - 1):
+            for first in (0, 3):
+                words = _philox_block(seed, np.array([i], dtype=np.uint64), first + np.arange(20))
+                raw = np.random.Philox(key=((seed + 1) << 64) + i).random_raw(4 * (first + 20))
+                assert np.array_equal(words, raw[4 * first :].reshape(20, 4)), (i, first)
+
     def test_outcomes_do_not_depend_on_the_batch(self):
         op = make_steering_operator(PLUS_QUARTER)
         rho = random_density(2, 8)
@@ -593,6 +603,110 @@ class TestBatchedSweepGrid:
         targets = [self.QUBITS[0], self.QUTRITS[0]]
         with pytest.raises(DimensionMismatchError):
             sweep(targets, self.COUPLINGS, 3, self.NOISE, initial_state=random_density(d, 1))
+
+
+    def test_stabilizer_average_stays_within_a_dimension(self):
+        catalog = {e.label: e.target for e in stabilizer_catalog()}
+        labels = ["0", "+", "qutrit-equal", "-i"]
+        targets = [(label, catalog.get(label, QUTRIT_EQUAL_TARGET)) for label in labels]
+        rows = sweep(targets, self.COUPLINGS, 5, self.NOISE)
+        dim = {label: 3 if label == "qutrit-equal" else 2 for label in labels}
+        for r in rows:
+            if r.coupling != 0.3:
+                assert r.stabilizer_average is None
+                continue
+            cell = [
+                s.mean_fidelity
+                for s in rows
+                if (s.coupling, s.step) == (0.3, r.step) and dim[s.target_label] == dim[r.target_label]
+            ]
+            assert len(cell) == (1 if dim[r.target_label] == 3 else 3)
+            assert r.stabilizer_average == pytest.approx(np.mean(cell), abs=1e-15)
+        qutrit = [r for r in rows if r.target_label == "qutrit-equal" and r.coupling == 0.3]
+        assert [r.stabilizer_average for r in qutrit] == [r.mean_fidelity for r in qutrit]
+
+
+class TestConditionalStateTable:
+    """The table engine against single replays and a per-trajectory loop."""
+
+    NOISE = NOISE_KEYS["all"]
+
+    @staticmethod
+    def loop_trajectory(rho, op, steps, noise, seed, index, early_stop):
+        """One trajectory the textbook way: numpy's Philox stream, the
+        per-outcome superoperators applied to vec(rho), renormalized."""
+        d = op.system_dim
+        sup = _step_superoperator(op, noise)
+        stream = np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + index))
+        u = stream.random(2 * steps).reshape(steps, 2)
+        vec, outcomes = rho.matrix.ravel(), []
+        for s in range(steps):
+            branches = sup @ vec
+            weights = [np.trace(b.reshape(d, d)).real for b in branches]
+            k = int(u[s, 0] >= weights[0] / sum(weights))
+            vec = branches[k] / weights[k]
+            outcomes.append(int(u[s, 1] >= noise.readout_confusion[k, 0]))
+            if early_stop and outcomes[-1] == 1:
+                break
+        return outcomes, vec.reshape(d, d)
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
+    def test_batch_final_states_equal_single_replays(self, spec, early_stop):
+        op = make_steering_operator(spec)
+        rho = random_density(op.system_dim, 6)
+        n = 150
+        batch = run_nonblind_batch(rho, op, 20, n, self.NOISE, seed=8, early_stop=early_stop)
+        for i in range(n):
+            final, recorded, reps, _ = _run_trajectories(
+                rho, op, 20, 1, self.NOISE, 8, early_stop, first_index=i
+            )
+            assert np.array_equal(recorded[0], batch.recorded_outcomes[i])
+            assert reps[0] == batch.repetitions[i]
+            assert np.max(np.abs(final[0] - batch.final_states[i])) <= 1e-12
+
+    @pytest.mark.parametrize("early_stop", [True, False])
+    def test_matches_per_trajectory_loop(self, early_stop):
+        op = make_steering_operator(QUTRIT_QUARTER)
+        rho = random_density(3, 9)
+        batch = run_nonblind_batch(rho, op, 15, 60, self.NOISE, seed=2, early_stop=early_stop)
+        for i in range(60):
+            outcomes, state = self.loop_trajectory(rho, op, 15, self.NOISE, 2, i, early_stop)
+            single = run_nonblind(rho, op, 15, self.NOISE, seed=2, trajectory_index=i,
+                                  early_stop=early_stop)
+            assert list(single.outcomes) == outcomes
+            assert list(batch.recorded_outcomes[i][: len(outcomes)]) == outcomes
+            assert np.max(np.abs(batch.final_states[i] - state)) <= 1e-12
+            assert single.fidelities[-1] == pytest.approx(fidelity(state, op.target), abs=1e-12)
+
+
+class TestRepetitionLaw:
+    def test_noiseless_plus_is_geometric_on_the_minus_half(self):
+        # I/2 is half |+>, which never records a 1, and half |->, which
+        # records its first 1 at cycle n with probability cos^2(J)^(n-1) sin^2(J)
+        op = make_steering_operator(PLUS_QUARTER)
+        rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
+        pmf, failure = repetition_law(rho, op, 30)
+        p, n = math.sin(math.pi / 4) ** 2, np.arange(1, 31)
+        assert np.max(np.abs(pmf - 0.5 * p * (1 - p) ** (n - 1))) <= 1e-15
+        assert failure == pytest.approx(0.5 + 0.5 * (1 - p) ** 30, abs=1e-13)
+
+    @pytest.mark.parametrize("key", sorted(NOISE_KEYS))
+    @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
+    def test_is_a_distribution(self, spec, key):
+        op = make_steering_operator(spec)
+        pmf, failure = repetition_law(random_density(op.system_dim, 2), op, 40, NOISE_KEYS[key])
+        assert pmf.shape == (40,) and np.all(pmf >= -1e-15) and -1e-15 <= failure <= 1
+        assert pmf.sum() + failure == pytest.approx(1.0, abs=1e-13)
+
+    def test_rejects_what_the_engine_rejects(self):
+        op = make_steering_operator(PLUS_QUARTER)
+        with pytest.raises(ConfigError):
+            repetition_law(random_density(2, 0), op, 0)
+        with pytest.raises(DimensionMismatchError):
+            repetition_law(random_density(3, 0), op, 5)
+        with pytest.raises(ConfigError):
+            repetition_law(random_density(2, 0), op, 5, NoiseConfig(readout_confusion=np.eye(3)))
 
 
 class TestOutcomeRecord:
