@@ -3,7 +3,10 @@
 
 Runs many readout-conditioned trajectories that stop at the first recorded
 "1", then compares the repetition histogram against the geometric
-distribution implied by the per-cycle success probability sin^2(J).
+distribution implied by the per-cycle success probability sin^2(J) and
+against the exact law of the stopping cycle (protocol.repetition_law).  Like
+the frequency column, the exact pmf is conditioned on a flag within
+--max-steps: trajectories that never flag are counted apart.
 """
 
 import argparse
@@ -13,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from qsteer.cli import write_csv
-from qsteer.protocol import repetition_stats, run_nonblind_batch
+from qsteer.protocol import repetition_law, repetition_stats, run_nonblind_batch
 from qsteer.states import DensityState, QubitTarget
 from qsteer.steering import TargetSpec, make_steering_operator
 
@@ -33,6 +36,9 @@ def main() -> None:
         rho0, op, args.max_steps, args.trajectories, seed=args.seed
     )
     stats = repetition_stats(batch)
+    exact_pmf, _ = repetition_law(rho0, op, args.max_steps)
+    exact_pmf = exact_pmf / exact_pmf.sum()
+    exact_mean = float(np.arange(1, args.max_steps + 1) @ exact_pmf)
 
     p = math.sin(args.j) ** 2
     total = sum(stats.counts.values())
@@ -41,14 +47,23 @@ def main() -> None:
     for value in sorted(stats.counts):
         freq = stats.counts[value] / total
         rows.append(
-            [value, stats.counts[value], freq, cdf_map[value], p * (1 - p) ** (value - 1)]
+            [
+                value,
+                stats.counts[value],
+                freq,
+                cdf_map[value],
+                p * (1 - p) ** (value - 1),
+                exact_pmf[value - 1],
+            ]
         )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, ["repetitions", "count", "frequency", "cdf", "geometric_pmf"], rows)
+    write_csv(
+        out, ["repetitions", "count", "frequency", "cdf", "geometric_pmf", "exact_pmf"], rows
+    )
 
     print(f"J={args.j:.4f}: mean repetitions {stats.mean_repetitions:.3f} "
-          f"(geometric prediction {1 / p:.3f}), "
+          f"(geometric prediction {1 / p:.3f}, exact law {exact_mean:.3f}), "
           f"{stats.n_failures}/{stats.n_records} trajectories never flagged")
     print(f"wrote {out}")
 

@@ -33,14 +33,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, kak_decompose
-from .linalg import ComplexMatrix, dagger, expm_i_herm, phase_invariant_distance
+from .linalg import ComplexMatrix, dagger, phase_invariant_distance
 from .states import QubitTarget, QutritTarget
 from .steering import (
     TargetSpec,
-    build_qubit_hamiltonian,
+    make_steering_operator,
     qutrit_bright_dark,
     qutrit_exchange_gate,
-    qutrit_steering_unitary,
 )
 
 RX = "rx"
@@ -264,8 +263,7 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
     """
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
-    h = build_qubit_hamiltonian(spec.target.theta, spec.target.phi, spec.coupling)
-    return _synth_kak(expm_i_herm(h))[0]
+    return _synth_kak(make_steering_operator(spec).unitary)[0]
 
 
 def _synth_kak(u: ComplexMatrix) -> tuple[Circuit, float]:
@@ -436,7 +434,7 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
     """
     if not isinstance(spec.target, QutritTarget):
         raise ConfigError("synth_qutrit_circuit handles qutrit targets")
-    return _synth_qutrit(spec, qutrit_steering_unitary(spec.target, spec.coupling))[0]
+    return _synth_qutrit(spec, make_steering_operator(spec).unitary)[0]
 
 
 def _synth_qutrit(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:

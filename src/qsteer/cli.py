@@ -28,8 +28,13 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, QsteerError
 from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text
-from .geometry import CNOT_GATE, cphase_gate, kak_decompose, locally_equivalent
-from .linalg import phase_invariant_distance
+from .geometry import (
+    CNOT_GATE,
+    cphase_gate,
+    kak_decompose,
+    locally_equivalent,
+    reassembly_distance,
+)
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
@@ -428,7 +433,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
         "global_phase": dec.global_phase,
         "k1_local": [_matrix_payload(m) for m in dec.k1_local],
         "k2_local": [_matrix_payload(m) for m in dec.k2_local],
-        "reassembly_distance": phase_invariant_distance(u, dec.reassemble()),
+        "reassembly_distance": reassembly_distance(u, dec),
         "locally_equivalent_cnot": locally_equivalent(u, CNOT_GATE),
         "locally_equivalent_cphase": locally_equivalent(u, cphase_gate(math.pi)),
     }

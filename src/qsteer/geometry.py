@@ -21,10 +21,19 @@ The constructive algorithm conjugates into the magic (Bell) basis, where the
 local group becomes SO(4) and A(c) becomes diagonal; degenerate spectra
 (e.g. c1 = c2 on the steering line) are handled by simultaneous
 diagonalization of the real and imaginary parts of U^T U.
+
+Which chamber point is canonical is decided once, by :func:`_fold`, from the
+magic-basis eigenphases theta alone.  The Weyl group acts on theta by
+permutations and by pi shifts of an even number of entries; the fold takes
+the first such move whose coordinates land in the cell above.
+:func:`kak_decompose` applies that move to the columns of its orthogonal
+factors, and :func:`weyl_coordinates` and :func:`canonicalize_weyl_vector`
+fold their phases the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +41,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
 from .linalg import ComplexMatrix, kron, phase_invariant_distance, require_unitary
-from .states import SX, SY, SZ
 
 MAGIC = (
     np.array(
@@ -124,169 +132,122 @@ def _diag_unitary_symmetric(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kron_factor(m: ComplexMatrix) -> tuple[complex, ComplexMatrix, ComplexMatrix]:
-    """Split m = g * (f1 (x) f2) with unit-determinant 2x2 factors."""
-    a, b = max(
-        ((i, j) for i in range(4) for j in range(4)), key=lambda t: abs(m[t[0], t[1]])
-    )
-    f1 = np.zeros((2, 2), dtype=complex)
-    f2 = np.zeros((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            f1[(a >> 1) ^ i, (b >> 1) ^ j] = m[a ^ (i << 1), b ^ (j << 1)]
-            f2[(a & 1) ^ i, (b & 1) ^ j] = m[a ^ i, b ^ j]
-    f1 /= np.sqrt(np.linalg.det(f1)) or 1
-    f2 /= np.sqrt(np.linalg.det(f2)) or 1
-    g = m[a, b] / (f1[a >> 1, b >> 1] * f2[a & 1, b & 1])
+    """Split m = g * (f1 (x) f2) with unit-determinant 2x2 factors: the
+    reshuffled m[(a, c), (b, d)] = g f1[a, c] f2[b, d] has rank one, so its
+    leading singular pair gives both factors."""
+    u, s, vh = np.linalg.svd(m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4))
+    f1 = u[:, 0].reshape(2, 2)
+    f2 = vh[0].reshape(2, 2)
+    r1 = np.sqrt(np.linalg.det(f1))
+    r2 = np.sqrt(np.linalg.det(f2))
+    f1, f2, g = f1 / r1, f2 / r2, s[0] * r1 * r2
     if g.real < 0:
-        f1 *= -1
-        g = -g
-    if not np.allclose(m, g * np.kron(f1, f2), atol=1e-8):
+        f1, g = -f1, -g
+    if not np.allclose(m, g * kron(f1, f2), atol=1e-8):
         raise NumericalError("matrix does not factor as a Kronecker product")
     return g, f1, f2
 
 
-_AXES = (SX, SY, SZ)
+def _su4_phases(evals: np.ndarray) -> np.ndarray:
+    """Magic-basis eigenphases theta = angle(lambda) / 2 of the eigenvalues
+    of U^T U for a U in SU(4), with pi added to theta[0] when sum(theta) is
+    an odd multiple of pi, so that both orthogonal factors lie in SO(4)."""
+    theta = np.angle(evals) / 2.0
+    if round(float(np.sum(theta)) / math.pi) % 2:
+        theta[0] += math.pi
+    return theta
 
 
-def _canonicalize_interaction(x: float, y: float, z: float, atol: float = 1e-9):
-    """Fold interaction angles into the canonical cell, tracking the local
-    fixups.  Maintains A(x0,y0,z0) = phase (l0 (x) l1) A(v) (r0 (x) r1)."""
-    v = [x, y, z]
-    l0 = np.eye(2, dtype=complex)
-    l1 = np.eye(2, dtype=complex)
-    r0 = np.eye(2, dtype=complex)
-    r1 = np.eye(2, dtype=complex)
-    phase = [1.0 + 0j]
+def _weyl_moves() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Weyl moves theta -> theta[perm] + pi * shift: every permutation,
+    times every shift in {-1, 0, 1}^4 of an even number of entries, one per
+    class modulo (1, 1, 1, 1).  Returns (perms, shifts, flips, linear,
+    offset): ``flips`` negates the first column of both orthogonal factors
+    under an odd permutation, and the rows of
+    (theta @ linear + offset).reshape(3, -1) are every move's (c1, c2, c3)."""
+    classes = {}  # s - min(s) is the same for every shift of a class
+    for s in itertools.product((0, -1, 1), repeat=4):
+        if s.count(0) % 2 == 0:
+            classes.setdefault(tuple(x - min(s) for x in s), s)
+    perms = np.repeat(list(itertools.permutations(range(4))), len(classes), axis=0)
+    shifts = np.tile(np.array(list(classes.values()), dtype=float), (24, 1))
+    flips = np.ones((len(perms), 4))
+    flips[np.linalg.det(np.eye(4)[perms]) < 0, 0] = -1.0
+    to_c = 2.0 * _GAMMA[1:]
+    linear = np.zeros((4, 3, len(perms)))
+    linear[perms, :, np.arange(len(perms))[:, None]] = to_c.T
+    return perms, shifts, flips, linear.reshape(4, -1), (math.pi * to_c @ shifts.T).reshape(-1)
 
-    def shift(k: int, step: int) -> None:
-        nonlocal r0, r1
-        v[k] += step * math.pi / 2
-        phase[0] *= (-1j) ** step
-        if step % 2:
-            r0 = _AXES[k] @ r0
-            r1 = _AXES[k] @ r1
 
-    def negate(k1: int, k2: int) -> None:
-        nonlocal l0, r0
-        v[k1] *= -1
-        v[k2] *= -1
-        s = _AXES[3 - k1 - k2]
-        l0 = l0 @ s
-        r0 = s @ r0
+_MOVE_PERMS, _MOVE_SHIFTS, _MOVE_FLIPS, _MOVE_LINEAR, _MOVE_OFFSET = _weyl_moves()
 
-    def swap(k1: int, k2: int) -> None:
-        nonlocal l0, l1, r0, r1
-        v[k1], v[k2] = v[k2], v[k1]
-        h = (_AXES[k1] + _AXES[k2]) / math.sqrt(2.0)
-        l0 = l0 @ h
-        l1 = l1 @ h
-        r0 = h @ r0
-        r1 = h @ r1
 
-    def canonical_shift(k: int) -> None:
-        while v[k] <= -math.pi / 4:
-            shift(k, +1)
-        while v[k] > math.pi / 4:
-            shift(k, -1)
-
-    for k in range(3):
-        canonical_shift(k)
-    if abs(v[0]) < abs(v[1]):
-        swap(0, 1)
-    if abs(v[1]) < abs(v[2]):
-        swap(1, 2)
-    if abs(v[0]) < abs(v[1]):
-        swap(0, 1)
-    if v[0] < 0:
-        negate(0, 2)
-    if v[1] < 0:
-        negate(1, 2)
-    canonical_shift(2)
-    if v[0] > math.pi / 4 - atol and v[2] < 0:
-        shift(0, -1)
-        negate(0, 2)
-    return np.array(v), (l0, l1), (r0, r1), phase[0]
+def _fold(theta: np.ndarray, atol: float = 1e-12) -> tuple[int, np.ndarray]:
+    """The first Weyl move whose coordinates lie in the canonical cell
+    0 <= |c3| <= c2 <= c1 <= pi/2 (c3 >= 0 when c1 = pi/2), as (move index, c)."""
+    c = (theta @ _MOVE_LINEAR + _MOVE_OFFSET).reshape(3, -1)
+    c1, c2, c3 = c
+    inside = (
+        (c1 <= math.pi / 2 + atol)
+        & (c2 <= c1 + atol)
+        & (np.abs(c3) <= c2 + atol)
+        & ((c1 < math.pi / 2 - atol) | (c3 >= -atol))
+    )
+    hits = np.flatnonzero(inside)
+    if not hits.size:
+        raise NumericalError(f"no Weyl move folds phases {theta} into the canonical cell")
+    return int(hits[0]), c[:, hits[0]].copy()
 
 
 def kak_decompose(u: ComplexMatrix, tol: float = 1e-10) -> KakDecomposition:
     """Constructive KAK decomposition of a 4x4 unitary."""
     u = _check_two_qubit_unitary(u, tol)
-    det = np.linalg.det(u)
-    gamma = float(np.angle(det)) / 4.0
-    su = u * np.exp(-1j * gamma)
-    ub = MAGIC_DAG @ su @ MAGIC
-    m = ub.T @ ub
-
-    d, p = _diag_unitary_symmetric(m)
+    gamma = float(np.angle(np.linalg.det(u))) / 4.0
+    ub = MAGIC_DAG @ (u * np.exp(-1j * gamma)) @ MAGIC
+    d, p = _diag_unitary_symmetric(ub.T @ ub)
     if np.linalg.det(p) < 0:
         p = p.copy()
         p[:, 0] = -p[:, 0]
-    theta = np.angle(d) / 2.0
-    # det F must be +1 so both orthogonal factors land in SO(4)
-    total = float(np.sum(theta))
-    residue = total - 2.0 * math.pi * round(total / (2.0 * math.pi))
-    if abs(residue) > math.pi / 2:
-        theta[0] -= math.copysign(math.pi, residue)
-    o2 = p.T
+    theta = _su4_phases(d)
     o1 = ub @ p @ np.diag(np.exp(-1j * theta))
     if float(np.max(np.abs(o1.imag))) > 1e-8:
         raise NumericalError("left orthogonal factor has a complex residue")
-    o1 = o1.real
 
-    k1 = MAGIC @ o1 @ MAGIC_DAG
-    k2 = MAGIC @ o2 @ MAGIC_DAG
-    w, x, y, z = _GAMMA @ theta
+    # ub = o1 diag(e^{i theta}) p^T; the move permutes and signs the columns
+    # of o1 and p alike, and an odd permutation flips one column of each to
+    # keep both in SO(4).
+    move, c = _fold(theta)
+    perm, shift, flip = _MOVE_PERMS[move], _MOVE_SHIFTS[move], _MOVE_FLIPS[move]
+    o1 = o1.real[:, perm] * flip * (-1.0) ** shift
+    p = p[:, perm] * flip
+    w = float(np.mean(theta[perm] + math.pi * shift))
 
-    v, (l0, l1), (r0, r1), fold_phase = _canonicalize_interaction(x, y, z)
-    g1, a0, a1 = _kron_factor(k1)
-    g2, b0, b1 = _kron_factor(k2)
-    phase = gamma + w + float(np.angle(g1 * g2 * fold_phase))
+    g1, a0, a1 = _kron_factor(MAGIC @ o1 @ MAGIC_DAG)
+    g2, b0, b1 = _kron_factor(MAGIC @ p.T @ MAGIC_DAG)
     return KakDecomposition(
-        k1_local=(a0 @ l0, a1 @ l1),
-        k2_local=(r0 @ b0, r1 @ b1),
-        c=2.0 * v,
-        global_phase=phase,
+        k1_local=(a0, a1),
+        k2_local=(b0, b1),
+        c=c,
+        global_phase=gamma + w + float(np.angle(g1 * g2)),
     )
-
-
-def _canonicalize_k_vector(k: np.ndarray, atol: float = 1e-9) -> np.ndarray:
-    k = np.mod(k + math.pi / 4, math.pi / 2) - math.pi / 4
-    order = np.argsort(np.abs(k))[::-1]
-    k = k[order]
-    if k[0] < 0:
-        k[0], k[2] = -k[0], -k[2]
-    if k[1] < 0:
-        k[1], k[2] = -k[1], -k[2]
-    if k[0] > math.pi / 4 - atol and k[2] < 0:
-        k[2] = -k[2]
-    return k
 
 
 def canonicalize_weyl_vector(c) -> np.ndarray:
     """Canonical representative of interaction coordinates (radians)."""
-    return 2.0 * _canonicalize_k_vector(np.asarray(c, dtype=float) / 2.0)
+    theta = _THETA_OF_XYZ @ (np.asarray(c, dtype=float) / 2.0)
+    return _fold(_su4_phases(np.exp(2j * theta)))[1]
 
 
 def weyl_coordinates(u: ComplexMatrix, tol: float = 1e-10) -> np.ndarray:
     """Canonical Weyl coordinates from the magic-basis spectrum of U^T U.
 
-    Independent of :func:`kak_decompose` (eigenvalues only, no eigenvectors).
+    Independent of :func:`kak_decompose`'s eigenvectors: only the
+    eigenvalues are computed, then folded by the same Weyl-move search.
     """
     u = _check_two_qubit_unitary(u, tol)
     ub = MAGIC_DAG @ u @ MAGIC
-    m = ub.T @ ub
-    evals = np.linalg.eigvals(m)
-    # U(4) -> SU(4) phase correction applied on the spectrum
-    det_phase = np.log(-1j * np.linalg.det(u)).imag + math.pi / 2
-    evals = evals * np.exp(-1j * det_phase / 2.0)
-    s2 = np.sort(np.log(-1j * evals).imag + math.pi / 2)[::-1]
-    n_shift = int(round(s2.sum() / (2.0 * math.pi)))
-    if n_shift > 0:
-        s2[:n_shift] -= 2.0 * math.pi
-    elif n_shift == -1:
-        s2[:3] += 2.0 * math.pi
-    k = (_GAMMA @ s2)[1:] / 2.0
-    return 2.0 * _canonicalize_k_vector(k)
+    evals = np.linalg.eigvals(ub.T @ ub) * np.exp(-0.5j * np.angle(np.linalg.det(u)))
+    return _fold(_su4_phases(evals))[1]
 
 
 def locally_equivalent(u: ComplexMatrix, v: ComplexMatrix, tol: float = 1e-8) -> bool:

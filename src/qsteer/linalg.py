@@ -50,12 +50,14 @@ def require_unitary(m: ComplexMatrix, tol: float = TOL.unitarity) -> None:
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product a (x) b; the first factor indexes the slow axis."""
+    """Kronecker product a (x) b; the first factor indexes the slow axis.
+    One broadcast product, the same bits as ``np.kron``."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise DimensionMismatchError("kron expects square matrices")
-    return np.kron(a, b)
+    nm = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(nm, nm)
 
 
 def partial_trace(rho, keep: int, dims: Sequence[int] | None = None):

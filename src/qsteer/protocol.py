@@ -558,8 +558,8 @@ def sweep(
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
     The cells of each system dimension run as one :func:`_blind_grid`.
-    Blind runs are deterministic, so each cell is computed once and its std
-    is 0.  Each row also carries the average fidelity of its (J, step) cell
+    Blind runs are deterministic, so each distinct (target, J) cell is
+    computed once, however often it is listed, and its std is 0.  Each row also carries the average fidelity of its (J, step) cell
     over the swept targets of its own system dimension, which is the
     stabilizer average when the six stabilizer targets are swept; qubit and
     qutrit rows are averaged apart, and a coupling listed more than once gets
@@ -573,28 +573,33 @@ def sweep(
         raise ConfigError("sweep needs nonempty target and coupling grids")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    cell_targets = list(dict.fromkeys((label, target) for label, target in targets))
+    cell_couplings = list(dict.fromkeys(couplings))
     groups = {}  # system dimension -> [(i, j, operator)]
-    for i, (label, target) in enumerate(targets):
-        for j, coupling in enumerate(couplings):
+    for i, (label, target) in enumerate(cell_targets):
+        for j, coupling in enumerate(cell_couplings):
             op = make_steering_operator(TargetSpec(target, coupling, label))
             groups.setdefault(op.system_dim, []).append((i, j, op))
-    fids = np.empty((len(targets), len(couplings), steps + 1))
-    dims = np.empty(len(targets), dtype=int)
+    cell_fids = np.empty((len(cell_targets), len(cell_couplings), steps + 1))
+    cell_dims = np.empty(len(cell_targets), dtype=int)
     for d, cells in groups.items():
         rho0 = initial_state
         if rho0 is None:
             rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
         states = _blind_grid(rho0, [op for _, _, op in cells], steps, noise)
         for c, (i, j, op) in enumerate(cells):
-            fids[i, j] = fidelity(states[:, c], op.target)
-            dims[i] = d
+            cell_fids[i, j] = fidelity(states[:, c], op.target)
+            cell_dims[i] = d
+    target_rows = [cell_targets.index((label, target)) for label, target in targets]
+    fids = cell_fids[np.ix_(target_rows, [cell_couplings.index(c) for c in couplings])]
+    dims = cell_dims[target_rows]
     average = {d: fids[dims == d].mean(axis=0).tolist() for d in groups}
     unique = [couplings.count(coupling) == 1 for coupling in couplings]
     return [
         SweepRow(label, coupling, n, f, 0.0, average[d][j][n] if unique[j] else None)
         for (label, _), d, target_fids in zip(targets, dims.tolist(), fids.tolist())
-        for j, (coupling, cell_fids) in enumerate(zip(couplings, target_fids))
-        for n, f in enumerate(cell_fids)
+        for j, (coupling, step_fids) in enumerate(zip(couplings, target_fids))
+        for n, f in enumerate(step_fids)
     ]
 
 

@@ -78,10 +78,25 @@ class TestKakDecompose:
             assert np.max(np.abs(dec.c - [coupling, coupling, 0])) < 1e-9
             assert reassembly_distance(u, dec) < 1e-9
 
-    def test_degenerate_gates(self):
-        for gate in (SWAP_GATE, cphase_gate(math.pi), kron(SX, SX), 1j * SWAP_GATE):
+    def test_degenerate_gates(self, rng):
+        points = [
+            (math.pi / 2, math.pi / 2, 0.0),
+            (0.9, 0.4, 0.4),
+            (0.9, 0.4, -0.4),
+            (math.pi / 2, 0.6, -0.3),
+        ]
+        points += [(j, j, 0.0) for j in np.linspace(-4, 4, 17)]
+        gates = [SWAP_GATE, cphase_gate(math.pi), kron(SX, SX), 1j * SWAP_GATE, np.eye(4), CNOT_GATE]
+        gates += [canonical_a_matrix(c) for c in points]
+        for gate in gates:
             dec = kak_decompose(gate)
             assert reassembly_distance(gate, dec) < 1e-10
+            dressed = kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ gate @ kron(
+                haar_unitary(2, rng), haar_unitary(2, rng)
+            )
+            dec = kak_decompose(dressed)
+            assert reassembly_distance(dressed, dec) < 1e-10
+            assert np.max(np.abs(dec.c - weyl_coordinates(dressed))) < 1e-9
 
     def test_rejects_nonunitary(self):
         with pytest.raises(DimensionMismatchError):
@@ -159,6 +174,6 @@ class TestCanonicalizeVector:
 
     def test_matches_full_decomposition(self, rng):
         for _ in range(50):
-            c = rng.uniform(-math.pi, math.pi, size=3)
+            c = rng.uniform(-10, 10, size=3)
             u = canonical_a_matrix(c)
             assert np.max(np.abs(canonicalize_weyl_vector(c) - weyl_coordinates(u))) < 1e-8
