@@ -3,10 +3,12 @@
 
 Runs many readout-conditioned trajectories that stop at the first recorded
 "1", then compares the repetition histogram against the geometric
-distribution implied by the per-cycle success probability sin^2(J) and
+distribution implied by the per-cycle success probability p = sin^2(J) and
 against the exact law of the stopping cycle (protocol.repetition_law).  Like
-the frequency column, the exact pmf is conditioned on a flag within
---max-steps: trajectories that never flag are counted apart.
+the frequency column, both pmfs and both predicted means are conditioned on a
+flag within --max-steps N: trajectories that never flag are counted apart.
+The truncated geometric law has pmf p q^(n-1) / (1 - q^N) and mean
+1/p - N q^N / (1 - q^N), with q = 1 - p.
 """
 
 import argparse
@@ -41,6 +43,9 @@ def main() -> None:
     exact_mean = float(np.arange(1, args.max_steps + 1) @ exact_pmf)
 
     p = math.sin(args.j) ** 2
+    q, n_max = 1.0 - p, args.max_steps
+    flagged = 1.0 - q**n_max  # probability of a flag within --max-steps
+    geometric_mean = 1.0 / p - n_max * q**n_max / flagged
     total = sum(stats.counts.values())
     rows = []
     cdf_map = dict(stats.cdf)
@@ -52,7 +57,7 @@ def main() -> None:
                 stats.counts[value],
                 freq,
                 cdf_map[value],
-                p * (1 - p) ** (value - 1),
+                p * q ** (value - 1) / flagged,
                 exact_pmf[value - 1],
             ]
         )
@@ -63,7 +68,7 @@ def main() -> None:
     )
 
     print(f"J={args.j:.4f}: mean repetitions {stats.mean_repetitions:.3f} "
-          f"(geometric prediction {1 / p:.3f}, exact law {exact_mean:.3f}), "
+          f"(geometric prediction {geometric_mean:.3f}, exact law {exact_mean:.3f}), "
           f"{stats.n_failures}/{stats.n_records} trajectories never flagged")
     print(f"wrote {out}")
 

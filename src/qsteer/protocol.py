@@ -192,8 +192,8 @@ _MASK64 = 2**64 - 1
 # (multiplier, low limb, high limb) for both multiplied words, and for each alone
 _PHILOX_MUL = (_PHILOX_M, _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32)
 _PHILOX_MUL0, _PHILOX_MUL1 = (tuple(a[j] for a in _PHILOX_MUL) for j in (0, 1))
-# Lanes per pass, so that a pass's (2, chunk) temporaries stay in cache.
-_PHILOX_CHUNK = 8192
+# Lanes per pass, so that a pass's (2, chunk) buffers stay in cache.
+_PHILOX_CHUNK = 16384
 MAX_SEED = 2**64 - 2  # seed + 1 is key word 1 and must fit in 64 bits
 
 
@@ -202,26 +202,38 @@ def _check_seed(seed) -> None:
         raise ConfigError(f"seed must be an integer in [0, 2**64 - 2], got {seed!r}")
 
 
-def _philox_mulhilo(x: np.ndarray, mul=_PHILOX_MUL) -> tuple[np.ndarray, np.ndarray]:
+def _philox_mulhilo(x: np.ndarray, mul=_PHILOX_MUL, out=(None,) * 5):
     """High and low words of the 128-bit products of x and the multiplier
-    of ``mul``, from 32-bit limbs; no intermediate sum can overflow."""
+    of ``mul``, from 32-bit limbs; no intermediate sum can overflow.  ``out``
+    holds buffers, or None for new arrays, for (lo, x_lo, x_hi, tmp, mid),
+    where mid may be x; the high words end in x_hi."""
     m, m_lo, m_hi = mul
-    x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    mid = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
-    low_cross = x_lo * m_hi + (mid & _LO32)
-    hi = x_hi * m_hi + (mid >> _SHIFT32) + (low_cross >> _SHIFT32)
-    return hi, x * m
+    lo_out, x_lo, x_hi, tmp, mid = out
+    lo = np.multiply(x, m, out=lo_out)
+    x_lo = np.bitwise_and(x, _LO32, out=x_lo)
+    x_hi = np.right_shift(x, _SHIFT32, out=x_hi)
+    tmp = np.right_shift(np.multiply(x_lo, m_lo, out=tmp), _SHIFT32, out=tmp)
+    mid = np.add(np.multiply(x_hi, m_lo, out=mid), tmp, out=mid)
+    low_cross = np.multiply(x_lo, m_hi, out=x_lo)
+    low_cross += np.bitwise_and(mid, _LO32, out=tmp)
+    hi = np.multiply(x_hi, m_hi, out=x_hi)
+    hi += np.right_shift(mid, _SHIFT32, out=mid)
+    hi += np.right_shift(low_cross, _SHIFT32, out=low_cross)
+    return hi, lo
 
 
-def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray) -> np.ndarray:
-    """(lanes, 4) output words for key words (index, seed + 1) and counter
-    words (counter, 0, 0, 0); ``index`` and ``counter`` broadcast together.
+def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray, buf: np.ndarray):
+    """Words (0, 2) and (1, 3) of the outputs, (2, lanes) views of the (6, 2,
+    lanes) scratch ``buf``, for key words (index, seed + 1) and counter words
+    (counter, 0, 0, 0); ``index`` and ``counter`` broadcast together.
 
     Round 1 and the word-2 half of round 2 depend on the counter alone, and
-    the rest of round 2 on the index alone, so they run on the short operand
-    (one value for every lane of a batch).  Key word 1 is one value, so only
-    key word 0 is an array add per round.
+    the rest of round 2 on the index alone, so they run on the short operand.
+    Rounds 3-10 run in place; the low products become the next odd words by
+    a swap of buffers.  Key word 1 is one value, so only key word 0 is an
+    array add per round.
     """
+    even, odd, spare, x_lo, x_hi, tmp = buf
     # round 1: counter words 1-3 are zero, so c0 <- k0, c1 <- 0
     hi, c3 = _philox_mulhilo(counter, _PHILOX_MUL0)
     c2 = hi ^ np.uint64(seed + 1)
@@ -230,17 +242,14 @@ def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray) -> np.ndar
     hi1, lo1 = _philox_mulhilo(c2, _PHILOX_MUL1)
     k0 = index + np.uint64(_PHILOX_W[0])
     k1 = np.uint64((seed + 1 + _PHILOX_W[1]) & _MASK64)
-    even = np.stack(np.broadcast_arrays(hi1 ^ k0, hi0 ^ c3 ^ k1))
-    odd = np.stack(np.broadcast_arrays(lo1, lo0))
+    even[0], even[1], odd[0], odd[1] = hi1 ^ k0, hi0 ^ c3 ^ k1, lo1, lo0
     for r in range(2, 10):
-        k0 = index + np.uint64(r * _PHILOX_W[0] & _MASK64)
-        k1 = np.uint64((seed + 1 + r * _PHILOX_W[1]) & _MASK64)
-        hi, lo = _philox_mulhilo(even)
-        even = hi[::-1] ^ odd
-        even[0] ^= k0
-        even[1] ^= k1
-        odd = lo[::-1]
-    return np.stack([even[0], odd[0], even[1], odd[1]], axis=1)
+        hi, lo = _philox_mulhilo(even, out=(spare, x_lo, x_hi, tmp, even))
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even[0] ^= np.add(index, np.uint64(r * _PHILOX_W[0] & _MASK64), out=tmp[0])
+        even[1] ^= np.uint64((seed + 1 + r * _PHILOX_W[1]) & _MASK64)
+        odd, spare = lo[::-1], odd
+    return even, odd
 
 
 def _philox_block(seed: int, indices: np.ndarray, block) -> np.ndarray:
@@ -256,16 +265,20 @@ def _philox_block(seed: int, indices: np.ndarray, block) -> np.ndarray:
     index = np.asarray(indices, dtype=np.uint64).reshape(-1)
     counter = np.asarray(block, dtype=np.uint64).reshape(-1) + np.uint64(1)
     (lanes,) = np.broadcast_shapes(index.shape, counter.shape)
-    words = np.empty((lanes, 4), dtype=np.uint64)
+    words = np.empty((4, lanes), dtype=np.uint64)  # word-major: rows are written whole
+    buf = np.empty((6, 2, min(lanes, _PHILOX_CHUNK)), dtype=np.uint64)
     for start in range(0, lanes, _PHILOX_CHUNK):
         part = [a if a.size == 1 else a[start : start + _PHILOX_CHUNK] for a in (index, counter)]
-        words[start : start + _PHILOX_CHUNK] = _philox_rounds(seed, *part)
-    return words
+        chunk = words[:, start : start + _PHILOX_CHUNK]
+        chunk[0::2], chunk[1::2] = _philox_rounds(seed, *part, buf[..., : chunk.shape[1]])
+    return words.T
 
 
-def _to_unit_double(words: np.ndarray) -> np.ndarray:
-    """numpy's uint64 -> [0, 1) map: the top 53 bits times 2^-53."""
-    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+def _outcome_threshold(c: np.ndarray) -> np.ndarray:
+    """uint64 T with (w >> 11) >= T exactly when numpy's uniform of word w,
+    (w >> 11) 2^-53, is >= c: ceil(c 2^53) in [0, 2^53], 2^53 for NaN."""
+    t = np.clip(np.ceil(np.asarray(c, dtype=float) * 2.0**53), 0.0, 2.0**53)
+    return np.nan_to_num(t, nan=2.0**53).astype(np.uint64)
 
 
 def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
@@ -382,15 +395,17 @@ def _run_trajectories(
     Runs trajectories first_index .. first_index + n_trajectories - 1.  Step
     s of trajectory i uses draws 2s (true outcome) and 2s + 1 (readout) of
     its stream, so its outcomes do not depend on which other trajectories
-    run beside it.  A trajectory leaves the working set when it stops; only
-    live ones draw uniforms.  A single trajectory draws all its Philox
-    blocks in one call, a batch one block per two steps.
+    run beside it.  Only live trajectories draw: a lone one its whole stream
+    in one call, a batch one Philox block per two steps.  A draw stays a raw
+    word, tested against an :func:`_outcome_threshold`.
 
     States live in a table (T, d^2) of distinct conditional states, with one
     row index per live trajectory.  A step propagates the table once, draws
-    each trajectory's outcome against its row's cumulative weights, keys the
-    children by row * K + outcome and merges them with a presence mask and a
-    cumsum (O(live), no sort); only present children are normalized.
+    each trajectory's outcome against its row's outcome-0 share, keys the
+    children by row * 2 + outcome and merges them with a presence mask and a
+    cumsum (O(live), no sort); only present children are normalized.  With
+    a qubit ancilla an early-stopped record is "0"s, one "1", then -1, so it
+    is built from the repetitions at the end.
 
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
     stop, repetitions (n,) with 0 for none, fidelities (n, max_steps + 1)
@@ -401,14 +416,19 @@ def _run_trajectories(
     _check_seed(seed)
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
+    if op.ancilla_dim != 2:
+        raise ConfigError(f"non-blind runs need a qubit ancilla, got dim {op.ancilla_dim}")
     confusion = _readout_confusion(rho0, op, noise)
-    confusion_cum = None if confusion is None else np.cumsum(confusion, axis=1)
-    n, d, n_out = n_trajectories, op.system_dim, op.ancilla_dim
-    # (d^2, K d^2): a row of vec(rho) @ prop holds the K outcome branches
+    # a readout records 1 when its draw reaches confusion[true outcome, 0]
+    read_threshold = None if confusion is None else _outcome_threshold(confusion[:, 0])
+    # a block's true-outcome words for its two steps, then their readout words
+    word_order = [0, 2] if confusion is None else [0, 2, 1, 3]
+    n, d = n_trajectories, op.system_dim
+    # (d^2, 2 d^2): a row of vec(rho) @ prop holds the two outcome branches
     prop = np.concatenate([b.T for b in _step_superoperator(op, noise)], axis=1)
     diag = np.arange(d) * (d + 1)  # vec positions of the diagonal
     final = np.empty((n, d * d), dtype=complex)
-    recorded = np.full((max_steps, n), -1, dtype=np.int8)  # step-major: a step writes one row
+    recorded = np.empty((max_steps, n), dtype=np.int8)  # step-major: a step writes one row
     reps = np.zeros(n, dtype=np.int64)
     fids = None
     if track_fidelity:
@@ -423,45 +443,44 @@ def _run_trajectories(
     for step in range(max_steps):
         if live.size == 0:
             break
-        m = live.size
         offset = step % (2 * span)  # one Philox block serves two steps
         if offset == 0:
-            blocks = step // 2 + np.arange(span)
-            draws = _to_unit_double(_philox_block(seed, indices[live], blocks)).reshape(m, -1)
-        u = draws[:, 2 * offset : 2 * offset + 2]
-        branches = (table @ prop).reshape(-1, d * d)  # row t K + k: branch k of row t
-        weights = sum(branches[:, j].real for j in diag)  # (T K,) traces
-        per_row = weights.reshape(-1, n_out)
-        total = sum(per_row[:, k] for k in range(n_out))
-        # outcome k is the number of cumulative probabilities u reaches; the
-        # last one is 1 up to rounding, so it is never counted
-        cum = np.cumsum(per_row[:, :-1] / total[:, None], axis=1)[row]
-        true_k = np.zeros(m, dtype=np.int64)
-        for k in range(n_out - 1):
-            true_k += u[:, 0] >= cum[:, k]
+            words = _philox_block(seed, indices[live], step // 2 + np.arange(span))
+            draws = words.T.reshape(4, span, -1)[word_order] >> np.uint64(11)  # top 53 bits
+        u = draws[offset % 2 :: 2, offset // 2]  # (true outcome[, readout], live)
+        branches = (table @ prop).reshape(-1, d * d)  # row 2t + k: branch k of row t
+        weights = sum(branches[:, j].real for j in diag)  # (2 T,) traces
+        w0, w1 = weights.reshape(-1, 2).T
+        # outcome 1 when the draw reaches outcome 0's share of its row's weight
+        true_k = u[0] >= _outcome_threshold(w0 / (w0 + w1))[row]
         # trajectories that share a parent row and an outcome share a child row
-        key = row * n_out + true_k
+        key = row * 2 + true_k
         present = np.zeros(weights.size, dtype=bool)
         present[key] = True
         row = (np.cumsum(present) - 1)[key]
         norm = np.maximum(weights[present], 1e-300)
         table = (branches[present].view(np.float64) / norm[:, None]).view(complex)
-        if confusion_cum is None:
-            rec_k = true_k
-        else:
-            rec_k = np.zeros(m, dtype=np.int64)
-            for k in range(n_out - 1):
-                rec_k += u[:, 1] >= confusion_cum[true_k, k]
-        recorded[step, live] = rec_k
-        hit = (rec_k == 1) & (reps[live] == 0)
-        reps[live[hit]] = step + 1
+        rec = true_k if confusion is None else u[1] >= read_threshold[true_k.view(np.int8)]
         if track_fidelity:
             fids[live, step + 1] = fidelity(table.reshape(-1, d, d), op.target)[row]
-        if early_stop and np.any(hit):
-            final[live[hit]] = table[row[hit]]
-            keep = ~hit
-            live, row, draws = live[keep], row[keep], draws[keep]
+        if not early_stop:
+            recorded[step] = rec
+        elif np.any(rec):
+            stopped, keep = live[rec], ~rec
+            reps[stopped] = step + 1
+            final[stopped] = table[row[rec]]
+            live, row = live[keep], row[keep]
+            if offset + 1 < 2 * span:  # the block has draws for later steps
+                draws = draws[..., keep]
     final[live] = table[row]
+    if early_stop:  # "0"s, a "1" at the stopping cycle, then -1
+        stop = np.where(reps > 0, reps, max_steps + 1)
+        np.greater_equal(np.arange(1, max_steps + 1)[:, None], stop, out=recorded.view(bool))
+        np.negative(recorded, out=recorded)
+        hit = np.flatnonzero(reps)
+        recorded[reps[hit] - 1, hit] = 1
+    else:
+        reps = np.where(recorded.any(axis=0), recorded.argmax(axis=0) + 1, 0)
     return final.reshape(n, d, d), recorded.T, reps, fids
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -8,12 +9,13 @@ from qsteer.errors import ConfigError, DimensionMismatchError, OutcomeImpossible
 from qsteer.linalg import expm_i_herm, kron
 from qsteer.protocol import (
     MAX_SEED,
+    _PHILOX_CHUNK,
     NoiseConfig,
     RunRecord,
+    _outcome_threshold,
     _philox_block,
     _run_trajectories,
     _step_superoperator,
-    _to_unit_double,
     amplitude_damping_kraus,
     apply_noise,
     channel_spectrum,
@@ -48,6 +50,11 @@ from conftest import channel_superoperator, ginibre_density
 
 PLUS = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+")
 PLUS_QUARTER = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 4, "+")
+
+
+def _to_unit_double(words: np.ndarray) -> np.ndarray:
+    """numpy's uint64 -> [0, 1) map: the top 53 bits times 2^-53."""
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 class TestNoiseConfig:
@@ -394,6 +401,12 @@ class TestTrajectoryBoundary:
             with pytest.raises(ConfigError):
                 run()
 
+    def test_qubit_ancilla_required(self):
+        op = replace(make_steering_operator(PLUS_QUARTER), ancilla_dim=3)
+        for run in self.entry_points(random_density(2, 0), op):
+            with pytest.raises(ConfigError, match="qubit ancilla"):
+                run()
+
     def test_largest_seed_accepted(self):
         op = make_steering_operator(PLUS_QUARTER)
         rho = random_density(2, 0)
@@ -426,6 +439,23 @@ class TestPhiloxStreams:
                 raw = np.random.Philox(key=((seed + 1) << 64) + i).random_raw(4 * (first + 20))
                 assert np.array_equal(words, raw[4 * first :].reshape(20, 4)), (i, first)
 
+    @pytest.mark.parametrize("seed", [0, 2**63])
+    def test_lanes_across_chunk_edges_match_numpy_philox(self, seed):
+        # a partial last chunk must not keep words of the chunk before it
+        chunk = _PHILOX_CHUNK
+        for lanes in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
+            indices = np.uint64(2**40) + np.arange(lanes, dtype=np.uint64)
+            words = _philox_block(seed, indices, 3)
+            edges = {lanes - 1} | {e + j for e in range(chunk, lanes, chunk) for j in (-1, 0)}
+            for lane in sorted(edges):
+                key = ((seed + 1) << 64) + int(indices[lane])
+                raw = np.random.Philox(key=key).random_raw(16)
+                assert np.array_equal(words[lane], raw[12:]), (lanes, lane)
+            # one stream, ``lanes`` blocks of it
+            words = _philox_block(seed, np.array([7], dtype=np.uint64), np.arange(lanes))
+            raw = np.random.Philox(key=((seed + 1) << 64) + 7).random_raw(4 * lanes)
+            assert np.array_equal(words, raw.reshape(lanes, 4)), lanes
+
     def test_outcomes_do_not_depend_on_the_batch(self):
         op = make_steering_operator(PLUS_QUARTER)
         rho = random_density(2, 8)
@@ -442,6 +472,67 @@ class TestPhiloxStreams:
         )
         assert np.array_equal(recorded, big.recorded_outcomes[211:261])
         assert np.array_equal(reps, big.repetitions[211:261])
+
+
+class TestOutcomeThreshold:
+    """The engine's integer test (w >> 11) >= _outcome_threshold(c) against
+    numpy's uniform test _to_unit_double(w) >= c."""
+
+    @staticmethod
+    def assert_same_test(words, cs):
+        w = np.asarray(words, dtype=np.uint64)[:, None]
+        c = np.asarray(cs, dtype=float)
+        threshold = _outcome_threshold(c)
+        assert threshold.dtype == np.uint64
+        got = (w >> np.uint64(11)) >= threshold
+        assert np.array_equal(got, _to_unit_double(w) >= c)
+
+    def test_float_edges(self):
+        ks = [1, 2, 3, 2**30 + 7, 2**52, 2**53 - 1]
+        words = [0, 2**64 - 1] + [k << 11 for k in ks] + [(k << 11) - 1 for k in ks]
+        cs = [-1.0, -5e-324, 0.0, 5e-324, 1 - 2.0**-53, 1.0, 1.5, 2.0**80, np.inf, -np.inf, np.nan]
+        for k in ks:
+            c = k * 2.0**-53
+            cs += [c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)]
+        self.assert_same_test(words, cs)
+
+    def test_random_words_at_their_own_uniforms(self):
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 2**64, size=2000, dtype=np.uint64)
+        u = _to_unit_double(words)
+        cs = np.concatenate([u, np.nextafter(u, -1.0), np.nextafter(u, 2.0), rng.random(200)])
+        self.assert_same_test(words, cs)
+
+
+class TestSeedContract:
+    """Runs pinned to the records, repetitions and final-fidelity statistics
+    they had before outcomes were drawn by integer thresholds on raw words."""
+
+    def test_readme_run(self):
+        catalog = {e.label: e.target for e in stabilizer_catalog()}
+        op = make_steering_operator(TargetSpec(catalog["+"], 0.785, "+"))
+        rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
+        batch = run_nonblind_batch(rho, op, 40, 100_000, seed=1)
+        assert np.bincount(batch.repetitions).tolist() == [
+            50005, 25109, 12450, 6210, 3148, 1540, 742, 366, 229, 99, 50, 24, 10, 8, 3, 3, 3, 0, 1
+        ]
+        record = np.ascontiguousarray(batch.recorded_outcomes)
+        assert hashlib.sha256(record).hexdigest() == (
+            "ea0d6f1b95a7a881c85b2bc86ae18dfff3e4af2787e585912e36a6d56af5a883"
+        )
+        fids = fidelity(batch.final_states, op.target)
+        assert (float(fids.mean()), float(fids.std())) == (0.9999999999995303, 4.695130930834414e-13)
+
+    def test_noisy_qutrit_run_without_early_stop(self):
+        op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, 0.785, "qutrit-equal"))
+        noise = NoiseConfig(0.01, 0.02, np.array([[0.97, 0.03], [0.05, 0.95]]), 0.05)
+        batch = run_nonblind_batch(
+            random_density(3, 4), op, 20, 25_000, noise, seed=2, early_stop=False
+        )
+        record = np.ascontiguousarray(batch.recorded_outcomes)
+        assert hashlib.sha256(record).hexdigest() == (
+            "1d64b00f07a2c599e3ac4c478be8999f7cfa48ad006511595fdfcc7bbce0f77f"
+        )
 
 
 class TestRepetitionStatsReference:
