@@ -14,8 +14,8 @@ import numpy as np
 
 from qsteer.cli import write_csv
 from qsteer.geometry import CNOT_GATE, locally_equivalent, weyl_coordinates
-from qsteer.linalg import expm_i_herm
-from qsteer.steering import build_qubit_hamiltonian
+from qsteer.states import QubitTarget
+from qsteer.steering import TargetSpec, make_steering_operator
 
 
 def main() -> None:
@@ -26,9 +26,10 @@ def main() -> None:
     ap.add_argument("--out", default="results/weyl_line.csv")
     args = ap.parse_args()
 
+    target = QubitTarget(args.theta, args.phi)
     rows = []
     for coupling in np.linspace(0.01, math.pi / 2, args.points):
-        u = expm_i_herm(build_qubit_hamiltonian(args.theta, args.phi, float(coupling)))
+        u = make_steering_operator(TargetSpec(target, float(coupling))).unitary
         c = weyl_coordinates(u)
         rows.append(
             [float(coupling), float(c[0]), float(c[1]), float(c[2]),

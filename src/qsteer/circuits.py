@@ -1,6 +1,13 @@
 """Gate-level circuit IR, steering-circuit synthesis, evaluation, and a
 QASM-like text format.
 
+Both syntheses read the circuit off the steering cycle's frame (psi, b, S)
+from :func:`qsteer.steering.steering_frame`, with no KAK decomposition: the
+cycle is exp(-i J G), G = |0,b><1,psi| + h.c., followed by S.  A qubit
+circuit is always a U3 pair, CNOT, RX(J) on the ancilla and RZ(J) on the
+system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit routes the
+rotation through ``cx23`` gates and ends with one local block that applies S.
+
 Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
 plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
 untouched; ``rx12``/``rz12`` act on the {|1>, |2>} subspace.  The qubit-qutrit
@@ -32,15 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .geometry import CNOT_GATE, kak_decompose
+from .geometry import CNOT_GATE
 from .linalg import ComplexMatrix, dagger, phase_invariant_distance
 from .states import QubitTarget, QutritTarget
-from .steering import (
-    TargetSpec,
-    make_steering_operator,
-    qutrit_bright_dark,
-    qutrit_exchange_gate,
-)
+from .steering import TargetSpec, make_steering_operator, steering_frame
 
 RX = "rx"
 RZ = "rz"
@@ -255,46 +257,32 @@ def _u3_gate(u: ComplexMatrix, wire: int) -> Gate:
 
 
 def synth_kak_circuit(spec: TargetSpec) -> Circuit:
-    """Two-CNOT circuit for a qubit steering operator.
-
-    Structure: local U3 pair, CNOT, RX(J) and RZ(J) (the X^(t)/Z^(t) powers of
-    the optimized decomposition, with their scalar phases folded into the
-    circuit phase), CNOT, local U3 pair.
-    """
+    """Two-CNOT circuit for a qubit steering operator; see :func:`_synth_kak`."""
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
-    return _synth_kak(make_steering_operator(spec).unitary)[0]
+    return _synth_kak(spec, make_steering_operator(spec).unitary)[0]
 
 
-def _synth_kak(u: ComplexMatrix) -> tuple[Circuit, float]:
-    """synth_kak_circuit for the qubit steering unitary ``u``, with the
-    circuit's phase-invariant distance to it."""
-    dec = kak_decompose(u)
-    if abs(dec.c[0] - dec.c[1]) > 1e-9 or abs(dec.c[2]) > 1e-9:
-        raise NumericalError(f"steering operator has unexpected Weyl coordinates {dec.c}")
-    cc = float(dec.c[0])
+def _synth_kak(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
+    """synth_kak_circuit for the qubit steering unitary ``u`` of ``spec``,
+    with the circuit's phase-invariant distance to it.
 
-    mid_gates = (
-        Gate(CNOT, (), (0, 1)),
-        Gate(RX, (cc,), (0,)),
-        Gate(RZ, (cc,), (1,)),
-        Gate(CNOT, (), (0, 1)),
-    )
-    mid = evaluate_circuit(Circuit((2, 2), mid_gates))
-    mdec = kak_decompose(mid)
-    if float(np.max(np.abs(mdec.c - dec.c))) > 1e-9:
-        raise NumericalError("two-CNOT core does not reach the required Weyl point")
-
-    pre0 = dagger(mdec.k2_local[0]) @ dec.k2_local[0]
-    pre1 = dagger(mdec.k2_local[1]) @ dec.k2_local[1]
-    post0 = dec.k1_local[0] @ dagger(mdec.k1_local[0])
-    post1 = dec.k1_local[1] @ dagger(mdec.k1_local[1])
+    With V the system unitary whose rows are <b| and <psi|, V turns the
+    cycle's G into (XX - YY)/2 and RX(pi/2) (x) RX(-pi/2) turns that into
+    (XX + ZZ)/2, whose exponential exp(-i J (XX + ZZ)/2) is the core
+    CNOT . (RX(J) (x) RZ(J)) . CNOT up to a global phase.
+    """
+    psi, bright, _ = steering_frame(spec.target)
+    v = np.vstack([bright.conj(), psi.conj()])
     gates = (
-        _u3_gate(pre0, 0),
-        _u3_gate(pre1, 1),
-        *mid_gates,
-        _u3_gate(post0, 0),
-        _u3_gate(post1, 1),
+        _u3_gate(rx_matrix(math.pi / 2), 0),
+        _u3_gate(rx_matrix(-math.pi / 2) @ v, 1),
+        Gate(CNOT, (), (0, 1)),
+        Gate(RX, (spec.coupling,), (0,)),
+        Gate(RZ, (spec.coupling,), (1,)),
+        Gate(CNOT, (), (0, 1)),
+        _u3_gate(rx_matrix(-math.pi / 2), 0),
+        _u3_gate(dagger(v) @ rx_matrix(math.pi / 2), 1),
     )
     return _reconcile_phase(Circuit((2, 2), gates), u, 1e-9)
 
@@ -440,9 +428,8 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
 def _synth_qutrit(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
     """synth_qutrit_circuit given the steering unitary ``u`` of ``spec``,
     with the circuit's phase-invariant distance to it."""
-    psi, w_bright, w_dark = qutrit_bright_dark(spec.target)
-    w3 = np.vstack([w_dark.conj(), psi.conj(), w_bright.conj()])
-    exchange = qutrit_exchange_gate(spec.target)
+    psi, w_bright, exchange = steering_frame(spec.target)
+    w3 = np.vstack([(exchange @ w_bright).conj(), psi.conj(), w_bright.conj()])
 
     gates = (
         _local_qutrit_gates(w3, 1)
@@ -458,7 +445,7 @@ def _synthesize(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
     """The steering circuit of ``spec`` whose unitary is ``u`` (its steering
     operator's), with the circuit's phase-invariant distance to ``u``."""
     if isinstance(spec.target, QubitTarget):
-        return _synth_kak(u)
+        return _synth_kak(spec, u)
     return _synth_qutrit(spec, u)
 
 

@@ -60,6 +60,8 @@ class NoiseConfig:
             object.__setattr__(self, "readout_confusion", c)
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise ConfigError("readout confusion must be square")
+            if not np.all(np.isfinite(c)):
+                raise ConfigError("readout confusion has non-finite entries")
             if np.any(c < -1e-12):
                 raise ConfigError("readout confusion has negative entries")
             if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-12:

@@ -1,15 +1,20 @@
-"""Steering operators: entangling Hamiltonians built from target states, their
-unitaries and Kraus sets, one averaged channel step, and the steering
-(monotone fidelity) check.
+"""Steering operators: the paper's entangling generators, the closed-form
+cycle unitary and its Kraus sets, one averaged channel step, and the
+steering (monotone fidelity) check.
 
 Conventions used throughout:
 
 * Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit.
-* The ancilla reset state defaults to |0>.  With that convention one averaged
-  step at theta=pi/2, phi=0, J=pi/2 maps every input to |+><+| exactly.
-* For a qubit target ``SteeringOperator.unitary = exp(-i H)`` with the
-  coupling J folded into H; for a qutrit target it is the paper's
-  entangling rotation followed by a system-only exchange gate.
+* The ancilla reset state is |0> (the protocols mix in |1> for a reset
+  infidelity).  With that convention one averaged step at theta=pi/2,
+  phi=0, J=pi/2 maps every input to |+><+| exactly.
+* Every cycle is built from one triple (psi, b, S), :func:`steering_frame`:
+  the target, the bright direction of its complement and a system-only gate
+  (the identity for a qubit, the bright/dark exchange for a qutrit).  The
+  unitary is U = (I (x) S) exp(-i J G) with G = |0,b><1,psi| + h.c., written
+  in closed form because G^3 = G, so no eigendecomposition is needed.  The
+  paper's generators (:func:`build_qubit_hamiltonian`,
+  :func:`build_qutrit_hamiltonian`) are kept as the reference it matches.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import ComplexMatrix, dagger, expm_i_herm, kron, partial_trace
+from .linalg import ComplexMatrix, dagger, kron, partial_trace
 from .states import (
     DensityState,
     QubitTarget,
@@ -157,7 +162,7 @@ def build_qutrit_hamiltonian(target: QutritTarget) -> ComplexMatrix:
     |0> (x) d with d = (perp1 - perp2)/sqrt(2) is a second zero mode, so
     exp(-i J H) alone conserves the population of d and cannot steer from an
     arbitrary initial state.  :func:`make_steering_operator` therefore follows
-    it with :func:`qutrit_exchange_gate`.
+    it with the exchange gate of :func:`steering_frame`.
     """
     psi, perp1, perp2 = qutrit_complement_basis(target)
     raising = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -166,63 +171,66 @@ def build_qutrit_hamiltonian(target: QutritTarget) -> ComplexMatrix:
     return h + dagger(h)
 
 
-def qutrit_bright_dark(target: QutritTarget) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, b, d): the target, the complement direction b = (perp1 + perp2)/sqrt(2)
-    that :func:`build_qutrit_hamiltonian` couples to the ancilla, and the
-    direction d = (perp1 - perp2)/sqrt(2) that it leaves dark."""
+def steering_frame(
+    target: QubitTarget | QutritTarget,
+) -> tuple[np.ndarray, np.ndarray, ComplexMatrix]:
+    """(psi, b, S): the target ket, the bright direction b of its complement
+    that the cycle couples to the ancilla, and the system-only gate S that
+    follows the coupling.
+
+    * qubit: psi = (cos(theta/2), e^{i phi} sin(theta/2)) and
+      b = (sin(theta/2), -e^{i phi} cos(theta/2)), with the same raw phase,
+      and S = I.
+    * qutrit: b = (perp1 + perp2)/sqrt(2), the direction that
+      :func:`build_qutrit_hamiltonian` couples, and
+      S = |psi><psi| + |b><d| + |d><b|, which fixes the target and exchanges
+      b with the dark direction d = (perp1 - perp2)/sqrt(2) = S b.
+    """
+    if isinstance(target, QubitTarget):
+        cos, sin = math.cos(target.theta / 2), math.sin(target.theta / 2)
+        phase = np.exp(1j * target.phi)
+        psi = np.array([cos, phase * sin], dtype=complex)
+        return psi, np.array([sin, -phase * cos], dtype=complex), np.eye(2, dtype=complex)
+    if not isinstance(target, QutritTarget):
+        raise ConfigError(f"unsupported target {type(target).__name__}")
     psi, perp1, perp2 = qutrit_complement_basis(target)
-    return psi, (perp1 + perp2) / math.sqrt(2.0), (perp1 - perp2) / math.sqrt(2.0)
+    bright = (perp1 + perp2) / math.sqrt(2.0)
+    dark = (perp1 - perp2) / math.sqrt(2.0)
+    exchange = np.outer(psi, psi.conj()) + np.outer(bright, dark.conj())
+    exchange += np.outer(dark, bright.conj())
+    return psi, bright, exchange
 
 
-def qutrit_exchange_gate(target: QutritTarget) -> ComplexMatrix:
-    """System-only gate S = |psi><psi| + |b><d| + |d><b| that fixes the target
-    and exchanges the bright and dark complement directions."""
-    psi, bright, dark = qutrit_bright_dark(target)
-    return np.outer(psi, psi.conj()) + np.outer(bright, dark.conj()) + np.outer(dark, bright.conj())
+def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
+    """One steering cycle, for either system dimension, in closed form:
 
+        U = (I (x) S) [I + (cos J - 1) P - i sin J G],
+        G = |0,b><1,psi| + h.c.,  P = G^2,
 
-def qutrit_steering_unitary(target: QutritTarget, coupling: float) -> ComplexMatrix:
-    """One qutrit steering cycle: U = (I (x) S) exp(-i (J/sqrt(2)) H).
+    with (psi, b, S) from :func:`steering_frame`.  G^3 = G, so the bracket is
+    exp(-i J G): the ancilla flips with amplitude sin(J) exactly when the
+    system is along b, and the flip moves it onto psi.  J G is
+    build_qubit_hamiltonian(theta, phi, J) for a qubit and
+    (J/sqrt(2)) build_qutrit_hamiltonian(target) for a qutrit.
 
-    The entangling rotation has unit block coupling, so J is the angle by
-    which |0> (x) b turns into |1> (x) psi: the ancilla flips with amplitude
-    sin(J).  The exchange gate S then moves the dark direction into the
-    bright one for the next cycle.  The Kraus operators keep the properties
-    the protocols rely on: A_1 = -i sin(J) |psi><b| is rank one onto psi,
-    so a recorded "1" heralds the target, and <psi| A_0 = <psi|, so blind
-    fidelity is monotone.  psi is the only fixed point for 0 < J < pi, with
+    A_1 = -i sin(J) |psi><b| is rank one onto psi, so a recorded "1" heralds
+    the target, and <psi| A_0 = <psi|, so blind fidelity is monotone.  For a
+    qutrit, S moves the dark direction into the bright one for the next
+    cycle, so psi is the only fixed point for 0 < J < pi, with
     |lambda_2| = sqrt(|cos J|); at J = pi/2 every state reaches psi in two
     cycles.
     """
-    rotation = expm_i_herm((coupling / math.sqrt(2.0)) * build_qutrit_hamiltonian(target))
-    return kron(np.eye(2), qutrit_exchange_gate(target)) @ rotation
-
-
-def make_steering_operator(
-    spec: TargetSpec, ancilla_init: np.ndarray | None = None
-) -> SteeringOperator:
-    """Build the full steering operator for a target spec.
-
-    For qubit targets U = exp(-i H) with H = build_qubit_hamiltonian(theta,
-    phi, J); for qutrit targets U = qutrit_steering_unitary(target, J).
-    """
-    if isinstance(spec.target, QubitTarget):
-        h = build_qubit_hamiltonian(spec.target.theta, spec.target.phi, spec.coupling)
-        u = expm_i_herm(h)
-        system_dim = 2
-    elif isinstance(spec.target, QutritTarget):
-        u = qutrit_steering_unitary(spec.target, spec.coupling)
-        system_dim = 3
-    else:
-        raise ConfigError(f"unsupported target {type(spec.target).__name__}")
-    anc = KET0 if ancilla_init is None else np.asarray(ancilla_init, dtype=complex)
-    if anc.shape != (2,) or abs(np.linalg.norm(anc) - 1.0) > 1e-12:
-        raise ConfigError("ancilla_init must be a normalized qubit ket")
+    psi, bright, exchange = steering_frame(spec.target)
+    d = len(psi)
+    g = kron(np.array([[0, 1], [0, 0]]), np.outer(bright, psi.conj()))  # |0,b><1,psi|
+    g = g + dagger(g)
+    cos, sin = math.cos(spec.coupling), math.sin(spec.coupling)
+    rotation = np.eye(2 * d) + (cos - 1.0) * (g @ g) - 1j * sin * g
     return SteeringOperator(
-        unitary=u,
-        ancilla_init=anc,
+        unitary=(exchange @ rotation.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d),
+        ancilla_init=KET0,
         ancilla_dim=2,
-        system_dim=system_dim,
+        system_dim=d,
         coupling=spec.coupling,
         target=target_ket(spec.target),
         label=spec.label,

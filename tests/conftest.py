@@ -5,8 +5,40 @@ check (explicit index loops instead of reshapes, scipy.linalg.expm instead
 of the eigendecomposition exponential, and so on).
 """
 
+import math
+
 import numpy as np
 import pytest
+
+from qsteer.states import QUTRIT_EQUAL_TARGET, QubitTarget, QutritTarget, stabilizer_catalog
+from qsteer.steering import TargetSpec
+
+
+def steering_grid() -> tuple[list[TargetSpec], list[TargetSpec]]:
+    """(qubit specs, qutrit specs) for the closed-form cycle checks: the six
+    catalog targets and theta in {0, pi} over J in linspace(-4, 4, 17), then
+    200 random qubit and 200 random qutrit targets at random J in [-4, 4]
+    (the qutrit list opens with the equal superposition on the J grid)."""
+    rng = np.random.default_rng(2020)
+    grid = [float(j) for j in np.linspace(-4.0, 4.0, 17)]
+    qubits = [TargetSpec(e.target, j, e.label) for e in stabilizer_catalog() for j in grid]
+    qubits += [
+        TargetSpec(QubitTarget(theta, phi), j)
+        for theta in (0.0, math.pi) for phi in (0.0, 1.3, 4.0) for j in grid
+    ]
+    qubits += [
+        TargetSpec(QubitTarget(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)), rng.uniform(-4, 4))
+        for _ in range(200)
+    ]
+    qutrits = [TargetSpec(QUTRIT_EQUAL_TARGET, j) for j in grid]
+    qutrits += [
+        TargetSpec(
+            QutritTarget(*rng.uniform(0, math.pi, 2), *rng.uniform(0, 2 * math.pi, 2)),
+            rng.uniform(-4, 4),
+        )
+        for _ in range(200)
+    ]
+    return qubits, qutrits
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -37,7 +37,7 @@ from qsteer.states import (
 )
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import haar_unitary
+from conftest import haar_unitary, steering_grid
 
 
 class TestGateValidation:
@@ -229,6 +229,23 @@ class TestKakSynthesis:
                 assert c.count(CNOT) == 2
                 single = sum(1 for g in c.gates if g.kind in (RX, RZ, U3))
                 assert single <= 7
+
+    def test_closed_form_grid(self, monkeypatch):
+        # read off the operator's frame: no KAK, so no eigendecomposition
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigh called during qubit synthesis")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        qubits, _ = steering_grid()
+        for spec in qubits:
+            c = synth_kak_circuit(spec)
+            assert [g.kind for g in c.gates] == [U3, U3, CNOT, RX, RZ, CNOT, U3, U3]
+            assert c.count(CNOT) == 2
+            # the core angles are J itself, not folded into the Weyl chamber
+            assert c.gates[3].params == (spec.coupling,) == c.gates[4].params
+            got, want = evaluate_circuit(c), make_steering_operator(spec).unitary
+            assert phase_invariant_distance(got, want) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):

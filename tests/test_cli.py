@@ -114,6 +114,20 @@ class TestSteerCommand:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
 
+    def test_noise_file_nan_confusion_is_config_error(self, runner, tmp_path):
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"readout_confusion": [[NaN, NaN], [0, 1]]}')
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["steer", "--target", "+", "--J", "0.785", "--N", "5", "--mode", "nonblind",
+             "--noise", str(noise), "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+        assert not (out / "records.json").exists()
+
     def test_noise_file_applied(self, runner, tmp_path):
         noise = tmp_path / "noise.json"
         noise.write_text(json.dumps({"depolarizing_p": 0.2}))

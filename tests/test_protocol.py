@@ -65,6 +65,15 @@ class TestNoiseConfig:
             NoiseConfig(readout_confusion=np.array([[0.9, 0.2], [0.1, 0.9]]))
         NoiseConfig(readout_confusion=np.array([[0.9, 0.1], [0.2, 0.8]]))
 
+    @pytest.mark.parametrize(
+        "confusion",
+        [[[math.nan, math.nan], [0.0, 1.0]], [[math.nan, 1.0], [0.0, 1.0]], [[1.0, 0.0], [math.inf, 0.0]]],
+    )
+    def test_non_finite_confusion_rejected(self, confusion):
+        # NaN passes both the negativity and the row-sum comparison
+        with pytest.raises(ConfigError, match="non-finite"):
+            NoiseConfig(readout_confusion=np.array(confusion))
+
     def test_channels_trace_and_positivity(self, rng):
         noise = NoiseConfig(depolarizing_p=0.1, amplitude_damping_gamma=0.2)
         for d in (2, 3):
@@ -506,7 +515,9 @@ class TestOutcomeThreshold:
 
 class TestSeedContract:
     """Runs pinned to the records, repetitions and final-fidelity statistics
-    they had before outcomes were drawn by integer thresholds on raw words."""
+    they had before outcomes were drawn by integer thresholds on raw words.
+    The final-fidelity std is rounding noise (heralded states sit about 1e-12
+    from the target), so it is pinned to the closed-form operator's bits."""
 
     def test_readme_run(self):
         catalog = {e.label: e.target for e in stabilizer_catalog()}
@@ -521,7 +532,7 @@ class TestSeedContract:
             "ea0d6f1b95a7a881c85b2bc86ae18dfff3e4af2787e585912e36a6d56af5a883"
         )
         fids = fidelity(batch.final_states, op.target)
-        assert (float(fids.mean()), float(fids.std())) == (0.9999999999995303, 4.695130930834414e-13)
+        assert (float(fids.mean()), float(fids.std())) == (0.9999999999995303, 4.695133474147442e-13)
 
     def test_noisy_qutrit_run_without_early_stop(self):
         op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, 0.785, "qutrit-equal"))
@@ -592,7 +603,7 @@ class TestBlindReference:
     @staticmethod
     def loop_fidelities(spec, rho, steps, noise):
         op = make_steering_operator(spec)
-        flipped = make_steering_operator(spec, ancilla_init=np.array([0.0, 1.0], dtype=complex))
+        flipped = replace(op, ancilla_init=np.array([0.0, 1.0], dtype=complex))
         eps = noise.reset_infidelity
         kset = KrausSet(
             operators=tuple(math.sqrt(1.0 - eps) * a for a in kraus_from_unitary(op).operators)

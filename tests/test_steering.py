@@ -30,10 +30,11 @@ from qsteer.steering import (
     kraus_from_unitary,
     make_steering_operator,
     qutrit_complement_basis,
+    steering_frame,
     steering_inequality_holds,
 )
 
-from conftest import channel_superoperator, ginibre_density
+from conftest import channel_superoperator, ginibre_density, steering_grid
 
 
 def explicit_qubit_matrix(theta, phi, coupling):
@@ -166,6 +167,46 @@ class TestSteeringOperator:
             kset = kraus_from_unitary(op)
             assert len(kset.operators) == op.ancilla_dim
             assert kset.completeness_defect() < 1e-10
+
+    def test_closed_form_matches_paper_generators(self):
+        # exp(-i H) of the paper's qubit generator; for a qutrit its rotation
+        # exp(-i (J/sqrt(2)) H) followed by the bright/dark exchange gate
+        qubits, qutrits = steering_grid()
+        for spec in qubits:
+            t = spec.target
+            want = expm_i_herm(build_qubit_hamiltonian(t.theta, t.phi, spec.coupling))
+            assert np.max(np.abs(make_steering_operator(spec).unitary - want)) <= 1e-13
+        for spec in qutrits:
+            psi, p1, p2 = qutrit_complement_basis(spec.target)
+            b, d = (p1 + p2) / math.sqrt(2), (p1 - p2) / math.sqrt(2)
+            exchange = np.outer(psi, psi.conj()) + np.outer(b, d.conj()) + np.outer(d, b.conj())
+            h = (spec.coupling / math.sqrt(2)) * build_qutrit_hamiltonian(spec.target)
+            want = kron(np.eye(2), exchange) @ expm_i_herm(h)
+            assert np.max(np.abs(make_steering_operator(spec).unitary - want)) <= 1e-13
+
+    def test_frame(self):
+        qubits, qutrits = steering_grid()
+        for spec in qubits[::7] + qutrits[::7]:
+            psi, bright, exchange = steering_frame(spec.target)
+            d = len(psi)
+            assert abs(abs(np.vdot(target_ket(spec.target), psi)) - 1) <= 1e-14
+            assert abs(np.linalg.norm(bright) - 1) <= 1e-14 and abs(np.vdot(psi, bright)) <= 1e-14
+            # S fixes psi, is an involution and sends b to the dark direction
+            assert np.max(np.abs(exchange @ psi - psi)) <= 1e-14
+            assert np.max(np.abs(exchange @ exchange - np.eye(d))) <= 1e-14
+            if d == 2:
+                assert np.array_equal(exchange, np.eye(2))
+            else:
+                dark = exchange @ bright
+                assert abs(np.vdot(psi, dark)) <= 1e-14 and abs(np.vdot(bright, dark)) <= 1e-14
+
+    def test_build_needs_no_eigendecomposition(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigh called while building a steering operator")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        for target in (QubitTarget(1.1, 0.3), QUTRIT_EQUAL_TARGET, QutritTarget(1.2, 0.9, 1.0, 5.0)):
+            make_steering_operator(TargetSpec(target, 0.7))
 
     def test_one_step_swap_to_plus(self):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+"))
