@@ -5,8 +5,10 @@ Both syntheses read the circuit off the steering cycle's frame (psi, b, S)
 from :func:`qsteer.steering.steering_frame`, with no KAK decomposition: the
 cycle is exp(-i J G), G = |0,b><1,psi| + h.c., followed by S.  A qubit
 circuit is always a U3 pair, CNOT, RX(J) on the ancilla and RZ(J) on the
-system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit routes the
-rotation through ``cx23`` gates and ends with one local block that applies S.
+system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit is always a
+local block, four ``cx23`` pairs around RX(-J) and RX(J) on the ancilla with
+a (12)-level RY(pi/2) and its inverse inside, and a local block that also
+applies S: 34 gates, 8 of them ``cx23``.
 
 Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
 plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
@@ -101,6 +103,8 @@ class Circuit:
         object.__setattr__(self, "gates", tuple(self.gates))
         if not all(d in (2, 3) for d in self.wire_dims):
             raise ConfigError(f"wire dims must be 2 or 3, got {self.wire_dims}")
+        if not math.isfinite(self.global_phase):
+            raise ConfigError(f"non-finite global phase {self.global_phase}")
         for g in self.gates:
             self._check_gate(g)
 
@@ -221,22 +225,6 @@ def zyz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
     return theta, phi, lam, g
 
 
-def zxz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
-    """(alpha, beta, xi, phase) with u = e^{i phase} RZ(alpha) RX(beta) RZ(xi)."""
-    u = np.asarray(u, dtype=complex)
-    g = 0.5 * float(np.angle(np.linalg.det(u)))
-    su = u * np.exp(-1j * g)
-    beta = 2.0 * math.atan2(abs(su[1, 0]), abs(su[0, 0]))
-    if abs(su[1, 0]) < 1e-12:
-        alpha, xi = 2.0 * float(np.angle(su[1, 1])), 0.0
-    elif abs(su[0, 0]) < 1e-12:
-        alpha, xi = 2.0 * float(np.angle(su[1, 0])) + math.pi, 0.0
-    else:
-        alpha = float(np.angle(su[1, 1]) + np.angle(su[1, 0])) + math.pi / 2
-        xi = float(np.angle(su[1, 1]) - np.angle(su[1, 0])) - math.pi / 2
-    return alpha, beta, xi, g
-
-
 def _reconcile_phase(
     circuit: Circuit, target: ComplexMatrix, tol: float
 ) -> tuple[Circuit, float]:
@@ -291,44 +279,22 @@ def _synth_kak(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
 # qubit-qutrit synthesis
 
 
-def _su2_block_gates_01(angles: tuple[float, float, float, float], wire: int) -> list[Gate]:
-    """Gates for the 2x2 unitary with ``zyz_angles`` ``angles``, acting on the
-    (01) levels of a dim-3 ``wire``.
-
-    Its determinant phase cannot be a global phase (it must not touch |2>),
-    so it is realized as an rz/rz12 diagonal pair.
-    """
-    theta, phi, lam, g = angles
-    gates = [Gate(U3, (theta, phi, lam), (wire,))]
-    if abs(g) < 1e-15:
-        return gates
-    # diag(e^{ig}, e^{ig}, 1) = e^{i 2g/3} rz(-2g/3) rz12(-4g/3)
-    return gates + [
-        Gate(RZ, (-2.0 * g / 3.0,), (wire,)),
-        Gate(SUBSPACE_RZ12, (-4.0 * g / 3.0,), (wire,)),
-    ]
-
-
-def _su2_block_gates_12(angles: tuple[float, float, float, float], wire: int) -> list[Gate]:
-    """Gates for the 2x2 unitary with ``zxz_angles`` ``angles``, acting on the
-    (12) levels of ``wire`` (|0> untouched)."""
-    alpha, beta, xi, g = angles
-    gates = [
-        Gate(SUBSPACE_RZ12, (xi,), (wire,)),
-        Gate(SUBSPACE_RX12, (beta,), (wire,)),
-        Gate(SUBSPACE_RZ12, (alpha,), (wire,)),
-    ]
-    if abs(g) < 1e-15:
-        return gates
-    # diag(1, e^{ig}, e^{ig}) = e^{i 2g/3} rz(4g/3) rz12(2g/3)
-    return gates + [
-        Gate(RZ, (4.0 * g / 3.0,), (wire,)),
-        Gate(SUBSPACE_RZ12, (2.0 * g / 3.0,), (wire,)),
+def _level_gates(u: ComplexMatrix, upper: bool, wire: int) -> list[Gate]:
+    """Gates for the SU(2) block ``u`` on levels (0, 1) of a dim-3 ``wire``,
+    or on levels (1, 2) if ``upper``.  The (1, 2) form uses
+    RZ(phi) RY(theta) RZ(lam) = RZ(phi + pi/2) RX(theta) RZ(lam - pi/2)."""
+    theta, phi, lam, _ = zyz_angles(u)
+    if not upper:
+        return [Gate(U3, (theta, phi, lam), (wire,))]
+    return [
+        Gate(SUBSPACE_RZ12, (lam - math.pi / 2,), (wire,)),
+        Gate(SUBSPACE_RX12, (theta,), (wire,)),
+        Gate(SUBSPACE_RZ12, (phi + math.pi / 2,), (wire,)),
     ]
 
 
 def _givens_rotation(a: complex, b: complex) -> ComplexMatrix:
-    """2x2 unitary u with u @ (a, b) = (r, 0), r >= 0."""
+    """SU(2) matrix u with u @ (a, b) = (r, 0), r >= 0."""
     n = math.hypot(abs(a), abs(b))
     if n < 1e-300 or abs(b) < 1e-15 * max(1.0, abs(a)):
         return np.eye(2, dtype=complex)
@@ -339,16 +305,16 @@ def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> list[Gate]:
     """Gate sequence implementing an arbitrary 3x3 unitary on one qutrit wire
     via a Givens chain of (01) and (12) subspace rotations."""
     m = np.asarray(w3, dtype=complex).copy()
-    rotations: list[tuple[str, ComplexMatrix]] = []
+    rotations: list[tuple[bool, ComplexMatrix]] = []
 
-    def apply(sub: str, lo: int, r0: int, r1: int) -> None:
+    def apply(upper: bool, lo: int, r0: int, r1: int) -> None:
         g = _givens_rotation(m[r0, lo], m[r1, lo])
         m[[r0, r1], :] = g @ m[[r0, r1], :]
-        rotations.append((sub, g))
+        rotations.append((upper, g))
 
-    apply("12", 0, 1, 2)  # zero m[2,0]
-    apply("01", 0, 0, 1)  # zero m[1,0]
-    apply("12", 1, 1, 2)  # zero m[2,1]
+    apply(True, 0, 1, 2)  # zero m[2,0]
+    apply(False, 0, 0, 1)  # zero m[1,0]
+    apply(True, 1, 1, 2)  # zero m[2,1]
     if float(np.max(np.abs(m - np.diag(np.diag(m))))) > 1e-10:
         raise NumericalError("Givens reduction left off-diagonal residue")
     delta = np.angle(np.diag(m))
@@ -359,67 +325,20 @@ def _local_qutrit_gates(w3: ComplexMatrix, wire: int) -> list[Gate]:
         Gate(RZ, (a,), (wire,)),
         Gate(SUBSPACE_RZ12, (b,), (wire,)),
     ]
-    for sub, g in reversed(rotations):
-        angles, maker = ((zyz_angles, _su2_block_gates_01) if sub == "01"
-                         else (zxz_angles, _su2_block_gates_12))
-        gates.extend(maker(angles(dagger(g)), wire))
+    for upper, g in reversed(rotations):
+        gates.extend(_level_gates(dagger(g), upper, wire))
     return gates
 
 
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
-_HADAMARD_ZXZ = zxz_angles(_HADAMARD)
-_HADAMARD_U3 = zyz_angles(_HADAMARD)[:3]
-
-
-def _h12_gates(wire: int) -> list[Gate]:
-    return _su2_block_gates_12(_HADAMARD_ZXZ, wire)
-
-
-def _ha_gates(wire: int) -> list[Gate]:
-    return [Gate(U3, _HADAMARD_U3, (wire,))]
-
-
-def _cx_a12_gates(anc: int, system: int) -> list[Gate]:
-    """Ancilla-controlled X on the system's (12) subspace, from two cx23
-    applications (a controlled Z on |2>) conjugated by (12) Hadamards."""
-    cz2 = [Gate(QUBIT_QUTRIT_CNOT, (), (anc, system)), Gate(QUBIT_QUTRIT_CNOT, (), (anc, system))]
-    return _h12_gates(system) + cz2 + _h12_gates(system)
-
-
-def _cx_12a_gates(anc: int, system: int) -> list[Gate]:
-    """X on the ancilla controlled by the system being in |2>."""
-    return (
-        _ha_gates(anc)
-        + _h12_gates(system)
-        + _cx_a12_gates(anc, system)
-        + _ha_gates(anc)
-        + _h12_gates(system)
-    )
-
-
-def _crx_12a_gates(anc: int, system: int, angle: float) -> list[Gate]:
-    """RX(angle) on the ancilla controlled by the system being in |2>."""
-    return (
-        [Gate(RZ, (math.pi / 2,), (anc,))]
-        + _cx_12a_gates(anc, system)
-        + [Gate(U3, (-angle / 2, 0.0, 0.0), (anc,))]
-        + _cx_12a_gates(anc, system)
-        + [Gate(U3, (angle / 2, 0.0, 0.0), (anc,)), Gate(RZ, (-math.pi / 2,), (anc,))]
-    )
+# RY(pi/2) on levels (1, 2): V Z V^dag = X there
+_V12 = np.array([[1, -1], [1, 1]], dtype=complex) / math.sqrt(2.0)
+_V3 = np.eye(3, dtype=complex)
+_V3[1:, 1:] = _V12
 
 
 def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
-    """Qubit-qutrit steering circuit for make_steering_operator(spec).unitary.
-
-    The steering unitary is a single entangling rotation by J between the
-    ancilla-ground bright complement direction b and the excited-ancilla
-    target, followed by the system-only gate S that exchanges b with the dark
-    direction d.  It is synthesized exactly: rotate the system so that b
-    becomes |2>, the target |1> and d |0>, route |1,1> to |1,2> with a
-    cx23-based controlled X on the (12) subspace, apply a controlled ancilla
-    rotation RX(2J), undo the routing, and end with one local block that
-    both undoes the rotation and applies S.
-    """
+    """Qubit-qutrit steering circuit for make_steering_operator(spec).unitary;
+    see :func:`_synth_qutrit`."""
     if not isinstance(spec.target, QutritTarget):
         raise ConfigError("synth_qutrit_circuit handles qutrit targets")
     return _synth_qutrit(spec, make_steering_operator(spec).unitary)[0]
@@ -427,18 +346,28 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
 
 def _synth_qutrit(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
     """synth_qutrit_circuit given the steering unitary ``u`` of ``spec``,
-    with the circuit's phase-invariant distance to it."""
-    psi, w_bright, exchange = steering_frame(spec.target)
-    w3 = np.vstack([(exchange @ w_bright).conj(), psi.conj(), w_bright.conj()])
+    with the circuit's phase-invariant distance to it.
 
+    With W the system unitary whose rows are <d|, <psi|, <b| (d = S b), W
+    turns the cycle's G into G' = |0,2><1,1| + h.c.  CZ = cx23 cx23 puts -1
+    on |1,2>, so C = V CZ V^dag is the ancilla-controlled X on levels (1, 2)
+    and C G' C = X (x) |2><2|, whose exponential exp(-i J X (x) |2><2|) is
+    RX(J) CZ RX(-J) CZ on the ancilla.  In application order: V^dag W, CZ,
+    V, CZ, RX(-J), CZ, RX(J), V^dag, CZ, and S W^dag V, with J unfolded.
+    """
+    psi, bright, exchange = steering_frame(spec.target)
+    w = np.vstack([(exchange @ bright).conj(), psi.conj(), bright.conj()])
+    cz = [Gate(QUBIT_QUTRIT_CNOT, (), (0, 1))] * 2
+    j = spec.coupling
     gates = (
-        _local_qutrit_gates(w3, 1)
-        + _cx_a12_gates(0, 1)
-        + _crx_12a_gates(0, 1, 2.0 * spec.coupling)
-        + _cx_a12_gates(0, 1)
-        + _local_qutrit_gates(exchange @ dagger(w3), 1)
+        _local_qutrit_gates(dagger(_V3) @ w, 1)
+        + cz + _level_gates(_V12, True, 1)
+        + cz + [Gate(RX, (-j,), (0,))]
+        + cz + [Gate(RX, (j,), (0,))]
+        + _level_gates(dagger(_V12), True, 1) + cz
+        + _local_qutrit_gates(exchange @ dagger(w) @ _V3, 1)
     )
-    return _reconcile_phase(Circuit((2, 3), tuple(gates)), u, 1e-6)
+    return _reconcile_phase(Circuit((2, 3), tuple(gates)), u, 1e-9)
 
 
 def _synthesize(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
@@ -489,6 +418,8 @@ def parse_text(text: str) -> Circuit:
     if not m:
         raise ConfigError(f"bad header line {lines[0]!r}")
     n = int(m.group(1))
+    if len(lines) <= n:
+        raise ConfigError(f"circuit text ends before its {n} wire declarations")
     dims = [0] * n
     for i in range(n):
         wm = _WIRE_RE.match(lines[1 + i])
@@ -503,12 +434,15 @@ def parse_text(text: str) -> Circuit:
         if not gm:
             raise ConfigError(f"bad gate line {ln!r}")
         kind = gm.group(1)
-        params = tuple(float(p) for p in gm.group(2).split(",")) if gm.group(2) else ()
-        wires = (
-            tuple(int(w.strip().lstrip("w")) for w in gm.group(3).split(","))
-            if gm.group(3)
-            else ()
-        )
+        try:
+            params = tuple(float(p) for p in gm.group(2).split(",")) if gm.group(2) else ()
+            wires = (
+                tuple(int(w.strip().lstrip("w")) for w in gm.group(3).split(","))
+                if gm.group(3)
+                else ()
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad number in gate line {ln!r}") from exc
         if kind == PHASE and idx == len(body) - 1:
             if len(params) != 1 or wires:
                 raise ConfigError(f"bad phase line {ln!r}")

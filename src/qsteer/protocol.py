@@ -58,8 +58,9 @@ class NoiseConfig:
         if self.readout_confusion is not None:
             c = np.asarray(self.readout_confusion, dtype=float)
             object.__setattr__(self, "readout_confusion", c)
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ConfigError("readout confusion must be square")
+            if c.shape != (2, 2):
+                raise ConfigError("readout confusion must be 2x2 (the ancilla is a qubit), "
+                                  f"got shape {c.shape}")
             if not np.all(np.isfinite(c)):
                 raise ConfigError("readout confusion has non-finite entries")
             if np.any(c < -1e-12):
@@ -310,14 +311,11 @@ def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.
 
 
 def _readout_confusion(rho0: DensityState, op: SteeringOperator, noise: NoiseConfig):
-    """The run's readout confusion, or None; rejects an initial state or a
-    confusion that does not fit the operator."""
+    """The run's readout confusion, or None; rejects an initial state that
+    does not fit the operator."""
     if rho0.dim != op.system_dim:
         raise DimensionMismatchError("initial state does not match the system dimension")
-    confusion = noise.readout_confusion
-    if confusion is not None and confusion.shape[0] != op.ancilla_dim:
-        raise ConfigError("readout confusion size does not match ancilla dim")
-    return confusion
+    return noise.readout_confusion
 
 
 def repetition_law(

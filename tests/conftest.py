@@ -41,6 +41,14 @@ def steering_grid() -> tuple[list[TargetSpec], list[TargetSpec]]:
     return qubits, qutrits
 
 
+# circuit files that once reached `qsteer kak --circuit` as raw tracebacks
+MALFORMED_CIRCUIT_TEXTS = {
+    "missing_wire_line": "wires: 2;\nwire w0: dim 2;\n",
+    "non_numeric_param": "wires: 2;\nwire w0: dim 2;\nwire w1: dim 2;\nrx(abc) w0;\nphase(0);\n",
+    "non_finite_phase": "wires: 2;\nwire w0: dim 2;\nwire w1: dim 2;\nrx(0.1) w0;\nphase(1e400);\n",
+}
+
+
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)

@@ -22,7 +22,6 @@ from qsteer.circuits import (
     synth_kak_circuit,
     synth_qutrit_circuit,
     u3_matrix,
-    zxz_angles,
     zyz_angles,
 )
 from qsteer.circuits import rx_matrix, rz_matrix
@@ -37,7 +36,7 @@ from qsteer.states import (
 )
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import haar_unitary, steering_grid
+from conftest import MALFORMED_CIRCUIT_TEXTS, haar_unitary, steering_grid
 
 
 class TestGateValidation:
@@ -61,6 +60,9 @@ class TestGateValidation:
     def test_nonfinite_param(self):
         with pytest.raises(ConfigError):
             Gate(RX, (float("nan"),), (0,))
+        for phase in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                Circuit((2,), (), phase)
 
 
 class TestEvaluate:
@@ -110,7 +112,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "target, coupling, tol",
-        [(QubitTarget(math.pi / 2, 0.0), 0.785, 1e-9), (QUTRIT_EQUAL_TARGET, 0.5, 1e-6)],
+        [(QubitTarget(math.pi / 2, 0.0), 0.785, 1e-9), (QUTRIT_EQUAL_TARGET, 0.5, 1e-12)],
     )
     def test_readme_circuits(self, target, coupling, tol):
         spec = TargetSpec(target, coupling)
@@ -191,14 +193,6 @@ class TestAngleExtraction:
         u = haar_unitary(2, np.random.default_rng(seed))
         theta, phi, lam, g = zyz_angles(u)
         rec = np.exp(1j * g) * u3_matrix(theta, phi, lam)
-        assert np.max(np.abs(rec - u)) < 1e-11
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_zxz_reconstructs(self, seed):
-        u = haar_unitary(2, np.random.default_rng(seed))
-        alpha, beta, xi, g = zxz_angles(u)
-        rec = np.exp(1j * g) * rz_matrix(alpha) @ rx_matrix(beta) @ rz_matrix(xi)
         assert np.max(np.abs(rec - u)) < 1e-11
 
     def test_diagonal_edge_cases(self):
@@ -284,6 +278,28 @@ class TestQutritSynthesis:
         with pytest.raises(ConfigError):
             synth_qutrit_circuit(TargetSpec(QubitTarget(0.1, 0.1), 0.3))
 
+    def test_closed_form_grid(self, monkeypatch):
+        # read off the operator's frame: no eigendecomposition
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigh called during qutrit synthesis")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        _, qutrits = steering_grid()
+        for spec in qutrits:
+            c = synth_qutrit_circuit(spec)
+            kinds = [g.kind for g in c.gates]
+            assert len(kinds) == 34 and kinds.count(QUBIT_QUTRIT_CNOT) == 8
+            # four adjacent cx23 pairs, each a CZ on |1,2>
+            at = [i for i, k in enumerate(kinds) if k == QUBIT_QUTRIT_CNOT]
+            assert at[::2] == [i - 1 for i in at[1::2]]
+            # the core angles are -J and J themselves, not folded
+            assert [g.params for g in c.gates if g.kind == RX and g.wires == (0,)] == [
+                (-spec.coupling,), (spec.coupling,)
+            ]
+            got, want = evaluate_circuit(c), make_steering_operator(spec).unitary
+            assert phase_invariant_distance(got, want) <= 1e-12
+            assert np.max(np.abs(got - want)) <= 1e-12
+
 
 class TestTextFormat:
     def test_single_rx_line(self):
@@ -333,3 +349,6 @@ class TestTextFormat:
             parse_text("wires: 1;\nwire w0: dim 2;\nfoo(1) w0;\nphase(0);\n")
         with pytest.raises(ConfigError):
             parse_text("wires: 1;\nwire w0: dim 2;\nrx(0.1) w0;\n")  # missing phase line
+        for text in MALFORMED_CIRCUIT_TEXTS.values():
+            with pytest.raises(ConfigError):
+                parse_text(text)

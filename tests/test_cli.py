@@ -13,6 +13,8 @@ from qsteer.errors import ConfigError, NumericalError
 from qsteer.protocol import _blind_states, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
+from conftest import MALFORMED_CIRCUIT_TEXTS
+
 
 @pytest.fixture
 def runner():
@@ -127,6 +129,29 @@ class TestSteerCommand:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
         assert not (out / "records.json").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["steer", "--target", "+", "--J", "0.5", "--N", "3", "--mode", "blind"],
+            ["steer", "--target", "+", "--J", "0.5", "--N", "3", "--mode", "nonblind",
+             "--trajectories", "10"],
+            ["sweep", "--targets", "+", "--Js", "0.5", "--N", "3"],
+            ["tomo", "--target", "+", "--J", "0.5", "--N", "3"],
+        ],
+        ids=["steer-blind", "steer-nonblind", "sweep", "tomo"],
+    )
+    def test_noise_file_3x3_confusion_is_config_error(self, runner, tmp_path, args):
+        # the ancilla is a qubit: blind runs never read the confusion, but
+        # must not echo one that cannot apply
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"readout_confusion": np.eye(3).tolist()}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, args + ["--noise", str(noise), "--out", str(out)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_noise_file_applied(self, runner, tmp_path):
         noise = tmp_path / "noise.json"
@@ -370,6 +395,16 @@ class TestKakCommand:
         payload = json.loads((tmp_path / "kak.json").read_text())
         assert np.allclose(payload["weyl_coordinates"], [0.5, 0.5, 0.0], atol=1e-8)
 
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CIRCUIT_TEXTS))
+    def test_malformed_circuit_file_is_config_error(self, runner, tmp_path, name):
+        path = tmp_path / "circuit.txt"
+        path.write_text(MALFORMED_CIRCUIT_TEXTS[name])
+        result = runner.invoke(main, ["kak", "--circuit", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+        assert not (tmp_path / "kak.json").exists()
+
     def test_requires_source(self, runner, tmp_path):
         result = runner.invoke(main, ["kak", "--out", str(tmp_path)])
         assert result.exit_code == 2
@@ -395,7 +430,8 @@ class TestCircuitCommand:
         )
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "verify.json").read_text())
-        assert payload["phase_invariant_distance"] <= 1e-6
+        assert payload["phase_invariant_distance"] <= 1e-9
+        assert payload["gate_count"] == 34
 
 
 class TestTomoAndQpt:
