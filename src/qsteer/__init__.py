@@ -83,6 +83,7 @@ from .circuits import (
     emit_text,
     evaluate_circuit,
     parse_text,
+    steering_kak,
     synth_kak_circuit,
     synth_qutrit_circuit,
 )

@@ -8,7 +8,8 @@ circuit is always a U3 pair, CNOT, RX(J) on the ancilla and RZ(J) on the
 system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit is always a
 local block, four ``cx23`` pairs around RX(-J) and RX(J) on the ancilla with
 a (12)-level RY(pi/2) and its inverse inside, and a local block that also
-applies S: 34 gates, 8 of them ``cx23``.
+applies S: 34 gates, 8 of them ``cx23``.  :func:`steering_kak` reads the
+qubit cycle's KAK decomposition off the same qubit circuit.
 
 Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
 plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
@@ -36,12 +37,12 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .geometry import CNOT_GATE
+from .geometry import CNOT_GATE, KakDecomposition
 from .linalg import ComplexMatrix, dagger, phase_invariant_distance
 from .states import QubitTarget, QutritTarget
 from .steering import TargetSpec, make_steering_operator, steering_frame
@@ -251,28 +252,75 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
     return _synth_kak(spec, make_steering_operator(spec).unitary)[0]
 
 
+_Pair = tuple[ComplexMatrix, ComplexMatrix]
+
+
+def _fixed_locals(spec: TargetSpec) -> tuple[_Pair, _Pair]:
+    """(L, R): the (ancilla, system) local pairs after and before the core
+    of the qubit circuit, with V the system unitary whose rows are <b| and
+    <psi|: L = (RX(-pi/2), V^dag RX(pi/2)) and R = (RX(pi/2), RX(-pi/2) V)."""
+    psi, bright, _ = steering_frame(spec.target)
+    v = np.vstack([bright.conj(), psi.conj()])
+    return ((rx_matrix(-math.pi / 2), dagger(v) @ rx_matrix(math.pi / 2)),
+            (rx_matrix(math.pi / 2), rx_matrix(-math.pi / 2) @ v))
+
+
 def _synth_kak(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
     """synth_kak_circuit for the qubit steering unitary ``u`` of ``spec``,
     with the circuit's phase-invariant distance to it.
 
-    With V the system unitary whose rows are <b| and <psi|, V turns the
-    cycle's G into (XX - YY)/2 and RX(pi/2) (x) RX(-pi/2) turns that into
-    (XX + ZZ)/2, whose exponential exp(-i J (XX + ZZ)/2) is the core
-    CNOT . (RX(J) (x) RZ(J)) . CNOT up to a global phase.
+    V (see :func:`_fixed_locals`) turns the cycle's G into (XX - YY)/2 and
+    RX(pi/2) (x) RX(-pi/2) turns that into (XX + ZZ)/2, whose exponential
+    exp(-i J (XX + ZZ)/2) is the core CNOT . (RX(J) (x) RZ(J)) . CNOT up to
+    a global phase.
     """
-    psi, bright, _ = steering_frame(spec.target)
-    v = np.vstack([bright.conj(), psi.conj()])
+    (l0, l1), (r0, r1) = _fixed_locals(spec)
     gates = (
-        _u3_gate(rx_matrix(math.pi / 2), 0),
-        _u3_gate(rx_matrix(-math.pi / 2) @ v, 1),
+        _u3_gate(r0, 0),
+        _u3_gate(r1, 1),
         Gate(CNOT, (), (0, 1)),
         Gate(RX, (spec.coupling,), (0,)),
         Gate(RZ, (spec.coupling,), (1,)),
         Gate(CNOT, (), (0, 1)),
-        _u3_gate(rx_matrix(-math.pi / 2), 0),
-        _u3_gate(dagger(v) @ rx_matrix(math.pi / 2), 1),
+        _u3_gate(l0, 0),
+        _u3_gate(l1, 1),
     )
     return _reconcile_phase(Circuit((2, 2), gates), u, 1e-9)
+
+
+_RY_PI = np.array([[0, -1], [1, 0]], dtype=complex)  # -i Y
+_RZ_PI = rz_matrix(math.pi)  # -i Z
+
+
+def steering_kak(spec: TargetSpec, u: ComplexMatrix) -> KakDecomposition:
+    """KAK decomposition of the qubit steering unitary ``u`` of ``spec``
+    (``make_steering_operator(spec).unitary``), read off the circuit of
+    :func:`_synth_kak` with no eigensolver.
+
+    With K = RX(pi/2) (x) RY(pi) RX(pi/2), the core of that circuit is
+    K A(J, J, 0) K^dag up to a phase, so U = e^{i gamma} (L K) A(J, J, 0)
+    (K^dag R) with (L, R) from :func:`_fixed_locals`.  J is reduced mod 2 pi
+    into [-pi, pi] and folded onto [0, pi/2] by
+    A(J, J, 0) = (Z (x) I) A(-J, -J, 0) (Z (x) I) and
+    A(J, J, 0) = (I (x) Z) A(pi - J, pi - J, 0) (Z (x) I).  The locals are
+    in SU(2) (det V = e^{-i phi}), and gamma comes from one trace against U.
+    """
+    if not isinstance(spec.target, QubitTarget):
+        raise ConfigError("steering_kak handles qubit targets")
+    (l0, l1), (r0, r1) = _fixed_locals(spec)
+    half = rx_matrix(math.pi / 2)
+    root = cmath.exp(0.5j * spec.target.phi)
+    k1a, k1b = l0 @ half, l1 @ _RY_PI @ half / root
+    k2a, k2b = dagger(half) @ r0, dagger(half) @ _RY_PI.T @ r1 * root
+    j = math.remainder(spec.coupling, 2 * math.pi)
+    # each fold puts -i Z on the left and i Z on the right: no phase, so
+    # gamma stays clear of the +-pi cut
+    if j < 0:
+        j, k1a, k2a = -j, k1a @ _RZ_PI, _RZ_PI.conj() @ k2a
+    if j > math.pi / 2:
+        j, k1b, k2a = math.pi - j, k1b @ _RZ_PI, _RZ_PI.conj() @ k2a
+    core = KakDecomposition((k1a, k1b), (k2a, k2b), np.array([j, j, 0.0]), 0.0)
+    return replace(core, global_phase=float(np.angle(np.vdot(core.reassemble(), u))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import re
 import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from functools import cache
-from itertools import repeat
 from pathlib import Path
 
 import click
@@ -27,14 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, QsteerError
-from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text
-from .geometry import (
-    CNOT_GATE,
-    cphase_gate,
-    kak_decompose,
-    locally_equivalent,
-    reassembly_distance,
-)
+from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text, steering_kak
+from .geometry import at_cnot_point, kak_decompose, reassembly_distance
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
@@ -74,45 +66,32 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
-_CONTAINERS = (list, tuple, dict)
+# One compact encoding by CPython's C encoder, with a bare newline as the item
+# separator: a newline is escaped inside every string the encoder writes, so
+# each one in its output separates two items.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=("\n", ": "))
+# (run, bracket): a run of text that holds no bracket outside a string or an
+# empty container, then the opening or closing bracket that ends it.
+_RUN_BRACKET = re.compile(
+    r'((?:[^"\[\]{}]++|"[^"\\]*+(?:\\.[^"\\]*+)*+"|\[\]|\{\})*+)([\[\]{}]?)'
+)
 
 
-@cache
-def _encoder(depth: int) -> json.JSONEncoder:
-    """Encoder for a container at nesting ``depth``: CPython's C encoder,
-    with each item separator followed by a newline and the indentation of
-    depth + 1.  What it is given holds no container, so it has no cycle to
-    check for."""
-    return json.JSONEncoder(
-        sort_keys=True, check_circular=False, separators=(",\n" + "  " * (depth + 1), ": ")
-    )
-
-
-def _indented(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` at nesting
-    ``depth``, from one :func:`_encoder` call per container.  In a container
-    that holds containers, those are encoded as 0, written here and spliced
-    in: the encoder writes a newline only in an item separator, so splitting
-    at them gives the items in order."""
-    encoder = _encoder(depth)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return encoder.encode(obj)
-    is_dict = isinstance(obj, dict)
-    sep = encoder.item_separator  # "," + newline + the items' indentation
-    if any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
-        keys = sorted(obj) if is_dict else range(len(obj))  # the encoder's item order
-        nested = [i for i, k in enumerate(keys) if isinstance(obj[k], _CONTAINERS)]
-        flat = dict(obj) if is_dict else list(obj)
-        for i in nested:
-            flat[keys[i]] = 0
-        items = encoder.encode(flat)[1:-1].split(sep)
-        for i in nested:  # drop the "0", keep a dict item's '"key": '
-            items[i] = items[i][:-1] + _indented(obj[keys[i]], depth + 1)
-        body = sep.join(items)
-    else:
-        body = encoder.encode(obj)[1:-1]
-    opening, closing = "{}" if is_dict else "[]"
-    return opening + sep[1:] + body + "\n" + "  " * depth + closing
+def _indented(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, from one C-encoder
+    call: its compact output is indented one bracket at a time, each run
+    between brackets at its depth with one ``str.replace``."""
+    parts = []
+    depth = 0
+    for run, bracket in _RUN_BRACKET.findall(_COMPACT.encode(obj)):
+        parts.append(run.replace("\n", ",\n" + "  " * depth))
+        if bracket in ("[", "{"):
+            depth += 1
+            parts.append(bracket + "\n" + "  " * depth)
+        elif bracket:
+            depth -= 1
+            parts.append("\n" + "  " * depth + bracket)
+    return "".join(parts)
 
 
 def write_json(path: Path, payload) -> None:
@@ -408,7 +387,8 @@ def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
 @click.option("--circuit", "circuit_path", type=click.Path(exists=False), default=None)
 @_out_opt
 def kak(target_text, coupling, circuit_path, out_dir):
-    """KAK-decompose a steering operator or a circuit file; write kak.json."""
+    """KAK of a steering operator (read off its frame) or of a circuit file
+    (decomposed); write kak.json."""
     if circuit_path is not None:
         try:
             text = Path(circuit_path).read_text()
@@ -418,24 +398,26 @@ def kak(target_text, coupling, circuit_path, out_dir):
         if circuit.wire_dims != (2, 2):
             raise ConfigError("kak needs a two-qubit circuit")
         u = evaluate_circuit(circuit)
+        dec = kak_decompose(u)
         source = {"circuit": circuit_path}
     elif target_text is not None and coupling is not None:
         spec, op = _operator(target_text, coupling)
         if not isinstance(spec.target, QubitTarget):
             raise ConfigError("kak applies to qubit steering operators")
         u = op.unitary
+        dec = steering_kak(spec, u)
         source = {"target": spec.label, "coupling": coupling}
     else:
         raise ConfigError("pass either --circuit or both --target and --J")
-    dec = kak_decompose(u)
+    on_cnot = at_cnot_point(dec.c)  # CNOT and CZ share the point
     results = {
         "weyl_coordinates": [float(v) for v in dec.c],
         "global_phase": dec.global_phase,
         "k1_local": [_matrix_payload(m) for m in dec.k1_local],
         "k2_local": [_matrix_payload(m) for m in dec.k2_local],
         "reassembly_distance": reassembly_distance(u, dec),
-        "locally_equivalent_cnot": locally_equivalent(u, CNOT_GATE),
-        "locally_equivalent_cphase": locally_equivalent(u, cphase_gate(math.pi)),
+        "locally_equivalent_cnot": on_cnot,
+        "locally_equivalent_cphase": on_cnot,
     }
     _write(out_dir, "both", "kak.json", {"command": "kak", **source}, results)
 

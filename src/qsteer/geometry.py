@@ -29,6 +29,12 @@ the first such move whose coordinates land in the cell above.
 :func:`kak_decompose` applies that move to the columns of its orthogonal
 factors, and :func:`weyl_coordinates` and :func:`canonicalize_weyl_vector`
 fold their phases the same way.
+
+``qsteer kak --circuit`` decomposes the circuit's unitary with
+:func:`kak_decompose`.  ``qsteer kak --target`` decomposes nothing: the
+steering operator's KAK is read off its steering frame in closed form by
+:func:`qsteer.circuits.steering_kak`.  Both set their CNOT/CZ flags from the
+decomposition's c with :func:`at_cnot_point`.
 """
 
 from __future__ import annotations
@@ -62,9 +68,8 @@ _THETA_OF_XYZ = np.array(
 CNOT_GATE = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-SWAP_GATE = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
+# The canonical point where CNOT and CPHASE(pi) (= CZ) both sit.
+CNOT_POINT = np.array([math.pi / 2, 0.0, 0.0])
 
 
 def cphase_gate(angle: float) -> ComplexMatrix:
@@ -248,6 +253,12 @@ def weyl_coordinates(u: ComplexMatrix, tol: float = 1e-10) -> np.ndarray:
     ub = MAGIC_DAG @ u @ MAGIC
     evals = np.linalg.eigvals(ub.T @ ub) * np.exp(-0.5j * np.angle(np.linalg.det(u)))
     return _fold(_su4_phases(evals))[1]
+
+
+def at_cnot_point(c, tol: float = 1e-8) -> bool:
+    """True iff canonical coordinates ``c`` are CNOT's (and CZ's), to the
+    tolerance of :func:`locally_equivalent`."""
+    return bool(np.max(np.abs(np.asarray(c) - CNOT_POINT)) <= tol)
 
 
 def locally_equivalent(u: ComplexMatrix, v: ComplexMatrix, tol: float = 1e-8) -> bool:

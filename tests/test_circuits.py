@@ -19,6 +19,7 @@ from qsteer.circuits import (
     emit_text,
     evaluate_circuit,
     parse_text,
+    steering_kak,
     synth_kak_circuit,
     synth_qutrit_circuit,
     u3_matrix,
@@ -26,7 +27,12 @@ from qsteer.circuits import (
 )
 from qsteer.circuits import rx_matrix, rz_matrix
 from qsteer.errors import ConfigError
-from qsteer.geometry import CNOT_GATE
+from qsteer.geometry import (
+    CNOT_GATE,
+    canonicalize_weyl_vector,
+    reassembly_distance,
+    weyl_coordinates,
+)
 from qsteer.linalg import expm_i_herm, phase_invariant_distance
 from qsteer.states import (
     QubitTarget,
@@ -244,6 +250,32 @@ class TestKakSynthesis:
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):
             synth_kak_circuit(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4))
+
+
+class TestSteeringKak:
+    TARGETS = [e.target for e in stabilizer_catalog()] + [QubitTarget(0.7, 1.9), QubitTarget(2.1, 5.4)]
+    COUPLINGS = [float(j) for j in np.linspace(-2 * math.pi, 2 * math.pi, 37)] + [
+        0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi, 0.785, 2.5
+    ]
+
+    def test_grid_matches_weyl_coordinates(self):
+        for target in self.TARGETS:
+            for coupling in self.COUPLINGS:
+                spec = TargetSpec(target, coupling)
+                u = make_steering_operator(spec).unitary
+                dec = steering_kak(spec, u)
+                assert np.max(np.abs(dec.c - weyl_coordinates(u))) <= 1e-10, (target, coupling)
+                assert reassembly_distance(u, dec) <= 1e-12
+                assert np.max(np.abs(dec.reassemble() - u)) <= 1e-12  # global phase included
+                assert abs(dec.global_phase) <= 1e-12  # the folds add no phase: no +-pi cut
+                # one folded chamber point, SU(2) locals
+                assert np.max(np.abs(canonicalize_weyl_vector(dec.c) - dec.c)) <= 1e-12
+                for m in dec.k1_local + dec.k2_local:
+                    assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+
+    def test_qutrit_target_rejected(self):
+        with pytest.raises(ConfigError):
+            steering_kak(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4), np.eye(6))
 
 
 class TestQutritSynthesis:

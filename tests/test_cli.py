@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsteer import __version__, cli, tomography
+from qsteer import __version__, cli, geometry, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
 from qsteer.protocol import _blind_states, sweep
@@ -361,6 +361,21 @@ class TestWriteJson:
         assert (tmp_path / "p.json").read_bytes() == want.encode()
 
     @pytest.mark.parametrize(
+        "text", ["[", "]}", "{[]}", '"', '\\', '\\"]', '"[', "a\nb", "[]", "{}", '\\\\"{', "\u2028]"]
+    )
+    def test_brackets_and_escapes_inside_strings(self, tmp_path, text):
+        payload = {text: [text, {text: text, "k": []}], "z" + text: {}}
+        cli.write_json(tmp_path / "p.json", payload)
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "p.json").read_bytes() == want.encode()
+
+    def test_circular_raises_value_error(self, tmp_path):
+        payload = {"a": []}
+        payload["a"].append(payload)
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "p.json", payload)
+
+    @pytest.mark.parametrize(
         "payload",
         [np.int64(3), {"a": np.int64(3)}, [1, [np.int64(3)]], {"a": {1, 2}}, [{"a": [set()]}]],
     )
@@ -408,6 +423,58 @@ class TestKakCommand:
     def test_requires_source(self, runner, tmp_path):
         result = runner.invoke(main, ["kak", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    def test_target_runs_no_eigensolver(self, runner, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("decomposition called by kak --target")
+
+        monkeypatch.setattr(cli, "kak_decompose", forbidden)
+        monkeypatch.setattr(geometry, "kak_decompose", forbidden)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for target, coupling in [("+", "0.3"), ("qubit:0.7,1.9", "2.5"), ("-i", "-4.0"),
+                                 ("+", repr(math.pi / 2)), ("0", repr(math.pi))]:
+            result = runner.invoke(
+                main, ["kak", "--target", target, "--J", coupling, "--out", str(tmp_path)]
+            )
+            assert result.exit_code == 0, result.output
+            payload = json.loads((tmp_path / "kak.json").read_text())
+            assert payload["reassembly_distance"] <= 1e-12
+
+    @pytest.mark.parametrize("target,coupling", [("+", "0.785"), ("qubit:0.7,1.9", "2.5")])
+    def test_target_agrees_with_emitted_circuit(self, runner, tmp_path, target, coupling):
+        args = ["--target", target, "--J", coupling]
+        assert runner.invoke(main, ["circuit", *args, "--out", str(tmp_path)]).exit_code == 0
+        assert runner.invoke(main, ["kak", *args, "--out", str(tmp_path / "t")]).exit_code == 0
+        result = runner.invoke(
+            main, ["kak", "--circuit", str(tmp_path / "circuit.txt"), "--out", str(tmp_path / "c")]
+        )
+        assert result.exit_code == 0, result.output
+        got, want = (json.loads((tmp_path / d / "kak.json").read_text()) for d in ("c", "t"))
+        assert np.max(np.abs(np.subtract(got["weyl_coordinates"], want["weyl_coordinates"]))) <= 1e-9
+        assert got["locally_equivalent_cnot"] is want["locally_equivalent_cnot"] is False
+
+    @pytest.mark.parametrize("theta,phi", [(math.pi / 2, 0.0), (0.7, 1.9), (2.1, 5.4)])
+    def test_target_stable_under_angle_perturbation(self, runner, tmp_path, theta, phi):
+        def leaves(x):
+            if isinstance(x, dict):
+                return [v for k in sorted(x) for v in leaves(x[k])]
+            return [v for item in x for v in leaves(item)] if isinstance(x, list) else [x]
+
+        def numbers(t, p, out):
+            result = runner.invoke(
+                main, ["kak", "--target", f"qubit:{t!r},{p!r}", "--J", "0.785", "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            payload = json.loads((out / "kak.json").read_text())
+            del payload["config"], payload["tool_version"]
+            return np.array(leaves(payload), dtype=float)
+
+        base = numbers(theta, phi, tmp_path / "base")
+        rng = np.random.default_rng(15)
+        for i in range(8):
+            t, p = (x * (1 + 1e-15 * rng.uniform(-1, 1)) for x in (theta, phi))
+            assert np.max(np.abs(numbers(t, p, tmp_path / str(i)) - base)) <= 1e-9
 
 
 class TestCircuitCommand:

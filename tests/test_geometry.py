@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qsteer.circuits import steering_kak
 from qsteer.errors import DimensionMismatchError
 from qsteer.geometry import (
     CNOT_GATE,
-    SWAP_GATE,
+    CNOT_POINT,
+    at_cnot_point,
     canonical_a_matrix,
     canonicalize_weyl_vector,
     cphase_gate,
@@ -21,6 +23,10 @@ from qsteer.states import QubitTarget, SX, SY, SZ, stabilizer_catalog
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
 from conftest import haar_unitary
+
+SWAP_GATE = np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+)
 
 
 def a_matrix_oracle(c):
@@ -177,3 +183,28 @@ class TestCanonicalizeVector:
             c = rng.uniform(-10, 10, size=3)
             u = canonical_a_matrix(c)
             assert np.max(np.abs(canonicalize_weyl_vector(c) - weyl_coordinates(u))) < 1e-8
+
+
+class TestCnotPoint:
+    def test_landmark_is_cnot_and_cz(self):
+        for gate in (CNOT_GATE, cphase_gate(math.pi)):
+            assert np.max(np.abs(weyl_coordinates(gate) - CNOT_POINT)) <= 1e-12
+
+    def test_flag_agrees_with_local_equivalence(self, rng):
+        cases = []
+        for e in stabilizer_catalog():
+            for coupling in (0.0, 0.3, math.pi / 2, 2.5, -1.0):
+                spec = TargetSpec(e.target, coupling)
+                u = make_steering_operator(spec).unitary
+                cases.append((u, steering_kak(spec, u).c))
+        gates = [CNOT_GATE, cphase_gate(math.pi)]
+        gates += [kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ CNOT_GATE
+                  @ kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(5)]
+        gates += [haar_unitary(4, rng) for _ in range(200)]
+        cases += [(u, kak_decompose(u).c) for u in gates]
+        flags = []
+        for u, c in cases:
+            flag = at_cnot_point(c)
+            assert flag == locally_equivalent(u, CNOT_GATE) == locally_equivalent(u, cphase_gate(math.pi))
+            flags.append(flag)
+        assert sum(flags) == 7  # CNOT, CZ and the dressed CNOTs

@@ -226,11 +226,11 @@ class TestKraus:
         assert np.allclose(kset.operators[1], np.zeros((2, 2)), atol=1e-14)
 
     def test_swap_unitary_gives_replacement_kraus(self):
-        from qsteer.geometry import SWAP_GATE
-        from qsteer.steering import SteeringOperator
-
+        swap = np.array(
+            [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
+        )
         op = SteeringOperator(
-            unitary=SWAP_GATE,
+            unitary=swap,
             ancilla_init=np.array([1, 0], dtype=complex),
             ancilla_dim=2,
             system_dim=2,
