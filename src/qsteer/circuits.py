@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,35 +292,35 @@ _RY_PI = np.array([[0, -1], [1, 0]], dtype=complex)  # -i Y
 _RZ_PI = rz_matrix(math.pi)  # -i Z
 
 
-def steering_kak(spec: TargetSpec, u: ComplexMatrix) -> KakDecomposition:
-    """KAK decomposition of the qubit steering unitary ``u`` of ``spec``
-    (``make_steering_operator(spec).unitary``), read off the circuit of
-    :func:`_synth_kak` with no eigensolver.
+def steering_kak(spec: TargetSpec) -> KakDecomposition:
+    """KAK decomposition of the qubit steering unitary of ``spec``, read off
+    the circuit of :func:`_synth_kak` with no eigensolver.
 
     With K = RX(pi/2) (x) RY(pi) RX(pi/2), the core of that circuit is
-    K A(J, J, 0) K^dag up to a phase, so U = e^{i gamma} (L K) A(J, J, 0)
-    (K^dag R) with (L, R) from :func:`_fixed_locals`.  J is reduced mod 2 pi
-    into [-pi, pi] and folded onto [0, pi/2] by
-    A(J, J, 0) = (Z (x) I) A(-J, -J, 0) (Z (x) I) and
-    A(J, J, 0) = (I (x) Z) A(pi - J, pi - J, 0) (Z (x) I).  The locals are
-    in SU(2) (det V = e^{-i phi}), and gamma comes from one trace against U.
+    K A(J, J, 0) K^dag up to a phase, so U = (L K) A(J, J, 0) (K^dag R)
+    with (L, R) from :func:`_fixed_locals`, once the system locals are scaled
+    into SU(2).  J is reduced mod 2 pi into [-pi, pi] and folded onto
+    [0, pi/2] by A(J, J, 0) = (Z (x) I) A(-J, -J, 0) (Z (x) I) and
+    A(J, J, 0) = (I (x) Z) A(pi - J, pi - J, 0) (Z (x) I).  No step adds a
+    phase, so the global phase is 0.
     """
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("steering_kak handles qubit targets")
     (l0, l1), (r0, r1) = _fixed_locals(spec)
     half = rx_matrix(math.pi / 2)
-    root = cmath.exp(0.5j * spec.target.phi)
+    # root**2 = det L1 = det V^dag, which is e^{i phi} for the qubit frame;
+    # the branch follows phi, so the locals move continuously with the target
+    turn = cmath.exp(0.5j * spec.target.phi)
+    root = turn * cmath.sqrt((l1[0, 0] * l1[1, 1] - l1[0, 1] * l1[1, 0]) / turn**2)
     k1a, k1b = l0 @ half, l1 @ _RY_PI @ half / root
     k2a, k2b = dagger(half) @ r0, dagger(half) @ _RY_PI.T @ r1 * root
     j = math.remainder(spec.coupling, 2 * math.pi)
-    # each fold puts -i Z on the left and i Z on the right: no phase, so
-    # gamma stays clear of the +-pi cut
+    # each fold puts -i Z on the left and i Z on the right: no phase
     if j < 0:
         j, k1a, k2a = -j, k1a @ _RZ_PI, _RZ_PI.conj() @ k2a
     if j > math.pi / 2:
         j, k1b, k2a = math.pi - j, k1b @ _RZ_PI, _RZ_PI.conj() @ k2a
-    core = KakDecomposition((k1a, k1b), (k2a, k2b), np.array([j, j, 0.0]), 0.0)
-    return replace(core, global_phase=float(np.angle(np.vdot(core.reassemble(), u))))
+    return KakDecomposition((k1a, k1b), (k2a, k2b), np.array([j, j, 0.0]), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, QsteerError
 from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text, steering_kak
-from .geometry import at_cnot_point, kak_decompose, reassembly_distance
+from .geometry import kak_decompose, reassembly_distance, same_weyl_point
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
@@ -71,10 +72,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # each one in its output separates two items.
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=("\n", ": "))
 # (run, bracket): a run of text that holds no bracket outside a string or an
-# empty container, then the opening or closing bracket that ends it.
-_RUN_BRACKET = re.compile(
-    r'((?:[^"\[\]{}]++|"[^"\\]*+(?:\\.[^"\\]*+)*+"|\[\]|\{\})*+)([\[\]{}]?)'
-)
+# empty container, then the opening or closing bracket that ends it.  The
+# alternatives cannot overlap and the bracket group always matches, so the
+# search never backtracks.
+_RUN_BRACKET = re.compile(r'((?:[^"\[\]{}]+|"[^"\\]*(?:\\.[^"\\]*)*"|\[\]|\{\})*)([\[\]{}]?)')
 
 
 def _indented(obj) -> str:
@@ -82,15 +83,16 @@ def _indented(obj) -> str:
     call: its compact output is indented one bracket at a time, each run
     between brackets at its depth with one ``str.replace``."""
     parts = []
-    depth = 0
+    pad = "\n"  # a newline and the indent of the current depth
     for run, bracket in _RUN_BRACKET.findall(_COMPACT.encode(obj)):
-        parts.append(run.replace("\n", ",\n" + "  " * depth))
-        if bracket in ("[", "{"):
-            depth += 1
-            parts.append(bracket + "\n" + "  " * depth)
+        if run:
+            parts.append(run.replace("\n", "," + pad))
+        if bracket == "[" or bracket == "{":
+            pad += "  "
+            parts.append(bracket + pad)
         elif bracket:
-            depth -= 1
-            parts.append("\n" + "  " * depth + bracket)
+            pad = pad[:-2]
+            parts.append(pad + bracket)
     return "".join(parts)
 
 
@@ -381,6 +383,10 @@ def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+# Canonical Weyl coordinates of CNOT and of CPHASE(pi) (= CZ).
+_CNOT_POINT = (math.pi / 2, 0.0, 0.0)
+
+
 @main.command()
 @click.option("--target", "target_text", default=None, help="target state (with --J)")
 @click.option("--J", "coupling", type=float, default=None)
@@ -405,11 +411,11 @@ def kak(target_text, coupling, circuit_path, out_dir):
         if not isinstance(spec.target, QubitTarget):
             raise ConfigError("kak applies to qubit steering operators")
         u = op.unitary
-        dec = steering_kak(spec, u)
+        dec = steering_kak(spec)
         source = {"target": spec.label, "coupling": coupling}
     else:
         raise ConfigError("pass either --circuit or both --target and --J")
-    on_cnot = at_cnot_point(dec.c)  # CNOT and CZ share the point
+    on_cnot = same_weyl_point(dec.c, _CNOT_POINT)  # CNOT and CZ share the point
     results = {
         "weyl_coordinates": [float(v) for v in dec.c],
         "global_phase": dec.global_phase,

@@ -33,8 +33,9 @@ fold their phases the same way.
 ``qsteer kak --circuit`` decomposes the circuit's unitary with
 :func:`kak_decompose`.  ``qsteer kak --target`` decomposes nothing: the
 steering operator's KAK is read off its steering frame in closed form by
-:func:`qsteer.circuits.steering_kak`.  Both set their CNOT/CZ flags from the
-decomposition's c with :func:`at_cnot_point`.
+:func:`qsteer.circuits.steering_kak`.  Both set their CNOT/CZ flags by
+comparing the decomposition's c with CNOT's point, (pi/2, 0, 0), through
+:func:`same_weyl_point`, the comparison :func:`locally_equivalent` makes.
 """
 
 from __future__ import annotations
@@ -68,8 +69,6 @@ _THETA_OF_XYZ = np.array(
 CNOT_GATE = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-# The canonical point where CNOT and CPHASE(pi) (= CZ) both sit.
-CNOT_POINT = np.array([math.pi / 2, 0.0, 0.0])
 
 
 def cphase_gate(angle: float) -> ComplexMatrix:
@@ -255,17 +254,14 @@ def weyl_coordinates(u: ComplexMatrix, tol: float = 1e-10) -> np.ndarray:
     return _fold(_su4_phases(evals))[1]
 
 
-def at_cnot_point(c, tol: float = 1e-8) -> bool:
-    """True iff canonical coordinates ``c`` are CNOT's (and CZ's), to the
-    tolerance of :func:`locally_equivalent`."""
-    return bool(np.max(np.abs(np.asarray(c) - CNOT_POINT)) <= tol)
+def same_weyl_point(c, d, tol: float = 1e-8) -> bool:
+    """True iff canonical coordinates ``c`` and ``d`` agree to ``tol``."""
+    return bool(np.max(np.abs(np.asarray(c) - np.asarray(d))) <= tol)
 
 
 def locally_equivalent(u: ComplexMatrix, v: ComplexMatrix, tol: float = 1e-8) -> bool:
     """True iff u and v differ only by single-qubit rotations and phase."""
-    cu = weyl_coordinates(u)
-    cv = weyl_coordinates(v)
-    return bool(np.max(np.abs(cu - cv)) <= tol)
+    return same_weyl_point(weyl_coordinates(u), weyl_coordinates(v), tol)
 
 
 def reassembly_distance(u: ComplexMatrix, dec: KakDecomposition) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsteer import circuits, steering
 from qsteer.circuits import (
     CNOT,
     Circuit,
@@ -263,19 +264,36 @@ class TestSteeringKak:
             for coupling in self.COUPLINGS:
                 spec = TargetSpec(target, coupling)
                 u = make_steering_operator(spec).unitary
-                dec = steering_kak(spec, u)
+                dec = steering_kak(spec)
                 assert np.max(np.abs(dec.c - weyl_coordinates(u))) <= 1e-10, (target, coupling)
                 assert reassembly_distance(u, dec) <= 1e-12
-                assert np.max(np.abs(dec.reassemble() - u)) <= 1e-12  # global phase included
-                assert abs(dec.global_phase) <= 1e-12  # the folds add no phase: no +-pi cut
+                assert np.max(np.abs(dec.reassemble() - u)) <= 1e-12  # global phase 0 included
                 # one folded chamber point, SU(2) locals
                 assert np.max(np.abs(canonicalize_weyl_vector(dec.c) - dec.c)) <= 1e-12
                 for m in dec.k1_local + dec.k2_local:
                     assert abs(np.linalg.det(m) - 1.0) <= 1e-12
 
+    def test_rephased_frame_keeps_su2_locals(self, monkeypatch):
+        # the locals' determinant phase is taken from the frame's own V, so a
+        # frame that re-phases psi and b still yields an exact decomposition
+        frame = steering.steering_frame
+
+        def rephased(target):
+            psi, bright, s = frame(target)
+            return np.exp(0.7j) * psi, np.exp(-1.3j) * bright, s
+
+        monkeypatch.setattr(steering, "steering_frame", rephased)
+        monkeypatch.setattr(circuits, "steering_frame", rephased)
+        for target in self.TARGETS:
+            spec = TargetSpec(target, 2.5)
+            dec = steering_kak(spec)
+            assert reassembly_distance(make_steering_operator(spec).unitary, dec) <= 1e-12
+            for m in dec.k1_local + dec.k2_local:
+                assert abs(np.linalg.det(m) - 1.0) <= 1e-12
+
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):
-            steering_kak(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4), np.eye(6))
+            steering_kak(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4))
 
 
 class TestQutritSynthesis:

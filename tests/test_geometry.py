@@ -5,17 +5,17 @@ import pytest
 import scipy.linalg
 
 from qsteer.circuits import steering_kak
+from qsteer.cli import _CNOT_POINT
 from qsteer.errors import DimensionMismatchError
 from qsteer.geometry import (
     CNOT_GATE,
-    CNOT_POINT,
-    at_cnot_point,
     canonical_a_matrix,
     canonicalize_weyl_vector,
     cphase_gate,
     kak_decompose,
     locally_equivalent,
     reassembly_distance,
+    same_weyl_point,
     weyl_coordinates,
 )
 from qsteer.linalg import expm_i_herm, kron, phase_invariant_distance
@@ -188,7 +188,7 @@ class TestCanonicalizeVector:
 class TestCnotPoint:
     def test_landmark_is_cnot_and_cz(self):
         for gate in (CNOT_GATE, cphase_gate(math.pi)):
-            assert np.max(np.abs(weyl_coordinates(gate) - CNOT_POINT)) <= 1e-12
+            assert np.max(np.abs(weyl_coordinates(gate) - _CNOT_POINT)) <= 1e-12
 
     def test_flag_agrees_with_local_equivalence(self, rng):
         cases = []
@@ -196,7 +196,7 @@ class TestCnotPoint:
             for coupling in (0.0, 0.3, math.pi / 2, 2.5, -1.0):
                 spec = TargetSpec(e.target, coupling)
                 u = make_steering_operator(spec).unitary
-                cases.append((u, steering_kak(spec, u).c))
+                cases.append((u, steering_kak(spec).c))
         gates = [CNOT_GATE, cphase_gate(math.pi)]
         gates += [kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ CNOT_GATE
                   @ kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(5)]
@@ -204,7 +204,7 @@ class TestCnotPoint:
         cases += [(u, kak_decompose(u).c) for u in gates]
         flags = []
         for u, c in cases:
-            flag = at_cnot_point(c)
+            flag = same_weyl_point(c, _CNOT_POINT)
             assert flag == locally_equivalent(u, CNOT_GATE) == locally_equivalent(u, cphase_gate(math.pi))
             flags.append(flag)
         assert sum(flags) == 7  # CNOT, CZ and the dressed CNOTs
