@@ -14,7 +14,6 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NumericalError,
-    OutcomeImpossibleError,
     QsteerError,
 )
 from .linalg import (
@@ -36,9 +35,6 @@ from .states import (
     StabilizerEntry,
     bloch_vector,
     fidelity,
-    from_bloch_vector,
-    from_gellmann_vector,
-    gellmann_vector,
     pure_state,
     random_density,
     stabilizer_catalog,
@@ -48,7 +44,6 @@ from .steering import (
     KrausSet,
     SteeringOperator,
     TargetSpec,
-    analytic_plus_trajectory,
     averaged_step,
     build_qubit_hamiltonian,
     build_qutrit_hamiltonian,
@@ -62,7 +57,6 @@ from .protocol import (
     RunRecord,
     TrajectoryBatch,
     channel_spectrum,
-    measure_ancilla,
     repetition_law,
     repetition_stats,
     run_blind,
@@ -89,7 +83,6 @@ from .circuits import (
 )
 from .tomography import (
     PauliTransferMatrix,
-    ShotCounts,
     average_gate_fidelity,
     mle_project,
     process_tomography,
@@ -97,7 +90,6 @@ from .tomography import (
     ptm_of_unitary,
     qubit_state_tomo,
     qutrit_state_tomo,
-    simulate_shots,
     tomo_qubit_state,
     tomo_qutrit_state,
 )

@@ -13,10 +13,6 @@ class NonHermitianError(QsteerError):
     """A matrix required to be Hermitian is not, within tolerance."""
 
 
-class OutcomeImpossibleError(QsteerError):
-    """A measurement outcome with probability below 1e-14 was conditioned on."""
-
-
 class ConfigError(QsteerError):
     """Invalid run configuration (bad flags, malformed files, unknown keys)."""
 

@@ -29,15 +29,14 @@ in the classical mixture (1 - eps)|0><0| + eps|1><1|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, OutcomeImpossibleError
-from .linalg import kron, partial_trace
+from .errors import ConfigError, DimensionMismatchError
 from .states import DensityState, fidelity, validate_density
-from .steering import KrausSet, SteeringOperator, kraus_from_unitary
+from .steering import KrausSet, SteeringOperator, _ancilla_kraus, kraus_from_unitary
 
 
 @dataclass(frozen=True)
@@ -121,17 +120,15 @@ def _cycle_kraus(op: SteeringOperator, noise: NoiseConfig) -> tuple[tuple[np.nda
     """Kraus operators per ancilla outcome, with reset infidelity folded in.
 
     Returns a tuple indexed by outcome k; each element is the tuple of
-    operators sqrt(p_i) <k| U |psi_i> over the ancilla mixture components.
+    operators sqrt(p_a) <k| U |a> over the ancilla's reset states a = 0, 1,
+    with p_1 the reset infidelity.
     """
     eps = noise.reset_infidelity
     base = kraus_from_unitary(op).operators
     if eps == 0.0:
         return tuple((a,) for a in base)
-    flipped = np.zeros(op.ancilla_dim, dtype=complex)
-    flipped[1] = 1.0
-    alt = kraus_from_unitary(replace(op, ancilla_init=flipped)).operators
     w0, w1 = math.sqrt(1.0 - eps), math.sqrt(eps)
-    return tuple((w0 * base[k], w1 * alt[k]) for k in range(op.ancilla_dim))
+    return tuple((w0 * a, w1 * b) for a, b in zip(base, _ancilla_kraus(op, 1)))
 
 
 def run_blind(
@@ -156,28 +153,6 @@ def run_blind(
         coupling=op.coupling,
         target_label=op.label,
     )
-
-
-def measure_ancilla(joint: DensityState, outcome: int) -> tuple[DensityState, float]:
-    """Project the ancilla of an ancilla (x) system state onto ``outcome``.
-
-    Returns the renormalized post-measurement system state and the outcome
-    probability p_k = Tr[Pi_k rho].  Conditioning on an outcome with
-    probability below 1e-14 raises OutcomeImpossibleError.
-    """
-    if len(joint.dims) != 2:
-        raise DimensionMismatchError("joint state must declare (ancilla, system) dims")
-    da, ds = joint.dims
-    if not 0 <= outcome < da:
-        raise ConfigError(f"outcome {outcome} out of range for ancilla dim {da}")
-    proj_a = np.zeros((da, da), dtype=complex)
-    proj_a[outcome, outcome] = 1.0
-    proj = kron(proj_a, np.eye(ds, dtype=complex))
-    p = float(np.trace(proj @ joint.matrix).real)
-    if p < 1e-14:
-        raise OutcomeImpossibleError(f"outcome {outcome} has probability {p:.3e}")
-    post = partial_trace(proj @ joint.matrix @ proj, keep=1, dims=(da, ds)) / p
-    return DensityState(matrix=post, dims=(ds,)), p
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
@@ -333,9 +308,10 @@ def repetition_law(
     if max_steps < 1:
         raise ConfigError("max_steps must be >= 1")
     confusion = _readout_confusion(rho0, op, noise)
-    if confusion is None:
-        confusion = np.eye(op.ancilla_dim)
-    stay, stop = np.tensordot(confusion.T, _step_superoperator(op, noise), axes=1)[:2]
+    branches = _step_superoperator(op, noise)  # per true outcome
+    if confusion is not None:
+        branches = np.tensordot(confusion.T, branches, axes=1)  # per recorded outcome
+    stay, stop = branches
     diag = np.arange(op.system_dim) * (op.system_dim + 1)  # vec positions of the diagonal
     vec = rho0.matrix.reshape(-1)
     pmf = np.empty(max_steps)
@@ -416,8 +392,6 @@ def _run_trajectories(
     _check_seed(seed)
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
-    if op.ancilla_dim != 2:
-        raise ConfigError(f"non-blind runs need a qubit ancilla, got dim {op.ancilla_dim}")
     confusion = _readout_confusion(rho0, op, noise)
     # a readout records 1 when its draw reaches confusion[true outcome, 0]
     read_threshold = None if confusion is None else _outcome_threshold(confusion[:, 0])
@@ -578,11 +552,11 @@ def sweep(
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
     The cells of each system dimension run as one :func:`_blind_grid`.
     Blind runs are deterministic, so each distinct (target, J) cell is
-    computed once, however often it is listed, and its std is 0.  Each row also carries the average fidelity of its (J, step) cell
-    over the swept targets of its own system dimension, which is the
-    stabilizer average when the six stabilizer targets are swept; qubit and
-    qutrit rows are averaged apart, and a coupling listed more than once gets
-    None there.
+    computed once, however often it is listed, and its std is 0.  Each row
+    also carries the average fidelity of its (J, step) cell over the swept
+    targets of its own system dimension, which is the stabilizer average
+    when the six stabilizer targets are swept; qubit and qutrit rows are
+    averaged apart, and a coupling listed more than once gets None there.
     """
     from .steering import TargetSpec, make_steering_operator
 

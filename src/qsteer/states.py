@@ -1,5 +1,5 @@
-"""Target-state parametrizations, density states, Bloch/Gell-Mann coordinates,
-the single-qubit stabilizer catalog, and fidelity.
+"""Target-state parametrizations, density states, Bloch coordinates, the
+Gell-Mann matrices, the single-qubit stabilizer catalog, and fidelity.
 """
 
 from __future__ import annotations
@@ -178,36 +178,6 @@ def bloch_vector(rho: DensityState) -> np.ndarray:
         raise DimensionMismatchError("bloch_vector needs a single-qubit state")
     m = rho.matrix
     return np.array([np.trace(m @ p).real for p in (SX, SY, SZ)])
-
-
-def from_bloch_vector(s) -> DensityState:
-    """rho = (I + s . sigma) / 2."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise DimensionMismatchError("bloch vector must have 3 components")
-    if np.linalg.norm(s) > 1.0 + 1e-9:
-        raise DimensionMismatchError(f"bloch vector norm {np.linalg.norm(s)} exceeds 1")
-    m = 0.5 * (I2 + s[0] * SX + s[1] * SY + s[2] * SZ)
-    return DensityState(matrix=m, dims=(2,))
-
-
-def gellmann_vector(rho: DensityState) -> np.ndarray:
-    """Coordinates n_i = Tr(rho l_i) / 2 of a single-qutrit state."""
-    if rho.dim != 3:
-        raise DimensionMismatchError("gellmann_vector needs a single-qutrit state")
-    m = rho.matrix
-    return np.array([0.5 * np.trace(m @ l).real for l in GELL_MANN])
-
-
-def from_gellmann_vector(n) -> DensityState:
-    """rho = I/3 + n . lambda."""
-    n = np.asarray(n, dtype=float)
-    if n.shape != (8,):
-        raise DimensionMismatchError("gell-mann vector must have 8 components")
-    m = np.eye(3, dtype=complex) / 3
-    for ni, li in zip(n, GELL_MANN):
-        m = m + ni * li
-    return DensityState(matrix=m, dims=(3,))
 
 
 def fidelity(rho: DensityState | ComplexMatrix, ket: np.ndarray) -> float | np.ndarray:

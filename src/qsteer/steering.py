@@ -4,10 +4,11 @@ steering (monotone fidelity) check.
 
 Conventions used throughout:
 
-* Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit.
-* The ancilla reset state is |0> (the protocols mix in |1> for a reset
-  infidelity).  With that convention one averaged step at theta=pi/2,
-  phi=0, J=pi/2 maps every input to |+><+| exactly.
+* Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit
+  reset to |0> (the protocols mix in |1> for a reset infidelity), and only
+  :func:`_ancilla_kraus` splits U into ancilla blocks.  With that convention
+  one averaged step at theta=pi/2, phi=0, J=pi/2 maps every input to
+  |+><+| exactly.
 * Every cycle is built from one triple (psi, b, S), :func:`steering_frame`:
   the target, the bright direction of its complement and a system-only gate
   (the identity for a qubit, the bright/dark exchange for a qutrit).  The
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import ComplexMatrix, dagger, kron, partial_trace
+from .linalg import ComplexMatrix, dagger, kron
 from .states import (
     DensityState,
     QubitTarget,
@@ -34,8 +35,6 @@ from .states import (
     pauli_string_matrix,
     target_ket,
 )
-
-KET0 = np.array([1.0, 0.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -86,11 +85,10 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class SteeringOperator:
-    """The joint ancilla (x) system cycle unitary U and ancilla data."""
+    """The joint ancilla (x) system cycle unitary U, for a qubit ancilla
+    reset to |0>."""
 
     unitary: ComplexMatrix
-    ancilla_init: np.ndarray
-    ancilla_dim: int
     system_dim: int
     coupling: float
     target: np.ndarray
@@ -228,8 +226,6 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     rotation = np.eye(2 * d) + (cos - 1.0) * (g @ g) - 1j * sin * g
     return SteeringOperator(
         unitary=(exchange @ rotation.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d),
-        ancilla_init=KET0,
-        ancilla_dim=2,
         system_dim=d,
         coupling=spec.coupling,
         target=target_ket(spec.target),
@@ -237,13 +233,16 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     )
 
 
+def _ancilla_kraus(op: SteeringOperator, ancilla: int) -> tuple[np.ndarray, np.ndarray]:
+    """(<0|_A U |a>_A, <1|_A U |a>_A): the Kraus operators, indexed by
+    outcome, of a cycle whose ancilla enters in the basis state |a>."""
+    u = op.unitary.reshape(2, op.system_dim, 2, op.system_dim)
+    return tuple(np.ascontiguousarray(u[k, :, ancilla]) for k in range(2))
+
+
 def kraus_from_unitary(op: SteeringOperator) -> KrausSet:
-    """Kraus operators A_k = <k|_A U |psi_A>, indexed by ancilla outcome."""
-    da, ds = op.ancilla_dim, op.system_dim
-    u = op.unitary.reshape(da, ds, da, ds)
-    blocks = np.tensordot(u, op.ancilla_init, axes=([2], [0]))
-    ops = tuple(np.ascontiguousarray(blocks[k]) for k in range(da))
-    return KrausSet(operators=ops)
+    """Kraus operators A_k = <k|_A U |0>_A, indexed by ancilla outcome."""
+    return KrausSet(operators=_ancilla_kraus(op, 0))
 
 
 def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
@@ -259,14 +258,6 @@ def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
     return out
 
 
-def joint_step(rho: DensityState, op: SteeringOperator) -> DensityState:
-    """One step evaluated the long way: Tr_A[ U (rho_A (x) rho) U^dagger ]."""
-    anc = np.outer(op.ancilla_init, op.ancilla_init.conj())
-    joint = op.unitary @ kron(anc, rho.matrix) @ dagger(op.unitary)
-    out = partial_trace(joint, keep=1, dims=(op.ancilla_dim, op.system_dim))
-    return DensityState(matrix=out, dims=rho.dims)
-
-
 def steering_inequality_holds(
     fidelities, tol: float = 1e-12
 ) -> tuple[bool, int | None]:
@@ -280,24 +271,3 @@ def steering_inequality_holds(
         if f[n + 1] < f[n] - tol:
             return False, n
     return True, None
-
-
-def analytic_plus_trajectory(s0, coupling: float, steps: int) -> np.ndarray:
-    """Closed-form Bloch vector after ``steps`` averaged steps toward |+>.
-
-    s_x(n) = 1 - cos^{2n}(J) (1 - s_x(0)), s_y(n) = cos^n(J) s_y(0),
-    s_z(n) = cos^n(J) s_z(0); converges to (1, 0, 0) for 0 < J < pi.
-    """
-    if not 0.0 < coupling < math.pi:
-        raise ConfigError(f"coupling {coupling} outside (0, pi)")
-    if steps < 0:
-        raise ConfigError("steps must be nonnegative")
-    s0 = np.asarray(s0, dtype=float)
-    c = math.cos(coupling)
-    return np.array(
-        [
-            1.0 - c ** (2 * steps) * (1.0 - s0[0]),
-            c**steps * s0[1],
-            c**steps * s0[2],
-        ]
-    )

@@ -33,23 +33,6 @@ KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
-class ShotCounts:
-    """Counts per outcome for one measurement basis."""
-
-    counts: dict[int, int]
-    shots: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ConfigError("counts do not sum to shots")
-
-    def frequencies(self, n_outcomes: int) -> np.ndarray:
-        return np.array(
-            [self.counts.get(k, 0) / self.shots for k in range(n_outcomes)]
-        )
-
-
-@dataclass(frozen=True)
 class PauliTransferMatrix:
     """Strictly real channel representation R_ij = Tr[P_i E(P_j)] / d."""
 
@@ -88,10 +71,13 @@ def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
     return counts
 
 
-def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, confusion) -> np.ndarray:
+def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, confusion, snap: bool) -> np.ndarray:
     """(n, K, d) outcome probabilities of the (n, d, d) states ``mats`` in
     the (K, d, d) eigenbases ``vecs`` (columns), corrupted by the
-    row-stochastic confusion matrix when one is given."""
+    row-stochastic confusion matrix when one is given.  With ``snap``, for a
+    shot draw, each is rounded to a multiple of 2^-40 and the last outcome
+    takes the remainder, clamped at 0: numpy's binomial draws n - B(n, 1 - p)
+    once p > 0.5, so a p of 0.5 moved by rounding would draw other counts."""
     probs = np.einsum("kji,njl,kli->nki", vecs.conj(), mats, vecs).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=-1, keepdims=True)
@@ -100,31 +86,17 @@ def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, confusion) -> np.ndarray:
         if confusion.shape != (probs.shape[-1],) * 2:
             raise DimensionMismatchError("confusion matrix does not match outcome count")
         probs = probs @ confusion
+    if snap:
+        probs = np.round(probs * 2.0**40) / 2.0**40
+        probs[..., -1] = np.maximum(1.0 - probs[..., :-1].sum(axis=-1), 0.0)
     return probs
 
 
 def _draw(rho: DensityState, observable: ComplexMatrix, shots: int, confusion, seed: int):
     """(ascending eigenvalues, counts) of one draw of ``observable`` on rho."""
     w, vecs = herm_eig(observable)
-    probs = _outcome_probs(rho.matrix[None], vecs[None], confusion)[0]
+    probs = _outcome_probs(rho.matrix[None], vecs[None], confusion, snap=True)[0]
     return w, _keyed_multinomial(shots, probs, [seed])[0]
-
-
-def simulate_shots(
-    rho: DensityState,
-    observable: ComplexMatrix,
-    shots: int,
-    confusion: np.ndarray | None = None,
-    seed: int = 0,
-) -> ShotCounts:
-    """Measure ``observable`` on ``rho`` with finite shots.
-
-    Outcomes are indices into the observable's ascending eigenbasis; Born
-    probabilities are corrupted by the row-stochastic confusion matrix before
-    a single multinomial draw keyed by ``seed``.
-    """
-    sample = _draw(rho, observable, shots, confusion, seed)[1]
-    return ShotCounts(counts={k: int(c) for k, c in enumerate(sample)}, shots=shots)
 
 
 def measure_expectation(
@@ -219,7 +191,7 @@ def _measure_and_reconstruct(rho, basis, shots, confusion, seed):
             raise DimensionMismatchError(f"{len(seeds)} seeds for {len(mats)} states")
         keys = [(int(s) << 4) + i for s in seeds for i in range(len(basis))]
         w, vecs = _EIGENBASES[d]
-        probs = _outcome_probs(mats, vecs, confusion)
+        probs = _outcome_probs(mats, vecs, confusion, snap=True)
         counts = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape)
         # a stack of (1, d) by (d, 1) products takes the dot kernel of the
         # one-state np.dot(w, counts / shots); an elementwise sum rounds differently
@@ -299,7 +271,7 @@ def _measured_pauli_expectations(
     """
     d = 2**n
     rotations = _kron_all(_SETTING_BASES, n)
-    probs = _outcome_probs(rho_out, rotations, None)
+    probs = _outcome_probs(rho_out, rotations, None, snap=shots is not None)
     if shots is not None:
         keys = [((seed + 7919 * i) << 32) + s for i, s in np.ndindex(probs.shape[:2])]
         probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots

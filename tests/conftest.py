@@ -10,8 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from qsteer.states import QUTRIT_EQUAL_TARGET, QubitTarget, QutritTarget, stabilizer_catalog
-from qsteer.steering import TargetSpec
+from qsteer.errors import ConfigError
+from qsteer.states import (
+    QUTRIT_EQUAL_TARGET,
+    DensityState,
+    QubitTarget,
+    QutritTarget,
+    stabilizer_catalog,
+)
+from qsteer.steering import SteeringOperator, TargetSpec
 
 
 def steering_grid() -> tuple[list[TargetSpec], list[TargetSpec]]:
@@ -106,6 +113,36 @@ def channel_superoperator(kraus_ops) -> np.ndarray:
     for a in kraus_ops:
         s += np.kron(a, a.conj())
     return s
+
+
+def joint_step(rho: DensityState, op: SteeringOperator) -> DensityState:
+    """One blind step the long way: Tr_A[U (|0><0| (x) rho) U^dag], with the
+    ancilla's reset state written out and the trace taken by einsum."""
+    d = op.system_dim
+    anc = np.array([[1, 0], [0, 0]], dtype=complex)
+    joint = op.unitary @ np.kron(anc, rho.matrix) @ op.unitary.conj().T
+    return DensityState(matrix=np.einsum("aiaj->ij", joint.reshape(2, d, 2, d)), dims=rho.dims)
+
+
+def analytic_plus_trajectory(s0, coupling: float, steps: int) -> np.ndarray:
+    """Closed-form Bloch vector after ``steps`` averaged steps toward |+>.
+
+    s_x(n) = 1 - cos^{2n}(J) (1 - s_x(0)), s_y(n) = cos^n(J) s_y(0),
+    s_z(n) = cos^n(J) s_z(0); converges to (1, 0, 0) for 0 < J < pi.
+    """
+    if not 0.0 < coupling < math.pi:
+        raise ConfigError(f"coupling {coupling} outside (0, pi)")
+    if steps < 0:
+        raise ConfigError("steps must be nonnegative")
+    s0 = np.asarray(s0, dtype=float)
+    c = math.cos(coupling)
+    return np.array(
+        [
+            1.0 - c ** (2 * steps) * (1.0 - s0[0]),
+            c**steps * s0[1],
+            c**steps * s0[2],
+        ]
+    )
 
 
 @pytest.fixture

@@ -84,7 +84,7 @@ class TestPartialTrace:
         kset = kraus_from_unitary(op)
         for _ in range(20):
             rho = ginibre_density(2, rng)
-            anc = np.outer(op.ancilla_init, op.ancilla_init.conj())
+            anc = np.diag([1.0, 0.0]).astype(complex)
             joint = op.unitary @ kron(anc, rho) @ dagger(op.unitary)
             lhs = ptrace_loop(joint, (2, 2), 1)
             rhs = sum(a @ rho @ dagger(a) for a in kset.operators)

@@ -22,11 +22,9 @@ from qsteer.steering import (
     KrausSet,
     SteeringOperator,
     TargetSpec,
-    analytic_plus_trajectory,
     averaged_step,
     build_qubit_hamiltonian,
     build_qutrit_hamiltonian,
-    joint_step,
     kraus_from_unitary,
     make_steering_operator,
     qutrit_complement_basis,
@@ -34,7 +32,13 @@ from qsteer.steering import (
     steering_inequality_holds,
 )
 
-from conftest import channel_superoperator, ginibre_density, steering_grid
+from conftest import (
+    analytic_plus_trajectory,
+    channel_superoperator,
+    ginibre_density,
+    joint_step,
+    steering_grid,
+)
 
 
 def explicit_qubit_matrix(theta, phi, coupling):
@@ -165,7 +169,7 @@ class TestSteeringOperator:
             op = make_steering_operator(spec)
             assert np.max(np.abs(dagger(op.unitary) @ op.unitary - np.eye(4))) < 1e-12
             kset = kraus_from_unitary(op)
-            assert len(kset.operators) == op.ancilla_dim
+            assert len(kset.operators) == 2
             assert kset.completeness_defect() < 1e-10
 
     def test_closed_form_matches_paper_generators(self):
@@ -231,8 +235,6 @@ class TestKraus:
         )
         op = SteeringOperator(
             unitary=swap,
-            ancilla_init=np.array([1, 0], dtype=complex),
-            ancilla_dim=2,
             system_dim=2,
             coupling=0.0,
             target=np.array([1, 0], dtype=complex),
@@ -345,8 +347,6 @@ class TestFixedPoints:
         h = (math.pi / 2) * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
         op = SteeringOperator(
             unitary=expm_i_herm(h),
-            ancilla_init=np.array([1, 0], dtype=complex),
-            ancilla_dim=2,
             system_dim=3,
             coupling=math.pi / 2,
             target=psi,

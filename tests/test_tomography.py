@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsteer import tomography
+from qsteer.cli import parse_target
 from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.states import (
     DensityState,
@@ -19,11 +21,13 @@ from qsteer.states import (
     random_density,
     target_ket,
 )
+from qsteer.protocol import NO_NOISE, _blind_states
 from qsteer.steering import KrausSet, TargetSpec, kraus_from_unitary, make_steering_operator
 from qsteer.tomography import (
     average_gate_fidelity,
     compose_ptm,
     invert_ptm,
+    measure_expectation,
     mle_project,
     process_tomography,
     ptm_of_kraus,
@@ -31,11 +35,11 @@ from qsteer.tomography import (
     qubit_state_tomo,
     qutrit_state_tomo,
     reconstruction_fidelity,
-    simulate_shots,
     tomo_qubit_state,
     tomo_qutrit_state,
 )
 
+from conftest import ginibre_density, random_hermitian
 
 
 def depolarizing_kraus(p: float) -> KrausSet:
@@ -44,19 +48,22 @@ def depolarizing_kraus(p: float) -> KrausSet:
     return KrausSet(operators=tuple(ops))
 
 
-class TestSimulateShots:
+class TestShotDraws:
+    """One finite-shot measurement: counts over the observable's ascending
+    eigenbasis, from Born probabilities corrupted by a confusion matrix."""
+
     def test_ground_state_all_zero_outcomes(self):
         rho = pure_state(np.array([1, 0], dtype=complex))
-        counts = simulate_shots(rho, PAULIS["Z"], 500, seed=1)
+        _, counts = tomography._draw(rho, PAULIS["Z"], 500, None, 1)
         # ascending eigenbasis: outcome 1 is the +1 eigenvector |0>
-        assert counts.counts[1] == 500
+        assert counts[1] == 500
+        assert measure_expectation(rho, PAULIS["Z"], 500, seed=1) == 1.0
 
     def test_plus_state_born_rule(self):
         rho = pure_state(target_ket(QubitTarget(math.pi / 2, 0.0)))
-        counts = simulate_shots(rho, PAULIS["Z"], 100_000, seed=2)
-        freq = counts.frequencies(2)
+        _, counts = tomography._draw(rho, PAULIS["Z"], 100_000, None, 2)
         sigma = 0.5 / math.sqrt(100_000)
-        assert abs(freq[0] - 0.5) < 3 * sigma
+        assert abs(counts[0] / 100_000 - 0.5) < 3 * sigma
 
     def test_confusion_misclassification_rate(self):
         confusion = np.array(
@@ -65,8 +72,8 @@ class TestSimulateShots:
         rho = pure_state(np.array([1, 0, 0], dtype=complex))
         obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
         shots = 200_000
-        counts = simulate_shots(rho, obs, shots, confusion=confusion, seed=3)
-        freq = counts.frequencies(3)
+        _, counts = tomography._draw(rho, obs, shots, confusion, 3)
+        freq = counts / shots
         for k in range(3):
             want = confusion[0, k]
             sigma = math.sqrt(want * (1 - want) / shots)
@@ -74,9 +81,12 @@ class TestSimulateShots:
 
     def test_deterministic_per_seed(self):
         rho = random_density(2, 0)
-        a = simulate_shots(rho, PAULIS["X"], 1000, seed=5)
-        b = simulate_shots(rho, PAULIS["X"], 1000, seed=5)
-        assert a.counts == b.counts
+        a = tomography._draw(rho, PAULIS["X"], 1000, None, 5)[1]
+        b = tomography._draw(rho, PAULIS["X"], 1000, None, 5)[1]
+        assert np.array_equal(a, b)
+        assert measure_expectation(rho, PAULIS["X"], 1000, seed=5) == measure_expectation(
+            rho, PAULIS["X"], 1000, seed=5
+        )
 
     def test_joint_six_outcome_confusion(self):
         # readout over the qubit (x) qutrit joint space with one 6x6
@@ -86,14 +96,79 @@ class TestSimulateShots:
         np.fill_diagonal(confusion, 0.95)
         obs = np.diag(np.arange(6.0)).astype(complex)
         shots = 100_000
-        counts = simulate_shots(rho, obs, shots, confusion=confusion, seed=8)
-        assert sum(counts.counts.values()) == shots
+        _, counts = tomography._draw(rho, obs, shots, confusion, 8)
+        assert counts.sum() == shots
         p_true = np.clip(np.diag(rho.matrix).real, 0, None)
         p_true = p_true / p_true.sum()
         p_want = confusion.T @ p_true
-        freq = counts.frequencies(6)
         sigma = np.sqrt(p_want * (1 - p_want) / shots)
-        assert np.all(np.abs(freq - p_want) <= 4 * sigma + 1e-12)
+        assert np.all(np.abs(counts / shots - p_want) <= 4 * sigma + 1e-12)
+
+
+U40 = 2.0**-40  # the grid of snapped shot probabilities
+
+
+def diagonal_probs(p, snap=True) -> np.ndarray:
+    """_outcome_probs of the diagonal state diag(p) in the computational basis."""
+    d = len(p)
+    mats = np.diag(np.asarray(p, dtype=complex))[None]
+    return tomography._outcome_probs(mats, np.eye(d, dtype=complex)[None], None, snap)[0, 0]
+
+
+class TestSnappedProbabilities:
+    def test_on_grid_and_normalized(self, rng):
+        for d in (2, 3, 4, 6):
+            for _ in range(20):
+                rho = ginibre_density(d, rng)
+                vecs = np.linalg.eigh(random_hermitian(d, rng))[1]
+                exact = tomography._outcome_probs(rho[None], vecs[None], None, False)[0, 0]
+                got = tomography._outcome_probs(rho[None], vecs[None], None, True)[0, 0]
+                assert np.array_equal(got, np.round(got / U40) * U40)
+                assert got.sum() == 1.0
+                assert np.max(np.abs(got - exact)) <= d * U40
+
+    def test_near_zero_last_outcome(self):
+        # a last outcome below half a grid step snaps to exactly 0
+        got = diagonal_probs([0.5, 0.5 - 1e-17, 1e-17])
+        assert got.tolist() == [0.5, 0.5, 0.0]
+        # three outcomes rounded up by 0.6 steps each leave the last a
+        # remainder of -1 step, which is clamped at 0
+        got = diagonal_probs([0.25 + 0.6 * U40, 0.25 + 0.6 * U40, 0.5 - 1.2 * U40 - 2e-14, 2e-14])
+        assert got.tolist() == [0.25 + U40, 0.25 + U40, 0.5 - U40, 0.0]
+        assert tomography._keyed_multinomial(64, got[None], [0]).sum() == 64
+
+    def test_exact_probabilities_not_snapped(self):
+        p = [0.5 + 1e-15, 0.5 - 1e-15]
+        assert diagonal_probs(p, snap=False).tolist() == p
+
+    @staticmethod
+    def perturbed(u: np.ndarray, rng) -> np.ndarray:
+        """u with every entry moved by a random relative 1e-15."""
+        noise = rng.normal(size=u.shape) + 1j * rng.normal(size=u.shape)
+        return u * (1.0 + 1e-15 * noise)
+
+    def test_qpt_stable_under_rounding(self, rng):
+        # `qsteer qpt --target + --J pi/2 --shots 256 --seed 9`: many of its
+        # Born probabilities are 0.5 up to rounding
+        u = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2)).unitary
+        want = process_tomography(KrausSet(operators=(u,)), 2, shots=256, seed=9).r
+        for _ in range(20):
+            chan = KrausSet(operators=(self.perturbed(u, rng),))
+            assert np.array_equal(process_tomography(chan, 2, shots=256, seed=9).r, want)
+
+    @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
+    def test_tomo_stable_under_rounding(self, target, rng):
+        # `qsteer tomo --target T --J 0.785 --N 10 --shots 4096 --seed 3`
+        op = make_steering_operator(TargetSpec(parse_target(target)[1], 0.785))
+        d = op.system_dim
+        rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+        seeds = [(3 << 16) + n for n in range(11)]
+        tomo = tomo_qubit_state if d == 2 else tomo_qutrit_state
+        want = tomo(_blind_states(rho0, op, 10, NO_NOISE), shots=4096, seed=seeds)
+        for _ in range(20):
+            moved = replace(op, unitary=self.perturbed(op.unitary, rng))
+            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE), shots=4096, seed=seeds)
+            assert np.array_equal(got, want)
 
 
 class TestMleProject:
