@@ -127,7 +127,17 @@ def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
     )
 
 
+def _json_numbers(value) -> bool:
+    """True for a JSON number (not a boolean) or a nested list of them."""
+    if isinstance(value, list):
+        return all(_json_numbers(v) for v in value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_noise(path: str | None) -> NoiseConfig:
+    """The noise file's JSON object as a NoiseConfig; every value must be a
+    JSON number, or a matrix of numbers for ``readout_confusion`` (which may
+    also be null)."""
     if path is None:
         return NO_NOISE
     try:
@@ -142,6 +152,9 @@ def load_noise(path: str | None) -> NoiseConfig:
     unknown = set(raw) - {f.name for f in fields(NoiseConfig)}
     if unknown:
         raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
+    for key, value in raw.items():
+        if not (_json_numbers(value) or key == "readout_confusion" and value is None):
+            raise ConfigError(f"noise value {key}={json.dumps(value)} is not made of JSON numbers")
     try:
         return NoiseConfig(**raw)
     except (TypeError, ValueError) as exc:
@@ -268,7 +281,7 @@ def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
 @_j_opt
 @_steps_opt
 @click.option("--mode", type=click.Choice(["blind", "nonblind"]), default="blind", show_default=True)
-@click.option("--trajectories", type=int, default=1000, show_default=True)
+@click.option("--trajectories", type=click.IntRange(min=1), default=1000, show_default=True)
 @click.option("--noise", "noise_path", type=click.Path(exists=False), default=None)
 @_seed_opt
 @_out_opt
@@ -298,8 +311,6 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
         tables = {"fidelity_vs_n.csv": (fid_header, fid_rows)}
         results = {"records": [_record_payload(rec)]}
     else:
-        if trajectories < 1:
-            raise ConfigError("--trajectories must be >= 1")
         batch = run_nonblind_batch(rho0, op, steps, trajectories, noise, seed=seed)
         stats = repetition_stats(batch)
         fids = fidelity(batch.final_states, op.target)

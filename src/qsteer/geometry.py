@@ -99,11 +99,17 @@ class KakDecomposition:
         return np.exp(1j * self.global_phase) * (left @ canonical_a_matrix(self.c) @ right)
 
 
-def _check_two_qubit_unitary(u: ComplexMatrix, tol: float) -> ComplexMatrix:
+# unitarity defect a decomposed matrix may carry, and the distance within
+# which two canonical Weyl points are the same point
+_UNITARY_TOL = 1e-10
+_WEYL_TOL = 1e-8
+
+
+def _check_two_qubit_unitary(u: ComplexMatrix) -> ComplexMatrix:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got {u.shape}")
-    require_unitary(u, tol)
+    require_unitary(u, _UNITARY_TOL)
     return u
 
 
@@ -203,9 +209,9 @@ def _fold(theta: np.ndarray, atol: float = 1e-12) -> tuple[int, np.ndarray]:
     return int(hits[0]), c[:, hits[0]].copy()
 
 
-def kak_decompose(u: ComplexMatrix, tol: float = 1e-10) -> KakDecomposition:
+def kak_decompose(u: ComplexMatrix) -> KakDecomposition:
     """Constructive KAK decomposition of a 4x4 unitary."""
-    u = _check_two_qubit_unitary(u, tol)
+    u = _check_two_qubit_unitary(u)
     gamma = float(np.angle(np.linalg.det(u))) / 4.0
     ub = MAGIC_DAG @ (u * np.exp(-1j * gamma)) @ MAGIC
     d, p = _diag_unitary_symmetric(ub.T @ ub)
@@ -242,26 +248,26 @@ def canonicalize_weyl_vector(c) -> np.ndarray:
     return _fold(_su4_phases(np.exp(2j * theta)))[1]
 
 
-def weyl_coordinates(u: ComplexMatrix, tol: float = 1e-10) -> np.ndarray:
+def weyl_coordinates(u: ComplexMatrix) -> np.ndarray:
     """Canonical Weyl coordinates from the magic-basis spectrum of U^T U.
 
     Independent of :func:`kak_decompose`'s eigenvectors: only the
     eigenvalues are computed, then folded by the same Weyl-move search.
     """
-    u = _check_two_qubit_unitary(u, tol)
+    u = _check_two_qubit_unitary(u)
     ub = MAGIC_DAG @ u @ MAGIC
     evals = np.linalg.eigvals(ub.T @ ub) * np.exp(-0.5j * np.angle(np.linalg.det(u)))
     return _fold(_su4_phases(evals))[1]
 
 
-def same_weyl_point(c, d, tol: float = 1e-8) -> bool:
-    """True iff canonical coordinates ``c`` and ``d`` agree to ``tol``."""
-    return bool(np.max(np.abs(np.asarray(c) - np.asarray(d))) <= tol)
+def same_weyl_point(c, d) -> bool:
+    """True iff canonical coordinates ``c`` and ``d`` agree to 1e-8."""
+    return bool(np.max(np.abs(np.asarray(c) - np.asarray(d))) <= _WEYL_TOL)
 
 
-def locally_equivalent(u: ComplexMatrix, v: ComplexMatrix, tol: float = 1e-8) -> bool:
+def locally_equivalent(u: ComplexMatrix, v: ComplexMatrix) -> bool:
     """True iff u and v differ only by single-qubit rotations and phase."""
-    return same_weyl_point(weyl_coordinates(u), weyl_coordinates(v), tol)
+    return same_weyl_point(weyl_coordinates(u), weyl_coordinates(v))
 
 
 def reassembly_distance(u: ComplexMatrix, dec: KakDecomposition) -> float:

@@ -73,7 +73,9 @@ NO_NOISE = NoiseConfig()
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one protocol execution."""
+    """Outcome of one protocol execution.  A blind record holds the fidelity
+    after every cycle, the initial one first; a non-blind record holds the
+    initial and the final fidelity."""
 
     seed: int | None
     mode: str
@@ -230,10 +232,9 @@ def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray, buf: np.nd
     return even, odd
 
 
-def _philox_block(seed: int, indices: np.ndarray, block) -> np.ndarray:
-    """(lanes, 4) uint64 words of Philox blocks: block ``block`` of each
-    trajectory in ``indices``, or, for one index and an array of blocks,
-    each of those blocks of its stream.
+def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
+    """(lanes, 4) uint64 words of block ``block`` of the Philox stream of
+    each trajectory in ``indices``.
 
     Trajectory i's stream has key words (i, seed + 1); block b is the output
     at counter b + 1, which numpy.random.Philox(key=((seed + 1) << 64) + i)
@@ -241,14 +242,15 @@ def _philox_block(seed: int, indices: np.ndarray, block) -> np.ndarray:
     """
     seed = int(seed)
     index = np.asarray(indices, dtype=np.uint64).reshape(-1)
-    counter = np.asarray(block, dtype=np.uint64).reshape(-1) + np.uint64(1)
-    (lanes,) = np.broadcast_shapes(index.shape, counter.shape)
+    counter = np.array([block + 1], dtype=np.uint64)
+    lanes = index.size
     words = np.empty((4, lanes), dtype=np.uint64)  # word-major: rows are written whole
     buf = np.empty((6, 2, min(lanes, _PHILOX_CHUNK)), dtype=np.uint64)
     for start in range(0, lanes, _PHILOX_CHUNK):
-        part = [a if a.size == 1 else a[start : start + _PHILOX_CHUNK] for a in (index, counter)]
         chunk = words[:, start : start + _PHILOX_CHUNK]
-        chunk[0::2], chunk[1::2] = _philox_rounds(seed, *part, buf[..., : chunk.shape[1]])
+        chunk[0::2], chunk[1::2] = _philox_rounds(
+            seed, index[start : start + _PHILOX_CHUNK], counter, buf[..., : chunk.shape[1]]
+        )
     return words.T
 
 
@@ -364,16 +366,15 @@ def _run_trajectories(
     seed: int,
     early_stop: bool,
     first_index: int = 0,
-    track_fidelity: bool = False,
 ):
     """The non-blind engine behind run_nonblind and run_nonblind_batch.
 
     Runs trajectories first_index .. first_index + n_trajectories - 1.  Step
     s of trajectory i uses draws 2s (true outcome) and 2s + 1 (readout) of
     its stream, so its outcomes do not depend on which other trajectories
-    run beside it.  Only live trajectories draw: a lone one its whole stream
-    in one call, a batch one Philox block per two steps.  A draw stays a raw
-    word, tested against an :func:`_outcome_threshold`.
+    run beside it.  Only live trajectories draw, one Philox block per two
+    steps.  A draw stays a raw word, tested against an
+    :func:`_outcome_threshold`.
 
     States live in a table (T, d^2) of distinct conditional states, with one
     row index per live trajectory.  A step propagates the table once, draws
@@ -384,8 +385,7 @@ def _run_trajectories(
     is built from the repetitions at the end.
 
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
-    stop, repetitions (n,) with 0 for none, fidelities (n, max_steps + 1)
-    with NaN after a stop, or None unless ``track_fidelity``).
+    stop, repetitions (n,) with 0 for none).
     """
     if max_steps < 1 or n_trajectories < 1:
         raise ConfigError("max_steps and n_trajectories must be >= 1")
@@ -404,24 +404,18 @@ def _run_trajectories(
     final = np.empty((n, d * d), dtype=complex)
     recorded = np.empty((max_steps, n), dtype=np.int8)  # step-major: a step writes one row
     reps = np.zeros(n, dtype=np.int64)
-    fids = None
-    if track_fidelity:
-        fids = np.full((n, max_steps + 1), np.nan)
-        fids[:, 0] = fidelity(rho0, op.target)
     indices = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
-    # Philox blocks per draw: a lone trajectory draws its whole stream at once
-    span = (max_steps + 1) // 2 if n == 1 else 1
     live = np.arange(n)
     table = rho0.matrix.reshape(1, d * d)  # the distinct conditional states
     row = np.zeros(n, dtype=np.int64)  # each live trajectory's table row
     for step in range(max_steps):
         if live.size == 0:
             break
-        offset = step % (2 * span)  # one Philox block serves two steps
+        offset = step % 2  # one Philox block serves two steps
         if offset == 0:
-            words = _philox_block(seed, indices[live], step // 2 + np.arange(span))
-            draws = words.T.reshape(4, span, -1)[word_order] >> np.uint64(11)  # top 53 bits
-        u = draws[offset % 2 :: 2, offset // 2]  # (true outcome[, readout], live)
+            words = _philox_block(seed, indices[live], step // 2)
+            draws = words.T[word_order] >> np.uint64(11)  # top 53 bits
+        u = draws[offset::2]  # (true outcome[, readout], live)
         branches = (table @ prop).reshape(-1, d * d)  # row 2t + k: branch k of row t
         weights = sum(branches[:, j].real for j in diag)  # (2 T,) traces
         w0, w1 = weights.reshape(-1, 2).T
@@ -435,8 +429,6 @@ def _run_trajectories(
         norm = np.maximum(weights[present], 1e-300)
         table = (branches[present].view(np.float64) / norm[:, None]).view(complex)
         rec = true_k if confusion is None else u[1] >= read_threshold[true_k.view(np.int8)]
-        if track_fidelity:
-            fids[live, step + 1] = fidelity(table.reshape(-1, d, d), op.target)[row]
         if not early_stop:
             recorded[step] = rec
         elif np.any(rec):
@@ -444,7 +436,7 @@ def _run_trajectories(
             reps[stopped] = step + 1
             final[stopped] = table[row[rec]]
             live, row = live[keep], row[keep]
-            if offset + 1 < 2 * span:  # the block has draws for later steps
+            if offset == 0:  # the block has draws for the next step
                 draws = draws[..., keep]
     final[live] = table[row]
     if early_stop:  # "0"s, a "1" at the stopping cycle, then -1
@@ -455,7 +447,7 @@ def _run_trajectories(
         recorded[reps[hit] - 1, hit] = 1
     else:
         reps = np.where(recorded.any(axis=0), recorded.argmax(axis=0) + 1, 0)
-    return final.reshape(n, d, d), recorded.T, reps, fids
+    return final.reshape(n, d, d), recorded.T, reps
 
 
 def run_nonblind(
@@ -467,22 +459,23 @@ def run_nonblind(
     trajectory_index: int = 0,
     early_stop: bool = True,
 ) -> RunRecord:
-    """One stochastic trajectory with per-cycle ancilla readout.
+    """One stochastic trajectory with per-cycle ancilla readout: trajectory
+    ``trajectory_index`` of the batch, run alone.
 
     The readout confusion corrupts only the recorded outcome; the state
     conditioning always uses the true projection.  The run stops at the first
     recorded "1" (unless ``early_stop`` is off) and reports the 1-based cycle
     index as ``repetitions_to_success``, or None if the budget is exhausted.
+    The record holds the initial and the final fidelity.
     """
-    _, recorded, reps, fids = _run_trajectories(
-        rho0, op, max_steps, 1, noise, seed, early_stop,
-        first_index=trajectory_index, track_fidelity=True,
+    final, recorded, reps = _run_trajectories(
+        rho0, op, max_steps, 1, noise, seed, early_stop, first_index=trajectory_index
     )
     n_steps = int(np.sum(recorded[0] >= 0))
     return RunRecord(
         seed=seed,
         mode="nonblind",
-        fidelities=tuple(fids[0, : n_steps + 1].tolist()),
+        fidelities=(fidelity(rho0, op.target), fidelity(final[0], op.target)),
         outcomes=tuple(recorded[0, :n_steps].tolist()),
         repetitions_to_success=int(reps[0]) or None,
         coupling=op.coupling,
@@ -520,7 +513,7 @@ def run_nonblind_batch(
     outcomes and stopping rule, so the batch is reproducible and
     order-insensitive.
     """
-    final, recorded, reps, _ = _run_trajectories(
+    final, recorded, reps = _run_trajectories(
         rho0, op, max_steps, n_trajectories, noise, seed, early_stop
     )
     return TrajectoryBatch(
@@ -545,12 +538,12 @@ def sweep(
     couplings,
     steps: int,
     noise: NoiseConfig = NO_NOISE,
-    initial_state: DensityState | None = None,
 ) -> list[SweepRow]:
     """Blind-run fidelity grid over (target, J, step).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
-    The cells of each system dimension run as one :func:`_blind_grid`.
+    The cells of each system dimension run as one :func:`_blind_grid`, from
+    the maximally mixed state I/d.
     Blind runs are deterministic, so each distinct (target, J) cell is
     computed once, however often it is listed, and its std is 0.  Each row
     also carries the average fidelity of its (J, step) cell over the swept
@@ -576,9 +569,7 @@ def sweep(
     cell_fids = np.empty((len(cell_targets), len(cell_couplings), steps + 1))
     cell_dims = np.empty(len(cell_targets), dtype=int)
     for d, cells in groups.items():
-        rho0 = initial_state
-        if rho0 is None:
-            rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+        rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
         states = _blind_grid(rho0, [op for _, _, op in cells], steps, noise)
         for c, (i, j, op) in enumerate(cells):
             cell_fids[i, j] = fidelity(states[:, c], op.target)
@@ -605,16 +596,13 @@ class RepetitionStats:
     n_records: int
 
 
-def repetition_stats(records) -> RepetitionStats:
-    """Histogram, empirical CDF and mean of repetitions-to-success.
+def repetition_stats(batch: TrajectoryBatch) -> RepetitionStats:
+    """Histogram, empirical CDF and mean of a batch's repetitions-to-success.
 
-    Accepts RunRecords or a TrajectoryBatch.  Failures (no recorded success)
-    are counted separately and excluded from the mean and CDF.
+    Failures (no recorded success) are counted separately and excluded from
+    the mean and CDF.
     """
-    if isinstance(records, TrajectoryBatch):
-        reps = np.asarray(records.repetitions, dtype=np.int64)
-    else:
-        reps = np.array([r.repetitions_to_success or 0 for r in records], dtype=np.int64)
+    reps = np.asarray(batch.repetitions, dtype=np.int64)
     n_records = reps.size
     if n_records == 0:
         raise ConfigError("no records given")

@@ -247,27 +247,23 @@ def kraus_from_unitary(op: SteeringOperator) -> KrausSet:
 
 def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
     """One blind protocol step: rho -> sum_k A_k rho A_k^dagger."""
-    mat = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
-    if mat.shape[0] != kraus.dim:
-        raise DimensionMismatchError(
-            f"state dim {mat.shape[0]} does not match Kraus dim {kraus.dim}"
-        )
-    out = kraus.apply(mat)
-    if isinstance(rho, DensityState):
-        return DensityState(matrix=out, dims=rho.dims)
-    return out
+    if rho.dim != kraus.dim:
+        raise DimensionMismatchError(f"state dim {rho.dim} does not match Kraus dim {kraus.dim}")
+    return DensityState(matrix=kraus.apply(rho.matrix), dims=rho.dims)
 
 
-def steering_inequality_holds(
-    fidelities, tol: float = 1e-12
-) -> tuple[bool, int | None]:
+# slack below which a fidelity drop counts as rounding, not a violation
+_MONOTONE_TOL = 1e-12
+
+
+def steering_inequality_holds(fidelities) -> tuple[bool, int | None]:
     """Check monotone nondecrease of the fidelity sequence.
 
-    Returns (True, None) if f[n+1] >= f[n] - tol for all n, else
+    Returns (True, None) if f[n+1] >= f[n] - 1e-12 for all n, else
     (False, index of the first violating step).
     """
     f = list(fidelities)
     for n in range(len(f) - 1):
-        if f[n + 1] < f[n] - tol:
+        if f[n + 1] < f[n] - _MONOTONE_TOL:
             return False, n
     return True, None

@@ -4,8 +4,8 @@ process tomography with Pauli-transfer-matrix analysis.
 
 "Infinite shots" (``shots=None``) computes exact Born expectations and is the
 normative mode for acceptance checks; finite-shot mode draws one multinomial
-sample per measurement setting from the (optionally confusion-corrupted)
-outcome distribution, deterministically per seed.
+sample per measurement setting from the Born outcome distribution,
+deterministically per seed.
 """
 
 from __future__ import annotations
@@ -71,31 +71,25 @@ def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
     return counts
 
 
-def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, confusion, snap: bool) -> np.ndarray:
+def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, snap: bool) -> np.ndarray:
     """(n, K, d) outcome probabilities of the (n, d, d) states ``mats`` in
-    the (K, d, d) eigenbases ``vecs`` (columns), corrupted by the
-    row-stochastic confusion matrix when one is given.  With ``snap``, for a
-    shot draw, each is rounded to a multiple of 2^-40 and the last outcome
+    the (K, d, d) eigenbases ``vecs`` (columns).  With ``snap``, for a shot
+    draw, each is rounded to a multiple of 2^-40 and the last outcome
     takes the remainder, clamped at 0: numpy's binomial draws n - B(n, 1 - p)
     once p > 0.5, so a p of 0.5 moved by rounding would draw other counts."""
     probs = np.einsum("kji,njl,kli->nki", vecs.conj(), mats, vecs).real
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum(axis=-1, keepdims=True)
-    if confusion is not None:
-        confusion = np.asarray(confusion, dtype=float)
-        if confusion.shape != (probs.shape[-1],) * 2:
-            raise DimensionMismatchError("confusion matrix does not match outcome count")
-        probs = probs @ confusion
     if snap:
         probs = np.round(probs * 2.0**40) / 2.0**40
         probs[..., -1] = np.maximum(1.0 - probs[..., :-1].sum(axis=-1), 0.0)
     return probs
 
 
-def _draw(rho: DensityState, observable: ComplexMatrix, shots: int, confusion, seed: int):
+def _draw(rho: DensityState, observable: ComplexMatrix, shots: int, seed: int):
     """(ascending eigenvalues, counts) of one draw of ``observable`` on rho."""
     w, vecs = herm_eig(observable)
-    probs = _outcome_probs(rho.matrix[None], vecs[None], confusion, snap=True)[0]
+    probs = _outcome_probs(rho.matrix[None], vecs[None], snap=True)[0]
     return w, _keyed_multinomial(shots, probs, [seed])[0]
 
 
@@ -103,13 +97,12 @@ def measure_expectation(
     rho: DensityState,
     observable: ComplexMatrix,
     shots: int | None,
-    confusion: np.ndarray | None = None,
     seed: int = 0,
 ) -> float:
     """<observable> on rho, exact when shots is None, sampled otherwise."""
     if shots is None:
         return float(np.trace(rho.matrix @ observable).real)
-    w, counts = _draw(rho, observable, shots, confusion, seed)
+    w, counts = _draw(rho, observable, shots, seed)
     return float(np.dot(w, counts / shots))
 
 
@@ -173,7 +166,7 @@ def _from_expectations(expectations, basis: np.ndarray) -> DensityState:
     return DensityState(matrix=_reconstruct(expectations[None], basis)[0], dims=(d,))
 
 
-def _measure_and_reconstruct(rho, basis, shots, confusion, seed):
+def _measure_and_reconstruct(rho, basis, shots, seed):
     """Measure every observable on one state or on each of an (n, d, d)
     stack and reconstruct, returning the input's kind.  With shots, the
     state with seed k draws observable i from Philox key (k << 4) + i;
@@ -191,7 +184,7 @@ def _measure_and_reconstruct(rho, basis, shots, confusion, seed):
             raise DimensionMismatchError(f"{len(seeds)} seeds for {len(mats)} states")
         keys = [(int(s) << 4) + i for s in seeds for i in range(len(basis))]
         w, vecs = _EIGENBASES[d]
-        probs = _outcome_probs(mats, vecs, confusion, snap=True)
+        probs = _outcome_probs(mats, vecs, snap=True)
         counts = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape)
         # a stack of (1, d) by (d, 1) products takes the dot kernel of the
         # one-state np.dot(w, counts / shots); an elementwise sum rounds differently
@@ -214,19 +207,19 @@ def qutrit_state_tomo(expectations) -> DensityState:
 
 
 def tomo_qubit_state(
-    rho: DensityState | np.ndarray, shots: int | None = None, confusion=None, seed=0
+    rho: DensityState | np.ndarray, shots: int | None = None, seed=0
 ) -> DensityState | np.ndarray:
     """Measure X, Y, Z (exactly or with shots) and reconstruct, on one
     state or on each state of an (n, 2, 2) stack (one seed per state)."""
-    return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, confusion, seed)
+    return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, seed)
 
 
 def tomo_qutrit_state(
-    rho: DensityState | np.ndarray, shots: int | None = None, confusion=None, seed=0
+    rho: DensityState | np.ndarray, shots: int | None = None, seed=0
 ) -> DensityState | np.ndarray:
     """Measure the eight Gell-Mann observables and reconstruct, on one
     state or on each state of an (n, 3, 3) stack (one seed per state)."""
-    return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, confusion, seed)
+    return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +264,7 @@ def _measured_pauli_expectations(
     """
     d = 2**n
     rotations = _kron_all(_SETTING_BASES, n)
-    probs = _outcome_probs(rho_out, rotations, None, snap=shots is not None)
+    probs = _outcome_probs(rho_out, rotations, snap=shots is not None)
     if shots is not None:
         keys = [((seed + 7919 * i) << 32) + s for i, s in np.ndindex(probs.shape[:2])]
         probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots

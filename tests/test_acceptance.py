@@ -112,7 +112,7 @@ def test_criterion_03_steering_inequality():
                 for _ in range(30):
                     state = averaged_step(state, kset)
                     fids.append(fidelity(state, op.target))
-                ok, idx = steering_inequality_holds(fids, tol=1e-12)
+                ok, idx = steering_inequality_holds(fids)
                 if not ok:
                     violations.append((entry.label, coupling, seed, idx))
     elapsed = time.monotonic() - t0

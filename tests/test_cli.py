@@ -102,7 +102,18 @@ class TestSteerCommand:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize(
-        "raw", [{"depolarizing_p": "x"}, {"reset_infidelity": None}, {"readout_confusion": "ab"}]
+        "raw",
+        [
+            {"depolarizing_p": "x"},
+            {"reset_infidelity": None},
+            {"readout_confusion": "ab"},
+            # booleans and numeric strings, which float() would accept
+            {"depolarizing_p": True},
+            {"depolarizing_p": "0.1"},
+            {"amplitude_damping_gamma": False},
+            {"readout_confusion": [[True, False], [False, True]]},
+            {"readout_confusion": [["0.9", "0.1"], [0, 1]]},
+        ],
     )
     def test_noise_file_bad_value_is_config_error(self, runner, tmp_path, raw):
         noise = tmp_path / "noise.json"
@@ -115,6 +126,33 @@ class TestSteerCommand:
         assert result.exit_code == 2
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+
+    def test_noise_file_null_confusion_and_integers_accepted(self, runner, tmp_path):
+        noise = tmp_path / "noise.json"
+        noise.write_text(json.dumps({"readout_confusion": None, "depolarizing_p": 0,
+                                     "reset_infidelity": 0.05}))
+        result = runner.invoke(
+            main,
+            ["steer", "--target", "+", "--J", "0.785", "--N", "5", "--noise", str(noise),
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        echo = json.loads((tmp_path / "records.json").read_text())["config"]["noise"]
+        assert echo["readout_confusion"] is None and echo["depolarizing_p"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["blind", "nonblind"])
+    def test_trajectories_below_one_is_usage_error(self, runner, tmp_path, mode):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["steer", "--target", "+", "--J", "0.785", "--N", "5", "--mode", mode,
+             "--trajectories", "0", "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+        assert "--trajectories" in lines[0]
+        assert not out.exists()
 
     def test_noise_file_nan_confusion_is_config_error(self, runner, tmp_path):
         noise = tmp_path / "noise.json"

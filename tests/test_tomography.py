@@ -50,59 +50,50 @@ def depolarizing_kraus(p: float) -> KrausSet:
 
 class TestShotDraws:
     """One finite-shot measurement: counts over the observable's ascending
-    eigenbasis, from Born probabilities corrupted by a confusion matrix."""
+    eigenbasis, from Born probabilities."""
 
     def test_ground_state_all_zero_outcomes(self):
         rho = pure_state(np.array([1, 0], dtype=complex))
-        _, counts = tomography._draw(rho, PAULIS["Z"], 500, None, 1)
+        _, counts = tomography._draw(rho, PAULIS["Z"], 500, 1)
         # ascending eigenbasis: outcome 1 is the +1 eigenvector |0>
         assert counts[1] == 500
         assert measure_expectation(rho, PAULIS["Z"], 500, seed=1) == 1.0
 
     def test_plus_state_born_rule(self):
         rho = pure_state(target_ket(QubitTarget(math.pi / 2, 0.0)))
-        _, counts = tomography._draw(rho, PAULIS["Z"], 100_000, None, 2)
+        _, counts = tomography._draw(rho, PAULIS["Z"], 100_000, 2)
         sigma = 0.5 / math.sqrt(100_000)
         assert abs(counts[0] / 100_000 - 0.5) < 3 * sigma
 
-    def test_confusion_misclassification_rate(self):
-        confusion = np.array(
-            [[0.917, 0.05, 0.033], [0.04, 0.917, 0.043], [0.05, 0.033, 0.917]]
-        )
-        rho = pure_state(np.array([1, 0, 0], dtype=complex))
+    def test_qutrit_born_rule(self):
+        rho = pure_state(np.array([1, 1j, 1], dtype=complex) / math.sqrt(3))
         obs = np.diag([0.0, 1.0, 2.0]).astype(complex)
         shots = 200_000
-        _, counts = tomography._draw(rho, obs, shots, confusion, 3)
-        freq = counts / shots
-        for k in range(3):
-            want = confusion[0, k]
-            sigma = math.sqrt(want * (1 - want) / shots)
-            assert abs(freq[k] - want) <= 3 * sigma + 1e-12
+        _, counts = tomography._draw(rho, obs, shots, 3)
+        assert counts.sum() == shots
+        sigma = math.sqrt((1 / 3) * (2 / 3) / shots)
+        assert np.all(np.abs(counts / shots - 1 / 3) <= 3 * sigma)
+
+    def test_joint_six_outcome_born_rule(self):
+        # readout over the qubit (x) qutrit joint space, six outcomes at once
+        rho = random_density(6, 4)
+        obs = np.diag(np.arange(6.0)).astype(complex)
+        shots = 100_000
+        _, counts = tomography._draw(rho, obs, shots, 8)
+        assert counts.sum() == shots
+        p_want = np.clip(np.diag(rho.matrix).real, 0, None)
+        p_want = p_want / p_want.sum()
+        sigma = np.sqrt(p_want * (1 - p_want) / shots)
+        assert np.all(np.abs(counts / shots - p_want) <= 4 * sigma + 1e-12)
 
     def test_deterministic_per_seed(self):
         rho = random_density(2, 0)
-        a = tomography._draw(rho, PAULIS["X"], 1000, None, 5)[1]
-        b = tomography._draw(rho, PAULIS["X"], 1000, None, 5)[1]
+        a = tomography._draw(rho, PAULIS["X"], 1000, 5)[1]
+        b = tomography._draw(rho, PAULIS["X"], 1000, 5)[1]
         assert np.array_equal(a, b)
         assert measure_expectation(rho, PAULIS["X"], 1000, seed=5) == measure_expectation(
             rho, PAULIS["X"], 1000, seed=5
         )
-
-    def test_joint_six_outcome_confusion(self):
-        # readout over the qubit (x) qutrit joint space with one 6x6
-        # row-stochastic confusion matrix
-        rho = random_density(6, 4)
-        confusion = np.full((6, 6), 0.01)
-        np.fill_diagonal(confusion, 0.95)
-        obs = np.diag(np.arange(6.0)).astype(complex)
-        shots = 100_000
-        _, counts = tomography._draw(rho, obs, shots, confusion, 8)
-        assert counts.sum() == shots
-        p_true = np.clip(np.diag(rho.matrix).real, 0, None)
-        p_true = p_true / p_true.sum()
-        p_want = confusion.T @ p_true
-        sigma = np.sqrt(p_want * (1 - p_want) / shots)
-        assert np.all(np.abs(counts / shots - p_want) <= 4 * sigma + 1e-12)
 
 
 U40 = 2.0**-40  # the grid of snapped shot probabilities
@@ -112,7 +103,7 @@ def diagonal_probs(p, snap=True) -> np.ndarray:
     """_outcome_probs of the diagonal state diag(p) in the computational basis."""
     d = len(p)
     mats = np.diag(np.asarray(p, dtype=complex))[None]
-    return tomography._outcome_probs(mats, np.eye(d, dtype=complex)[None], None, snap)[0, 0]
+    return tomography._outcome_probs(mats, np.eye(d, dtype=complex)[None], snap)[0, 0]
 
 
 class TestSnappedProbabilities:
@@ -121,8 +112,8 @@ class TestSnappedProbabilities:
             for _ in range(20):
                 rho = ginibre_density(d, rng)
                 vecs = np.linalg.eigh(random_hermitian(d, rng))[1]
-                exact = tomography._outcome_probs(rho[None], vecs[None], None, False)[0, 0]
-                got = tomography._outcome_probs(rho[None], vecs[None], None, True)[0, 0]
+                exact = tomography._outcome_probs(rho[None], vecs[None], False)[0, 0]
+                got = tomography._outcome_probs(rho[None], vecs[None], True)[0, 0]
                 assert np.array_equal(got, np.round(got / U40) * U40)
                 assert got.sum() == 1.0
                 assert np.max(np.abs(got - exact)) <= d * U40
@@ -340,25 +331,20 @@ def tomography_stack(d: int) -> np.ndarray:
 
 
 class TestStackedStateTomography:
-    @pytest.mark.parametrize("with_confusion", [False, True])
     @pytest.mark.parametrize("shots", [None, 1, 16, 4096])
     @pytest.mark.parametrize("tomo,d", [(tomo_qubit_state, 2), (tomo_qutrit_state, 3)])
-    def test_stack_equals_one_state_calls(self, monkeypatch, tomo, d, shots, with_confusion):
+    def test_stack_equals_one_state_calls(self, monkeypatch, tomo, d, shots):
         stack = tomography_stack(d)
-        confusion = None
-        if with_confusion:
-            confusion = np.full((d, d), 0.05)
-            np.fill_diagonal(confusion, 1.0 - 0.05 * (d - 1))
         seeds = [((2**40 + 5) << 16) + n for n in range(len(stack))]
         projected = []
         project = tomography.mle_project
         monkeypatch.setattr(tomography, "mle_project", lambda m: projected.append(m) or project(m))
-        got = tomo(stack, shots=shots, confusion=confusion, seed=seeds)
+        got = tomo(stack, shots=shots, seed=seeds)
         if shots in (1, 16):
             assert projected
         assert got.shape == stack.shape
         for mat, seed, rec in zip(stack, seeds, got):
-            one = tomo(DensityState(matrix=mat, dims=(d,)), shots=shots, confusion=confusion, seed=seed)
+            one = tomo(DensityState(matrix=mat, dims=(d,)), shots=shots, seed=seed)
             assert np.array_equal(rec, one.matrix)
 
     def test_one_seed_per_state(self):
