@@ -34,13 +34,13 @@ from .protocol import (
     RunRecord,
     _blind_states,
     _check_seed,
+    _maximally_mixed,
     repetition_stats,
     run_blind,
     run_nonblind_batch,
     sweep,
 )
 from .states import (
-    DensityState,
     QubitTarget,
     QutritTarget,
     QUTRIT_EQUAL_LABEL,
@@ -61,10 +61,28 @@ from .tomography import (
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Writes the header and rows, each float at 17 significant digits.
+    Each distinct nonzero float is formatted once: a sweep's targets share
+    their curves, so most of its cells repeat (0.0 and -0.0 are equal keys,
+    so zeros are formatted every time)."""
+    text = {}
+    cells = []
+    for row in rows:
+        line = []
+        for v in row:
+            if isinstance(v, float):
+                s = text.get(v) if v else None
+                if s is None:
+                    s = f"{v:.17g}"
+                    if v:
+                        text[v] = s
+                v = s
+            line.append(v)
+        cells.append(line)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+        writer.writerows(cells)
 
 
 # One compact encoding by CPython's C encoder, with a bare newline as the item
@@ -255,10 +273,6 @@ def _operator(target_text: str, coupling: float):
     label, target = parse_target(target_text)
     spec = TargetSpec(target, coupling, label)
     return spec, make_steering_operator(spec)
-
-
-def _maximally_mixed(d: int) -> DensityState:
-    return DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
 
 
 def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
@@ -474,8 +488,8 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
     label = spec.label
     noise = load_noise(noise_path)
     d = op.system_dim
-    states = _blind_states(_maximally_mixed(d), op, steps, noise)
-    exact = fidelity(states, op.target).tolist()
+    fids, states = _blind_states(_maximally_mixed(d), op, steps, noise)
+    exact = fids.tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
     recs = reconstruct(states, shots=n_shots, seed=[(seed << 16) + n for n in range(steps + 1)])
     rows = [[label, coupling, n, exact[n], fidelity(rec, op.target)] for n, rec in enumerate(recs)]

@@ -1,5 +1,11 @@
 """Full steering protocol runs.
 
+Every run works in its operator's steering frame F (see
+:mod:`qsteer.steering`): states enter as F^dag rho F, a fidelity is the
+(0, 0) entry, and only amplitude damping ties the channel to F, so without
+it every target of one (dimension, J) has the same channel.  States leave
+once per run, or per trajectory-table row, through one kron(F, F*) product.
+
 Blind runs iterate the averaged channel (a deterministic CPTP map), so they
 need no randomness at all.  Non-blind runs sample one ancilla readout per
 cycle; the true projection acts on the state, the classical record may be
@@ -35,8 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
+from .linalg import dagger, kron
 from .states import DensityState, fidelity, validate_density
-from .steering import KrausSet, SteeringOperator, _ancilla_kraus, kraus_from_unitary
+from .steering import KrausSet, SteeringOperator, TargetSpec, _ancilla_kraus, make_steering_operator
 
 
 @dataclass(frozen=True)
@@ -119,18 +126,34 @@ def apply_noise(mat: np.ndarray, noise: NoiseConfig) -> np.ndarray:
 
 
 def _cycle_kraus(op: SteeringOperator, noise: NoiseConfig) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Kraus operators per ancilla outcome, with reset infidelity folded in.
+    """Frame Kraus operators per ancilla outcome, with reset infidelity.
 
     Returns a tuple indexed by outcome k; each element is the tuple of
-    operators sqrt(p_a) <k| U |a> over the ancilla's reset states a = 0, 1,
-    with p_1 the reset infidelity.
+    operators sqrt(p_a) <k| V |a> of the frame cycle V over the ancilla's
+    reset states a = 0, 1, with p_1 the reset infidelity.
     """
     eps = noise.reset_infidelity
-    base = kraus_from_unitary(op).operators
+    base = _ancilla_kraus(op.frame_unitary, 0)
     if eps == 0.0:
         return tuple((a,) for a in base)
     w0, w1 = math.sqrt(1.0 - eps), math.sqrt(eps)
-    return tuple((w0 * a, w1 * b) for a, b in zip(base, _ancilla_kraus(op, 1)))
+    return tuple((w0 * a, w1 * b) for a, b in zip(base, _ancilla_kraus(op.frame_unitary, 1)))
+
+
+def _into_frame(mat: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """F^dag mat F for one (d, d) matrix.  Its multiple of the identity is
+    kept out of the rounding, so I/d is I/d in every frame, bit for bit."""
+    shift = mat.trace() / len(mat) * np.eye(len(mat))
+    return shift + dagger(frame) @ (mat - shift) @ frame
+
+
+def _maximally_mixed(d: int) -> DensityState:
+    return DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+
+
+def _frame_fidelity(states: np.ndarray) -> np.ndarray:
+    """Fidelities of frame states (..., d, d), clamped to [0, 1]."""
+    return np.clip(states[..., 0, 0].real, 0.0, 1.0)
 
 
 def run_blind(
@@ -149,7 +172,7 @@ def run_blind(
     return RunRecord(
         seed=None,
         mode="blind",
-        fidelities=tuple(fidelity(_blind_states(rho0, op, steps, noise), op.target).tolist()),
+        fidelities=tuple(_frame_fidelity(_blind_grid(rho0, [op], steps, noise)[:, 0]).tolist()),
         outcomes=None,
         repetitions_to_success=None,
         coupling=op.coupling,
@@ -263,16 +286,20 @@ def _outcome_threshold(c: np.ndarray) -> np.ndarray:
 
 def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
     """(K, d^2, d^2) superoperators N o sum_{A in group k} A (x) A*, one per
-    outcome k, acting on a row-major vec(rho) column.
+    outcome k, acting on a row-major vec(rho) column in op's frame.
 
     Branch k, N(sum_A A rho A^dag), is unnormalized and noise-applied; the
     sum over k is the blind cycle channel.  The noise superoperator N is
     read off by applying apply_noise to the d^2 matrix units; it preserves
-    trace, so each branch's trace is still its outcome's weight.
+    trace, so each branch's trace is still its outcome's weight.  Only
+    damping does not commute with F, so only then is N conjugated by it.
     """
     d = op.system_dim
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
+    if noise.amplitude_damping_gamma > 0.0:
+        lift = kron(op.frame, op.frame.conj())  # vec(F X F^dag) = lift vec(X)
+        noise_map = dagger(lift) @ noise_map @ lift
     return np.array([noise_map @ KrausSet(grp).superoperator() for grp in _cycle_kraus(op, noise)])
 
 
@@ -315,7 +342,7 @@ def repetition_law(
         branches = np.tensordot(confusion.T, branches, axes=1)  # per recorded outcome
     stay, stop = branches
     diag = np.arange(op.system_dim) * (op.system_dim + 1)  # vec positions of the diagonal
-    vec = rho0.matrix.reshape(-1)
+    vec = _into_frame(rho0.matrix, op.frame).reshape(-1)
     pmf = np.empty(max_steps)
     for n in range(max_steps):
         pmf[n] = (stop @ vec)[diag].real.sum()
@@ -325,17 +352,20 @@ def repetition_law(
 
 def _blind_states(
     rho0: DensityState, op: SteeringOperator, steps: int, noise: NoiseConfig
-) -> np.ndarray:
-    """(steps + 1, d, d) states of a blind run: the one-cell case of
-    :func:`_blind_grid`."""
-    return _blind_grid(rho0, [op], steps, noise)[:, 0]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelities, states (steps + 1, d, d)) of a blind run: the one-cell
+    case of :func:`_blind_grid`, with the states out of the frame."""
+    frame_states = _blind_grid(rho0, [op], steps, noise)[:, 0]
+    d = op.system_dim
+    states = frame_states.reshape(-1, d * d) @ kron(op.frame, op.frame.conj()).T
+    return _frame_fidelity(frame_states), states.reshape(-1, d, d)
 
 
 def _blind_grid(
     rho0: DensityState, ops: list[SteeringOperator], steps: int, noise: NoiseConfig
 ) -> np.ndarray:
-    """(steps + 1, cells, d, d) states of one blind run per operator, every
-    operator of rho0's dimension: rho0, then ``steps`` cycles of that
+    """(steps + 1, cells, d, d) frame states of one blind run per operator,
+    every operator of rho0's dimension: rho0, then ``steps`` cycles of that
     operator's averaged channel.  One batched product of the stacked
     (cells, d^2, d^2) superoperators with the cells' vec(rho) columns
     advances every cell per step; the whole stack is validated once, with
@@ -349,7 +379,8 @@ def _blind_grid(
         raise DimensionMismatchError("initial state does not match the system dimension")
     channels = np.array([_step_superoperator(op, noise).sum(axis=0) for op in ops])
     vecs = np.empty((steps + 1, len(ops), d * d, 1), dtype=complex)
-    vecs[0] = rho0.matrix.reshape(-1, 1)
+    for c, op in enumerate(ops):
+        vecs[0, c] = _into_frame(rho0.matrix, op.frame).reshape(-1, 1)
     for n in range(steps):
         np.matmul(channels, vecs[n], out=vecs[n + 1])
     states = vecs.reshape(steps + 1, len(ops), d, d)
@@ -376,13 +407,13 @@ def _run_trajectories(
     steps.  A draw stays a raw word, tested against an
     :func:`_outcome_threshold`.
 
-    States live in a table (T, d^2) of distinct conditional states, with one
-    row index per live trajectory.  A step propagates the table once, draws
-    each trajectory's outcome against its row's outcome-0 share, keys the
-    children by row * 2 + outcome and merges them with a presence mask and a
-    cumsum (O(live), no sort); only present children are normalized.  With
-    a qubit ancilla an early-stopped record is "0"s, one "1", then -1, so it
-    is built from the repetitions at the end.
+    States live in a table (T, d^2) of distinct conditional frame states,
+    with one row index per live trajectory.  A step propagates the table
+    once, draws each trajectory's outcome against its row's outcome-0 share,
+    keys the children by row * 2 + outcome and merges them with a presence
+    mask and a cumsum (O(live), no sort); only present children are
+    normalized.  With a qubit ancilla an early-stopped record is "0"s, one
+    "1", then -1, so it is built from the repetitions at the end.
 
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
     stop, repetitions (n,) with 0 for none).
@@ -406,7 +437,8 @@ def _run_trajectories(
     reps = np.zeros(n, dtype=np.int64)
     indices = np.uint64(first_index) + np.arange(n, dtype=np.uint64)
     live = np.arange(n)
-    table = rho0.matrix.reshape(1, d * d)  # the distinct conditional states
+    leave = kron(op.frame, op.frame.conj()).T  # table @ leave: rows out of the frame
+    table = _into_frame(rho0.matrix, op.frame).reshape(1, d * d)  # distinct conditional states
     row = np.zeros(n, dtype=np.int64)  # each live trajectory's table row
     for step in range(max_steps):
         if live.size == 0:
@@ -434,11 +466,11 @@ def _run_trajectories(
         elif np.any(rec):
             stopped, keep = live[rec], ~rec
             reps[stopped] = step + 1
-            final[stopped] = table[row[rec]]
+            final[stopped] = (table @ leave)[row[rec]]
             live, row = live[keep], row[keep]
             if offset == 0:  # the block has draws for the next step
                 draws = draws[..., keep]
-    final[live] = table[row]
+    final[live] = (table @ leave)[row]
     if early_stop:  # "0"s, a "1" at the stopping cycle, then -1
         stop = np.where(reps > 0, reps, max_steps + 1)
         np.greater_equal(np.arange(1, max_steps + 1)[:, None], stop, out=recorded.view(bool))
@@ -542,41 +574,41 @@ def sweep(
     """Blind-run fidelity grid over (target, J, step).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
-    The cells of each system dimension run as one :func:`_blind_grid`, from
-    the maximally mixed state I/d.
-    Blind runs are deterministic, so each distinct (target, J) cell is
-    computed once, however often it is listed, and its std is 0.  Each row
-    also carries the average fidelity of its (J, step) cell over the swept
+    Every run starts from I/d, which is I/d in every frame, so each distinct
+    frame channel (one per dimension and J without amplitude damping) is
+    iterated once, those of each dimension as one :func:`_blind_grid`, and
+    its curve serves every cell that shares it; the std is 0.  Each row also
+    carries the average fidelity of its (J, step) cell over the swept
     targets of its own system dimension, which is the stabilizer average
     when the six stabilizer targets are swept; qubit and qutrit rows are
     averaged apart, and a coupling listed more than once gets None there.
     """
-    from .steering import TargetSpec, make_steering_operator
-
     targets = list(targets)
     couplings = list(couplings)
     if not targets or not couplings:
         raise ConfigError("sweep needs nonempty target and coupling grids")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    cell_targets = list(dict.fromkeys((label, target) for label, target in targets))
-    cell_couplings = list(dict.fromkeys(couplings))
-    groups = {}  # system dimension -> [(i, j, operator)]
-    for i, (label, target) in enumerate(cell_targets):
-        for j, coupling in enumerate(cell_couplings):
-            op = make_steering_operator(TargetSpec(target, coupling, label))
-            groups.setdefault(op.system_dim, []).append((i, j, op))
-    cell_fids = np.empty((len(cell_targets), len(cell_couplings), steps + 1))
-    cell_dims = np.empty(len(cell_targets), dtype=int)
-    for d, cells in groups.items():
-        rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-        states = _blind_grid(rho0, [op for _, _, op in cells], steps, noise)
-        for c, (i, j, op) in enumerate(cells):
-            cell_fids[i, j] = fidelity(states[:, c], op.target)
-            cell_dims[i] = d
-    target_rows = [cell_targets.index((label, target)) for label, target in targets]
-    fids = cell_fids[np.ix_(target_rows, [cell_couplings.index(c) for c in couplings])]
-    dims = cell_dims[target_rows]
+    damped = noise.amplitude_damping_gamma > 0.0
+
+    def channel(spec):  # what a cell's frame channel depends on
+        return spec.system_dim, spec.coupling, spec.target if damped else None
+
+    specs = {}  # (target, J) -> the TargetSpec of each distinct cell
+    groups = {}  # system dimension -> {channel: the spec of its first cell}
+    for label, target in targets:
+        for coupling in couplings:
+            if (target, coupling) not in specs:
+                spec = specs[target, coupling] = TargetSpec(target, coupling, label)
+                groups.setdefault(spec.system_dim, {}).setdefault(channel(spec), spec)
+    curves, curve_of = [], {}  # one fidelity curve per channel, and its index
+    for d, group in groups.items():
+        ops = [make_steering_operator(spec) for spec in group.values()]
+        curve_of.update((key, len(curves) + i) for i, key in enumerate(group))
+        curves.extend(_frame_fidelity(_blind_grid(_maximally_mixed(d), ops, steps, noise)).T)
+    cells = [[curve_of[channel(specs[t, j])] for j in couplings] for _, t in targets]
+    fids = np.array(curves)[cells]  # (targets, couplings, steps + 1)
+    dims = np.array([specs[t, couplings[0]].system_dim for _, t in targets])
     average = {d: fids[dims == d].mean(axis=0).tolist() for d in groups}
     unique = [couplings.count(coupling) == 1 for coupling in couplings]
     return [

@@ -6,9 +6,9 @@ Conventions used throughout:
 
 * Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit
   reset to |0> (the protocols mix in |1> for a reset infidelity), and only
-  :func:`_ancilla_kraus` splits U into ancilla blocks.  With that convention
-  one averaged step at theta=pi/2, phi=0, J=pi/2 maps every input to
-  |+><+| exactly.
+  :func:`_ancilla_kraus` splits a cycle unitary into ancilla blocks.  With
+  that convention one averaged step at theta=pi/2, phi=0, J=pi/2 maps every
+  input to |+><+| exactly.
 * Every cycle is built from one triple (psi, b, S), :func:`steering_frame`:
   the target, the bright direction of its complement and a system-only gate
   (the identity for a qubit, the bright/dark exchange for a qutrit).  The
@@ -16,6 +16,9 @@ Conventions used throughout:
   in closed form because G^3 = G, so no eigendecomposition is needed.  The
   paper's generators (:func:`build_qubit_hamiltonian`,
   :func:`build_qutrit_hamiltonian`) are kept as the reference it matches.
+* In the steering frame F = [psi, b (, S b)] the cycle is one matrix for
+  every target of a dimension: for a qubit A_0 = diag(1, cos J) and
+  A_1 = -i sin J |e_0><e_1|.  The protocol iterates that frame cycle.
 """
 
 from __future__ import annotations
@@ -86,12 +89,15 @@ class KrausSet:
 @dataclass(frozen=True)
 class SteeringOperator:
     """The joint ancilla (x) system cycle unitary U, for a qubit ancilla
-    reset to |0>."""
+    reset to |0>, and the same cycle in the steering frame F:
+    frame_unitary = (I (x) F^dag) U (I (x) F)."""
 
     unitary: ComplexMatrix
     system_dim: int
     coupling: float
     target: np.ndarray
+    frame: ComplexMatrix
+    frame_unitary: ComplexMatrix
     label: str | None = None
 
 
@@ -217,6 +223,10 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     cycle, so psi is the only fixed point for 0 < J < pi, with
     |lambda_2| = sqrt(|cos J|); at J = pi/2 every state reaches psi in two
     cycles.
+
+    In the frame F = [psi, b (, S b)], G = |0,e_1><1,e_0| + h.c. and S
+    exchanges e_1 and e_2, so the frame cycle's entries are 1, cos J and
+    -i sin J, exactly.
     """
     psi, bright, exchange = steering_frame(spec.target)
     d = len(psi)
@@ -224,25 +234,32 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     g = g + dagger(g)
     cos, sin = math.cos(spec.coupling), math.sin(spec.coupling)
     rotation = np.eye(2 * d) + (cos - 1.0) * (g @ g) - 1j * sin * g
+    frame_unitary = np.eye(2 * d, dtype=complex)
+    frame_unitary[1, 1] = frame_unitary[d, d] = cos  # |0,e_1> and |1,e_0> (index d)
+    frame_unitary[1, d] = frame_unitary[d, 1] = -1j * sin
     return SteeringOperator(
         unitary=(exchange @ rotation.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d),
         system_dim=d,
         coupling=spec.coupling,
         target=target_ket(spec.target),
+        frame=np.array([psi, bright, exchange @ bright][:d]).T,
+        frame_unitary=frame_unitary[[0, 2, 1, 3, 5, 4]] if d == 3 else frame_unitary,
         label=spec.label,
     )
 
 
-def _ancilla_kraus(op: SteeringOperator, ancilla: int) -> tuple[np.ndarray, np.ndarray]:
+def _ancilla_kraus(unitary: ComplexMatrix, ancilla: int) -> tuple[np.ndarray, np.ndarray]:
     """(<0|_A U |a>_A, <1|_A U |a>_A): the Kraus operators, indexed by
-    outcome, of a cycle whose ancilla enters in the basis state |a>."""
-    u = op.unitary.reshape(2, op.system_dim, 2, op.system_dim)
+    outcome, of a cycle unitary whose ancilla enters in the basis state |a>."""
+    d = unitary.shape[0] // 2
+    u = unitary.reshape(2, d, 2, d)
     return tuple(np.ascontiguousarray(u[k, :, ancilla]) for k in range(2))
 
 
 def kraus_from_unitary(op: SteeringOperator) -> KrausSet:
-    """Kraus operators A_k = <k|_A U |0>_A, indexed by ancilla outcome."""
-    return KrausSet(operators=_ancilla_kraus(op, 0))
+    """Kraus operators A_k = <k|_A U |0>_A of the computational-basis U,
+    indexed by ancilla outcome."""
+    return KrausSet(operators=_ancilla_kraus(op.unitary, 0))
 
 
 def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:

@@ -370,6 +370,15 @@ class TestWriteCsv:
             "0,3,x,", "nan,4,x,", "-inf,5,x,", "1e-300,6,x,",
         ]
 
+    def test_repeated_values_read_as_alone(self, tmp_path):
+        # each distinct nonzero float is formatted once; 0.0 and -0.0 are
+        # equal but print apart
+        nan = float("nan")
+        floats = [0.0, -0.0, 0.0, 0.1, np.float64(0.1), 1 / 3, -0.0, 1 / 3, nan, nan, 1e-300]
+        cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[f, f] for f in floats])
+        want = ["a,b"] + [f"{f:.17g},{f:.17g}" for f in floats]
+        assert (tmp_path / "t.csv").read_text().splitlines() == want
+
 
 # JSON values: every scalar kind json.dumps accepts (floats include NaN,
 # +-inf and -0.0; text includes non-ASCII and control characters), nested
@@ -623,7 +632,7 @@ class TestTomoAndQpt:
         _, op = cli._operator(target, 0.785)
         d = op.system_dim
         noise = cli.load_noise(noise_args[1] if noisy else None)
-        states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
+        _, states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
         tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
         n_shots = None if shots == "inf" else int(shots)
         want = [

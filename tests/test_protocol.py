@@ -533,6 +533,18 @@ class TestSeedContract:
             "1d64b00f07a2c599e3ac4c478be8999f7cfa48ad006511595fdfcc7bbce0f77f"
         )
 
+    def test_readme_heralded_states_are_the_target(self):
+        # A_1 is rank one onto psi, so in the frame a heralded state is e_0
+        # exactly, and it leaves the frame as |psi><psi| to rounding
+        catalog = {e.label: e.target for e in stabilizer_catalog()}
+        op = make_steering_operator(TargetSpec(catalog["+"], 0.785, "+"))
+        rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
+        batch = run_nonblind_batch(rho, op, 40, 100_000, seed=1)
+        heralded = batch.final_states[batch.repetitions > 0]
+        assert len(heralded) == 49_995
+        target = np.outer(op.target, op.target.conj())
+        assert np.max(np.abs(heralded - target)) <= 1e-15
+
 
 class TestRepetitionStatsReference:
     @staticmethod
@@ -610,10 +622,11 @@ class TestBlindReference:
         assert np.max(np.abs(np.subtract(rec.fidelities, want))) <= 1e-13
 
     def test_late_states_are_validated(self):
-        # a unitary scaled by 1 + 1e-12 grows the trace by about 2e-12 per
-        # cycle, which leaves the 1e-10 trace tolerance only after ~50 cycles
+        # a frame cycle scaled by 1 + 1e-12 grows the trace by about 2e-12
+        # per cycle, which leaves the 1e-10 trace tolerance only after ~50
+        # cycles
         op = make_steering_operator(PLUS_QUARTER)
-        leaky = replace(op, unitary=(1.0 + 1e-12) * op.unitary)
+        leaky = replace(op, frame_unitary=(1.0 + 1e-12) * op.frame_unitary)
         rho = random_density(2, 0)
         run_blind(rho, leaky, 30)
         with pytest.raises(DimensionMismatchError, match="trace"):
@@ -626,6 +639,16 @@ class TestBlindReference:
 
 class TestSweepGrid:
     TARGETS = [(e.label, e.target) for e in stabilizer_catalog()]
+
+    def test_readme_targets_share_one_curve(self):
+        # without damping every target of one (dimension, J) has the same
+        # frame channel, so the README sweep's six curves agree bit for bit
+        rows = sweep(self.TARGETS, [0.39, 0.79, 1.57], 30)
+        cells = {}
+        for r in rows:
+            cells.setdefault((r.coupling, r.step), set()).add(r.mean_fidelity)
+        assert len(cells) == 3 * 31
+        assert all(len(values) == 1 for values in cells.values())
 
     def test_duplicate_coupling_has_no_stabilizer_average(self):
         rows = sweep(self.TARGETS, [0.7, 0.3, 0.7], 3)
@@ -647,6 +670,38 @@ class TestSweepGrid:
             spec = TargetSpec(dict(self.TARGETS)[r.target_label], r.coupling)
             want = run_blind(rho, make_steering_operator(spec), 6).fidelities[r.step]
             assert r.mean_fidelity == want
+
+
+class TestQubitClosedForm:
+    """Without damping a qubit blind run from I/2 is a recurrence on the
+    bright population: rho_bb <- (1 - p) cos^2(J) rho_bb + p/2, from 1/2,
+    with fidelity 1 - rho_bb (criterion 2's law under depolarizing p)."""
+
+    TARGETS = [(e.label, e.target) for e in stabilizer_catalog()] + [
+        ("qubit:0.7,1.9", QubitTarget(0.7, 1.9))
+    ]
+
+    @staticmethod
+    def closed_form(coupling, p, steps):
+        bright, fids = 0.5, [0.5]
+        for _ in range(steps):
+            bright = (1.0 - p) * math.cos(coupling) ** 2 * bright + p / 2
+            fids.append(1.0 - bright)
+        return np.array(fids)
+
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.3])
+    @pytest.mark.parametrize("coupling", [0.3, 0.785, 1.2])
+    def test_run_blind_and_sweep_match(self, coupling, p):
+        noise = NoiseConfig(depolarizing_p=p)
+        want = self.closed_form(coupling, p, 25)
+        rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
+        for _, target in self.TARGETS:
+            rec = run_blind(rho, make_steering_operator(TargetSpec(target, coupling)), 25, noise)
+            assert np.max(np.abs(np.subtract(rec.fidelities, want))) <= 1e-13
+        rows = sweep(self.TARGETS, [coupling], 25, noise)
+        assert len(rows) == len(self.TARGETS) * 26
+        for r in rows:
+            assert abs(r.mean_fidelity - want[r.step]) <= 1e-13
 
 
 class TestBatchedSweepGrid:
@@ -674,12 +729,14 @@ class TestBatchedSweepGrid:
             d = op.system_dim
             rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
             assert r.mean_fidelity == run_blind(rho0, op, 6, self.NOISE).fidelities[r.step]
-            # and the plain per-cell iteration, one matrix-vector product a step
+            # and the plain per-cell iteration, one matrix-vector product a
+            # step in the frame, where I/d is I/d and a fidelity is the (0, 0)
+            # entry
             channel = _step_superoperator(op, self.NOISE).sum(axis=0)
             vecs = [rho0.matrix.ravel()]
             for _ in range(6):
                 vecs.append(channel @ vecs[-1])
-            want = fidelity(np.reshape(vecs, (7, d, d)), op.target)[r.step]
+            want = np.clip(np.real(vecs)[:, 0], 0.0, 1.0)[r.step]
             assert r.mean_fidelity == want
 
     def test_stabilizer_average_stays_within_a_dimension(self):
@@ -711,12 +768,13 @@ class TestConditionalStateTable:
     @staticmethod
     def loop_trajectory(rho, op, steps, noise, seed, index, early_stop):
         """One trajectory the textbook way: numpy's Philox stream, the
-        per-outcome superoperators applied to vec(rho), renormalized."""
-        d = op.system_dim
+        per-outcome superoperators applied to vec(rho) in the frame,
+        renormalized."""
+        d, f = op.system_dim, op.frame
         sup = _step_superoperator(op, noise)
         stream = np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + index))
         u = stream.random(2 * steps).reshape(steps, 2)
-        vec, outcomes = rho.matrix.ravel(), []
+        vec, outcomes = (f.conj().T @ rho.matrix @ f).ravel(), []
         for s in range(steps):
             branches = sup @ vec
             weights = [np.trace(b.reshape(d, d)).real for b in branches]
@@ -725,7 +783,7 @@ class TestConditionalStateTable:
             outcomes.append(int(u[s, 1] >= noise.readout_confusion[k, 0]))
             if early_stop and outcomes[-1] == 1:
                 break
-        return outcomes, vec.reshape(d, d)
+        return outcomes, f @ vec.reshape(d, d) @ f.conj().T
 
     @pytest.mark.parametrize("early_stop", [True, False])
     @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
@@ -824,7 +882,8 @@ class TestChannelSpectrum:
     def test_bare_qutrit_generator_flags_a_dark_fixed_point(self, coupling):
         op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, coupling))
         h = coupling * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
-        bare = replace(op, unitary=expm_i_herm(h))
+        lift = np.kron(np.eye(2), op.frame)  # the channel reads the cycle in the frame
+        bare = replace(op, frame_unitary=lift.conj().T @ expm_i_herm(h) @ lift)
         assert channel_spectrum(bare)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_shrinks_every_mode_but_the_fixed_point(self):

@@ -238,6 +238,8 @@ class TestKraus:
             system_dim=2,
             coupling=0.0,
             target=np.array([1, 0], dtype=complex),
+            frame=np.eye(2, dtype=complex),
+            frame_unitary=swap,
         )
         kset = kraus_from_unitary(op)
         for k, a in enumerate(kset.operators):
@@ -345,11 +347,15 @@ class TestFixedPoints:
         psi, p1, p2 = qutrit_complement_basis(QUTRIT_EQUAL_TARGET)
         dark = (p1 - p2) / np.sqrt(2)
         h = (math.pi / 2) * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
+        frame = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, math.pi / 2)).frame
+        lift = kron(np.eye(2), frame)
         op = SteeringOperator(
             unitary=expm_i_herm(h),
             system_dim=3,
             coupling=math.pi / 2,
             target=psi,
+            frame=frame,
+            frame_unitary=dagger(lift) @ expm_i_herm(h) @ lift,
         )
         kset = kraus_from_unitary(op)
         for seed in range(10):

@@ -155,10 +155,12 @@ class TestSnappedProbabilities:
         rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
         seeds = [(3 << 16) + n for n in range(11)]
         tomo = tomo_qubit_state if d == 2 else tomo_qutrit_state
-        want = tomo(_blind_states(rho0, op, 10, NO_NOISE), shots=4096, seed=seeds)
+        want = tomo(_blind_states(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=seeds)
         for _ in range(20):
-            moved = replace(op, unitary=self.perturbed(op.unitary, rng))
-            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE), shots=4096, seed=seeds)
+            # a blind run reads the frame and the cycle in it
+            moved = replace(op, frame=self.perturbed(op.frame, rng),
+                            frame_unitary=self.perturbed(op.frame_unitary, rng))
+            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=seeds)
             assert np.array_equal(got, want)
 
 
