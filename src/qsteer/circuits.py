@@ -1,15 +1,16 @@
 """Gate-level circuit IR, steering-circuit synthesis, evaluation, and a
 QASM-like text format.
 
-Both syntheses read the circuit off the steering cycle's frame (psi, b, S)
-from :func:`qsteer.steering.steering_frame`, with no KAK decomposition: the
-cycle is exp(-i J G), G = |0,b><1,psi| + h.c., followed by S.  A qubit
+Both syntheses read the circuit off a steering operator's frame
+F = [psi, b (, d)], with no KAK decomposition: the cycle is
+U = (I (x) F) V (I (x) F^dag), where V = exp(-i J G'), G' = |0,e_1><1,e_0|
++ h.c., is followed for a qutrit by the exchange of e_1 and e_2.  A qubit
 circuit is always a U3 pair, CNOT, RX(J) on the ancilla and RZ(J) on the
 system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit is always a
 local block, four ``cx23`` pairs around RX(-J) and RX(J) on the ancilla with
 a (12)-level RY(pi/2) and its inverse inside, and a local block that also
-applies S: 34 gates, 8 of them ``cx23``.  :func:`steering_kak` reads the
-qubit cycle's KAK decomposition off the same qubit circuit.
+applies the exchange: 34 gates, 8 of them ``cx23``.  :func:`steering_kak`
+reads the qubit cycle's KAK decomposition off the same qubit circuit.
 
 Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
 plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
@@ -45,7 +46,7 @@ from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, KakDecomposition
 from .linalg import ComplexMatrix, dagger, phase_invariant_distance
 from .states import QubitTarget, QutritTarget
-from .steering import TargetSpec, make_steering_operator, steering_frame
+from .steering import SteeringOperator, TargetSpec, make_steering_operator, steering_frame
 
 RX = "rx"
 RZ = "rz"
@@ -226,16 +227,17 @@ def zyz_angles(u: ComplexMatrix) -> tuple[float, float, float, float]:
     return theta, phi, lam, g
 
 
-def _reconcile_phase(
-    circuit: Circuit, target: ComplexMatrix, tol: float
-) -> tuple[Circuit, float]:
+_SYNTH_TOL = 1e-9  # largest distance of a synthesized circuit to its unitary
+
+
+def _reconcile_phase(circuit: Circuit, target: ComplexMatrix) -> tuple[Circuit, float]:
     """Set the circuit's global phase so it matches ``target`` exactly, and
-    verify the phase-invariant distance meets ``tol``.  Returns the circuit
-    and that distance."""
+    verify the phase-invariant distance meets ``_SYNTH_TOL``.  Returns the
+    circuit and that distance."""
     raw = evaluate_circuit(circuit)
     dist = phase_invariant_distance(raw, target)
-    if dist > tol:
-        raise NumericalError(f"synthesized circuit distance {dist:.3e} exceeds {tol:.1e}")
+    if dist > _SYNTH_TOL:
+        raise NumericalError(f"synthesized circuit distance {dist:.3e} exceeds {_SYNTH_TOL:.1e}")
     phase = circuit.global_phase + float(np.angle(np.trace(dagger(raw) @ target)))
     return Circuit(circuit.wire_dims, circuit.gates, phase), dist
 
@@ -249,43 +251,43 @@ def synth_kak_circuit(spec: TargetSpec) -> Circuit:
     """Two-CNOT circuit for a qubit steering operator; see :func:`_synth_kak`."""
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
-    return _synth_kak(spec, make_steering_operator(spec).unitary)[0]
+    return _synth_kak(make_steering_operator(spec))[0]
 
 
 _Pair = tuple[ComplexMatrix, ComplexMatrix]
 
 
-def _fixed_locals(spec: TargetSpec) -> tuple[_Pair, _Pair]:
+def _fixed_locals(frame: ComplexMatrix) -> tuple[_Pair, _Pair]:
     """(L, R): the (ancilla, system) local pairs after and before the core
-    of the qubit circuit, with V the system unitary whose rows are <b| and
-    <psi|: L = (RX(-pi/2), V^dag RX(pi/2)) and R = (RX(pi/2), RX(-pi/2) V)."""
-    psi, bright, _ = steering_frame(spec.target)
-    v = np.vstack([bright.conj(), psi.conj()])
+    of the qubit circuit with frame F, with V = F[:, ::-1]^dag, whose rows
+    are <b| and <psi|: L = (RX(-pi/2), V^dag RX(pi/2)) and
+    R = (RX(pi/2), RX(-pi/2) V)."""
+    v = dagger(frame[:, ::-1])
     return ((rx_matrix(-math.pi / 2), dagger(v) @ rx_matrix(math.pi / 2)),
             (rx_matrix(math.pi / 2), rx_matrix(-math.pi / 2) @ v))
 
 
-def _synth_kak(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
-    """synth_kak_circuit for the qubit steering unitary ``u`` of ``spec``,
-    with the circuit's phase-invariant distance to it.
+def _synth_kak(op: SteeringOperator) -> tuple[Circuit, float]:
+    """synth_kak_circuit for the qubit steering operator ``op``, with the
+    circuit's phase-invariant distance to its unitary.
 
-    V (see :func:`_fixed_locals`) turns the cycle's G into (XX - YY)/2 and
-    RX(pi/2) (x) RX(-pi/2) turns that into (XX + ZZ)/2, whose exponential
-    exp(-i J (XX + ZZ)/2) is the core CNOT . (RX(J) (x) RZ(J)) . CNOT up to
-    a global phase.
+    V (see :func:`_fixed_locals`) turns the cycle's G = |0,b><1,psi| + h.c.
+    into (XX - YY)/2 and RX(pi/2) (x) RX(-pi/2) turns that into (XX + ZZ)/2,
+    whose exponential exp(-i J (XX + ZZ)/2) is the core
+    CNOT . (RX(J) (x) RZ(J)) . CNOT up to a global phase.
     """
-    (l0, l1), (r0, r1) = _fixed_locals(spec)
+    (l0, l1), (r0, r1) = _fixed_locals(op.frame)
     gates = (
         _u3_gate(r0, 0),
         _u3_gate(r1, 1),
         Gate(CNOT, (), (0, 1)),
-        Gate(RX, (spec.coupling,), (0,)),
-        Gate(RZ, (spec.coupling,), (1,)),
+        Gate(RX, (op.coupling,), (0,)),
+        Gate(RZ, (op.coupling,), (1,)),
         Gate(CNOT, (), (0, 1)),
         _u3_gate(l0, 0),
         _u3_gate(l1, 1),
     )
-    return _reconcile_phase(Circuit((2, 2), gates), u, 1e-9)
+    return _reconcile_phase(Circuit((2, 2), gates), op.unitary)
 
 
 _RY_PI = np.array([[0, -1], [1, 0]], dtype=complex)  # -i Y
@@ -306,7 +308,7 @@ def steering_kak(spec: TargetSpec) -> KakDecomposition:
     """
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("steering_kak handles qubit targets")
-    (l0, l1), (r0, r1) = _fixed_locals(spec)
+    (l0, l1), (r0, r1) = _fixed_locals(steering_frame(spec.target))
     half = rx_matrix(math.pi / 2)
     # root**2 = det L1 = det V^dag, which is e^{i phi} for the qubit frame;
     # the branch follows phi, so the locals move continuously with the target
@@ -389,41 +391,40 @@ def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
     see :func:`_synth_qutrit`."""
     if not isinstance(spec.target, QutritTarget):
         raise ConfigError("synth_qutrit_circuit handles qutrit targets")
-    return _synth_qutrit(spec, make_steering_operator(spec).unitary)[0]
+    return _synth_qutrit(make_steering_operator(spec))[0]
 
 
-def _synth_qutrit(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
-    """synth_qutrit_circuit given the steering unitary ``u`` of ``spec``,
-    with the circuit's phase-invariant distance to it.
+def _synth_qutrit(op: SteeringOperator) -> tuple[Circuit, float]:
+    """synth_qutrit_circuit for the qutrit steering operator ``op``, with the
+    circuit's phase-invariant distance to its unitary.
 
-    With W the system unitary whose rows are <d|, <psi|, <b| (d = S b), W
-    turns the cycle's G into G' = |0,2><1,1| + h.c.  CZ = cx23 cx23 puts -1
-    on |1,2>, so C = V CZ V^dag is the ancilla-controlled X on levels (1, 2)
-    and C G' C = X (x) |2><2|, whose exponential exp(-i J X (x) |2><2|) is
-    RX(J) CZ RX(-J) CZ on the ancilla.  In application order: V^dag W, CZ,
-    V, CZ, RX(-J), CZ, RX(J), V^dag, CZ, and S W^dag V, with J unfolded.
+    With F = [psi, b, d] the frame, W = F[:, [2, 0, 1]]^dag (rows <d|, <psi|,
+    <b|) turns the cycle's G = |0,b><1,psi| + h.c. into G' = |0,2><1,1| + h.c.
+    CZ = cx23 cx23 puts -1 on |1,2>, so C = V CZ V^dag is X on levels (1, 2)
+    controlled by the ancilla and C G' C = X (x) |2><2|, whose exponential
+    exp(-i J X (x) |2><2|) is RX(J) CZ RX(-J) CZ on the ancilla.  In
+    application order: V^dag W, CZ, V, CZ, RX(-J), CZ, RX(J), V^dag, CZ, and
+    F[:, [1, 0, 2]] V, which undoes W and exchanges b and d, with J unfolded.
     """
-    psi, bright, exchange = steering_frame(spec.target)
-    w = np.vstack([(exchange @ bright).conj(), psi.conj(), bright.conj()])
     cz = [Gate(QUBIT_QUTRIT_CNOT, (), (0, 1))] * 2
-    j = spec.coupling
+    j = op.coupling
     gates = (
-        _local_qutrit_gates(dagger(_V3) @ w, 1)
+        _local_qutrit_gates(dagger(op.frame[:, [2, 0, 1]] @ _V3), 1)
         + cz + _level_gates(_V12, True, 1)
         + cz + [Gate(RX, (-j,), (0,))]
         + cz + [Gate(RX, (j,), (0,))]
         + _level_gates(dagger(_V12), True, 1) + cz
-        + _local_qutrit_gates(exchange @ dagger(w) @ _V3, 1)
+        + _local_qutrit_gates(op.frame[:, [1, 0, 2]] @ _V3, 1)
     )
-    return _reconcile_phase(Circuit((2, 3), tuple(gates)), u, 1e-9)
+    return _reconcile_phase(Circuit((2, 3), tuple(gates)), op.unitary)
 
 
-def _synthesize(spec: TargetSpec, u: ComplexMatrix) -> tuple[Circuit, float]:
-    """The steering circuit of ``spec`` whose unitary is ``u`` (its steering
-    operator's), with the circuit's phase-invariant distance to ``u``."""
-    if isinstance(spec.target, QubitTarget):
-        return _synth_kak(spec, u)
-    return _synth_qutrit(spec, u)
+def _synthesize(op: SteeringOperator) -> tuple[Circuit, float]:
+    """The steering circuit of ``op``, with its phase-invariant distance to
+    ``op.unitary``."""
+    if op.system_dim == 2:
+        return _synth_kak(op)
+    return _synth_qutrit(op)
 
 
 # ---------------------------------------------------------------------------

@@ -460,7 +460,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
 def circuit(target_text, coupling, out_dir):
     """Synthesize the steering circuit; write circuit.txt + verify.json."""
     spec, op = _operator(target_text, coupling)
-    circ, distance = _synthesize(spec, op.unitary)
+    circ, distance = _synthesize(op)
     results = {
         "phase_invariant_distance": distance,
         "gate_count": len(circ.gates),
@@ -524,7 +524,7 @@ def qpt(target_text, coupling, shots, seed, out_dir, fmt):
         raise ConfigError("qpt applies to qubit steering operators")
     n_shots = _parse_shots(shots)
     _check_seed(seed)
-    rec = process_tomography(KrausSet(operators=(op.unitary,)), 2, shots=n_shots, seed=seed)
+    rec = process_tomography(KrausSet(operators=(op.unitary,)), shots=n_shots, seed=seed)
     ideal = ptm_of_unitary(op.unitary)
     err = compose_ptm(rec, invert_ptm(ideal))
     dev = np.abs(err.r - np.eye(err.r.shape[0]))

@@ -99,10 +99,11 @@ class KakDecomposition:
         return np.exp(1j * self.global_phase) * (left @ canonical_a_matrix(self.c) @ right)
 
 
-# unitarity defect a decomposed matrix may carry, and the distance within
-# which two canonical Weyl points are the same point
+# unitarity defect a decomposed matrix may carry, distance within which two
+# Weyl points are the same, and slack of the canonical cell in :func:`_fold`
 _UNITARY_TOL = 1e-10
 _WEYL_TOL = 1e-8
+_FOLD_TOL = 1e-12
 
 
 def _check_two_qubit_unitary(u: ComplexMatrix) -> ComplexMatrix:
@@ -192,16 +193,16 @@ def _weyl_moves() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.nd
 _MOVE_PERMS, _MOVE_SHIFTS, _MOVE_FLIPS, _MOVE_LINEAR, _MOVE_OFFSET = _weyl_moves()
 
 
-def _fold(theta: np.ndarray, atol: float = 1e-12) -> tuple[int, np.ndarray]:
+def _fold(theta: np.ndarray) -> tuple[int, np.ndarray]:
     """The first Weyl move whose coordinates lie in the canonical cell
     0 <= |c3| <= c2 <= c1 <= pi/2 (c3 >= 0 when c1 = pi/2), as (move index, c)."""
     c = (theta @ _MOVE_LINEAR + _MOVE_OFFSET).reshape(3, -1)
     c1, c2, c3 = c
     inside = (
-        (c1 <= math.pi / 2 + atol)
-        & (c2 <= c1 + atol)
-        & (np.abs(c3) <= c2 + atol)
-        & ((c1 < math.pi / 2 - atol) | (c3 >= -atol))
+        (c1 <= math.pi / 2 + _FOLD_TOL)
+        & (c2 <= c1 + _FOLD_TOL)
+        & (np.abs(c3) <= c2 + _FOLD_TOL)
+        & ((c1 < math.pi / 2 - _FOLD_TOL) | (c3 >= -_FOLD_TOL))
     )
     hits = np.flatnonzero(inside)
     if not hits.size:

@@ -12,11 +12,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NonHermitianError
-from .tolerances import TOL
 
 # Dense square complex matrix; the universal carrier for states, Hamiltonians,
 # unitaries and Kraus operators.
 ComplexMatrix = np.ndarray
+
+# largest elementwise |m - m^dagger| a Hermitian matrix or density state may have
+HERMITICITY_TOL = 1e-12
 
 
 def dagger(m: ComplexMatrix) -> ComplexMatrix:
@@ -35,13 +37,13 @@ def unitarity_defect(m: ComplexMatrix) -> float:
     return float(np.max(np.abs(dagger(m) @ m - np.eye(d))))
 
 
-def require_hermitian(m: ComplexMatrix, tol: float = TOL.hermiticity) -> None:
+def require_hermitian(m: ComplexMatrix) -> None:
     defect = hermiticity_defect(m)
-    if defect > tol:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
 
 
-def require_unitary(m: ComplexMatrix, tol: float = TOL.unitarity) -> None:
+def require_unitary(m: ComplexMatrix, tol: float) -> None:
     defect = unitarity_defect(m)
     if defect > tol:
         raise DimensionMismatchError(

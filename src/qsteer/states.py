@@ -11,8 +11,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import ComplexMatrix, hermiticity_defect
-from .tolerances import TOL
+from .linalg import HERMITICITY_TOL, ComplexMatrix, hermiticity_defect
 
 TWO_PI = 2.0 * math.pi
 
@@ -135,7 +134,7 @@ def validate_density(mat: np.ndarray) -> None:
     if off.any():
         bad = np.ravel(traces)[np.ravel(off)][0]
         raise DimensionMismatchError(f"trace {bad} is not 1 within 1e-10")
-    if hermiticity_defect(mat) > TOL.hermiticity:
+    if hermiticity_defect(mat) > HERMITICITY_TOL:
         raise DimensionMismatchError("density matrix is not Hermitian within 1e-12")
     if np.linalg.eigvalsh(mat).min() < -1e-9:
         raise DimensionMismatchError("density matrix has eigenvalue below -1e-9")

@@ -9,16 +9,14 @@ Conventions used throughout:
   :func:`_ancilla_kraus` splits a cycle unitary into ancilla blocks.  With
   that convention one averaged step at theta=pi/2, phi=0, J=pi/2 maps every
   input to |+><+| exactly.
-* Every cycle is built from one triple (psi, b, S), :func:`steering_frame`:
-  the target, the bright direction of its complement and a system-only gate
-  (the identity for a qubit, the bright/dark exchange for a qutrit).  The
-  unitary is U = (I (x) S) exp(-i J G) with G = |0,b><1,psi| + h.c., written
-  in closed form because G^3 = G, so no eigendecomposition is needed.  The
-  paper's generators (:func:`build_qubit_hamiltonian`,
-  :func:`build_qutrit_hamiltonian`) are kept as the reference it matches.
-* In the steering frame F = [psi, b (, S b)] the cycle is one matrix for
-  every target of a dimension: for a qubit A_0 = diag(1, cos J) and
-  A_1 = -i sin J |e_0><e_1|.  The protocol iterates that frame cycle.
+* Every cycle has one definition, U = (I (x) F) V (I (x) F^dag).  The
+  steering frame F = [psi, b (, d)] of :func:`steering_frame` is a unitary
+  whose columns are the target, the bright direction of its complement and,
+  for a qutrit, the dark one.  V is the cycle in that frame, one matrix for
+  every target of a dimension, with entries 1, cos J and -i sin J: for a
+  qubit A_0 = diag(1, cos J) and A_1 = -i sin J |e_0><e_1|.  The protocol
+  iterates V.  The paper's generators (:func:`build_qubit_hamiltonian`,
+  :func:`build_qutrit_hamiltonian`) are kept as the reference U matches.
 """
 
 from __future__ import annotations
@@ -88,9 +86,10 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class SteeringOperator:
-    """The joint ancilla (x) system cycle unitary U, for a qubit ancilla
-    reset to |0>, and the same cycle in the steering frame F:
-    frame_unitary = (I (x) F^dag) U (I (x) F)."""
+    """One steering cycle, for a qubit ancilla reset to |0>: the cycle V in
+    the steering frame F (``frame_unitary``, ``frame``) and the joint
+    ancilla (x) system unitary U = (I (x) F) V (I (x) F^dag); ``target`` is
+    F's first column."""
 
     unitary: ComplexMatrix
     system_dim: int
@@ -166,7 +165,7 @@ def build_qutrit_hamiltonian(target: QutritTarget) -> ComplexMatrix:
     |0> (x) d with d = (perp1 - perp2)/sqrt(2) is a second zero mode, so
     exp(-i J H) alone conserves the population of d and cannot steer from an
     arbitrary initial state.  :func:`make_steering_operator` therefore follows
-    it with the exchange gate of :func:`steering_frame`.
+    it with the exchange of b and d.
     """
     psi, perp1, perp2 = qutrit_complement_basis(target)
     raising = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
@@ -175,75 +174,65 @@ def build_qutrit_hamiltonian(target: QutritTarget) -> ComplexMatrix:
     return h + dagger(h)
 
 
-def steering_frame(
-    target: QubitTarget | QutritTarget,
-) -> tuple[np.ndarray, np.ndarray, ComplexMatrix]:
-    """(psi, b, S): the target ket, the bright direction b of its complement
-    that the cycle couples to the ancilla, and the system-only gate S that
-    follows the coupling.
+def steering_frame(target: QubitTarget | QutritTarget) -> ComplexMatrix:
+    """The steering frame F, a unitary whose columns are the target ket psi,
+    the bright direction b of its complement that the cycle couples to the
+    ancilla and, for a qutrit, the dark direction d.
 
     * qubit: psi = (cos(theta/2), e^{i phi} sin(theta/2)) and
-      b = (sin(theta/2), -e^{i phi} cos(theta/2)), with the same raw phase,
-      and S = I.
+      b = (sin(theta/2), -e^{i phi} cos(theta/2)), with the same raw phase.
     * qutrit: b = (perp1 + perp2)/sqrt(2), the direction that
-      :func:`build_qutrit_hamiltonian` couples, and
-      S = |psi><psi| + |b><d| + |d><b|, which fixes the target and exchanges
-      b with the dark direction d = (perp1 - perp2)/sqrt(2) = S b.
+      :func:`build_qutrit_hamiltonian` couples, and d = (perp1 - perp2)/sqrt(2).
     """
     if isinstance(target, QubitTarget):
         cos, sin = math.cos(target.theta / 2), math.sin(target.theta / 2)
         phase = np.exp(1j * target.phi)
-        psi = np.array([cos, phase * sin], dtype=complex)
-        return psi, np.array([sin, -phase * cos], dtype=complex), np.eye(2, dtype=complex)
-    if not isinstance(target, QutritTarget):
+        columns = [[cos, phase * sin], [sin, -phase * cos]]
+    elif isinstance(target, QutritTarget):
+        psi, perp1, perp2 = qutrit_complement_basis(target)
+        columns = [psi, (perp1 + perp2) / math.sqrt(2.0), (perp1 - perp2) / math.sqrt(2.0)]
+    else:
         raise ConfigError(f"unsupported target {type(target).__name__}")
-    psi, perp1, perp2 = qutrit_complement_basis(target)
-    bright = (perp1 + perp2) / math.sqrt(2.0)
-    dark = (perp1 - perp2) / math.sqrt(2.0)
-    exchange = np.outer(psi, psi.conj()) + np.outer(bright, dark.conj())
-    exchange += np.outer(dark, bright.conj())
-    return psi, bright, exchange
+    return np.array(columns, dtype=complex).T
 
 
 def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     """One steering cycle, for either system dimension, in closed form:
 
-        U = (I (x) S) [I + (cos J - 1) P - i sin J G],
-        G = |0,b><1,psi| + h.c.,  P = G^2,
+        U = (I (x) F) V (I (x) F^dag),
 
-    with (psi, b, S) from :func:`steering_frame`.  G^3 = G, so the bracket is
-    exp(-i J G): the ancilla flips with amplitude sin(J) exactly when the
-    system is along b, and the flip moves it onto psi.  J G is
+    with F = [psi, b (, d)] from :func:`steering_frame` and V the cycle in
+    that frame.  V = exp(-i J G) with G = |0,e_1><1,e_0| + h.c. (G^3 = G, so
+    its entries are 1, cos J and -i sin J, exactly), followed for a qutrit
+    by the exchange of e_1 and e_2: the ancilla flips with amplitude sin(J)
+    exactly when the system is along b, and the flip moves it onto psi.
+    Out of the frame, (I (x) F) J G (I (x) F^dag) is
     build_qubit_hamiltonian(theta, phi, J) for a qubit and
     (J/sqrt(2)) build_qutrit_hamiltonian(target) for a qutrit.
 
     A_1 = -i sin(J) |psi><b| is rank one onto psi, so a recorded "1" heralds
     the target, and <psi| A_0 = <psi|, so blind fidelity is monotone.  For a
-    qutrit, S moves the dark direction into the bright one for the next
-    cycle, so psi is the only fixed point for 0 < J < pi, with
+    qutrit, the exchange moves the dark direction into the bright one for
+    the next cycle, so psi is the only fixed point for 0 < J < pi, with
     |lambda_2| = sqrt(|cos J|); at J = pi/2 every state reaches psi in two
     cycles.
-
-    In the frame F = [psi, b (, S b)], G = |0,e_1><1,e_0| + h.c. and S
-    exchanges e_1 and e_2, so the frame cycle's entries are 1, cos J and
-    -i sin J, exactly.
     """
-    psi, bright, exchange = steering_frame(spec.target)
-    d = len(psi)
-    g = kron(np.array([[0, 1], [0, 0]]), np.outer(bright, psi.conj()))  # |0,b><1,psi|
-    g = g + dagger(g)
+    frame = steering_frame(spec.target)
+    d = len(frame)
     cos, sin = math.cos(spec.coupling), math.sin(spec.coupling)
-    rotation = np.eye(2 * d) + (cos - 1.0) * (g @ g) - 1j * sin * g
-    frame_unitary = np.eye(2 * d, dtype=complex)
-    frame_unitary[1, 1] = frame_unitary[d, d] = cos  # |0,e_1> and |1,e_0> (index d)
-    frame_unitary[1, d] = frame_unitary[d, 1] = -1j * sin
+    cycle = np.eye(2 * d, dtype=complex)
+    cycle[1, 1] = cycle[d, d] = cos  # |0,e_1> and |1,e_0> (index d)
+    cycle[1, d] = cycle[d, 1] = -1j * sin
+    if d == 3:
+        cycle = cycle[[0, 2, 1, 3, 5, 4]]  # then exchange e_1 and e_2
+    lift = kron(np.eye(2), frame)
     return SteeringOperator(
-        unitary=(exchange @ rotation.reshape(2, d, 2 * d)).reshape(2 * d, 2 * d),
+        unitary=lift @ cycle @ dagger(lift),
         system_dim=d,
         coupling=spec.coupling,
-        target=target_ket(spec.target),
-        frame=np.array([psi, bright, exchange @ bright][:d]).T,
-        frame_unitary=frame_unitary[[0, 2, 1, 3, 5, 4]] if d == 3 else frame_unitary,
+        target=frame[:, 0],
+        frame=frame,
+        frame_unitary=cycle,
         label=spec.label,
     )
 

@@ -282,19 +282,16 @@ def _measured_pauli_expectations(
 
 
 def process_tomography(
-    channel: KrausSet,
-    n_wires: int,
-    shots: int | None = None,
-    seed: int = 0,
+    channel: KrausSet, *, shots: int | None = None, seed: int = 0
 ) -> PauliTransferMatrix:
-    """Reconstruct a channel's PTM from 4^n product inputs and 3^n Pauli
-    settings via linear inversion, then project onto the physical (CPTP-ish)
-    set by truncating negative Choi eigenvalues and renormalizing."""
-    if n_wires not in (1, 2):
-        raise ConfigError("process tomography supports 1 or 2 qubit wires")
-    d = 2**n_wires
-    if channel.dim != d:
-        raise DimensionMismatchError("channel dimension does not match wire count")
+    """Reconstruct the PTM of a channel on n = 1 or 2 qubit wires (dimension
+    2 or 4) from 4^n product inputs and 3^n Pauli settings via linear
+    inversion, then project onto the physical (CPTP-ish) set by truncating
+    negative Choi eigenvalues and renormalizing."""
+    d = channel.dim
+    n_wires = {2: 1, 4: 2}.get(d)
+    if n_wires is None:
+        raise ConfigError(f"process tomography supports 1 or 2 qubit wires, not dimension {d}")
     kets = _kron_all(_INPUT_KETS[:, :, None], n_wires)[:, :, 0]
     inputs = kets[:, :, None] * kets.conj()[:, None, :]
     outputs = channel.apply(inputs)

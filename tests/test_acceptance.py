@@ -356,7 +356,7 @@ def test_criterion_10_qpt_identity_and_depolarizing():
     budget, t0 = 30.0, time.monotonic()
     op = make_steering_operator(TargetSpec(PLUS, math.pi / 2, "+"))
     chan = KrausSet(operators=(op.unitary,))
-    rec = process_tomography(chan, 2)
+    rec = process_tomography(chan)
     ideal = ptm_of_unitary(op.unitary)
     err = compose_ptm(rec, invert_ptm(ideal))
     dev_identity = float(np.max(np.abs(err.r - np.eye(16))))
@@ -364,7 +364,7 @@ def test_criterion_10_qpt_identity_and_depolarizing():
     p = 0.3
     dep_ops = [math.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
     dep_ops += [math.sqrt(p / 4) * PAULIS[s] for s in "XYZ"]
-    ptm = process_tomography(KrausSet(operators=tuple(dep_ops)), 1)
+    ptm = process_tomography(KrausSet(operators=tuple(dep_ops)))
     dev_dep = float(np.max(np.abs(ptm.r - np.diag([1, 1 - p, 1 - p, 1 - p]))))
     elapsed = time.monotonic() - t0
     ok = dev_identity <= 1e-9 and dev_dep <= 1e-9 and elapsed < budget

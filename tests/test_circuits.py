@@ -279,8 +279,7 @@ class TestSteeringKak:
         frame = steering.steering_frame
 
         def rephased(target):
-            psi, bright, s = frame(target)
-            return np.exp(0.7j) * psi, np.exp(-1.3j) * bright, s
+            return frame(target) * np.exp([0.7j, -1.3j])
 
         monkeypatch.setattr(steering, "steering_frame", rephased)
         monkeypatch.setattr(circuits, "steering_frame", rephased)

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsteer import __version__, cli, geometry, tomography
+from qsteer import __version__, circuits, cli, geometry, steering, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
 from qsteer.protocol import _blind_states, sweep
@@ -546,6 +546,24 @@ class TestCircuitCommand:
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert payload["phase_invariant_distance"] <= 1e-9
         assert payload["gate_count"] == 34
+
+    @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
+    def test_builds_the_frame_once(self, runner, tmp_path, monkeypatch, target):
+        # the synthesis reads the operator's frame instead of building its own
+        calls = []
+        build = steering.steering_frame
+
+        def counted(t):
+            calls.append(t)
+            return build(t)
+
+        monkeypatch.setattr(steering, "steering_frame", counted)
+        monkeypatch.setattr(circuits, "steering_frame", counted)
+        result = runner.invoke(
+            main, ["circuit", "--target", target, "--J", "0.8", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
 
 class TestTomoAndQpt:

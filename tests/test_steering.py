@@ -191,18 +191,32 @@ class TestSteeringOperator:
     def test_frame(self):
         qubits, qutrits = steering_grid()
         for spec in qubits[::7] + qutrits[::7]:
-            psi, bright, exchange = steering_frame(spec.target)
-            d = len(psi)
+            frame = steering_frame(spec.target)
+            d = len(frame)
+            psi, bright = frame[:, 0], frame[:, 1]
+            assert np.max(np.abs(dagger(frame) @ frame - np.eye(d))) <= 1e-14
             assert abs(abs(np.vdot(target_ket(spec.target), psi)) - 1) <= 1e-14
-            assert abs(np.linalg.norm(bright) - 1) <= 1e-14 and abs(np.vdot(psi, bright)) <= 1e-14
-            # S fixes psi, is an involution and sends b to the dark direction
+            assert abs(np.vdot(psi, bright)) <= 1e-14
+            if d == 3:
+                # the generator couples |1,psi> to |0,b> only: |0,d> is its zero mode
+                h = build_qutrit_hamiltonian(spec.target)
+                assert np.max(np.abs(h @ np.kron([1, 0], frame[:, 2]))) <= 1e-14
+            # F P F^dag, with P the frame cycle's e_1 <-> e_2 exchange (none
+            # for a qubit), fixes psi and is an involution
+            exchange = frame[:, [0, 2, 1] if d == 3 else [0, 1]] @ dagger(frame)
             assert np.max(np.abs(exchange @ psi - psi)) <= 1e-14
             assert np.max(np.abs(exchange @ exchange - np.eye(d))) <= 1e-14
-            if d == 2:
-                assert np.array_equal(exchange, np.eye(2))
-            else:
-                dark = exchange @ bright
-                assert abs(np.vdot(psi, dark)) <= 1e-14 and abs(np.vdot(bright, dark)) <= 1e-14
+
+    def test_unitary_is_the_frame_cycle_lifted(self):
+        # U = (I (x) F) V (I (x) F^dag) and the target is F's first column,
+        # bit for bit
+        qubits, qutrits = steering_grid()
+        for spec in qubits + qutrits:
+            op = make_steering_operator(spec)
+            frame = steering_frame(spec.target)
+            lift = kron(np.eye(2), frame)
+            assert np.array_equal(op.unitary, lift @ op.frame_unitary @ dagger(lift))
+            assert np.array_equal(op.target, frame[:, 0])
 
     def test_build_needs_no_eigendecomposition(self, monkeypatch):
         def forbidden(*args, **kwargs):

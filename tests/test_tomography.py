@@ -142,10 +142,10 @@ class TestSnappedProbabilities:
         # `qsteer qpt --target + --J pi/2 --shots 256 --seed 9`: many of its
         # Born probabilities are 0.5 up to rounding
         u = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2)).unitary
-        want = process_tomography(KrausSet(operators=(u,)), 2, shots=256, seed=9).r
+        want = process_tomography(KrausSet(operators=(u,)), shots=256, seed=9).r
         for _ in range(20):
             chan = KrausSet(operators=(self.perturbed(u, rng),))
-            assert np.array_equal(process_tomography(chan, 2, shots=256, seed=9).r, want)
+            assert np.array_equal(process_tomography(chan, shots=256, seed=9).r, want)
 
     @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
     def test_tomo_stable_under_rounding(self, target, rng):
@@ -312,14 +312,14 @@ class TestKeyedDraws:
     def test_process_tomography_draws_equal_fresh_generators(self, monkeypatch):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
         chan = KrausSet(operators=(op.unitary,))
-        got = process_tomography(chan, 2, shots=256, seed=MAX_SEED)
+        got = process_tomography(chan, shots=256, seed=MAX_SEED)
 
         def fresh(shots, probs, keys):
             return np.array([np.random.Generator(np.random.Philox(key=k)).multinomial(shots, p)
                              for k, p in zip(keys, probs)])
 
         monkeypatch.setattr(tomography, "_keyed_multinomial", fresh)
-        assert np.array_equal(got.r, process_tomography(chan, 2, shots=256, seed=MAX_SEED).r)
+        assert np.array_equal(got.r, process_tomography(chan, shots=256, seed=MAX_SEED).r)
 
 
 def tomography_stack(d: int) -> np.ndarray:
@@ -357,7 +357,7 @@ class TestStackedStateTomography:
 class TestProcessTomography:
     def test_identity_channel(self):
         chan = KrausSet(operators=(np.eye(2, dtype=complex),))
-        ptm = process_tomography(chan, 1)
+        ptm = process_tomography(chan)
         assert np.max(np.abs(ptm.r - np.eye(4))) < 1e-9
 
     def test_ptm_first_row_trace_preservation(self, rng):
@@ -375,13 +375,13 @@ class TestProcessTomography:
 
     def test_ptm_strictly_real_channel_reconstruction(self):
         p = 0.35
-        ptm = process_tomography(depolarizing_kraus(p), 1)
+        ptm = process_tomography(depolarizing_kraus(p))
         assert np.max(np.abs(ptm.r - np.diag([1, 1 - p, 1 - p, 1 - p]))) < 1e-9
 
     def test_two_qubit_error_channel_identity(self):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+"))
         chan = KrausSet(operators=(op.unitary,))
-        rec = process_tomography(chan, 2)
+        rec = process_tomography(chan)
         ideal = ptm_of_unitary(op.unitary)
         err = compose_ptm(rec, invert_ptm(ideal))
         assert np.max(np.abs(err.r - np.eye(16))) <= 1e-9
@@ -389,15 +389,18 @@ class TestProcessTomography:
     def test_finite_shots_stay_physical(self):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
         chan = KrausSet(operators=(op.unitary,))
-        rec = process_tomography(chan, 2, shots=2000, seed=3)
+        rec = process_tomography(chan, shots=2000, seed=3)
         ideal = ptm_of_unitary(op.unitary)
         agf = average_gate_fidelity(rec, ideal)
         assert 0.9 < agf <= 1.0
 
     def test_wire_count_validation(self):
-        chan = KrausSet(operators=(np.eye(2, dtype=complex),))
-        with pytest.raises(ConfigError):
-            process_tomography(chan, 3)
+        # the wire count is read off the channel's dimension: 2 is one wire,
+        # 4 is two, and no other dimension is a supported register
+        for dim in (3, 8):
+            chan = KrausSet(operators=(np.eye(dim, dtype=complex),))
+            with pytest.raises(ConfigError):
+                process_tomography(chan)
 
 
 def loop_pauli_basis(n):
@@ -463,7 +466,7 @@ class TestChannelConversions:
                 rng.uniform(0.2, 1.5),
             )
             op = make_steering_operator(spec)
-            process_tomography(KrausSet(operators=(op.unitary,)), 2, shots=256, seed=seed)
+            process_tomography(KrausSet(operators=(op.unitary,)), shots=256, seed=seed)
         n_truncated = 0
         for r in raw:
             want, truncated = loop_project_ptm(r, 2)
