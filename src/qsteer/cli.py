@@ -51,8 +51,6 @@ from .states import (
 from .steering import KrausSet, TargetSpec, make_steering_operator
 from .tomography import (
     average_gate_fidelity,
-    compose_ptm,
-    invert_ptm,
     process_tomography,
     ptm_of_unitary,
     tomo_qubit_state,
@@ -249,22 +247,21 @@ _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
 _out_opt = click.option(
     "--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True
 )
-_format_opt = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["csv", "json", "both"]),
-    default="both",
-    show_default=True,
-    help="which result files to write",
-)
+
+
+# numpy's multinomial draw takes a signed 64-bit count
+_MAX_SHOTS = 2**63 - 1
 
 
 def _parse_shots(text: str) -> int | None:
-    """--shots: 'inf' (exact expectations, None) or an integer >= 1."""
+    """--shots: 'inf' (exact expectations, None) or an integer in
+    [1, 2^63 - 1]."""
     if text == "inf":
         return None
-    if not text.isdecimal() or int(text) < 1:
-        raise ConfigError(f"--shots must be 'inf' or an integer >= 1, got {text!r}")
+    # the digit count is checked first: int() refuses strings of over 4300 digits
+    short = text.isdecimal() and len(text.lstrip("0")) <= len(str(_MAX_SHOTS))
+    if not (short and 1 <= int(text) <= _MAX_SHOTS):
+        raise ConfigError(f"--shots must be 'inf' or an integer in [1, {_MAX_SHOTS}], got {text!r}")
     return int(text)
 
 
@@ -275,18 +272,16 @@ def _operator(target_text: str, coupling: float):
     return spec, make_steering_operator(spec)
 
 
-def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
+def _write(out_dir: str, json_name: str, config: dict, results: dict,
            tables: dict | None = None) -> Path:
-    """Write each ``{file: (header, rows)}`` table as CSV unless fmt is
-    'json', and ``json_name`` with the config, tool version and results
-    unless fmt is 'csv'.  Returns the output directory."""
+    """Write each ``{file: (header, rows)}`` table as CSV, and ``json_name``
+    with the config, tool version and results.  Returns the output
+    directory."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt != "json":
-        for name, (header, rows) in (tables or {}).items():
-            write_csv(out / name, header, rows)
-    if fmt != "csv":
-        write_json(out / json_name, {"config": config, "tool_version": __version__, **results})
+    for name, (header, rows) in (tables or {}).items():
+        write_csv(out / name, header, rows)
+    write_json(out / json_name, {"config": config, "tool_version": __version__, **results})
     return out
 
 
@@ -299,8 +294,7 @@ def _write(out_dir: str, fmt: str, json_name: str, config: dict, results: dict,
 @click.option("--noise", "noise_path", type=click.Path(exists=False), default=None)
 @_seed_opt
 @_out_opt
-@_format_opt
-def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, out_dir, fmt):
+def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, out_dir):
     """Run the steering protocol and write fidelity_vs_n.csv + records.json."""
     _check_seed(seed)
     spec, op = _operator(target_text, coupling)
@@ -349,7 +343,7 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
                 },
             }
         }
-    _write(out_dir, fmt, "records.json", config, results, tables)
+    _write(out_dir, "records.json", config, results, tables)
 
 
 # sweep.csv's columns, one per SweepRow field; the csv module writes None as ""
@@ -382,8 +376,7 @@ def _split_targets(text: str) -> list[str]:
 @_steps_opt
 @click.option("--noise", "noise_path", default=None)
 @_out_opt
-@_format_opt
-def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir, fmt):
+def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir):
     """Fidelity grid over targets x couplings x steps (blind runs)."""
     targets = [parse_target(t) for t in _split_targets(targets_text)]
     try:
@@ -400,7 +393,7 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir, fmt):
         "noise": _noise_echo(noise),
     }
     json_rows = [dict(zip(SWEEP_HEADER, row)) for row in rows]
-    _write(out_dir, fmt, "sweep.json", config, {"rows": json_rows},
+    _write(out_dir, "sweep.json", config, {"rows": json_rows},
            {"sweep.csv": (SWEEP_HEADER, rows)})
 
 
@@ -450,7 +443,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
         "locally_equivalent_cnot": on_cnot,
         "locally_equivalent_cphase": on_cnot,
     }
-    _write(out_dir, "both", "kak.json", {"command": "kak", **source}, results)
+    _write(out_dir, "kak.json", {"command": "kak", **source}, results)
 
 
 @main.command()
@@ -467,7 +460,7 @@ def circuit(target_text, coupling, out_dir):
         "cnot_count": circ.count(CNOT),
     }
     config = {"command": "circuit", "target": spec.label, "coupling": coupling}
-    out = _write(out_dir, "both", "verify.json", config, results)
+    out = _write(out_dir, "verify.json", config, results)
     (out / "circuit.txt").write_text(emit_text(circ))
 
 
@@ -479,8 +472,7 @@ def circuit(target_text, coupling, out_dir):
 @click.option("--noise", "noise_path", default=None)
 @_seed_opt
 @_out_opt
-@_format_opt
-def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
+def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):
     """Blind run with state tomography at each step; exact vs reconstructed."""
     n_shots = _parse_shots(shots)
     _check_seed(seed)
@@ -507,7 +499,7 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
         "estimator": "linear-inversion+eigenvalue-truncation",
     }
     header = ["target", "J", "n", "exact_fid", "reconstructed_fid"]
-    _write(out_dir, fmt, "tomo.json", config, results, {"tomo_fidelities.csv": (header, rows)})
+    _write(out_dir, "tomo.json", config, results, {"tomo_fidelities.csv": (header, rows)})
 
 
 @main.command()
@@ -516,8 +508,7 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir, fmt):
 @click.option("--shots", default="inf", show_default=True, help="shots per setting, or 'inf'")
 @_seed_opt
 @_out_opt
-@_format_opt
-def qpt(target_text, coupling, shots, seed, out_dir, fmt):
+def qpt(target_text, coupling, shots, seed, out_dir):
     """Process tomography of the two-qubit steering unitary channel."""
     spec, op = _operator(target_text, coupling)
     if not isinstance(spec.target, QubitTarget):
@@ -526,8 +517,7 @@ def qpt(target_text, coupling, shots, seed, out_dir, fmt):
     _check_seed(seed)
     rec = process_tomography(KrausSet(operators=(op.unitary,)), shots=n_shots, seed=seed)
     ideal = ptm_of_unitary(op.unitary)
-    err = compose_ptm(rec, invert_ptm(ideal))
-    dev = np.abs(err.r - np.eye(err.r.shape[0]))
+    dev = np.abs(rec @ np.linalg.inv(ideal) - np.eye(len(rec)))
     config = {"command": "qpt", "target": spec.label, "coupling": coupling, "shots": shots,
               "seed": seed}
     results = {
@@ -535,12 +525,12 @@ def qpt(target_text, coupling, shots, seed, out_dir, fmt):
         "max_abs_r_minus_i": float(dev.max()),
         "estimator": "linear-inversion+choi-truncation",
     }
-    columns = [f"c{j}" for j in range(rec.r.shape[1])]
+    columns = [f"c{j}" for j in range(rec.shape[1])]
     tables = {
-        "ptm.csv": (columns, [list(map(float, row)) for row in rec.r]),
+        "ptm.csv": (columns, [list(map(float, row)) for row in rec]),
         "r_minus_i.csv": (columns, [list(map(float, row)) for row in dev]),
     }
-    _write(out_dir, fmt, "qpt.json", config, results, tables)
+    _write(out_dir, "qpt.json", config, results, tables)
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ magic-basis eigenphases theta alone.  The Weyl group acts on theta by
 permutations and by pi shifts of an even number of entries; the fold takes
 the first such move whose coordinates land in the cell above.
 :func:`kak_decompose` applies that move to the columns of its orthogonal
-factors, and :func:`weyl_coordinates` and :func:`canonicalize_weyl_vector`
-fold their phases the same way.
+factors, and :func:`weyl_coordinates` folds its phases the same way.
 
 ``qsteer kak --circuit`` decomposes the circuit's unitary with
 :func:`kak_decompose`.  ``qsteer kak --target`` decomposes nothing: the
@@ -69,11 +68,6 @@ _THETA_OF_XYZ = np.array(
 CNOT_GATE = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
-
-
-def cphase_gate(angle: float) -> ComplexMatrix:
-    """diag(1, 1, 1, e^{i angle}); CPHASE(pi) is the CZ gate."""
-    return np.diag([1.0, 1.0, 1.0, np.exp(1j * angle)]).astype(complex)
 
 
 def canonical_a_matrix(c) -> ComplexMatrix:
@@ -241,12 +235,6 @@ def kak_decompose(u: ComplexMatrix) -> KakDecomposition:
         c=c,
         global_phase=gamma + w + float(np.angle(g1 * g2)),
     )
-
-
-def canonicalize_weyl_vector(c) -> np.ndarray:
-    """Canonical representative of interaction coordinates (radians)."""
-    theta = _THETA_OF_XYZ @ (np.asarray(c, dtype=float) / 2.0)
-    return _fold(_su4_phases(np.exp(2j * theta)))[1]
 
 
 def weyl_coordinates(u: ComplexMatrix) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Target-state parametrizations, density states, Bloch coordinates, the
-Gell-Mann matrices, the single-qubit stabilizer catalog, and fidelity.
+"""Target-state parametrizations, density states, the Gell-Mann matrices,
+the single-qubit stabilizer catalog, and fidelity.
 """
 
 from __future__ import annotations
@@ -161,22 +161,6 @@ class DensityState:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def pure_state(ket: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityState:
-    """|ket><ket| as a DensityState."""
-    ket = np.asarray(ket, dtype=complex)
-    if dims is None:
-        dims = (ket.shape[0],)
-    return DensityState(matrix=np.outer(ket, ket.conj()), dims=dims)
-
-
-def bloch_vector(rho: DensityState) -> np.ndarray:
-    """Bloch coordinates s_k = Tr(rho sigma_k) of a single-qubit state."""
-    if rho.dim != 2:
-        raise DimensionMismatchError("bloch_vector needs a single-qubit state")
-    m = rho.matrix
-    return np.array([np.trace(m @ p).real for p in (SX, SY, SZ)])
 
 
 def fidelity(rho: DensityState | ComplexMatrix, ket: np.ndarray) -> float | np.ndarray:

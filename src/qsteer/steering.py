@@ -1,6 +1,5 @@
 """Steering operators: the paper's entangling generators, the closed-form
-cycle unitary and its Kraus sets, one averaged channel step, and the
-steering (monotone fidelity) check.
+cycle unitary and its Kraus sets, and one averaged channel step.
 
 Conventions used throughout:
 
@@ -256,20 +255,3 @@ def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
     if rho.dim != kraus.dim:
         raise DimensionMismatchError(f"state dim {rho.dim} does not match Kraus dim {kraus.dim}")
     return DensityState(matrix=kraus.apply(rho.matrix), dims=rho.dims)
-
-
-# slack below which a fidelity drop counts as rounding, not a violation
-_MONOTONE_TOL = 1e-12
-
-
-def steering_inequality_holds(fidelities) -> tuple[bool, int | None]:
-    """Check monotone nondecrease of the fidelity sequence.
-
-    Returns (True, None) if f[n+1] >= f[n] - 1e-12 for all n, else
-    (False, index of the first violating step).
-    """
-    f = list(fidelities)
-    for n in range(len(f) - 1):
-        if f[n + 1] < f[n] - _MONOTONE_TOL:
-            return False, n
-    return True, None

@@ -11,7 +11,6 @@ deterministically per seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -30,19 +29,6 @@ from .steering import KrausSet
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PauliTransferMatrix:
-    """Strictly real channel representation R_ij = Tr[P_i E(P_j)] / d."""
-
-    r: np.ndarray
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        object.__setattr__(self, "r", r)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatchError("PTM must be square")
 
 
 def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
@@ -84,26 +70,6 @@ def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, snap: bool) -> np.ndarray
         probs = np.round(probs * 2.0**40) / 2.0**40
         probs[..., -1] = np.maximum(1.0 - probs[..., :-1].sum(axis=-1), 0.0)
     return probs
-
-
-def _draw(rho: DensityState, observable: ComplexMatrix, shots: int, seed: int):
-    """(ascending eigenvalues, counts) of one draw of ``observable`` on rho."""
-    w, vecs = herm_eig(observable)
-    probs = _outcome_probs(rho.matrix[None], vecs[None], snap=True)[0]
-    return w, _keyed_multinomial(shots, probs, [seed])[0]
-
-
-def measure_expectation(
-    rho: DensityState,
-    observable: ComplexMatrix,
-    shots: int | None,
-    seed: int = 0,
-) -> float:
-    """<observable> on rho, exact when shots is None, sampled otherwise."""
-    if shots is None:
-        return float(np.trace(rho.matrix @ observable).real)
-    w, counts = _draw(rho, observable, shots, seed)
-    return float(np.dot(w, counts / shots))
 
 
 def mle_project(rho_raw: ComplexMatrix) -> DensityState:
@@ -158,14 +124,6 @@ def _reconstruct(expectations: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return m
 
 
-def _from_expectations(expectations, basis: np.ndarray) -> DensityState:
-    expectations = np.asarray(expectations, dtype=float)
-    if expectations.shape != (len(basis),):
-        raise DimensionMismatchError(f"need {len(basis)} expectations")
-    d = basis.shape[-1]
-    return DensityState(matrix=_reconstruct(expectations[None], basis)[0], dims=(d,))
-
-
 def _measure_and_reconstruct(rho, basis, shots, seed):
     """Measure every observable on one state or on each of an (n, d, d)
     stack and reconstruct, returning the input's kind.  With shots, the
@@ -194,16 +152,6 @@ def _measure_and_reconstruct(rho, basis, shots, seed):
         return DensityState(matrix=recs[0], dims=(d,))
     validate_density(recs)
     return recs
-
-
-def qubit_state_tomo(ex: float, ey: float, ez: float) -> DensityState:
-    """State from Pauli expectations, physically projected if needed."""
-    return _from_expectations([ex, ey, ez], _QUBIT_BASIS)
-
-
-def qutrit_state_tomo(expectations) -> DensityState:
-    """State from the eight Gell-Mann expectations <l_i> = 2 n_i."""
-    return _from_expectations(expectations, _QUTRIT_BASIS)
 
 
 def tomo_qubit_state(
@@ -283,8 +231,8 @@ def _measured_pauli_expectations(
 
 def process_tomography(
     channel: KrausSet, *, shots: int | None = None, seed: int = 0
-) -> PauliTransferMatrix:
-    """Reconstruct the PTM of a channel on n = 1 or 2 qubit wires (dimension
+) -> np.ndarray:
+    """Reconstruct the (4^n, 4^n) PTM of a channel on n = 1 or 2 qubit wires (dimension
     2 or 4) from 4^n product inputs and 3^n Pauli settings via linear
     inversion, then project onto the physical (CPTP-ish) set by truncating
     negative Choi eigenvalues and renormalizing."""
@@ -301,7 +249,7 @@ def process_tomography(
     data = _measured_pauli_expectations(outputs, n_wires, shots, seed)
     coeffs = np.linalg.inv(inputs.reshape(len(inputs), -1).T) @ _pauli_basis(n_wires)
     r = np.real(data.T @ coeffs) / d
-    return PauliTransferMatrix(r=_project_ptm_physical(r, n_wires))
+    return _project_ptm_physical(r, n_wires)
 
 
 def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
@@ -327,46 +275,28 @@ def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
     return np.real(dagger(basis) @ sup @ basis) / d
 
 
-def ptm_of_kraus(channel: KrausSet) -> PauliTransferMatrix:
-    """Exact PTM of a channel given by Kraus operators (reference path)."""
+def ptm_of_kraus(channel: KrausSet) -> np.ndarray:
+    """Exact PTM R_ij = Tr[P_i E(P_j)] / d of a channel given by Kraus
+    operators (reference path)."""
     d = channel.dim
     n = int(round(math.log2(d)))
     if 2**n != d:
         raise DimensionMismatchError("PTM defined for qubit registers")
     basis = _pauli_basis(n)
-    return PauliTransferMatrix(r=np.real(dagger(basis) @ channel.superoperator() @ basis) / d)
+    return np.real(dagger(basis) @ channel.superoperator() @ basis) / d
 
 
-def ptm_of_unitary(u: ComplexMatrix) -> PauliTransferMatrix:
+def ptm_of_unitary(u: ComplexMatrix) -> np.ndarray:
     return ptm_of_kraus(KrausSet(operators=(np.asarray(u, dtype=complex),)))
 
 
-def compose_ptm(a: PauliTransferMatrix, b: PauliTransferMatrix) -> PauliTransferMatrix:
-    """Channel a after channel b."""
-    return PauliTransferMatrix(r=a.r @ b.r)
-
-
-def invert_ptm(a: PauliTransferMatrix) -> PauliTransferMatrix:
-    return PauliTransferMatrix(r=np.linalg.inv(a.r))
-
-
-def average_gate_fidelity(
-    reconstructed: PauliTransferMatrix, ideal: PauliTransferMatrix
-) -> float:
-    """F_avg = (d F_pro + 1) / (d + 1) with F_pro = Tr[R_ideal^T R_rec] / d^2."""
-    if reconstructed.r.shape != ideal.r.shape:
+def average_gate_fidelity(reconstructed: np.ndarray, ideal: np.ndarray) -> float:
+    """F_avg = (d F_pro + 1) / (d + 1) with F_pro = Tr[R_ideal^T R_rec] / d^2,
+    for two PTMs."""
+    if reconstructed.shape != ideal.shape:
         raise DimensionMismatchError("PTM shapes differ")
-    d2 = reconstructed.r.shape[0]
+    d2 = reconstructed.shape[0]
     d = int(round(math.sqrt(d2)))
-    f_pro = float(np.trace(ideal.r.T @ reconstructed.r)) / d2
+    f_pro = float(np.trace(ideal.T @ reconstructed)) / d2
     f_avg = (d * f_pro + 1.0) / (d + 1.0)
     return min(1.0, max(0.0, f_avg))
-
-
-def reconstruction_fidelity(rho_true: DensityState, rho_rec: DensityState) -> float:
-    """Fidelity proxy Tr[rho_true rho_rec] normalized for mixed states."""
-    a = rho_true.matrix
-    b = rho_rec.matrix
-    num = float(np.trace(a @ b).real)
-    den = math.sqrt(float(np.trace(a @ a).real) * float(np.trace(b @ b).real))
-    return min(1.0, max(0.0, num / den)) if den > 0 else 0.0

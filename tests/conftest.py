@@ -10,9 +10,15 @@ import math
 import numpy as np
 import pytest
 
-from qsteer.errors import ConfigError
+from qsteer import tomography
+from qsteer.errors import ConfigError, DimensionMismatchError
+from qsteer.geometry import _THETA_OF_XYZ, _fold, _su4_phases
+from qsteer.linalg import herm_eig
 from qsteer.states import (
     QUTRIT_EQUAL_TARGET,
+    SX,
+    SY,
+    SZ,
     DensityState,
     QubitTarget,
     QutritTarget,
@@ -143,6 +149,104 @@ def analytic_plus_trajectory(s0, coupling: float, steps: int) -> np.ndarray:
             c**steps * s0[2],
         ]
     )
+
+
+# Small helpers that only tests call.  Those built from the library's private
+# pieces (the Weyl fold, the tomography sampler and reconstruction) share its
+# conventions; they check how callers see those pieces, not the pieces alone.
+
+
+def pure_state(ket: np.ndarray, dims: tuple[int, ...] | None = None) -> DensityState:
+    """|ket><ket| as a DensityState."""
+    ket = np.asarray(ket, dtype=complex)
+    if dims is None:
+        dims = (ket.shape[0],)
+    return DensityState(matrix=np.outer(ket, ket.conj()), dims=dims)
+
+
+def bloch_vector(rho: DensityState) -> np.ndarray:
+    """Bloch coordinates s_k = Tr(rho sigma_k) of a single-qubit state."""
+    if rho.dim != 2:
+        raise DimensionMismatchError("bloch_vector needs a single-qubit state")
+    m = rho.matrix
+    return np.array([np.trace(m @ p).real for p in (SX, SY, SZ)])
+
+
+# slack below which a fidelity drop counts as rounding, not a violation
+_MONOTONE_TOL = 1e-12
+
+
+def steering_inequality_holds(fidelities) -> tuple[bool, int | None]:
+    """Check monotone nondecrease of the fidelity sequence.
+
+    Returns (True, None) if f[n+1] >= f[n] - 1e-12 for all n, else
+    (False, index of the first violating step).
+    """
+    f = list(fidelities)
+    for n in range(len(f) - 1):
+        if f[n + 1] < f[n] - _MONOTONE_TOL:
+            return False, n
+    return True, None
+
+
+def cphase_gate(angle: float) -> np.ndarray:
+    """diag(1, 1, 1, e^{i angle}); CPHASE(pi) is the CZ gate."""
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * angle)]).astype(complex)
+
+
+def canonicalize_weyl_vector(c) -> np.ndarray:
+    """Canonical representative of interaction coordinates (radians), folded
+    by the library's Weyl-move search."""
+    theta = _THETA_OF_XYZ @ (np.asarray(c, dtype=float) / 2.0)
+    return _fold(_su4_phases(np.exp(2j * theta)))[1]
+
+
+def shot_draw(rho: DensityState, observable: np.ndarray, shots: int, seed: int):
+    """(ascending eigenvalues, counts) of one draw of ``observable`` on rho,
+    from Philox key ``seed``."""
+    w, vecs = herm_eig(observable)
+    probs = tomography._outcome_probs(rho.matrix[None], vecs[None], snap=True)[0]
+    return w, tomography._keyed_multinomial(shots, probs, [seed])[0]
+
+
+def measure_expectation(
+    rho: DensityState,
+    observable: np.ndarray,
+    shots: int | None,
+    seed: int = 0,
+) -> float:
+    """<observable> on rho, exact when shots is None, sampled otherwise."""
+    if shots is None:
+        return float(np.trace(rho.matrix @ observable).real)
+    w, counts = shot_draw(rho, observable, shots, seed)
+    return float(np.dot(w, counts / shots))
+
+
+def _from_expectations(expectations, basis: np.ndarray) -> DensityState:
+    expectations = np.asarray(expectations, dtype=float)
+    if expectations.shape != (len(basis),):
+        raise DimensionMismatchError(f"need {len(basis)} expectations")
+    d = basis.shape[-1]
+    return DensityState(matrix=tomography._reconstruct(expectations[None], basis)[0], dims=(d,))
+
+
+def qubit_state_tomo(ex: float, ey: float, ez: float) -> DensityState:
+    """State from Pauli expectations, physically projected if needed."""
+    return _from_expectations([ex, ey, ez], tomography._QUBIT_BASIS)
+
+
+def qutrit_state_tomo(expectations) -> DensityState:
+    """State from the eight Gell-Mann expectations <l_i> = 2 n_i."""
+    return _from_expectations(expectations, tomography._QUTRIT_BASIS)
+
+
+def reconstruction_fidelity(rho_true: DensityState, rho_rec: DensityState) -> float:
+    """Fidelity proxy Tr[rho_true rho_rec] normalized for mixed states."""
+    a = rho_true.matrix
+    b = rho_rec.matrix
+    num = float(np.trace(a @ b).real)
+    den = math.sqrt(float(np.trace(a @ a).real) * float(np.trace(b @ b).real))
+    return min(1.0, max(0.0, num / den)) if den > 0 else 0.0
 
 
 @pytest.fixture

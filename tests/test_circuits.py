@@ -30,7 +30,6 @@ from qsteer.circuits import rx_matrix, rz_matrix
 from qsteer.errors import ConfigError
 from qsteer.geometry import (
     CNOT_GATE,
-    canonicalize_weyl_vector,
     reassembly_distance,
     weyl_coordinates,
 )
@@ -43,7 +42,7 @@ from qsteer.states import (
 )
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import MALFORMED_CIRCUIT_TEXTS, haar_unitary, steering_grid
+from conftest import MALFORMED_CIRCUIT_TEXTS, canonicalize_weyl_vector, haar_unitary, steering_grid
 
 
 class TestGateValidation:

@@ -232,7 +232,7 @@ class TestDeterminism:
             assert read(out_a / name) == read(out_b / name), name
 
 
-FORMAT_CASES = {
+OUTPUT_CASES = {
     "steer-blind": (
         ["steer", "--target", "+", "--J", "0.5", "--N", "2"],
         ["fidelity_vs_n.csv"],
@@ -254,20 +254,25 @@ FORMAT_CASES = {
 }
 
 
-class TestFormatFlag:
-    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
-    def test_csv_only(self, runner, tmp_path, case):
-        args, csv_files, _ = FORMAT_CASES[case]
-        result = runner.invoke(main, [*args, "--format", "csv", "--out", str(tmp_path)])
-        assert result.exit_code == 0, result.output
-        assert sorted(p.name for p in tmp_path.iterdir()) == csv_files
+class TestOutputFiles:
+    """Every command writes both its CSV and its JSON files."""
 
-    @pytest.mark.parametrize("case", sorted(FORMAT_CASES))
-    def test_json_only(self, runner, tmp_path, case):
-        args, _, json_files = FORMAT_CASES[case]
-        result = runner.invoke(main, [*args, "--format", "json", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    def test_writes_csv_and_json(self, runner, tmp_path, case):
+        args, csv_files, json_files = OUTPUT_CASES[case]
+        result = runner.invoke(main, [*args, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
-        assert sorted(p.name for p in tmp_path.iterdir()) == json_files
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(csv_files + json_files)
+
+    @pytest.mark.parametrize("case", sorted(OUTPUT_CASES))
+    def test_format_option_is_a_usage_error(self, runner, tmp_path, case):
+        args, _, _ = OUTPUT_CASES[case]
+        result = runner.invoke(main, [*args, "--format", "json", "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["kind"] == "config"
+        assert not list(tmp_path.iterdir())
 
 
 class TestErrorPath:
@@ -600,6 +605,11 @@ class TestTomoAndQpt:
             ["qpt", "--shots", "0"],
             ["qpt", "--shots", "-5"],
             ["qpt", "--seed", str(2**96)],
+            *(
+                [command, "--shots", shots]
+                for command in ("tomo", "qpt")
+                for shots in (str(2**63), str(10**20), "9" * 5000)
+            ),
         ],
     )
     def test_bad_shots_or_seed_is_config_error(self, runner, tmp_path, args):
@@ -610,6 +620,15 @@ class TestTomoAndQpt:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "config"
+
+    @pytest.mark.parametrize("args", [["tomo", "--N", "1"], ["qpt"]], ids=["tomo", "qpt"])
+    def test_largest_shot_count_runs(self, runner, tmp_path, args):
+        shots = str(2**63 - 1)
+        result = runner.invoke(
+            main, [*args, "--target", "+", "--J", "0.5", "--shots", shots, "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / f"{args[0]}.json").read_text())["config"]["shots"] == shots
 
     @pytest.mark.parametrize("target,n_observables", [("+", 3), ("qutrit-equal", 8)])
     def test_tomo_shot_keys_are_distinct(self, runner, tmp_path, monkeypatch, target, n_observables):

@@ -10,8 +10,6 @@ from qsteer.errors import DimensionMismatchError
 from qsteer.geometry import (
     CNOT_GATE,
     canonical_a_matrix,
-    canonicalize_weyl_vector,
-    cphase_gate,
     kak_decompose,
     locally_equivalent,
     reassembly_distance,
@@ -22,7 +20,7 @@ from qsteer.linalg import expm_i_herm, kron, phase_invariant_distance
 from qsteer.states import QubitTarget, SX, SY, SZ, stabilizer_catalog
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import haar_unitary
+from conftest import canonicalize_weyl_vector, cphase_gate, haar_unitary
 
 SWAP_GATE = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

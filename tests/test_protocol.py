@@ -32,7 +32,6 @@ from qsteer.states import (
     QUTRIT_EQUAL_TARGET,
     QutritTarget,
     fidelity,
-    pure_state,
     random_density,
     stabilizer_catalog,
 )
@@ -45,7 +44,7 @@ from qsteer.steering import (
     make_steering_operator,
 )
 
-from conftest import channel_superoperator, ginibre_density
+from conftest import channel_superoperator, ginibre_density, pure_state, steering_inequality_holds
 
 PLUS = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+")
 PLUS_QUARTER = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 4, "+")
@@ -367,7 +366,7 @@ class TestQutritProtocol:
         rho = pure_state(np.array([1, 0, 0], dtype=complex))
         rec = run_blind(rho, op, 40)
         assert rec.fidelities[-1] >= 1 - 1e-10
-        ok, _ = __import__("qsteer").steering_inequality_holds(rec.fidelities)
+        ok, _ = steering_inequality_holds(rec.fidelities)
         assert ok
 
 

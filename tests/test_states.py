@@ -15,18 +15,15 @@ from qsteer.states import (
     QUTRIT_EQUAL_TARGET,
     SX,
     SZ,
-    bloch_vector,
     fidelity,
     pauli_string_matrix,
-    pure_state,
     random_density,
     stabilizer_catalog,
     target_ket,
     validate_density,
 )
-from qsteer.tomography import qutrit_state_tomo
 
-from conftest import ginibre_density
+from conftest import bloch_vector, ginibre_density, pure_state, qutrit_state_tomo
 
 
 class TestTargetKet:

@@ -10,10 +10,8 @@ from qsteer.states import (
     QutritTarget,
     QUTRIT_EQUAL_KET,
     QUTRIT_EQUAL_TARGET,
-    bloch_vector,
     fidelity,
     pauli_string_matrix,
-    pure_state,
     random_density,
     stabilizer_catalog,
     target_ket,
@@ -29,15 +27,17 @@ from qsteer.steering import (
     make_steering_operator,
     qutrit_complement_basis,
     steering_frame,
-    steering_inequality_holds,
 )
 
 from conftest import (
     analytic_plus_trajectory,
+    bloch_vector,
     channel_superoperator,
     ginibre_density,
     joint_step,
+    pure_state,
     steering_grid,
+    steering_inequality_holds,
 )
 
 
