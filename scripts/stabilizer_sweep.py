@@ -10,7 +10,7 @@ noise-limited plateau.
 import argparse
 from pathlib import Path
 
-from qsteer.cli import SWEEP_HEADER, write_csv
+from qsteer.cli import write_sweep
 from qsteer.protocol import NoiseConfig, sweep
 from qsteer.states import stabilizer_catalog
 
@@ -34,7 +34,7 @@ def main() -> None:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(out, SWEEP_HEADER, rows)
+    write_sweep(rows, out)
     finals = {}
     for r in rows:
         if r.step == args.steps:

@@ -46,7 +46,7 @@ from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, KakDecomposition
 from .linalg import ComplexMatrix, dagger, phase_invariant_distance
 from .states import QubitTarget, QutritTarget
-from .steering import SteeringOperator, TargetSpec, make_steering_operator, steering_frame
+from .steering import SteeringOperator, TargetSpec, make_steering_operator
 
 RX = "rx"
 RZ = "rz"
@@ -294,9 +294,9 @@ _RY_PI = np.array([[0, -1], [1, 0]], dtype=complex)  # -i Y
 _RZ_PI = rz_matrix(math.pi)  # -i Z
 
 
-def steering_kak(spec: TargetSpec) -> KakDecomposition:
-    """KAK decomposition of the qubit steering unitary of ``spec``, read off
-    the circuit of :func:`_synth_kak` with no eigensolver.
+def steering_kak(spec: TargetSpec, op: SteeringOperator) -> KakDecomposition:
+    """KAK decomposition of ``op = make_steering_operator(spec)``, read off
+    ``op.frame`` and the circuit of :func:`_synth_kak` with no eigensolver.
 
     With K = RX(pi/2) (x) RY(pi) RX(pi/2), the core of that circuit is
     K A(J, J, 0) K^dag up to a phase, so U = (L K) A(J, J, 0) (K^dag R)
@@ -308,7 +308,7 @@ def steering_kak(spec: TargetSpec) -> KakDecomposition:
     """
     if not isinstance(spec.target, QubitTarget):
         raise ConfigError("steering_kak handles qubit targets")
-    (l0, l1), (r0, r1) = _fixed_locals(steering_frame(spec.target))
+    (l0, l1), (r0, r1) = _fixed_locals(op.frame)
     half = rx_matrix(math.pi / 2)
     # root**2 = det L1 = det V^dag, which is e^{i phi} for the qubit frame;
     # the branch follows phi, so the locals move continuously with the target

@@ -12,6 +12,7 @@ stderr.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -25,7 +26,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, QsteerError
+from .errors import ConfigError, NumericalError, QsteerError
 from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text, steering_kak
 from .geometry import kak_decompose, reassembly_distance, same_weyl_point
 from .protocol import (
@@ -59,28 +60,10 @@ from .tomography import (
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Writes the header and rows, each float at 17 significant digits.
-    Each distinct nonzero float is formatted once: a sweep's targets share
-    their curves, so most of its cells repeat (0.0 and -0.0 are equal keys,
-    so zeros are formatted every time)."""
-    text = {}
-    cells = []
-    for row in rows:
-        line = []
-        for v in row:
-            if isinstance(v, float):
-                s = text.get(v) if v else None
-                if s is None:
-                    s = f"{v:.17g}"
-                    if v:
-                        text[v] = s
-                v = s
-            line.append(v)
-        cells.append(line)
+    """Writes the header and rows, each float at 17 significant digits."""
+    cells = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(cells)
+        csv.writer(fh).writerows([header, *cells])
 
 
 # One compact encoding by CPython's C encoder, with a bare newline as the item
@@ -346,8 +329,12 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
     _write(out_dir, "records.json", config, results, tables)
 
 
-# sweep.csv's columns, one per SweepRow field; the csv module writes None as ""
+# sweep.csv's columns, one per SweepRow field.  "target" sorts last, so a
+# sweep.json row is its tail's _JSON_TAIL text, then its label's JSON text.
 SWEEP_HEADER = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
+_CSV_TAIL = ",%s" * (len(SWEEP_HEADER) - 1) + "\r\n"
+_JSON_TAIL = ("    {" + "".join(f'\n      "{k}": %({k})s,' for k in sorted(SWEEP_HEADER)[:-1])
+              + '\n      "target": ')
 _ANGLE_COUNTS = {"qubit": 2, "qutrit": 4}
 
 
@@ -362,6 +349,47 @@ def _split_targets(text: str) -> list[str]:
         tokens.append(",".join(parts[:take]))
         del parts[:take]
     return [t for t in tokens if t.strip()]
+
+
+def write_sweep(rows: list, csv_path: Path, json_path: Path | None = None,
+                config: dict | None = None) -> None:
+    """Writes the rows of :func:`sweep` to ``csv_path`` as write_csv does with
+    SWEEP_HEADER and, given ``json_path``, the config, tool version and rows
+    there as write_json does, byte for byte; each distinct (J, n, mean_fid,
+    std, stabilizer_avg) tail and each label is rendered once."""
+    labels, tails = {}, {}  # tails are keyed with their signs: 0.0 == -0.0
+    csv_parts, json_parts = [",".join(SWEEP_HEADER) + "\r\n"], []
+    for row in rows:
+        label, j, _, mean, std, avg = row
+        key = (row[1:], math.copysign(1.0, j), math.copysign(1.0, mean), math.copysign(1.0, std),
+               avg is None or math.copysign(1.0, avg))
+        tail = tails.get(key)
+        if tail is None:  # json.dumps writes a finite float as float.__repr__ does
+            if not all(v is None or math.isfinite(v) for v in row[1:]):
+                raise NumericalError(f"sweep row {row} is not finite")
+            floats = [isinstance(v, float) for v in row[1:]]
+            cells = ["" if v is None else "%.17g" % v if f else str(v)
+                     for v, f in zip(row[1:], floats)]
+            texts = ["null" if v is None else float.__repr__(v) if f else int.__repr__(v)
+                     for v, f in zip(row[1:], floats)]
+            tail = tails[key] = (_CSV_TAIL % tuple(cells),
+                                 _JSON_TAIL % dict(zip(SWEEP_HEADER[1:], texts)))
+        field = labels.get(label)
+        if field is None:  # as csv quotes one field of several; as JSON, closing the row
+            buf = io.StringIO()
+            csv.writer(buf).writerow([label, ""])
+            field = labels[label] = buf.getvalue()[:-3], json.dumps(label) + "\n    }"
+        csv_parts += field[0], tail[0]
+        json_parts += ",\n", tail[1], field[1]
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("".join(csv_parts))
+    if json_path is not None:
+        doc = _indented({"config": config, "rows": [], "tool_version": __version__})
+        if rows:  # the top-level "rows" is the only one at an indent of two
+            items = "".join(json_parts[1:])
+            doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
+        with open(json_path, "w") as fh:
+            fh.write(doc + "\n")
 
 
 @main.command("sweep")
@@ -392,9 +420,9 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir):
         "steps": steps,
         "noise": _noise_echo(noise),
     }
-    json_rows = [dict(zip(SWEEP_HEADER, row)) for row in rows]
-    _write(out_dir, "sweep.json", config, {"rows": json_rows},
-           {"sweep.csv": (SWEEP_HEADER, rows)})
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_sweep(rows, out / "sweep.csv", out / "sweep.json", config)
 
 
 def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
@@ -429,7 +457,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
         if not isinstance(spec.target, QubitTarget):
             raise ConfigError("kak applies to qubit steering operators")
         u = op.unitary
-        dec = steering_kak(spec)
+        dec = steering_kak(spec, op)
         source = {"target": spec.label, "coupling": coupling}
     else:
         raise ConfigError("pass either --circuit or both --target and --J")

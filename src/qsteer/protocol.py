@@ -350,6 +350,15 @@ def repetition_law(
     return pmf, float(vec[diag].real.sum())
 
 
+MAX_RUN_BYTES = 2**28  # a run whose arrays and rows need more is refused before it allocates
+
+
+def _check_run_bytes(n_bytes: int) -> None:
+    if n_bytes > MAX_RUN_BYTES:
+        raise ConfigError(f"the run would take about {n_bytes} bytes, over the budget of "
+                          f"{MAX_RUN_BYTES} bytes")
+
+
 def _blind_states(
     rho0: DensityState, op: SteeringOperator, steps: int, noise: NoiseConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -377,6 +386,7 @@ def _blind_grid(
     d = rho0.dim
     if any(op.system_dim != d for op in ops):
         raise DimensionMismatchError("initial state does not match the system dimension")
+    _check_run_bytes(16 * (steps + 1) * len(ops) * d * d)  # the complex vec(rho) stack
     channels = np.array([_step_superoperator(op, noise).sum(axis=0) for op in ops])
     vecs = np.empty((steps + 1, len(ops), d * d, 1), dtype=complex)
     for c, op in enumerate(ops):
@@ -423,6 +433,7 @@ def _run_trajectories(
     _check_seed(seed)
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
+    _check_run_bytes(n_trajectories * (16 * op.system_dim**2 + max_steps))  # final, record
     confusion = _readout_confusion(rho0, op, noise)
     # a readout records 1 when its draw reaches confusion[true outcome, 0]
     read_threshold = None if confusion is None else _outcome_threshold(confusion[:, 0])
@@ -589,6 +600,7 @@ def sweep(
         raise ConfigError("sweep needs nonempty target and coupling grids")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
+    _check_run_bytes(200 * len(targets) * len(couplings) * (steps + 1))  # ~200 B per row
     damped = noise.amplitude_damping_gamma > 0.0
 
     def channel(spec):  # what a cell's frame channel depends on

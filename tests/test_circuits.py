@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsteer import circuits, steering
+from qsteer import steering
 from qsteer.circuits import (
     CNOT,
     Circuit,
@@ -262,8 +262,9 @@ class TestSteeringKak:
         for target in self.TARGETS:
             for coupling in self.COUPLINGS:
                 spec = TargetSpec(target, coupling)
-                u = make_steering_operator(spec).unitary
-                dec = steering_kak(spec)
+                op = make_steering_operator(spec)
+                u = op.unitary
+                dec = steering_kak(spec, op)
                 assert np.max(np.abs(dec.c - weyl_coordinates(u))) <= 1e-10, (target, coupling)
                 assert reassembly_distance(u, dec) <= 1e-12
                 assert np.max(np.abs(dec.reassemble() - u)) <= 1e-12  # global phase 0 included
@@ -281,17 +282,18 @@ class TestSteeringKak:
             return frame(target) * np.exp([0.7j, -1.3j])
 
         monkeypatch.setattr(steering, "steering_frame", rephased)
-        monkeypatch.setattr(circuits, "steering_frame", rephased)
         for target in self.TARGETS:
             spec = TargetSpec(target, 2.5)
-            dec = steering_kak(spec)
-            assert reassembly_distance(make_steering_operator(spec).unitary, dec) <= 1e-12
+            op = make_steering_operator(spec)
+            dec = steering_kak(spec, op)
+            assert reassembly_distance(op.unitary, dec) <= 1e-12
             for m in dec.k1_local + dec.k2_local:
                 assert abs(np.linalg.det(m) - 1.0) <= 1e-12
 
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):
-            steering_kak(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4))
+            spec = TargetSpec(QUTRIT_EQUAL_TARGET, 0.4)
+            steering_kak(spec, make_steering_operator(spec))
 
 
 class TestQutritSynthesis:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,10 +9,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qsteer import __version__, circuits, cli, geometry, steering, tomography
+from qsteer import __version__, cli, geometry, protocol, steering, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
-from qsteer.protocol import _blind_states, sweep
+from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, _blind_states, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 from conftest import MALFORMED_CIRCUIT_TEXTS
@@ -318,6 +320,24 @@ class TestErrorPath:
         }
         assert len(lines) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["steer", "--target", "+", "--J", "0.5", "--N", "50", "--mode", "blind"],
+        ["steer", "--target", "+", "--J", "0.5", "--N", "50", "--mode", "nonblind",
+         "--trajectories", "50"],
+        ["sweep", "--Js", "0.5", "--N", "50"],
+        ["tomo", "--target", "qutrit-equal", "--J", "0.5", "--N", "50"],
+    ], ids=["steer-blind", "steer-nonblind", "sweep", "tomo"])
+    def test_run_over_byte_budget_exits_2(self, runner, tmp_path, monkeypatch, args):
+        # the budget is lowered, so a small run stands for one too large to allocate
+        monkeypatch.setattr(protocol, "MAX_RUN_BYTES", 1000)
+        result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "config" and "budget of 1000 bytes" in error["message"]
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args", [["--help"], ["--version"], ["steer", "--help"]])
     def test_help_and_version_exit_0(self, runner, args):
         result = runner.invoke(main, args)
@@ -363,6 +383,84 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "config"
         assert not list(tmp_path.iterdir())
+
+
+def _stdlib_sweep_files(rows, config) -> tuple[bytes, bytes]:
+    """sweep.csv and sweep.json as csv.writer and json.dumps write them."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(cli.SWEEP_HEADER)
+    writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    payload = {"config": config, "tool_version": __version__,
+               "rows": [dict(zip(cli.SWEEP_HEADER, row)) for row in rows]}
+    return buf.getvalue().encode(), (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+# sweep targets: catalog labels, qubit:theta,phi labels (csv quotes them for
+# their comma) and qutrit targets
+_sweep_labels = st.lists(
+    st.sampled_from(["0", "1", "+", "-", "i", "-i", "qutrit-equal"])
+    | st.builds("qubit:{!r},{!r}".format, st.floats(0, math.pi), st.floats(0, 6.28))
+    | st.builds("qutrit:{!r},{!r},{!r},{!r}".format, st.floats(0, math.pi), st.floats(0, math.pi),
+                st.floats(0, 6.28), st.floats(0, 6.28)),
+    min_size=1, max_size=4,
+)
+# couplings repeat, and 0.0 and -0.0 (equal, but printed apart) are drawn often
+_sweep_couplings = st.lists(st.sampled_from([0.0, -0.0, 0.7, math.pi / 2]) | st.floats(-7, 7),
+                            min_size=1, max_size=4)
+_sweep_noise = st.sampled_from([
+    NO_NOISE,
+    NoiseConfig(depolarizing_p=0.01),
+    NoiseConfig(amplitude_damping_gamma=0.02),
+    NoiseConfig(depolarizing_p=0.01, amplitude_damping_gamma=0.02, reset_infidelity=0.05,
+                readout_confusion=[[0.97, 0.03], [0.05, 0.95]]),
+])
+
+
+class TestWriteSweep:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(labels=_sweep_labels, couplings=_sweep_couplings, steps=st.integers(1, 6),
+           noise=_sweep_noise)
+    @example(labels=["0", "+", "qutrit-equal", "-i", "qubit:0.7,1.9"],
+             couplings=[0.7, 0.3, 0.7, -0.0, 0.0], steps=5, noise=NO_NOISE)
+    @example(labels=["0", "1", "+", "-", "i", "-i"], couplings=[0.39, 0.79, 1.57], steps=30,
+             noise=NoiseConfig(amplitude_damping_gamma=0.02))
+    def test_bytes_equal_stdlib(self, tmp_path, labels, couplings, steps, noise):
+        rows = sweep([parse_target(t) for t in labels], couplings, steps, noise)
+        config = {"command": "sweep", "targets": labels, "couplings": couplings, "steps": steps,
+                  "noise": cli._noise_echo(noise)}
+        cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", config)
+        want_csv, want_json = _stdlib_sweep_files(rows, config)
+        assert (tmp_path / "s.csv").read_bytes() == want_csv
+        assert (tmp_path / "s.json").read_bytes() == want_json
+
+    def test_signed_zeros_and_none_print_apart(self, tmp_path):
+        # 0.0 == -0.0, so every float of a row tail keys the cache with its sign
+        rows = [SweepRow("a", j, 0, m, s, avg)
+                for j in (0.0, -0.0) for m in (0.0, -0.0) for s in (-0.0, 0.0)
+                for avg in (0.0, -0.0, None)]
+        rows += [SweepRow('q"x,y', 0.5, 1, 1.0, 0.0, 1.0), SweepRow("a\nb", 0.5, 1, 1.0, 0.0, 1.0)]
+        cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", {})
+        want_csv, want_json = _stdlib_sweep_files(rows, {})
+        assert (tmp_path / "s.csv").read_bytes() == want_csv
+        assert (tmp_path / "s.json").read_bytes() == want_json
+
+    def test_csv_alone(self, tmp_path):
+        rows = sweep([parse_target("+"), parse_target("qubit:0.7,1.9")], [0.3, -0.0], 3)
+        cli.write_sweep(rows, tmp_path / "s.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert (tmp_path / "s.csv").read_bytes() == _stdlib_sweep_files(rows, {})[0]
+
+    def test_target_sorts_last(self):
+        # a row's JSON object is its tail's text, then its label's
+        assert sorted(cli.SWEEP_HEADER)[-1] == "target"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_numerical_error(self, tmp_path, value):
+        rows = [SweepRow("+", 0.5, 0, value, 0.0, None)]
+        with pytest.raises(NumericalError):
+            cli.write_sweep(rows, tmp_path / "s.csv")
 
 
 class TestWriteCsv:
@@ -448,6 +546,22 @@ class TestKakCommand:
         assert np.allclose(payload["weyl_coordinates"], [0.3, 0.3, 0.0], atol=1e-8)
         assert payload["locally_equivalent_cnot"] is False
         assert payload["reassembly_distance"] < 1e-9
+
+    def test_target_builds_the_frame_once(self, runner, tmp_path, monkeypatch):
+        # steering_kak reads the frame of the operator the command built
+        calls = []
+        build = steering.steering_frame
+
+        def counted(t):
+            calls.append(t)
+            return build(t)
+
+        monkeypatch.setattr(steering, "steering_frame", counted)
+        result = runner.invoke(
+            main, ["kak", "--target", "qubit:0.7,1.9", "--J", "2.5", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 1
 
     def test_circuit_file_source(self, runner, tmp_path):
         result = runner.invoke(
@@ -563,7 +677,6 @@ class TestCircuitCommand:
             return build(t)
 
         monkeypatch.setattr(steering, "steering_frame", counted)
-        monkeypatch.setattr(circuits, "steering_frame", counted)
         result = runner.invoke(
             main, ["circuit", "--target", target, "--J", "0.8", "--out", str(tmp_path)]
         )

@@ -193,8 +193,8 @@ class TestCnotPoint:
         for e in stabilizer_catalog():
             for coupling in (0.0, 0.3, math.pi / 2, 2.5, -1.0):
                 spec = TargetSpec(e.target, coupling)
-                u = make_steering_operator(spec).unitary
-                cases.append((u, steering_kak(spec).c))
+                op = make_steering_operator(spec)
+                cases.append((op.unitary, steering_kak(spec, op).c))
         gates = [CNOT_GATE, cphase_gate(math.pi)]
         gates += [kron(haar_unitary(2, rng), haar_unitary(2, rng)) @ CNOT_GATE
                   @ kron(haar_unitary(2, rng), haar_unitary(2, rng)) for _ in range(5)]

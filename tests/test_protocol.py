@@ -7,11 +7,16 @@ import pytest
 
 from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.linalg import expm_i_herm
+from qsteer import protocol
 from qsteer.protocol import (
+    MAX_RUN_BYTES,
     MAX_SEED,
     _PHILOX_CHUNK,
     NoiseConfig,
     TrajectoryBatch,
+    _blind_grid,
+    _check_run_bytes,
+    _maximally_mixed,
     _outcome_threshold,
     _philox_block,
     _run_trajectories,
@@ -404,6 +409,47 @@ class TestTrajectoryBoundary:
         batch = run_nonblind_batch(rho, op, 5, 3, seed=MAX_SEED)
         single = run_nonblind(rho, op, 5, seed=MAX_SEED, trajectory_index=2)
         assert batch.repetitions[2] == (single.repetitions_to_success or 0)
+
+
+class TestRunBytesBudget:
+    """Runs over MAX_RUN_BYTES are refused before they allocate.  The large
+    cases only call the check; the runs themselves are refused at a lowered
+    budget, so no test allocates a refused size."""
+
+    @pytest.mark.parametrize("n_bytes", [
+        16 * (10**8 + 1) * 4,  # a blind qubit run of 10**8 steps
+        10**7 * (16 * 9 + 10**4),  # 10**7 qutrit trajectories of 10**4 steps
+        10**40,
+        MAX_RUN_BYTES + 1,
+    ])
+    def test_over_budget_is_config_error(self, n_bytes):
+        with pytest.raises(ConfigError) as info:
+            _check_run_bytes(n_bytes)
+        assert str(n_bytes) in str(info.value) and str(MAX_RUN_BYTES) in str(info.value)
+
+    def test_budget_itself_passes(self):
+        _check_run_bytes(MAX_RUN_BYTES)
+
+    @pytest.mark.parametrize("spare", [0, -1])
+    def test_each_run_estimates_what_it_allocates(self, monkeypatch, spare):
+        qubit = make_steering_operator(PLUS)
+        qutrit = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, 0.5))
+        targets = [("+", PLUS.target), ("+", PLUS.target)]
+        runs = [
+            # (N + 1) x cells x d^2 complex values
+            (16 * 6 * 2 * 9, lambda: _blind_grid(_maximally_mixed(3), [qutrit] * 2, 5, NoiseConfig())),
+            # (n, d^2) complex final states and the (N, n) int8 record
+            (7 * (16 * 4 + 5), lambda: run_nonblind_batch(_maximally_mixed(2), qubit, 5, 7)),
+            # about 200 bytes per row
+            (200 * 2 * 3 * 5, lambda: sweep(targets, [0.1, 0.2, 0.3], 4)),
+        ]
+        for n_bytes, run in runs:
+            monkeypatch.setattr(protocol, "MAX_RUN_BYTES", n_bytes + spare)
+            if spare < 0:
+                with pytest.raises(ConfigError, match=str(n_bytes)):
+                    run()
+            else:
+                run()
 
 
 class TestPhiloxStreams:
