@@ -1,16 +1,17 @@
 """Gate-level circuit IR, steering-circuit synthesis, evaluation, and a
 QASM-like text format.
 
-Both syntheses read the circuit off a steering operator's frame
-F = [psi, b (, d)], with no KAK decomposition: the cycle is
-U = (I (x) F) V (I (x) F^dag), where V = exp(-i J G'), G' = |0,e_1><1,e_0|
-+ h.c., is followed for a qutrit by the exchange of e_1 and e_2.  A qubit
-circuit is always a U3 pair, CNOT, RX(J) on the ancilla and RZ(J) on the
-system, CNOT, and a U3 pair, with J unfolded; a qutrit circuit is always a
-local block, four ``cx23`` pairs around RX(-J) and RX(J) on the ancilla with
-a (12)-level RY(pi/2) and its inverse inside, and a local block that also
-applies the exchange: 34 gates, 8 of them ``cx23``.  :func:`steering_kak`
-reads the qubit cycle's KAK decomposition off the same qubit circuit.
+The two syntheses, :func:`synth_kak_circuit` and :func:`synth_qutrit_circuit`,
+read a steering operator's circuit off its frame F = [psi, b (, d)], with no
+KAK decomposition: the cycle is U = (I (x) F) V (I (x) F^dag), where
+V = exp(-i J G'), G' = |0,e_1><1,e_0| + h.c., is followed for a qutrit by the
+exchange of e_1 and e_2.  A qubit circuit is always a U3 pair, CNOT, RX(J)
+on the ancilla and RZ(J) on the system, CNOT, and a U3 pair, with J unfolded;
+a qutrit circuit is always a local block, four ``cx23`` pairs around RX(-J)
+and RX(J) on the ancilla with a (12)-level RY(pi/2) and its inverse inside,
+and a local block that also applies the exchange: 34 gates, 8 of them
+``cx23``.  :func:`steering_kak` reads the qubit cycle's KAK decomposition off
+the same qubit circuit.
 
 Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
 plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
@@ -45,8 +46,8 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .geometry import CNOT_GATE, KakDecomposition
 from .linalg import ComplexMatrix, dagger, phase_invariant_distance
-from .states import QubitTarget, QutritTarget
-from .steering import SteeringOperator, TargetSpec, make_steering_operator
+from .states import QubitTarget
+from .steering import SteeringOperator, TargetSpec
 
 RX = "rx"
 RZ = "rz"
@@ -247,13 +248,6 @@ def _u3_gate(u: ComplexMatrix, wire: int) -> Gate:
     return Gate(U3, (theta, phi, lam), (wire,))
 
 
-def synth_kak_circuit(spec: TargetSpec) -> Circuit:
-    """Two-CNOT circuit for a qubit steering operator; see :func:`_synth_kak`."""
-    if not isinstance(spec.target, QubitTarget):
-        raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
-    return _synth_kak(make_steering_operator(spec))[0]
-
-
 _Pair = tuple[ComplexMatrix, ComplexMatrix]
 
 
@@ -267,15 +261,17 @@ def _fixed_locals(frame: ComplexMatrix) -> tuple[_Pair, _Pair]:
             (rx_matrix(math.pi / 2), rx_matrix(-math.pi / 2) @ v))
 
 
-def _synth_kak(op: SteeringOperator) -> tuple[Circuit, float]:
-    """synth_kak_circuit for the qubit steering operator ``op``, with the
-    circuit's phase-invariant distance to its unitary.
+def synth_kak_circuit(op: SteeringOperator) -> tuple[Circuit, float]:
+    """The two-CNOT circuit of the qubit steering operator ``op``, with its
+    phase-invariant distance to ``op.unitary``.
 
     V (see :func:`_fixed_locals`) turns the cycle's G = |0,b><1,psi| + h.c.
     into (XX - YY)/2 and RX(pi/2) (x) RX(-pi/2) turns that into (XX + ZZ)/2,
     whose exponential exp(-i J (XX + ZZ)/2) is the core
     CNOT . (RX(J) (x) RZ(J)) . CNOT up to a global phase.
     """
+    if op.system_dim != 2:
+        raise ConfigError("synth_kak_circuit handles qubit targets; use synth_qutrit_circuit")
     (l0, l1), (r0, r1) = _fixed_locals(op.frame)
     gates = (
         _u3_gate(r0, 0),
@@ -296,7 +292,8 @@ _RZ_PI = rz_matrix(math.pi)  # -i Z
 
 def steering_kak(spec: TargetSpec, op: SteeringOperator) -> KakDecomposition:
     """KAK decomposition of ``op = make_steering_operator(spec)``, read off
-    ``op.frame`` and the circuit of :func:`_synth_kak` with no eigensolver.
+    ``op.frame`` and the circuit of :func:`synth_kak_circuit` with no
+    eigensolver.
 
     With K = RX(pi/2) (x) RY(pi) RX(pi/2), the core of that circuit is
     K A(J, J, 0) K^dag up to a phase, so U = (L K) A(J, J, 0) (K^dag R)
@@ -386,17 +383,9 @@ _V3 = np.eye(3, dtype=complex)
 _V3[1:, 1:] = _V12
 
 
-def synth_qutrit_circuit(spec: TargetSpec) -> Circuit:
-    """Qubit-qutrit steering circuit for make_steering_operator(spec).unitary;
-    see :func:`_synth_qutrit`."""
-    if not isinstance(spec.target, QutritTarget):
-        raise ConfigError("synth_qutrit_circuit handles qutrit targets")
-    return _synth_qutrit(make_steering_operator(spec))[0]
-
-
-def _synth_qutrit(op: SteeringOperator) -> tuple[Circuit, float]:
-    """synth_qutrit_circuit for the qutrit steering operator ``op``, with the
-    circuit's phase-invariant distance to its unitary.
+def synth_qutrit_circuit(op: SteeringOperator) -> tuple[Circuit, float]:
+    """The qubit-qutrit circuit of the qutrit steering operator ``op``, with
+    its phase-invariant distance to ``op.unitary``.
 
     With F = [psi, b, d] the frame, W = F[:, [2, 0, 1]]^dag (rows <d|, <psi|,
     <b|) turns the cycle's G = |0,b><1,psi| + h.c. into G' = |0,2><1,1| + h.c.
@@ -406,6 +395,8 @@ def _synth_qutrit(op: SteeringOperator) -> tuple[Circuit, float]:
     application order: V^dag W, CZ, V, CZ, RX(-J), CZ, RX(J), V^dag, CZ, and
     F[:, [1, 0, 2]] V, which undoes W and exchanges b and d, with J unfolded.
     """
+    if op.system_dim != 3:
+        raise ConfigError("synth_qutrit_circuit handles qutrit targets; use synth_kak_circuit")
     cz = [Gate(QUBIT_QUTRIT_CNOT, (), (0, 1))] * 2
     j = op.coupling
     gates = (
@@ -417,14 +408,6 @@ def _synth_qutrit(op: SteeringOperator) -> tuple[Circuit, float]:
         + _local_qutrit_gates(op.frame[:, [1, 0, 2]] @ _V3, 1)
     )
     return _reconcile_phase(Circuit((2, 3), tuple(gates)), op.unitary)
-
-
-def _synthesize(op: SteeringOperator) -> tuple[Circuit, float]:
-    """The steering circuit of ``op``, with its phase-invariant distance to
-    ``op.unitary``."""
-    if op.system_dim == 2:
-        return _synth_kak(op)
-    return _synth_qutrit(op)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-import re
 import sys
 import time
 from contextlib import contextmanager
@@ -27,13 +26,15 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericalError, QsteerError
-from .circuits import CNOT, _synthesize, emit_text, evaluate_circuit, parse_text, steering_kak
+from .circuits import (CNOT, emit_text, evaluate_circuit, parse_text, steering_kak,
+                       synth_kak_circuit, synth_qutrit_circuit)
 from .geometry import kak_decompose, reassembly_distance, same_weyl_point
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
     RunRecord,
     _blind_states,
+    _check_run_bytes,
     _check_seed,
     _maximally_mixed,
     repetition_stats,
@@ -66,39 +67,10 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         csv.writer(fh).writerows([header, *cells])
 
 
-# One compact encoding by CPython's C encoder, with a bare newline as the item
-# separator: a newline is escaped inside every string the encoder writes, so
-# each one in its output separates two items.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=("\n", ": "))
-# (run, bracket): a run of text that holds no bracket outside a string or an
-# empty container, then the opening or closing bracket that ends it.  The
-# alternatives cannot overlap and the bracket group always matches, so the
-# search never backtracks.
-_RUN_BRACKET = re.compile(r'((?:[^"\[\]{}]+|"[^"\\]*(?:\\.[^"\\]*)*"|\[\]|\{\})*)([\[\]{}]?)')
-
-
-def _indented(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, from one C-encoder
-    call: its compact output is indented one bracket at a time, each run
-    between brackets at its depth with one ``str.replace``."""
-    parts = []
-    pad = "\n"  # a newline and the indent of the current depth
-    for run, bracket in _RUN_BRACKET.findall(_COMPACT.encode(obj)):
-        if run:
-            parts.append(run.replace("\n", "," + pad))
-        if bracket == "[" or bracket == "{":
-            pad += "  "
-            parts.append(bracket + pad)
-        elif bracket:
-            pad = pad[:-2]
-            parts.append(pad + bracket)
-    return "".join(parts)
-
-
 def write_json(path: Path, payload) -> None:
     """Writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline."""
     with open(path, "w") as fh:
-        fh.write(_indented(payload) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
@@ -126,6 +98,16 @@ def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
     )
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of ``path``; a file that cannot be read or decoded is a
+    ConfigError naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+
+
 def _json_numbers(value) -> bool:
     """True for a JSON number (not a boolean) or a nested list of them."""
     if isinstance(value, list):
@@ -140,10 +122,7 @@ def load_noise(path: str | None) -> NoiseConfig:
     if path is None:
         return NO_NOISE
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read noise file: {exc}") from exc
+        raw = json.loads(_read_text(path, "noise file"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"noise file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -384,7 +363,8 @@ def write_sweep(rows: list, csv_path: Path, json_path: Path | None = None,
     with open(csv_path, "w", newline="") as fh:
         fh.write("".join(csv_parts))
     if json_path is not None:
-        doc = _indented({"config": config, "rows": [], "tool_version": __version__})
+        doc = json.dumps({"config": config, "rows": [], "tool_version": __version__},
+                         sort_keys=True, indent=2)
         if rows:  # the top-level "rows" is the only one at an indent of two
             items = "".join(json_parts[1:])
             doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
@@ -442,11 +422,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
     """KAK of a steering operator (read off its frame) or of a circuit file
     (decomposed); write kak.json."""
     if circuit_path is not None:
-        try:
-            text = Path(circuit_path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read circuit file: {exc}") from exc
-        circuit = parse_text(text)
+        circuit = parse_text(_read_text(circuit_path, "circuit file"))
         if circuit.wire_dims != (2, 2):
             raise ConfigError("kak needs a two-qubit circuit")
         u = evaluate_circuit(circuit)
@@ -481,7 +457,8 @@ def kak(target_text, coupling, circuit_path, out_dir):
 def circuit(target_text, coupling, out_dir):
     """Synthesize the steering circuit; write circuit.txt + verify.json."""
     spec, op = _operator(target_text, coupling)
-    circ, distance = _synthesize(op)
+    synth = synth_kak_circuit if op.system_dim == 2 else synth_qutrit_circuit
+    circ, distance = synth(op)
     results = {
         "phase_invariant_distance": distance,
         "gate_count": len(circ.gates),
@@ -508,6 +485,9 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):
     label = spec.label
     noise = load_noise(noise_path)
     d = op.system_dim
+    # reconstructions, rows and JSON text: up to about 1.5 KB a step under
+    # tracemalloc, counted twice
+    _check_run_bytes(3072 * (steps + 1))
     fids, states = _blind_states(_maximally_mixed(d), op, steps, noise)
     exact = fids.tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state

@@ -124,11 +124,14 @@ def target_ket(spec: QubitTarget | QutritTarget) -> np.ndarray:
 
 
 def validate_density(mat: np.ndarray) -> None:
-    """Check a (d, d) matrix or a (..., d, d) stack: unit trace within 1e-10,
-    Hermitian within TOL.hermiticity, no eigenvalue below -1e-9.
+    """Check a (d, d) matrix or a (..., d, d) stack: finite entries, unit
+    trace within 1e-10, Hermitian within HERMITICITY_TOL, no eigenvalue
+    below -1e-9.
 
     Raises DimensionMismatchError naming the first violated condition.
     """
+    if not np.isfinite(mat).all():
+        raise DimensionMismatchError("density matrix has a non-finite entry")
     traces = np.trace(mat, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > 1e-10
     if off.any():

@@ -186,7 +186,7 @@ def test_criterion_06_circuit_equivalence():
     for entry in stabilizer_catalog():
         for coupling in np.linspace(0.05, math.pi / 2, 20):
             spec = TargetSpec(entry.target, float(coupling), entry.label)
-            circuit = synth_kak_circuit(spec)
+            circuit = synth_kak_circuit(make_steering_operator(spec))[0]
             u = expm_i_herm(build_qubit_hamiltonian(entry.theta, entry.phi, float(coupling)))
             worst = max(worst, phase_invariant_distance(evaluate_circuit(circuit), u))
             cnot_counts.add(circuit.count(CNOT))

@@ -123,7 +123,7 @@ class TestEvaluate:
     def test_readme_circuits(self, target, coupling, tol):
         spec = TargetSpec(target, coupling)
         synth = synth_kak_circuit if isinstance(target, QubitTarget) else synth_qutrit_circuit
-        c = synth(spec)
+        c = synth(make_steering_operator(spec))[0]
         u = evaluate_circuit(c)
         assert phase_invariant_distance(u, make_steering_operator(spec).unitary) <= tol
         assert np.max(np.abs(u - kron_reference(c))) <= 1e-13
@@ -210,12 +210,12 @@ class TestAngleExtraction:
 class TestKakSynthesis:
     def test_plus_target_exact(self):
         spec = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+")
-        c = synth_kak_circuit(spec)
+        c = synth_kak_circuit(make_steering_operator(spec))[0]
         u = expm_i_herm(build_qubit_hamiltonian(math.pi / 2, 0.0, math.pi / 2))
         assert phase_invariant_distance(evaluate_circuit(c), u) < 1e-9
 
     def test_zero_coupling_identity(self):
-        c = synth_kak_circuit(TargetSpec(QubitTarget(0.4, 0.8), 0.0))
+        c = synth_kak_circuit(make_steering_operator(TargetSpec(QubitTarget(0.4, 0.8), 0.0)))[0]
         assert phase_invariant_distance(evaluate_circuit(c), np.eye(4)) < 1e-9
         assert c.count(CNOT) == 2
 
@@ -223,7 +223,7 @@ class TestKakSynthesis:
         for e in stabilizer_catalog():
             for coupling in np.linspace(0.05, math.pi / 2, 20):
                 spec = TargetSpec(e.target, float(coupling), e.label)
-                c = synth_kak_circuit(spec)
+                c = synth_kak_circuit(make_steering_operator(spec))[0]
                 u = expm_i_herm(build_qubit_hamiltonian(e.theta, e.phi, float(coupling)))
                 assert phase_invariant_distance(evaluate_circuit(c), u) <= 1e-9
                 assert c.count(CNOT) == 2
@@ -238,7 +238,7 @@ class TestKakSynthesis:
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         qubits, _ = steering_grid()
         for spec in qubits:
-            c = synth_kak_circuit(spec)
+            c = synth_kak_circuit(make_steering_operator(spec))[0]
             assert [g.kind for g in c.gates] == [U3, U3, CNOT, RX, RZ, CNOT, U3, U3]
             assert c.count(CNOT) == 2
             # the core angles are J itself, not folded into the Weyl chamber
@@ -249,7 +249,7 @@ class TestKakSynthesis:
 
     def test_qutrit_target_rejected(self):
         with pytest.raises(ConfigError):
-            synth_kak_circuit(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4))
+            synth_kak_circuit(make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, 0.4)))[0]
 
 
 class TestSteeringKak:
@@ -311,7 +311,7 @@ class TestQutritSynthesis:
     @pytest.mark.parametrize("coupling", [0.3, math.pi / 4, math.pi / 2])
     def test_equal_superposition_circuit(self, coupling):
         spec = TargetSpec(QUTRIT_EQUAL_TARGET, coupling, "qutrit-equal")
-        c = synth_qutrit_circuit(spec)
+        c = synth_qutrit_circuit(make_steering_operator(spec))[0]
         want = make_steering_operator(spec).unitary
         assert phase_invariant_distance(evaluate_circuit(c), want) <= 1e-6
         assert c.count(QUBIT_QUTRIT_CNOT) > 0
@@ -320,13 +320,13 @@ class TestQutritSynthesis:
     def test_general_target(self):
         t = QutritTarget(1.2, 0.9, 1.0, 5.0)
         spec = TargetSpec(t, 0.8)
-        c = synth_qutrit_circuit(spec)
+        c = synth_qutrit_circuit(make_steering_operator(spec))[0]
         want = make_steering_operator(spec).unitary
         assert phase_invariant_distance(evaluate_circuit(c), want) <= 1e-6
 
     def test_qubit_target_rejected(self):
         with pytest.raises(ConfigError):
-            synth_qutrit_circuit(TargetSpec(QubitTarget(0.1, 0.1), 0.3))
+            synth_qutrit_circuit(make_steering_operator(TargetSpec(QubitTarget(0.1, 0.1), 0.3)))[0]
 
     def test_closed_form_grid(self, monkeypatch):
         # read off the operator's frame: no eigendecomposition
@@ -336,7 +336,7 @@ class TestQutritSynthesis:
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         _, qutrits = steering_grid()
         for spec in qutrits:
-            c = synth_qutrit_circuit(spec)
+            c = synth_qutrit_circuit(make_steering_operator(spec))[0]
             kinds = [g.kind for g in c.gates]
             assert len(kinds) == 34 and kinds.count(QUBIT_QUTRIT_CNOT) == 8
             # four adjacent cx23 pairs, each a CZ on |1,2>

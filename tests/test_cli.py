@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,6 +338,32 @@ class TestErrorPath:
         error = json.loads(lines[0])["error"]
         assert error["kind"] == "config" and "budget of 1000 bytes" in error["message"]
         assert not list(tmp_path.iterdir())
+
+    def test_tomo_counts_its_reconstructions(self, runner, tmp_path, monkeypatch):
+        # the blind run's 51 states fit in this budget; tomo's rows do not
+        monkeypatch.setattr(protocol, "MAX_RUN_BYTES", 20_000)
+        result = runner.invoke(main, ["tomo", "--target", "+", "--J", "0.5", "--N", "50",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "budget of 20000 bytes" in json.loads(lines[0])["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", [["kak", "--circuit"],
+                                        ["steer", "--target", "+", "--J", "0.5", "--noise"]],
+                             ids=["kak-circuit", "steer-noise"])
+    def test_input_file_not_utf8_is_one_json_line(self, runner, tmp_path, option):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*option, str(path), "--out", str(out)])
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "config" and "cannot read" in error["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", [["--help"], ["--version"], ["steer", "--help"]])
     def test_help_and_version_exit_0(self, runner, args):
@@ -683,8 +710,46 @@ class TestCircuitCommand:
         assert result.exit_code == 0, result.output
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("target, name", [("+", "synth_kak_circuit"),
+                                              ("qutrit-equal", "synth_qutrit_circuit")])
+    def test_synthesis_picked_by_dimension(self, runner, tmp_path, monkeypatch, target, name):
+        calls = []
+        for each in ("synth_kak_circuit", "synth_qutrit_circuit"):
+            def counted(op, synth=getattr(cli, each), each=each):
+                calls.append(each)
+                return synth(op)
+
+            monkeypatch.setattr(cli, each, counted)
+        result = runner.invoke(
+            main, ["circuit", "--target", target, "--J", "0.8", "--out", str(tmp_path)]
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == [name]
+
 
 class TestTomoAndQpt:
+    @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
+    def test_tomo_estimate_covers_its_peak(self, runner, tmp_path, monkeypatch, target):
+        estimates = []
+        check = cli._check_run_bytes
+
+        def recorded(n_bytes):
+            estimates.append(n_bytes)
+            check(n_bytes)
+
+        monkeypatch.setattr(cli, "_check_run_bytes", recorded)
+        for steps in (2000, 8000):
+            tracemalloc.start()
+            try:
+                result = runner.invoke(main, ["tomo", "--target", target, "--J", "0.785",
+                                              "--N", str(steps), "--shots", "100",
+                                              "--out", str(tmp_path / str(steps))])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+            assert estimates[-1] >= peak, (steps, estimates[-1], peak)
+
     def test_tomo_infinite_shots_exact(self, runner, tmp_path):
         result = runner.invoke(
             main,

@@ -254,3 +254,17 @@ class TestValidateDensity:
             validate_density(stack)
         with pytest.raises(DimensionMismatchError, match=message):
             validate_density(stack.reshape(2, 3, 2, 2))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, value, rng):
+        whole = np.full((2, 2), value, dtype=complex)
+        one = np.eye(2, dtype=complex) / 2
+        one[0, 1] = value
+        stack = np.stack([ginibre_density(2, rng) for _ in range(6)])
+        stack[4] = one
+        for bad in (whole, one, stack):
+            with pytest.raises(DimensionMismatchError, match="non-finite"):
+                validate_density(bad)
+        for bad in (whole, one):
+            with pytest.raises(DimensionMismatchError, match="non-finite"):
+                DensityState(matrix=bad, dims=(2,))
