@@ -62,20 +62,10 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(nm, nm)
 
 
-def partial_trace(rho, keep: int, dims: Sequence[int] | None = None):
-    """Trace out all subsystems except ``keep``.
-
-    Accepts either a raw matrix plus ``dims`` or any object with ``matrix``
-    and ``dims`` attributes (e.g. ``states.DensityState``); returns the same
-    kind as the input.
-    """
-    wrapped = hasattr(rho, "matrix") and hasattr(rho, "dims")
-    if wrapped:
-        mat, sub = np.asarray(rho.matrix, dtype=complex), tuple(rho.dims)
-    else:
-        if dims is None:
-            raise DimensionMismatchError("partial_trace of a raw matrix needs dims")
-        mat, sub = np.asarray(rho, dtype=complex), tuple(dims)
+def partial_trace(rho: ComplexMatrix, keep: int, dims: Sequence[int]) -> ComplexMatrix:
+    """Trace out all subsystems of the raw matrix ``rho``, with subsystem
+    dims ``dims``, except ``keep``."""
+    mat, sub = np.asarray(rho, dtype=complex), tuple(dims)
     if len(sub) < 2:
         raise DimensionMismatchError("partial_trace needs at least two subsystems")
     if not 0 <= keep < len(sub):
@@ -89,10 +79,7 @@ def partial_trace(rho, keep: int, dims: Sequence[int] | None = None):
     n = len(sub)
     for axis in reversed([i for i in range(n) if i != keep]):
         tensor = np.trace(tensor, axis1=axis, axis2=axis + tensor.ndim // 2)
-    out = tensor
-    if wrapped:
-        return type(rho)(matrix=out, dims=(sub[keep],))
-    return out
+    return tensor
 
 
 def herm_eig(h: ComplexMatrix) -> tuple[np.ndarray, ComplexMatrix]:

@@ -5,7 +5,9 @@ process tomography with Pauli-transfer-matrix analysis.
 "Infinite shots" (``shots=None``) computes exact Born expectations and is the
 normative mode for acceptance checks; finite-shot mode draws one multinomial
 sample per measurement setting from the Born outcome distribution,
-deterministically per seed.
+deterministically per seed.  State tomography takes and returns plain
+``(n, d, d)`` stacks, one seed per state, and projects every estimate that
+needs it in one mle_project call.
 """
 
 from __future__ import annotations
@@ -17,14 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
 from .linalg import ComplexMatrix, dagger, herm_eig
-from .states import (
-    DensityState,
-    GELL_MANN,
-    PAULIS,
-    _SUBSYSTEM_DIMS,
-    pauli_string_matrix,
-    validate_density,
-)
+from .states import GELL_MANN, PAULIS, pauli_string_matrix, validate_density
 from .steering import KrausSet
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -72,32 +67,33 @@ def _outcome_probs(mats: np.ndarray, vecs: np.ndarray, snap: bool) -> np.ndarray
     return probs
 
 
-def mle_project(rho_raw: ComplexMatrix) -> DensityState:
-    """Nearest density matrix by the truncate-and-redistribute rule.
+def mle_project(raw: ComplexMatrix) -> ComplexMatrix:
+    """Nearest density matrix by the truncate-and-redistribute rule, for a
+    (d, d) matrix or each of a (..., d, d) stack.
 
     Eigenvalues are zeroed most-negative first, each deficit being spread
     uniformly over the remaining eigenvalues; the eigenbasis is kept.  This
     is the least-squares-optimal projection among matrices sharing the
-    eigenbasis.
+    eigenbasis.  One eigendecomposition covers the stack, and each pass over
+    an eigenvalue column handles every row at once.
     """
-    rho_raw = np.asarray(rho_raw, dtype=complex)
-    if abs(np.trace(rho_raw).real - 1.0) > 1e-8:
+    raw = np.asarray(raw, dtype=complex)
+    if (np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0) > 1e-8).any():
         raise ConfigError("mle_project expects a unit-trace matrix")
-    w, v = herm_eig(rho_raw)
-    d = len(w)
-    out = np.array(w, dtype=float)
-    acc = 0.0
+    w, v = herm_eig(raw)
+    d = w.shape[-1]
+    acc = np.zeros(w.shape[:-1])
+    zeroing = np.ones(w.shape[:-1], dtype=bool)  # rows whose deficit is not yet spread
     for i in range(d):
         share = acc / (d - i)
-        if out[i] + share < 0.0:
-            acc += out[i]
-            out[i] = 0.0
-        else:
-            out[i:] += acc / (d - i)
-            break
-    mat = (v * out) @ dagger(v)
-    mat = mat / np.trace(mat).real
-    return DensityState(matrix=mat, dims=_SUBSYSTEM_DIMS.get(d, (d,)))
+        zero = zeroing & (w[..., i] + share < 0.0)
+        spread = (zeroing & ~zero)[..., None]
+        w[..., i:] = np.where(spread, w[..., i:] + share[..., None], w[..., i:])
+        acc = np.where(zero, acc + w[..., i], acc)
+        w[..., i] = np.where(zero, 0.0, w[..., i])
+        zeroing = zero
+    mat = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
 # Tomography observables B_k with Tr(B_i B_j) = 2 delta_ij: the Paulis and
@@ -111,62 +107,56 @@ _EIGENBASES = {2: np.linalg.eigh(_QUBIT_BASIS), 3: np.linalg.eigh(_QUTRIT_BASIS)
 def _reconstruct(expectations: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """rho = I/d + (1/2) sum_k e_k B_k for each row of the (n, K)
     ``expectations``; the rows with an eigenvalue below -1e-12 are replaced
-    by their mle_project.  The (n, d, d) result is not validated."""
+    by their mle_project, in one call.  The (n, d, d) result is not validated."""
     n, k = expectations.shape
     d = basis.shape[-1]
     # a stack of (1, K) by (K, d*d) products takes the vector-matrix kernel of
     # the one-state np.tensordot(e, basis, axes=1), so rows match it bit for
     # bit; one (n, K) by (K, d*d) product rounds differently
-    sums = np.matmul(expectations[:, None, :], basis.reshape(k, d * d)).reshape(n, d, d)
-    m = np.eye(d, dtype=complex) / d + 0.5 * sums
-    for j in np.flatnonzero(np.linalg.eigvalsh(m).min(axis=-1) < -1e-12):
-        m[j] = mle_project(m[j]).matrix
+    m = 0.5 * np.matmul(expectations[:, None, :], basis.reshape(k, d * d)).reshape(n, d, d)
+    m += np.eye(d, dtype=complex) / d
+    negative = np.linalg.eigvalsh(m).min(axis=-1) < -1e-12
+    if negative.any():
+        m[negative] = mle_project(m[negative])
     return m
 
 
-def _measure_and_reconstruct(rho, basis, shots, seed):
-    """Measure every observable on one state or on each of an (n, d, d)
-    stack and reconstruct, returning the input's kind.  With shots, the
-    state with seed k draws observable i from Philox key (k << 4) + i;
-    ``seed`` is one int per state of a stack, or one int for all."""
+def _measure_and_reconstruct(mats, basis, shots, seed):
+    """Measure every observable on each state of an (n, d, d) stack and
+    reconstruct the (n, d, d) stack, validated once.  With shots, the state
+    with seed k (``seed`` holds one int per state) draws observable i from
+    Philox key (k << 4) + i."""
     d = basis.shape[-1]
-    one = isinstance(rho, DensityState)
-    mats = rho.matrix[None] if one else np.asarray(rho, dtype=complex)
+    mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (d, d):
         raise DimensionMismatchError(f"{d}-level tomography of states of shape {mats.shape[1:]}")
     if shots is None:
         exps = np.trace(mats[:, None] @ basis, axis1=-2, axis2=-1).real
     else:
-        seeds = [seed] * len(mats) if np.ndim(seed) == 0 else list(seed)
-        if len(seeds) != len(mats):
-            raise DimensionMismatchError(f"{len(seeds)} seeds for {len(mats)} states")
-        keys = [(int(s) << 4) + i for s in seeds for i in range(len(basis))]
+        if np.shape(seed) != (len(mats),):
+            raise DimensionMismatchError(f"seeds of shape {np.shape(seed)} for {len(mats)} states")
+        keys = [(int(s) << 4) + i for s in seed for i in range(len(basis))]
         w, vecs = _EIGENBASES[d]
         probs = _outcome_probs(mats, vecs, snap=True)
-        counts = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape)
+        probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots
+        del keys  # eight big ints a qutrit state, not to be held through the projection
         # a stack of (1, d) by (d, 1) products takes the dot kernel of the
         # one-state np.dot(w, counts / shots); an elementwise sum rounds differently
-        exps = np.matmul((counts / shots)[..., None, :], w[..., None])[..., 0, 0]
+        exps = np.matmul(probs[..., None, :], w[..., None])[..., 0, 0]
     recs = _reconstruct(exps, basis)
-    if one:
-        return DensityState(matrix=recs[0], dims=(d,))
     validate_density(recs)
     return recs
 
 
-def tomo_qubit_state(
-    rho: DensityState | np.ndarray, shots: int | None = None, seed=0
-) -> DensityState | np.ndarray:
-    """Measure X, Y, Z (exactly or with shots) and reconstruct, on one
-    state or on each state of an (n, 2, 2) stack (one seed per state)."""
+def tomo_qubit_state(rho: np.ndarray, shots: int | None = None, seed=None) -> np.ndarray:
+    """Measure X, Y, Z (exactly or with shots) and reconstruct each state of
+    an (n, 2, 2) stack, with one seed per state."""
     return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, seed)
 
 
-def tomo_qutrit_state(
-    rho: DensityState | np.ndarray, shots: int | None = None, seed=0
-) -> DensityState | np.ndarray:
-    """Measure the eight Gell-Mann observables and reconstruct, on one
-    state or on each state of an (n, 3, 3) stack (one seed per state)."""
+def tomo_qutrit_state(rho: np.ndarray, shots: int | None = None, seed=None) -> np.ndarray:
+    """Measure the eight Gell-Mann observables and reconstruct each state of
+    an (n, 3, 3) stack, with one seed per state."""
     return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, seed)
 
 
@@ -216,6 +206,7 @@ def _measured_pauli_expectations(
     if shots is not None:
         keys = [((seed + 7919 * i) << 32) + s for i, s in np.ndindex(probs.shape[:2])]
         probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots
+        del keys  # eight big ints a qutrit state, not to be held through the projection
     # signs[t, b]: eigenvalue of outcome b on support t (a nonempty subset of
     # wires), the product over kept wires of +1 for bit 1 and -1 for bit 0
     supports = np.array(list(product((0, 1), repeat=n))[1:])

@@ -240,10 +240,10 @@ def qutrit_state_tomo(expectations) -> DensityState:
     return _from_expectations(expectations, tomography._QUTRIT_BASIS)
 
 
-def reconstruction_fidelity(rho_true: DensityState, rho_rec: DensityState) -> float:
+def reconstruction_fidelity(rho_true: DensityState, rho_rec: np.ndarray) -> float:
     """Fidelity proxy Tr[rho_true rho_rec] normalized for mixed states."""
     a = rho_true.matrix
-    b = rho_rec.matrix
+    b = rho_rec
     num = float(np.trace(a @ b).real)
     den = math.sqrt(float(np.trace(a @ a).real) * float(np.trace(b @ b).real))
     return min(1.0, max(0.0, num / den)) if den > 0 else 0.0

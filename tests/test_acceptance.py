@@ -304,9 +304,9 @@ def test_criterion_09_tomography_exactness():
     worst = 1.0
     for seed in range(500):
         rho2 = random_density(2, seed)
-        rec2 = tomo_qubit_state(rho2)
+        rec2 = tomo_qubit_state(rho2.matrix[None])[0]
         rho3 = random_density(3, seed)
-        rec3 = tomo_qutrit_state(rho3)
+        rec3 = tomo_qutrit_state(rho3.matrix[None])[0]
         worst = min(
             worst,
             reconstruction_fidelity(rho2, rec2),

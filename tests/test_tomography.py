@@ -170,15 +170,15 @@ class TestMleProject:
     def test_physical_input_unchanged(self):
         rho = random_density(3, 7)
         out = mle_project(rho.matrix)
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
+        assert np.max(np.abs(out - rho.matrix)) < 1e-12
 
     def test_two_level_hand_run(self):
         out = mle_project(np.diag([1.1, -0.1]).astype(complex))
-        assert np.allclose(np.sort(np.diag(out.matrix).real), [0.0, 1.0], atol=1e-12)
+        assert np.allclose(np.sort(np.diag(out).real), [0.0, 1.0], atol=1e-12)
 
     def test_three_level_hand_run(self):
         out = mle_project(np.diag([0.7, 0.5, -0.2]).astype(complex))
-        assert np.allclose(np.sort(np.diag(out.matrix).real), [0.0, 0.4, 0.6], atol=1e-12)
+        assert np.allclose(np.sort(np.diag(out).real), [0.0, 0.4, 0.6], atol=1e-12)
 
     def test_matches_quadratic_program_bruteforce(self, rng):
         # optimal eigenvalue vector minimizes sum (x - w)^2 over the simplex
@@ -188,7 +188,7 @@ class TestMleProject:
             w = rng.normal(size=4)
             w = w - (w.sum() - 1) / 4  # unit trace
             mat = np.diag(w).astype(complex)
-            got = np.sort(np.linalg.eigvalsh(mle_project(mat).matrix))
+            got = np.sort(np.linalg.eigvalsh(mle_project(mat)))
 
             cons = (
                 {"type": "eq", "fun": lambda x: x.sum() - 1},
@@ -203,6 +203,18 @@ class TestMleProject:
             )
             # SLSQP convergence limits the oracle side
             assert np.max(np.abs(got - np.sort(res.x))) < 1e-5
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stack_equals_one_row_calls(self, rng, d):
+        # unit-trace Hermitian rows, most with a negative eigenvalue, and
+        # one density matrix
+        rows = [random_hermitian(d, rng) for _ in range(40)]
+        rows = [h - np.eye(d) * (np.trace(h).real - 1) / d for h in rows]
+        stack = np.array(rows + [random_density(d, 5).matrix])
+        assert (np.linalg.eigvalsh(stack).min(axis=-1) < 0).sum() > 20
+        got = mle_project(stack)
+        for row, out in zip(stack, got):
+            assert np.array_equal(out, mle_project(row))
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(ConfigError):
@@ -239,11 +251,11 @@ class TestStateTomography:
     @settings(max_examples=60, deadline=None)
     def test_infinite_shot_exactness(self, seed):
         rho2 = random_density(2, seed)
-        rec2 = tomo_qubit_state(rho2)
-        assert np.max(np.abs(rec2.matrix - rho2.matrix)) < 1e-10
+        rec2 = tomo_qubit_state(rho2.matrix[None])[0]
+        assert np.max(np.abs(rec2 - rho2.matrix)) < 1e-10
         rho3 = random_density(3, seed)
-        rec3 = tomo_qutrit_state(rho3)
-        assert np.max(np.abs(rec3.matrix - rho3.matrix)) < 1e-10
+        rec3 = tomo_qutrit_state(rho3.matrix[None])[0]
+        assert np.max(np.abs(rec3 - rho3.matrix)) < 1e-10
 
     def test_consecutive_seeds_draw_independent_shots(self, monkeypatch):
         # tomo seeds step n with (seed << 16) + n; with a key of seed + i per
@@ -259,7 +271,7 @@ class TestStateTomography:
         monkeypatch.setattr(tomography, "_keyed_multinomial", record)
         plus = pure_state(target_ket(QubitTarget(math.pi / 2, 0.0)))
         for n in range(3):
-            tomo_qubit_state(plus, shots=4096, seed=(3 << 16) + n)
+            tomo_qubit_state(plus.matrix[None], shots=4096, seed=[(3 << 16) + n])
         xyz = np.reshape(values, (3, 3))
         assert xyz[0, 2] != xyz[1, 1] and xyz[1, 2] != xyz[2, 1]
 
@@ -267,13 +279,13 @@ class TestStateTomography:
     @pytest.mark.parametrize("tomo,dim", [(tomo_qubit_state, 3), (tomo_qutrit_state, 2)])
     def test_wrong_state_dimension_rejected(self, tomo, dim, shots):
         with pytest.raises(DimensionMismatchError):
-            tomo(random_density(dim, 0), shots=shots)
+            tomo(random_density(dim, 0).matrix[None], shots=shots, seed=[0])
 
     def test_finite_shot_quality(self):
         fids = []
         for seed in range(100):
             rho = random_density(3, seed)
-            rec = tomo_qutrit_state(rho, shots=4096, seed=10_000 + seed)
+            rec = tomo_qutrit_state(rho.matrix[None], shots=4096, seed=[10_000 + seed])[0]
             fids.append(reconstruction_fidelity(rho, rec))
         assert min(fids) >= 0.99
 
@@ -348,8 +360,8 @@ class TestStackedStateTomography:
             assert projected
         assert got.shape == stack.shape
         for mat, seed, rec in zip(stack, seeds, got):
-            one = tomo(DensityState(matrix=mat, dims=(d,)), shots=shots, seed=seed)
-            assert np.array_equal(rec, one.matrix)
+            one = tomo(mat[None], shots=shots, seed=[seed])[0]
+            assert np.array_equal(rec, one)
 
     def test_one_seed_per_state(self):
         with pytest.raises(DimensionMismatchError):
@@ -514,7 +526,7 @@ class TestPipeline:
         state = random_density(2, 1)
         shots = 4096
         for n in range(6):
-            rec = tomo_qubit_state(state, shots=shots, seed=100 + n)
+            rec = tomo_qubit_state(state.matrix[None], shots=shots, seed=[100 + n])[0]
             exact = fidelity(state, op.target)
             noisy = fidelity(rec, op.target)
             # fidelity is a linear functional of the three estimated
