@@ -43,7 +43,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError
 from .linalg import dagger, kron
 from .states import DensityState, fidelity, validate_density
-from .steering import KrausSet, SteeringOperator, TargetSpec, _ancilla_kraus, make_steering_operator
+from .steering import KrausSet, SteeringOperator, TargetSpec, make_steering_operator
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,6 @@ class RunRecord:
     trajectory_index: int = 0
 
 
-def depolarizing_apply(mat: np.ndarray, p: float) -> np.ndarray:
-    """rho -> (1 - p) rho + p I/d; acts on the last two axes of a batch."""
-    d = mat.shape[-1]
-    eye = np.eye(d, dtype=complex)
-    tr = np.trace(mat, axis1=-2, axis2=-1)
-    return (1.0 - p) * mat + p * tr[..., None, None] * eye / d
-
-
 def amplitude_damping_kraus(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
     """Damping operators: each level decays one step down at rate gamma."""
     root = math.sqrt(max(0.0, 1.0 - gamma))
@@ -115,29 +107,18 @@ def amplitude_damping_kraus(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
 
 
 def apply_noise(mat: np.ndarray, noise: NoiseConfig) -> np.ndarray:
-    """System-only noise for one cycle: depolarizing, then amplitude damping."""
+    """System-only noise for one cycle, on a (d, d) matrix or on each matrix
+    of a (..., d, d) stack: depolarizing, rho -> (1 - p) rho + p tr(rho) I/d,
+    then amplitude damping."""
     d = mat.shape[-1]
     out = mat
     if noise.depolarizing_p > 0.0:
-        out = depolarizing_apply(out, noise.depolarizing_p)
+        p, eye = noise.depolarizing_p, np.eye(d, dtype=complex)
+        tr = np.trace(out, axis1=-2, axis2=-1)
+        out = (1.0 - p) * out + p * tr[..., None, None] * eye / d
     if noise.amplitude_damping_gamma > 0.0:
         out = KrausSet(amplitude_damping_kraus(d, noise.amplitude_damping_gamma)).apply(out)
     return out
-
-
-def _cycle_kraus(op: SteeringOperator, noise: NoiseConfig) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Frame Kraus operators per ancilla outcome, with reset infidelity.
-
-    Returns a tuple indexed by outcome k; each element is the tuple of
-    operators sqrt(p_a) <k| V |a> of the frame cycle V over the ancilla's
-    reset states a = 0, 1, with p_1 the reset infidelity.
-    """
-    eps = noise.reset_infidelity
-    base = _ancilla_kraus(op.frame_unitary, 0)
-    if eps == 0.0:
-        return tuple((a,) for a in base)
-    w0, w1 = math.sqrt(1.0 - eps), math.sqrt(eps)
-    return tuple((w0 * a, w1 * b) for a, b in zip(base, _ancilla_kraus(op.frame_unitary, 1)))
 
 
 def _into_frame(mat: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -285,22 +266,29 @@ def _outcome_threshold(c: np.ndarray) -> np.ndarray:
 
 
 def _step_superoperator(op: SteeringOperator, noise: NoiseConfig) -> np.ndarray:
-    """(K, d^2, d^2) superoperators N o sum_{A in group k} A (x) A*, one per
-    outcome k, acting on a row-major vec(rho) column in op's frame.
+    """(K, d^2, d^2) superoperators, one per outcome k, acting on a row-major
+    vec(rho) column in op's frame, read off the joint cycle: column j of
+    branch k is vec N(<k| V (rho_A (x) E_j) V^dag |k>), with E_j the d^2
+    matrix units, V the frame cycle, rho_A = (1 - eps)|0><0| + eps|1><1| the
+    reset ancilla (eps the reset infidelity) and N :func:`apply_noise`.
 
-    Branch k, N(sum_A A rho A^dag), is unnormalized and noise-applied; the
-    sum over k is the blind cycle channel.  The noise superoperator N is
-    read off by applying apply_noise to the d^2 matrix units; it preserves
-    trace, so each branch's trace is still its outcome's weight.  Only
-    damping does not commute with F, so only then is N conjugated by it.
+    Branch k is unnormalized; N preserves trace, so its trace is still the
+    outcome's weight, and the sum over k is the blind cycle channel.  Only
+    damping does not commute with F, so only then is N taken as
+    F^dag N(F . F^dag) F.
     """
-    d = op.system_dim
+    d, eps, v = op.system_dim, noise.reset_infidelity, op.frame_unitary
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
+    inputs = np.zeros((d * d, 2, d, 2, d), dtype=complex)  # rho_A (x) E_j
+    inputs[:, 0, :, 0], inputs[:, 1, :, 1] = (1.0 - eps) * units, eps * units
+    joint = (v @ inputs.reshape(d * d, 2 * d, 2 * d) @ dagger(v)).reshape(d * d, 2, d, 2, d)
+    branches = joint[:, [0, 1], :, [0, 1]]  # (K, d^2, d, d): <k| . |k> of each unit
     if noise.amplitude_damping_gamma > 0.0:
-        lift = kron(op.frame, op.frame.conj())  # vec(F X F^dag) = lift vec(X)
-        noise_map = dagger(lift) @ noise_map @ lift
-    return np.array([noise_map @ KrausSet(grp).superoperator() for grp in _cycle_kraus(op, noise)])
+        f = op.frame
+        branches = dagger(f) @ apply_noise(f @ branches @ dagger(f), noise) @ f
+    else:
+        branches = apply_noise(branches, noise)
+    return np.ascontiguousarray(branches.reshape(2, d * d, d * d).swapaxes(1, 2))
 
 
 def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.ndarray:
@@ -314,12 +302,9 @@ def channel_spectrum(op: SteeringOperator, noise: NoiseConfig = NO_NOISE) -> np.
     return np.sort(np.abs(np.linalg.eigvals(_step_superoperator(op, noise).sum(axis=0))))[::-1]
 
 
-def _readout_confusion(rho0: DensityState, op: SteeringOperator, noise: NoiseConfig):
-    """The run's readout confusion, or None; rejects an initial state that
-    does not fit the operator."""
+def _check_dim(rho0: DensityState, op: SteeringOperator) -> None:
     if rho0.dim != op.system_dim:
         raise DimensionMismatchError("initial state does not match the system dimension")
-    return noise.readout_confusion
 
 
 def repetition_law(
@@ -336,7 +321,8 @@ def repetition_law(
     """
     if max_steps < 1:
         raise ConfigError("max_steps must be >= 1")
-    confusion = _readout_confusion(rho0, op, noise)
+    _check_dim(rho0, op)
+    confusion = noise.readout_confusion
     branches = _step_superoperator(op, noise)  # per true outcome
     if confusion is not None:
         branches = np.tensordot(confusion.T, branches, axes=1)  # per recorded outcome
@@ -383,9 +369,9 @@ def _blind_grid(
     states do not depend on the grid around it, bit for bit."""
     if steps < 0:
         raise ConfigError("steps must be >= 0")
+    for op in ops:
+        _check_dim(rho0, op)
     d = rho0.dim
-    if any(op.system_dim != d for op in ops):
-        raise DimensionMismatchError("initial state does not match the system dimension")
     _check_run_bytes(16 * (steps + 1) * len(ops) * d * d)  # the complex vec(rho) stack
     channels = np.array([_step_superoperator(op, noise).sum(axis=0) for op in ops])
     vecs = np.empty((steps + 1, len(ops), d * d, 1), dtype=complex)
@@ -434,7 +420,8 @@ def _run_trajectories(
     if not 0 <= first_index <= 2**64 - n_trajectories:
         raise ConfigError("trajectory indices must lie in [0, 2**64 - 1]")
     _check_run_bytes(n_trajectories * (16 * op.system_dim**2 + max_steps))  # final, record
-    confusion = _readout_confusion(rho0, op, noise)
+    _check_dim(rho0, op)
+    confusion = noise.readout_confusion
     # a readout records 1 when its draw reaches confusion[true outcome, 0]
     read_threshold = None if confusion is None else _outcome_threshold(confusion[:, 0])
     # a block's true-outcome words for its two steps, then their readout words

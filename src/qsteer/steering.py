@@ -4,9 +4,8 @@ cycle unitary and its Kraus sets, and one averaged channel step.
 Conventions used throughout:
 
 * Joint spaces are ordered ancilla (x) system; the ancilla is always a qubit
-  reset to |0> (the protocols mix in |1> for a reset infidelity), and only
-  :func:`_ancilla_kraus` splits a cycle unitary into ancilla blocks.  With
-  that convention one averaged step at theta=pi/2, phi=0, J=pi/2 maps every
+  reset to |0> (the protocols mix in |1> for a reset infidelity).  With that
+  convention one averaged step at theta=pi/2, phi=0, J=pi/2 maps every
   input to |+><+| exactly.
 * Every cycle has one definition, U = (I (x) F) V (I (x) F^dag).  The
   steering frame F = [psi, b (, d)] of :func:`steering_frame` is a unitary
@@ -236,18 +235,11 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     )
 
 
-def _ancilla_kraus(unitary: ComplexMatrix, ancilla: int) -> tuple[np.ndarray, np.ndarray]:
-    """(<0|_A U |a>_A, <1|_A U |a>_A): the Kraus operators, indexed by
-    outcome, of a cycle unitary whose ancilla enters in the basis state |a>."""
-    d = unitary.shape[0] // 2
-    u = unitary.reshape(2, d, 2, d)
-    return tuple(np.ascontiguousarray(u[k, :, ancilla]) for k in range(2))
-
-
 def kraus_from_unitary(op: SteeringOperator) -> KrausSet:
     """Kraus operators A_k = <k|_A U |0>_A of the computational-basis U,
     indexed by ancilla outcome."""
-    return KrausSet(operators=_ancilla_kraus(op.unitary, 0))
+    u = op.unitary.reshape(2, op.system_dim, 2, op.system_dim)
+    return KrausSet(operators=tuple(np.ascontiguousarray(u[k, :, 0]) for k in range(2)))
 
 
 def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:

@@ -37,6 +37,8 @@ def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
     """
     if shots < 1:
         raise ConfigError("shots must be >= 1")
+    if len(keys) != len(probs):
+        raise DimensionMismatchError(f"{len(keys)} Philox keys for {len(probs)} rows")
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # zero counter, empty output buffer

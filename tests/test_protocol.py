@@ -636,6 +636,42 @@ NOISE_KEYS = {
 QUTRIT_QUARTER = TargetSpec(QUTRIT_EQUAL_TARGET, math.pi / 4, "qutrit-equal")
 
 
+class TestStepSuperoperator:
+    """The per-outcome superoperators against the Kraus-sum oracle: the sum
+    over reset states a of p_a A_ka (x) A_ka*, A_ka = <k|V|a>, then the noise
+    superoperator read off the matrix units, conjugated by kron(F, F*) under
+    damping."""
+
+    @staticmethod
+    def oracle(op, noise):
+        d, f = op.system_dim, op.frame
+        blocks = op.frame_unitary.reshape(2, d, 2, d)
+        reset = (1.0 - noise.reset_infidelity, noise.reset_infidelity)
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        noise_map = apply_noise(units, noise).reshape(d * d, d * d).T
+        if noise.amplitude_damping_gamma > 0.0:
+            lift = np.kron(f, f.conj())
+            noise_map = lift.conj().T @ noise_map @ lift
+        return [
+            noise_map @ sum(p * np.kron(blocks[k, :, a], blocks[k, :, a].conj())
+                            for a, p in enumerate(reset))
+            for k in range(2)
+        ]
+
+    @pytest.mark.parametrize("key", [None, *sorted(NOISE_KEYS)])
+    @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
+    def test_branches_equal_kraus_oracle(self, spec, key):
+        op = make_steering_operator(spec)
+        noise = NoiseConfig() if key is None else NOISE_KEYS[key]
+        got = _step_superoperator(op, noise)
+        assert got.shape == (2, op.system_dim**2, op.system_dim**2) and got.flags.c_contiguous
+        for branch, want in zip(got, self.oracle(op, noise)):
+            if key is None:
+                assert np.array_equal(branch, want)
+            else:
+                assert np.max(np.abs(branch - want)) <= 1e-15
+
+
 class TestBlindReference:
     """run_blind against the per-step Kraus loop: averaged_step, then
     apply_noise, then a validated DensityState, once per cycle."""

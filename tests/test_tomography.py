@@ -323,6 +323,12 @@ class TestKeyedDraws:
         with pytest.raises(ConfigError):
             tomography._keyed_multinomial(8, np.array([[0.5, 0.5]]), [key])
 
+    @pytest.mark.parametrize("n_keys", [2, 5])
+    def test_one_key_per_row(self, n_keys):
+        # a row without its key would be counted from uninitialised memory
+        with pytest.raises(DimensionMismatchError, match=f"{n_keys} Philox keys for 4 rows"):
+            tomography._keyed_multinomial(100, np.full((4, 3), 1 / 3), list(range(n_keys)))
+
     def test_process_tomography_draws_equal_fresh_generators(self, monkeypatch):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
         chan = KrausSet(operators=(op.unitary,))
