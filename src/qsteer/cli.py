@@ -29,6 +29,7 @@ from .errors import ConfigError, NumericalError, QsteerError
 from .circuits import (CNOT, emit_text, evaluate_circuit, parse_text, steering_kak,
                        synth_kak_circuit, synth_qutrit_circuit)
 from .geometry import kak_decompose, reassembly_distance, same_weyl_point
+from .linalg import kron
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
@@ -50,7 +51,7 @@ from .states import (
     fidelity,
     stabilizer_catalog,
 )
-from .steering import KrausSet, TargetSpec, make_steering_operator
+from .steering import TargetSpec, make_steering_operator
 from .tomography import (
     average_gate_fidelity,
     process_tomography,
@@ -523,7 +524,7 @@ def qpt(target_text, coupling, shots, seed, out_dir):
         raise ConfigError("qpt applies to qubit steering operators")
     n_shots = _parse_shots(shots)
     _check_seed(seed)
-    rec = process_tomography(KrausSet(operators=(op.unitary,)), shots=n_shots, seed=seed)
+    rec = process_tomography(kron(op.unitary, op.unitary.conj()), shots=n_shots, seed=seed)
     ideal = ptm_of_unitary(op.unitary)
     dev = np.abs(rec @ np.linalg.inv(ideal) - np.eye(len(rec)))
     config = {"command": "qpt", "target": spec.label, "coupling": coupling, "shots": shots,

@@ -62,6 +62,12 @@ def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(nm, nm)
 
 
+def kraus_apply(kraus: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """The operator sum sum_k A_k rho A_k^dagger of the (K, d, d) Kraus stack
+    ``kraus``, on a (d, d) matrix or on each matrix of a (..., d, d) stack."""
+    return sum(a @ mat @ dagger(a) for a in kraus)
+
+
 def partial_trace(rho: ComplexMatrix, keep: int, dims: Sequence[int]) -> ComplexMatrix:
     """Trace out all subsystems of the raw matrix ``rho``, with subsystem
     dims ``dims``, except ``keep``."""

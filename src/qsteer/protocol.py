@@ -41,9 +41,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import dagger, kron
+from .linalg import dagger, kraus_apply, kron
 from .states import DensityState, fidelity, validate_density
-from .steering import KrausSet, SteeringOperator, TargetSpec, make_steering_operator
+from .steering import SteeringOperator, TargetSpec, make_steering_operator
 
 
 @dataclass(frozen=True)
@@ -94,16 +94,14 @@ class RunRecord:
     trajectory_index: int = 0
 
 
-def amplitude_damping_kraus(dim: int, gamma: float) -> tuple[np.ndarray, ...]:
-    """Damping operators: each level decays one step down at rate gamma."""
-    root = math.sqrt(max(0.0, 1.0 - gamma))
-    k0 = np.diag([1.0] + [root] * (dim - 1)).astype(complex)
-    ops = [k0]
+def amplitude_damping_kraus(dim: int, gamma: float) -> np.ndarray:
+    """(d, d, d) Kraus stack of damping: each level decays one step down at
+    rate gamma."""
+    ops = np.zeros((dim, dim, dim), dtype=complex)
+    ops[0] = np.diag([1.0] + [math.sqrt(max(0.0, 1.0 - gamma))] * (dim - 1))
     for level in range(1, dim):
-        k = np.zeros((dim, dim), dtype=complex)
-        k[level - 1, level] = math.sqrt(gamma)
-        ops.append(k)
-    return tuple(ops)
+        ops[level, level - 1, level] = math.sqrt(gamma)
+    return ops
 
 
 def apply_noise(mat: np.ndarray, noise: NoiseConfig) -> np.ndarray:
@@ -117,7 +115,7 @@ def apply_noise(mat: np.ndarray, noise: NoiseConfig) -> np.ndarray:
         tr = np.trace(out, axis1=-2, axis2=-1)
         out = (1.0 - p) * out + p * tr[..., None, None] * eye / d
     if noise.amplitude_damping_gamma > 0.0:
-        out = KrausSet(amplitude_damping_kraus(d, noise.amplitude_damping_gamma)).apply(out)
+        out = kraus_apply(amplitude_damping_kraus(d, noise.amplitude_damping_gamma), out)
     return out
 
 
@@ -505,7 +503,7 @@ def run_nonblind(
     return RunRecord(
         seed=seed,
         mode="nonblind",
-        fidelities=(fidelity(rho0, op.target), fidelity(final[0], op.target)),
+        fidelities=(fidelity(rho0.matrix, op.target), fidelity(final[0], op.target)),
         outcomes=tuple(recorded[0, :n_steps].tolist()),
         repetitions_to_success=int(reps[0]) or None,
         coupling=op.coupling,

@@ -166,12 +166,12 @@ class DensityState:
         return self.matrix.shape[0]
 
 
-def fidelity(rho: DensityState | ComplexMatrix, ket: np.ndarray) -> float | np.ndarray:
+def fidelity(rho: ComplexMatrix, ket: np.ndarray) -> float | np.ndarray:
     """<ket| rho |ket>, clamped to [0, 1].
 
     A stack of matrices (..., d, d) gives an array of fidelities.
     """
-    mat = rho.matrix if isinstance(rho, DensityState) else np.asarray(rho, dtype=complex)
+    mat = np.asarray(rho, dtype=complex)
     ket = np.asarray(ket, dtype=complex)
     if mat.shape[-1] != ket.shape[0]:
         raise DimensionMismatchError(

@@ -1,5 +1,5 @@
 """Steering operators: the paper's entangling generators, the closed-form
-cycle unitary and its Kraus sets, and one averaged channel step.
+cycle unitary and its Kraus operators, and one averaged channel step.
 
 Conventions used throughout:
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .linalg import ComplexMatrix, dagger, kron
+from .linalg import ComplexMatrix, dagger, kraus_apply, kron
 from .states import (
     DensityState,
     QubitTarget,
@@ -51,35 +51,6 @@ class TargetSpec:
     @property
     def system_dim(self) -> int:
         return 2 if isinstance(self.target, QubitTarget) else 3
-
-
-@dataclass(frozen=True)
-class KrausSet:
-    """Channel operators indexed by ancilla outcome; sum_k A_k^dag A_k = I."""
-
-    operators: tuple[ComplexMatrix, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """The operator sum sum_k A_k rho A_k^dagger on a (d, d) matrix or
-        on each matrix of a (..., d, d) stack."""
-        return sum(a @ mat @ dagger(a) for a in self.operators)
-
-    def superoperator(self) -> ComplexMatrix:
-        """(d^2, d^2) matrix sum_k A_k (x) A_k*, so that vec(apply(rho)) =
-        superoperator() @ vec(rho) with row-major vec."""
-        d = self.dim
-        kraus = np.array(self.operators)  # [(i, k), (j, l)] = A_ij A*_kl by broadcasting
-        pairs = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
-        return pairs.sum(axis=0).reshape(d * d, d * d)
-
-    def completeness_defect(self) -> float:
-        d = self.dim
-        acc = sum(dagger(a) @ a for a in self.operators)
-        return float(np.max(np.abs(acc - np.eye(d))))
 
 
 @dataclass(frozen=True)
@@ -235,15 +206,17 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
     )
 
 
-def kraus_from_unitary(op: SteeringOperator) -> KrausSet:
-    """Kraus operators A_k = <k|_A U |0>_A of the computational-basis U,
-    indexed by ancilla outcome."""
+def kraus_from_unitary(op: SteeringOperator) -> np.ndarray:
+    """(2, d, d) Kraus stack A_k = <k|_A U |0>_A of the computational-basis
+    U, indexed by ancilla outcome."""
     u = op.unitary.reshape(2, op.system_dim, 2, op.system_dim)
-    return KrausSet(operators=tuple(np.ascontiguousarray(u[k, :, 0]) for k in range(2)))
+    return np.ascontiguousarray(u[:, :, 0])
 
 
-def averaged_step(rho: DensityState, kraus: KrausSet) -> DensityState:
-    """One blind protocol step: rho -> sum_k A_k rho A_k^dagger."""
-    if rho.dim != kraus.dim:
-        raise DimensionMismatchError(f"state dim {rho.dim} does not match Kraus dim {kraus.dim}")
-    return DensityState(matrix=kraus.apply(rho.matrix), dims=rho.dims)
+def averaged_step(rho: DensityState, kraus: np.ndarray) -> DensityState:
+    """One blind protocol step: rho -> sum_k A_k rho A_k^dagger, for a
+    (K, d, d) Kraus stack."""
+    d = kraus.shape[-1]
+    if rho.dim != d:
+        raise DimensionMismatchError(f"state dim {rho.dim} does not match Kraus dim {d}")
+    return DensityState(matrix=kraus_apply(kraus, rho.matrix), dims=rho.dims)

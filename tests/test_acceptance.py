@@ -33,7 +33,6 @@ from qsteer.states import (
     stabilizer_catalog,
 )
 from qsteer.steering import (
-    KrausSet,
     TargetSpec,
     averaged_step,
     build_qubit_hamiltonian,
@@ -50,6 +49,7 @@ from qsteer.tomography import (
 from conftest import (
     bloch_vector,
     canonicalize_weyl_vector,
+    channel_superoperator,
     cphase_gate,
     measure_expectation,
     reconstruction_fidelity,
@@ -112,10 +112,10 @@ def test_criterion_03_steering_inequality():
             kset = kraus_from_unitary(op)
             for seed in range(50):
                 state = random_density(2, seed)
-                fids = [fidelity(state, op.target)]
+                fids = [fidelity(state.matrix, op.target)]
                 for _ in range(30):
                     state = averaged_step(state, kset)
-                    fids.append(fidelity(state, op.target))
+                    fids.append(fidelity(state.matrix, op.target))
                 ok, idx = steering_inequality_holds(fids)
                 if not ok:
                     violations.append((entry.label, coupling, seed, idx))
@@ -137,7 +137,7 @@ def test_criterion_04_qutrit_fixed_point():
         state = random_density(3, seed)
         for _ in range(steps):
             state = averaged_step(state, kset)
-        worst = min(worst, fidelity(state, op.target))
+        worst = min(worst, fidelity(state.matrix, op.target))
     elapsed = time.monotonic() - t0
     ok = worst >= 1 - 1e-8 and elapsed < budget
     _report(
@@ -209,7 +209,7 @@ def test_criterion_07_kraus_partial_trace_duality():
         op = make_steering_operator(TargetSpec(QubitTarget(theta, phi), coupling))
         rho = random_density(2, int(rng.integers(0, 2**31)))
         kset = kraus_from_unitary(op)
-        via_kraus = sum(a @ rho.matrix @ dagger(a) for a in kset.operators)
+        via_kraus = sum(a @ rho.matrix @ dagger(a) for a in kset)
         anc = np.diag([1.0, 0.0]).astype(complex)
         joint = op.unitary @ kron(anc, rho.matrix) @ dagger(op.unitary)
         via_trace = partial_trace(joint, keep=1, dims=(2, 2))
@@ -357,8 +357,7 @@ def test_criterion_09_tomography_exactness():
 def test_criterion_10_qpt_identity_and_depolarizing():
     budget, t0 = 30.0, time.monotonic()
     op = make_steering_operator(TargetSpec(PLUS, math.pi / 2, "+"))
-    chan = KrausSet(operators=(op.unitary,))
-    rec = process_tomography(chan)
+    rec = process_tomography(channel_superoperator([op.unitary]))
     ideal = ptm_of_unitary(op.unitary)
     err = rec @ np.linalg.inv(ideal)
     dev_identity = float(np.max(np.abs(err - np.eye(16))))
@@ -366,7 +365,7 @@ def test_criterion_10_qpt_identity_and_depolarizing():
     p = 0.3
     dep_ops = [math.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
     dep_ops += [math.sqrt(p / 4) * PAULIS[s] for s in "XYZ"]
-    ptm = process_tomography(KrausSet(operators=tuple(dep_ops)))
+    ptm = process_tomography(channel_superoperator(dep_ops))
     dev_dep = float(np.max(np.abs(ptm - np.diag([1, 1 - p, 1 - p, 1 - p]))))
     elapsed = time.monotonic() - t0
     ok = dev_identity <= 1e-9 and dev_dep <= 1e-9 and elapsed < budget

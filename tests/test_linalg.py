@@ -87,7 +87,7 @@ class TestPartialTrace:
             anc = np.diag([1.0, 0.0]).astype(complex)
             joint = op.unitary @ kron(anc, rho) @ dagger(op.unitary)
             lhs = ptrace_loop(joint, (2, 2), 1)
-            rhs = sum(a @ rho @ dagger(a) for a in kset.operators)
+            rhs = sum(a @ rho @ dagger(a) for a in kset)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_trace_preserved_and_dimension_check(self, rng):

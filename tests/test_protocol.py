@@ -41,7 +41,6 @@ from qsteer.states import (
     stabilizer_catalog,
 )
 from qsteer.steering import (
-    KrausSet,
     TargetSpec,
     averaged_step,
     build_qutrit_hamiltonian,
@@ -116,7 +115,7 @@ class TestRunBlind:
         op = make_steering_operator(PLUS_QUARTER)
         rho = random_density(2, 11)
         rec = run_blind(rho, op, 4)
-        assert rec.fidelities[0] == pytest.approx(fidelity(rho, op.target))
+        assert rec.fidelities[0] == pytest.approx(fidelity(rho.matrix, op.target))
         assert len(rec.fidelities) == 5
 
     def test_depolarizing_plateau_matches_transfer_matrix_fixed_point(self):
@@ -125,7 +124,7 @@ class TestRunBlind:
         p = 0.05
         op = make_steering_operator(PLUS)
         kset = kraus_from_unitary(op)
-        s = channel_superoperator(kset.operators)
+        s = channel_superoperator(kset)
         d = 2
         dep = (1 - p) * np.eye(d * d, dtype=complex)
         eye_flat = np.eye(d, dtype=complex).reshape(-1)
@@ -196,7 +195,7 @@ class TestMeasureAncilla:
                 p, post = ancilla_readout(op, rho, k)
                 if p >= 1e-14:
                     acc += p * post
-            want = sum(a @ rho @ a.conj().T for a in kset.operators)
+            want = sum(a @ rho @ a.conj().T for a in kset)
             assert np.max(np.abs(acc - want)) < 1e-10
 
 
@@ -243,7 +242,7 @@ class TestRunNonblind:
         for i in range(20):
             rec = run_nonblind(rho, op, 12, noise, seed=5, trajectory_index=i)
             assert len(rec.fidelities) == 2
-            assert rec.fidelities[0] == fidelity(rho, op.target)
+            assert rec.fidelities[0] == fidelity(rho.matrix, op.target)
             # the batch's lane i: the same draws, a batched matrix product
             want = fidelity(batch.final_states[i], op.target)
             assert rec.fidelities[1] == pytest.approx(want, abs=1e-12)
@@ -682,15 +681,14 @@ class TestBlindReference:
         d = op.system_dim
         flipped = op.unitary.reshape(2, d, 2, d)[:, :, 1]  # <k|U|1> for a reset to |1>
         eps = noise.reset_infidelity
-        kset = KrausSet(
-            operators=tuple(math.sqrt(1.0 - eps) * a for a in kraus_from_unitary(op).operators)
-            + tuple(math.sqrt(eps) * a for a in flipped)
+        kset = np.concatenate(
+            [math.sqrt(1.0 - eps) * kraus_from_unitary(op), math.sqrt(eps) * flipped]
         )
-        state, fids = rho, [fidelity(rho, op.target)]
+        state, fids = rho, [fidelity(rho.matrix, op.target)]
         for _ in range(steps):
             state = averaged_step(state, kset)
             state = DensityState(matrix=apply_noise(state.matrix, noise), dims=state.dims)
-            fids.append(fidelity(state, op.target))
+            fids.append(fidelity(state.matrix, op.target))
         return fids
 
     @pytest.mark.parametrize("key", sorted(NOISE_KEYS))

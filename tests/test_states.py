@@ -166,20 +166,20 @@ class TestStabilizerCatalog:
 class TestFidelity:
     def test_pure_match(self):
         ket = target_ket(QubitTarget(math.pi / 2, 0.0))
-        assert fidelity(pure_state(ket), ket) == pytest.approx(1.0, abs=1e-15)
+        assert fidelity(pure_state(ket).matrix, ket) == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_half(self):
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
-        assert fidelity(rho, np.array([1, 0], dtype=complex)) == pytest.approx(0.5)
+        assert fidelity(rho.matrix, np.array([1, 0], dtype=complex)) == pytest.approx(0.5)
 
     def test_qutrit_third(self):
         rho = DensityState(matrix=np.eye(3, dtype=complex) / 3, dims=(3,))
-        assert fidelity(rho, QUTRIT_EQUAL_KET) == pytest.approx(1 / 3)
+        assert fidelity(rho.matrix, QUTRIT_EQUAL_KET) == pytest.approx(1 / 3)
 
     def test_dimension_mismatch(self):
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         with pytest.raises(DimensionMismatchError):
-            fidelity(rho, QUTRIT_EQUAL_KET)
+            fidelity(rho.matrix, QUTRIT_EQUAL_KET)
 
 
 class TestRandomDensity:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsteer.errors import ConfigError
-from qsteer.linalg import dagger, expm_i_herm, kron
+from qsteer.linalg import dagger, expm_i_herm, kraus_apply, kron
 from qsteer.states import (
     QubitTarget,
     QutritTarget,
@@ -17,7 +17,6 @@ from qsteer.states import (
     target_ket,
 )
 from qsteer.steering import (
-    KrausSet,
     SteeringOperator,
     TargetSpec,
     averaged_step,
@@ -169,8 +168,8 @@ class TestSteeringOperator:
             op = make_steering_operator(spec)
             assert np.max(np.abs(dagger(op.unitary) @ op.unitary - np.eye(4))) < 1e-12
             kset = kraus_from_unitary(op)
-            assert len(kset.operators) == 2
-            assert kset.completeness_defect() < 1e-10
+            assert len(kset) == 2
+            assert np.max(np.abs(sum(dagger(a) @ a for a in kset) - np.eye(2))) < 1e-10
 
     def test_closed_form_matches_paper_generators(self):
         # exp(-i H) of the paper's qubit generator; for a qutrit its rotation
@@ -233,15 +232,15 @@ class TestSteeringOperator:
         for seed in range(25):
             rho = random_density(2, seed)
             out = averaged_step(rho, kset)
-            assert fidelity(out, plus) >= 1 - 1e-12
+            assert fidelity(out.matrix, plus) >= 1 - 1e-12
 
 
 class TestKraus:
     def test_identity_unitary(self):
         op = make_steering_operator(TargetSpec(QubitTarget(0.3, 0.4), 0.0))
         kset = kraus_from_unitary(op)
-        assert np.allclose(kset.operators[0], np.eye(2), atol=1e-14)
-        assert np.allclose(kset.operators[1], np.zeros((2, 2)), atol=1e-14)
+        assert np.allclose(kset[0], np.eye(2), atol=1e-14)
+        assert np.allclose(kset[1], np.zeros((2, 2)), atol=1e-14)
 
     def test_swap_unitary_gives_replacement_kraus(self):
         swap = np.array(
@@ -256,19 +255,17 @@ class TestKraus:
             frame_unitary=swap,
         )
         kset = kraus_from_unitary(op)
-        for k, a in enumerate(kset.operators):
+        for k, a in enumerate(kset):
             want = np.zeros((2, 2), dtype=complex)
             want[0, k] = 1.0  # |0><k|
             assert np.allclose(a, want, atol=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_superoperator_and_stacked_apply(self, dim, rng):
-        ops = tuple(rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim)))
-        kset = KrausSet(operators=ops)
-        sup = kset.superoperator()
-        assert np.max(np.abs(sup - channel_superoperator(ops))) < 1e-13
+        ops = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        sup = channel_superoperator(ops)
         stack = np.array([ginibre_density(dim, rng) for _ in range(5)]).reshape(5, 1, dim, dim)
-        out = kset.apply(stack)
+        out = kraus_apply(ops, stack)
         assert out.shape == stack.shape
         for m, got in zip(stack[:, 0], out[:, 0]):
             want = sum(a @ m @ dagger(a) for a in ops)
@@ -279,7 +276,7 @@ class TestKraus:
 class TestAveragedStep:
     def test_identity_kraus(self, rng):
         rho = random_density(2, 0)
-        kset = KrausSet(operators=(np.eye(2, dtype=complex),))
+        kset = np.eye(2, dtype=complex)[None]
         assert np.allclose(averaged_step(rho, kset).matrix, rho.matrix)
 
     def test_matches_joint_partial_trace(self, rng):
@@ -300,9 +297,9 @@ class TestAveragedStep:
         r2 = ginibre_density(2, rng)
         alpha = 0.37
         mix = alpha * r1 + (1 - alpha) * r2
-        lhs = sum(a @ mix @ dagger(a) for a in kset.operators)
-        rhs = alpha * sum(a @ r1 @ dagger(a) for a in kset.operators) + (1 - alpha) * sum(
-            a @ r2 @ dagger(a) for a in kset.operators
+        lhs = sum(a @ mix @ dagger(a) for a in kset)
+        rhs = alpha * sum(a @ r1 @ dagger(a) for a in kset) + (1 - alpha) * sum(
+            a @ r2 @ dagger(a) for a in kset
         )
         assert np.max(np.abs(lhs - rhs)) < 1e-11
 
@@ -331,10 +328,10 @@ class TestSteeringInequality:
                 op = make_steering_operator(TargetSpec(e.target, 0.6, e.label))
                 kset = kraus_from_unitary(op)
                 state = random_density(2, seed)
-                fids = [fidelity(state, op.target)]
+                fids = [fidelity(state.matrix, op.target)]
                 for _ in range(40):
                     state = averaged_step(state, kset)
-                    fids.append(fidelity(state, op.target))
+                    fids.append(fidelity(state.matrix, op.target))
                 ok, idx = steering_inequality_holds(fids)
                 assert ok, (e.label, seed, idx)
 
@@ -350,7 +347,7 @@ class TestFixedPoints:
                 state = random_density(2, seed)
                 for _ in range(steps):
                     state = averaged_step(state, kset)
-                assert fidelity(state, op.target) >= 1 - 1e-8
+                assert fidelity(state.matrix, op.target) >= 1 - 1e-8
 
     def test_qutrit_channel_preserves_dark_complement_direction(self):
         # The paper's equal-superposition generator alone couples only one
@@ -379,7 +376,7 @@ class TestFixedPoints:
             for _ in range(200):
                 state = averaged_step(state, kset)
             assert abs(float((dark.conj() @ state.matrix @ dark).real) - dark_pop) < 1e-10
-            assert abs(fidelity(state, psi) - (1 - dark_pop)) < 1e-8
+            assert abs(fidelity(state.matrix, psi) - (1 - dark_pop)) < 1e-8
 
     def test_qutrit_converges_from_dark_free_states(self):
         # from any state orthogonal to the dark direction (e.g. |0><0| or the
@@ -390,7 +387,7 @@ class TestFixedPoints:
         state = pure_state(np.array([1, 0, 0], dtype=complex))
         for _ in range(40):
             state = averaged_step(state, kset)
-        assert fidelity(state, QUTRIT_EQUAL_KET) >= 1 - 1e-10
+        assert fidelity(state.matrix, QUTRIT_EQUAL_KET) >= 1 - 1e-10
 
 
 class TestQutritSteeringContract:
@@ -404,7 +401,7 @@ class TestQutritSteeringContract:
     def test_heralded_dark_free_and_generated(self, target, coupling):
         op = make_steering_operator(TargetSpec(target, coupling))
         psi = op.target
-        a0, a1 = kraus_from_unitary(op).operators
+        a0, a1 = kraus_from_unitary(op)
         # a recorded "1" heralds the target: A_1 is rank one onto psi
         assert np.linalg.svd(a1, compute_uv=False)[1] <= 1e-12
         assert np.max(np.abs(a1 - np.outer(psi, psi.conj() @ a1))) <= 1e-12

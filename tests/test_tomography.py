@@ -20,19 +20,20 @@ from qsteer.states import (
     random_density,
     target_ket,
 )
-from qsteer.protocol import NO_NOISE, _blind_states
-from qsteer.steering import KrausSet, TargetSpec, kraus_from_unitary, make_steering_operator
+from qsteer.protocol import NO_NOISE, NoiseConfig, _blind_states, _step_superoperator
+from qsteer.steering import TargetSpec, kraus_from_unitary, make_steering_operator
 from qsteer.tomography import (
     average_gate_fidelity,
     mle_project,
     process_tomography,
-    ptm_of_kraus,
+    ptm_of_superoperator,
     ptm_of_unitary,
     tomo_qubit_state,
     tomo_qutrit_state,
 )
 
 from conftest import (
+    channel_superoperator,
     shot_draw,
     ginibre_density,
     measure_expectation,
@@ -44,10 +45,10 @@ from conftest import (
 )
 
 
-def depolarizing_kraus(p: float) -> KrausSet:
+def depolarizing_channel(p: float) -> np.ndarray:
     ops = [math.sqrt(1 - 3 * p / 4) * np.eye(2, dtype=complex)]
     ops += [math.sqrt(p / 4) * PAULIS[s] for s in "XYZ"]
-    return KrausSet(operators=tuple(ops))
+    return channel_superoperator(ops)
 
 
 class TestShotDraws:
@@ -144,9 +145,9 @@ class TestSnappedProbabilities:
         # `qsteer qpt --target + --J pi/2 --shots 256 --seed 9`: many of its
         # Born probabilities are 0.5 up to rounding
         u = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2)).unitary
-        want = process_tomography(KrausSet(operators=(u,)), shots=256, seed=9)
+        want = process_tomography(channel_superoperator([u]), shots=256, seed=9)
         for _ in range(20):
-            chan = KrausSet(operators=(self.perturbed(u, rng),))
+            chan = channel_superoperator([self.perturbed(u, rng)])
             assert np.array_equal(process_tomography(chan, shots=256, seed=9), want)
 
     @pytest.mark.parametrize("target", ["+", "qutrit-equal"])
@@ -224,7 +225,7 @@ class TestMleProject:
 class TestStateTomography:
     def test_plus_from_expectations(self):
         rho = qubit_state_tomo(1.0, 0.0, 0.0)
-        assert fidelity(rho, target_ket(QubitTarget(math.pi / 2, 0.0))) == pytest.approx(1.0)
+        assert fidelity(rho.matrix, target_ket(QubitTarget(math.pi / 2, 0.0))) == pytest.approx(1.0)
 
     def test_zero_expectations_maximally_mixed(self):
         rho = qubit_state_tomo(0.0, 0.0, 0.0)
@@ -233,7 +234,7 @@ class TestStateTomography:
     def test_noisy_expectations_projected(self):
         rho = qubit_state_tomo(1.06, 0.02, -0.03)
         assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-12
-        assert fidelity(rho, target_ket(QubitTarget(math.pi / 2, 0.0))) >= 0.99
+        assert fidelity(rho.matrix, target_ket(QubitTarget(math.pi / 2, 0.0))) >= 0.99
 
     def test_qutrit_zero_expectations(self):
         rho = qutrit_state_tomo(np.zeros(8))
@@ -245,7 +246,7 @@ class TestStateTomography:
         truth = pure_state(QUTRIT_EQUAL_KET)
         exps = [float(np.trace(truth.matrix @ l).real) for l in GELL_MANN]
         rho = qutrit_state_tomo(exps)
-        assert fidelity(rho, QUTRIT_EQUAL_KET) >= 1 - 1e-10
+        assert fidelity(rho.matrix, QUTRIT_EQUAL_KET) >= 1 - 1e-10
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -331,7 +332,7 @@ class TestKeyedDraws:
 
     def test_process_tomography_draws_equal_fresh_generators(self, monkeypatch):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
-        chan = KrausSet(operators=(op.unitary,))
+        chan = channel_superoperator([op.unitary])
         got = process_tomography(chan, shots=256, seed=MAX_SEED)
 
         def fresh(shots, probs, keys):
@@ -376,7 +377,7 @@ class TestStackedStateTomography:
 
 class TestProcessTomography:
     def test_identity_channel(self):
-        chan = KrausSet(operators=(np.eye(2, dtype=complex),))
+        chan = channel_superoperator([np.eye(2, dtype=complex)])
         ptm = process_tomography(chan)
         assert np.max(np.abs(ptm - np.eye(4))) < 1e-9
 
@@ -388,19 +389,19 @@ class TestProcessTomography:
             )
             op = make_steering_operator(spec)
             kset = kraus_from_unitary(op)
-            ptm = ptm_of_kraus(kset)
+            ptm = ptm_of_superoperator(channel_superoperator(kset))
             want = np.zeros(4)
             want[0] = 1.0
             assert np.max(np.abs(ptm[0] - want)) < 1e-10
 
     def test_ptm_strictly_real_channel_reconstruction(self):
         p = 0.35
-        ptm = process_tomography(depolarizing_kraus(p))
+        ptm = process_tomography(depolarizing_channel(p))
         assert np.max(np.abs(ptm - np.diag([1, 1 - p, 1 - p, 1 - p]))) < 1e-9
 
     def test_two_qubit_error_channel_identity(self):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+"))
-        chan = KrausSet(operators=(op.unitary,))
+        chan = channel_superoperator([op.unitary])
         rec = process_tomography(chan)
         ideal = ptm_of_unitary(op.unitary)
         err = rec @ np.linalg.inv(ideal)
@@ -408,19 +409,30 @@ class TestProcessTomography:
 
     def test_finite_shots_stay_physical(self):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
-        chan = KrausSet(operators=(op.unitary,))
+        chan = channel_superoperator([op.unitary])
         rec = process_tomography(chan, shots=2000, seed=3)
         ideal = ptm_of_unitary(op.unitary)
         agf = average_gate_fidelity(rec, ideal)
         assert 0.9 < agf <= 1.0
 
     def test_wire_count_validation(self):
-        # the wire count is read off the channel's dimension: 2 is one wire,
-        # 4 is two, and no other dimension is a supported register
-        for dim in (3, 8):
-            chan = KrausSet(operators=(np.eye(dim, dtype=complex),))
+        # the wire count is read off the superoperator's shape: (4, 4) is one
+        # wire, (16, 16) two, and no other shape is a supported register
+        for channel in (np.eye(9), np.eye(64), np.ones((4, 16)), np.ones(16)):
             with pytest.raises(ConfigError):
-                process_tomography(chan)
+                process_tomography(channel)
+
+    @pytest.mark.parametrize("target", [QubitTarget(math.pi / 2, 0.0), QubitTarget(1.1, 0.3)])
+    def test_noisy_cycle_channel_equals_its_ptm(self, target):
+        # the blind cycle with a reset infidelity and damping, taken out of
+        # the frame: exact tomography reads back its PTM
+        op = make_steering_operator(TargetSpec(target, 0.785))
+        noise = NoiseConfig(amplitude_damping_gamma=0.1, reset_infidelity=0.05)
+        lift = np.kron(op.frame, op.frame.conj())
+        channel = lift @ _step_superoperator(op, noise).sum(axis=0) @ lift.conj().T
+        want = ptm_of_superoperator(channel)
+        assert np.max(np.abs(want[0] - np.eye(4)[0])) < 1e-12  # trace preserving
+        assert np.max(np.abs(process_tomography(channel) - want)) < 1e-12
 
 
 def loop_pauli_basis(n):
@@ -470,8 +482,8 @@ class TestChannelConversions:
                 rng.uniform(0.2, 1.5),
             )
             op = make_steering_operator(spec)
-            for ops in (kraus_from_unitary(op).operators, (op.unitary,)):
-                got = ptm_of_kraus(KrausSet(operators=ops))
+            for ops in (kraus_from_unitary(op), [op.unitary]):
+                got = ptm_of_superoperator(channel_superoperator(ops))
                 assert np.max(np.abs(got - loop_ptm_of_kraus(ops))) < 1e-12
 
     def test_choi_projection_matches_loop_on_finite_shot_ptms(self, rng, monkeypatch):
@@ -486,7 +498,7 @@ class TestChannelConversions:
                 rng.uniform(0.2, 1.5),
             )
             op = make_steering_operator(spec)
-            process_tomography(KrausSet(operators=(op.unitary,)), shots=256, seed=seed)
+            process_tomography(channel_superoperator([op.unitary]), shots=256, seed=seed)
         n_truncated = 0
         for r in raw:
             want, truncated = loop_project_ptm(r, 2)
@@ -502,7 +514,8 @@ class TestAverageGateFidelity:
         assert average_gate_fidelity(ptm, ptm) == pytest.approx(1.0, abs=1e-12)
 
     def test_fully_depolarizing_single_qubit(self):
-        got = average_gate_fidelity(ptm_of_kraus(depolarizing_kraus(1.0)), ptm_of_unitary(np.eye(2)))
+        ptm = ptm_of_superoperator(depolarizing_channel(1.0))
+        got = average_gate_fidelity(ptm, ptm_of_unitary(np.eye(2)))
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_two_qubit_depolarizing_closed_form(self):
@@ -516,8 +529,8 @@ class TestAverageGateFidelity:
                 if a == b == "I":
                     continue
                 ops.append(math.sqrt(p / 16) * pauli_string_matrix(a + b))
-        chan = KrausSet(operators=tuple(ops))
-        got = average_gate_fidelity(ptm_of_kraus(chan), ptm_of_unitary(np.eye(4)))
+        chan = channel_superoperator(ops)
+        got = average_gate_fidelity(ptm_of_superoperator(chan), ptm_of_unitary(np.eye(4)))
         f_pro = (1 + 15 * (1 - p)) / 16
         want = (4 * f_pro + 1) / 5
         assert got == pytest.approx(want, abs=1e-12)
@@ -533,7 +546,7 @@ class TestPipeline:
         shots = 4096
         for n in range(6):
             rec = tomo_qubit_state(state.matrix[None], shots=shots, seed=[100 + n])[0]
-            exact = fidelity(state, op.target)
+            exact = fidelity(state.matrix, op.target)
             noisy = fidelity(rec, op.target)
             # fidelity is a linear functional of the three estimated
             # expectations; 3 sigma of each, summed, bounds the error
