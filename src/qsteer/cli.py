@@ -492,7 +492,7 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):
     fids, states = _blind_states(_maximally_mixed(d), op, steps, noise)
     exact = fids.tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
-    recs = reconstruct(states, shots=n_shots, seed=[(seed << 16) + n for n in range(steps + 1)])
+    recs = reconstruct(states, shots=n_shots, seed=seed)
     rows = [[label, coupling, n, exact[n], fidelity(rec, op.target)] for n, rec in enumerate(recs)]
     config = {
         "command": "tomo",

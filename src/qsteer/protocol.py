@@ -24,7 +24,8 @@ stream of numpy.random.Philox(key=((s + 1) << 64) + i), and cycle t uses its
 draws 2t (true outcome) and 2t + 1 (readout).  One engine serves single runs
 and batches; it generates these draws itself, only for trajectories still
 running, so a trajectory records the same outcomes alone or in a batch of any
-size.  Seeds range over [0, 2**64 - 2].
+size.  Seeds range over [0, 2**64 - 2].  Tomography shots follow the same
+rule: row j of a command's probability table reads the stream of trajectory j.
 
 Noise channels (depolarizing, then amplitude damping) act on the system only,
 after each entangle-measure-reset cycle.  Ancilla reset is perfect unless

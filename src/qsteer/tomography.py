@@ -5,9 +5,12 @@ process tomography with Pauli-transfer-matrix analysis.
 "Infinite shots" (``shots=None``) computes exact Born expectations and is the
 normative mode for acceptance checks; finite-shot mode draws one multinomial
 sample per measurement setting from the Born outcome distribution,
-deterministically per seed.  State tomography takes and returns plain
-``(n, d, d)`` stacks, one seed per state, and projects every estimate that
-needs it in one mle_project call.
+deterministically per seed, by the trajectory rule of :mod:`qsteer.protocol`:
+row j of a command's probability table, drawn with seed s, reads the Philox
+stream with key words (j, s + 1).  A command draws its table in one call, so
+no two of its draws share a stream.  State tomography takes and returns plain
+``(n, d, d)`` stacks, with one seed per stack, and projects every estimate
+that needs it in one mle_project call.
 """
 
 from __future__ import annotations
@@ -19,37 +22,34 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NumericalError
 from .linalg import ComplexMatrix, dagger, herm_eig, kron
+from .protocol import _check_seed
 from .states import GELL_MANN, PAULIS, pauli_string_matrix, validate_density
 
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 KET_PLUS_I = np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0)
 
 
-def _keyed_multinomial(shots: int, probs: np.ndarray, keys) -> np.ndarray:
+def _keyed_multinomial(shots: int, probs: np.ndarray, seed: int) -> np.ndarray:
     """(m, K) counts whose row j equals
-    ``Generator(Philox(key=keys[j])).multinomial(shots, probs[j])``.
+    ``Generator(Philox(key=((seed + 1) << 64) + j)).multinomial(shots, probs[j])``.
 
-    A Philox stream is its 128-bit key, so one bit generator per call is
-    re-keyed for each row (both key words, zero counter) instead of a
-    generator being built per draw.  It is local to the call, so calls stay
-    safe to run concurrently.
+    One bit generator per call is re-keyed for each row (key word 0, zero
+    counter) instead of a generator being built per draw.  It is local to
+    the call, so calls stay safe to run concurrently.
     """
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    if len(keys) != len(probs):
-        raise DimensionMismatchError(f"{len(keys)} Philox keys for {len(probs)} rows")
+    _check_seed(seed)
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # zero counter, empty output buffer
     words = state["state"]["key"]
+    words[1] = int(seed) + 1
     counts = np.empty(probs.shape, dtype=np.int64)
-    for j, key in enumerate(keys):
-        key = int(key)
-        if not 0 <= key < 1 << 128:
-            raise ConfigError(f"Philox key {key} is outside [0, 2**128)")
-        words[:] = key & (2**64 - 1), key >> 64
+    for j, p in enumerate(probs):
+        words[0] = j
         bitgen.state = state
-        counts[j] = rng.multinomial(shots, probs[j])
+        counts[j] = rng.multinomial(shots, p)
     return counts
 
 
@@ -124,9 +124,8 @@ def _reconstruct(expectations: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 def _measure_and_reconstruct(mats, basis, shots, seed):
     """Measure every observable on each state of an (n, d, d) stack and
-    reconstruct the (n, d, d) stack, validated once.  With shots, the state
-    with seed k (``seed`` holds one int per state) draws observable i from
-    Philox key (k << 4) + i."""
+    reconstruct the (n, d, d) stack, validated once.  With shots, state k
+    draws observable i from row k K + i, so its shots depend on k alone."""
     d = basis.shape[-1]
     mats = np.asarray(mats, dtype=complex)
     if mats.ndim != 3 or mats.shape[1:] != (d, d):
@@ -134,13 +133,9 @@ def _measure_and_reconstruct(mats, basis, shots, seed):
     if shots is None:
         exps = np.trace(mats[:, None] @ basis, axis1=-2, axis2=-1).real
     else:
-        if np.shape(seed) != (len(mats),):
-            raise DimensionMismatchError(f"seeds of shape {np.shape(seed)} for {len(mats)} states")
-        keys = [(int(s) << 4) + i for s in seed for i in range(len(basis))]
         w, vecs = _EIGENBASES[d]
         probs = _outcome_probs(mats, vecs, snap=True)
-        probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots
-        del keys  # eight big ints a qutrit state, not to be held through the projection
+        probs = _keyed_multinomial(shots, probs.reshape(-1, d), seed).reshape(probs.shape) / shots
         # a stack of (1, d) by (d, 1) products takes the dot kernel of the
         # one-state np.dot(w, counts / shots); an elementwise sum rounds differently
         exps = np.matmul(probs[..., None, :], w[..., None])[..., 0, 0]
@@ -151,13 +146,13 @@ def _measure_and_reconstruct(mats, basis, shots, seed):
 
 def tomo_qubit_state(rho: np.ndarray, shots: int | None = None, seed=None) -> np.ndarray:
     """Measure X, Y, Z (exactly or with shots) and reconstruct each state of
-    an (n, 2, 2) stack, with one seed per state."""
+    an (n, 2, 2) stack; state k draws observable i from row 3 k + i."""
     return _measure_and_reconstruct(rho, _QUBIT_BASIS, shots, seed)
 
 
 def tomo_qutrit_state(rho: np.ndarray, shots: int | None = None, seed=None) -> np.ndarray:
     """Measure the eight Gell-Mann observables and reconstruct each state of
-    an (n, 3, 3) stack, with one seed per state."""
+    an (n, 3, 3) stack; state k draws observable i from row 8 k + i."""
     return _measure_and_reconstruct(rho, _QUTRIT_BASIS, shots, seed)
 
 
@@ -199,14 +194,13 @@ def _measured_pauli_expectations(
     Each setting's bit outcomes give the strings that keep its letter or an
     identity on each wire; a string is read from the first setting that
     covers it.  With shots, state i and setting s draw one multinomial
-    sample from Philox key ((seed + 7919 i) << 32) + s.
+    sample from row 3^n i + s.
     """
     d = 2**n
     rotations = _kron_all(_SETTING_BASES, n)
     probs = _outcome_probs(rho_out, rotations, snap=shots is not None)
     if shots is not None:
-        keys = [((seed + 7919 * i) << 32) + s for i, s in np.ndindex(probs.shape[:2])]
-        probs = _keyed_multinomial(shots, probs.reshape(-1, d), keys).reshape(probs.shape) / shots
+        probs = _keyed_multinomial(shots, probs.reshape(-1, d), seed).reshape(probs.shape) / shots
     # signs[t, b]: eigenvalue of outcome b on support t (a nonempty subset of
     # wires), the product over kept wires of +1 for bit 1 and -1 for bit 0
     supports = np.array(list(product((0, 1), repeat=n))[1:])
@@ -230,7 +224,7 @@ def process_tomography(
     trace.  The result is completely positive but not trace preserving: a
     finite-shot estimate's first row need not be (1, 0, ..., 0), and
     ``qpt --target + --J pi/2 --shots 256 --seed 9`` gives max |R[0, 1:]|
-    = 0.0436."""
+    = 0.0528."""
     n_wires = {(4, 4): 1, (16, 16): 2}.get(np.shape(channel))
     if n_wires is None:
         raise ConfigError(f"superoperator shape {np.shape(channel)} is not (4, 4) or (16, 16)")

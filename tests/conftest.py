@@ -203,10 +203,10 @@ def canonicalize_weyl_vector(c) -> np.ndarray:
 
 def shot_draw(rho: DensityState, observable: np.ndarray, shots: int, seed: int):
     """(ascending eigenvalues, counts) of one draw of ``observable`` on rho,
-    from Philox key ``seed``."""
+    row 0 of a keyed draw with ``seed``."""
     w, vecs = herm_eig(observable)
     probs = tomography._outcome_probs(rho.matrix[None], vecs[None], snap=True)[0]
-    return w, tomography._keyed_multinomial(shots, probs, [seed])[0]
+    return w, tomography._keyed_multinomial(shots, probs, seed)[0]
 
 
 def measure_expectation(

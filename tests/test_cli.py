@@ -14,7 +14,7 @@ from qsteer import __version__, cli, geometry, protocol, steering, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
 from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, _blind_states, sweep
-from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
+from qsteer.states import DensityState, QubitTarget, QutritTarget
 
 from conftest import MALFORMED_CIRCUIT_TEXTS
 
@@ -808,39 +808,31 @@ class TestTomoAndQpt:
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / f"{args[0]}.json").read_text())["config"]["shots"] == shots
 
-    @pytest.mark.parametrize("target,n_observables", [("+", 3), ("qutrit-equal", 8)])
-    def test_tomo_shot_keys_are_distinct(self, runner, tmp_path, monkeypatch, target, n_observables):
-        keys = []
-        draw = tomography._keyed_multinomial
-
-        def record(shots, probs, row_keys):
-            keys.extend(row_keys)
-            return draw(shots, probs, row_keys)
-
-        monkeypatch.setattr(tomography, "_keyed_multinomial", record)
-        result = runner.invoke(
-            main,
-            ["tomo", "--target", target, "--J", "0.785", "--N", "10", "--shots", "64",
-             "--seed", "3", "--out", str(tmp_path)],
-        )
-        assert result.exit_code == 0, result.output
-        assert len(keys) == 11 * n_observables
-        assert len(set(keys)) == len(keys)
-
     @pytest.mark.parametrize("target,shots,noisy", [
-        ("+", "64", False), ("-i", "inf", True), ("qutrit-equal", "4096", False),
-        ("qutrit:0.4,1.1,0.3,2.0", "1", True),
+        ("+", 64, False), ("-i", 4096, True), ("qutrit-equal", 64, False),
+        ("qutrit:0.4,1.1,0.3,2.0", 1, True),
     ])
-    def test_tomo_rows_equal_per_step_calls(self, runner, tmp_path, target, shots, noisy):
-        seed, steps = 2**40 + 5, 10
+    def test_tomo_draws_follow_the_key_rule(self, runner, tmp_path, monkeypatch, target, shots,
+                                            noisy):
+        # step n, observable i of a run with seed s is row j = n K + i of one
+        # draw, and reads Philox key words (j, s + 1) like trajectory j
+        seed, steps = 1, 2
         noise_args = []
         if noisy:
             noise_file = tmp_path / "noise.json"
             noise_file.write_text(json.dumps(NOISE_FILES["all"]))
             noise_args = ["--noise", str(noise_file)]
+        draws = []
+        draw = tomography._keyed_multinomial
+
+        def record(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(tomography, "_keyed_multinomial", record)
         result = runner.invoke(
             main,
-            ["tomo", "--target", target, "--J", "0.785", "--N", str(steps), "--shots", shots,
+            ["tomo", "--target", target, "--J", "0.785", "--N", str(steps), "--shots", str(shots),
              "--seed", str(seed), *noise_args, "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
@@ -848,14 +840,12 @@ class TestTomoAndQpt:
         d = op.system_dim
         noise = cli.load_noise(noise_args[1] if noisy else None)
         _, states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
-        tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
-        n_shots = None if shots == "inf" else int(shots)
-        want = [
-            fidelity(tomo(st[None], shots=n_shots, seed=[(seed << 16) + n])[0], op.target)
-            for n, st in enumerate(states)
-        ]
-        rows = json.loads((tmp_path / "tomo.json").read_text())["fidelities"]
-        assert [row["reconstructed"] for row in rows] == want
+        probs = tomography._outcome_probs(states, tomography._EIGENBASES[d][1], snap=True)
+        probs = probs.reshape(-1, d)
+        assert len(draws) == 1 and len(draws[0]) == len(probs) == (steps + 1) * (d * d - 1)
+        for j, (row, p) in enumerate(zip(draws[0], probs)):
+            rng = np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + j))
+            assert np.array_equal(row, rng.multinomial(shots, p)), j
 
     def test_tomo_builds_one_generator_and_no_state_per_step(self, runner, tmp_path, monkeypatch):
         built = {"philox": 0, "state": 0, "projected": 0}

@@ -129,7 +129,7 @@ class TestSnappedProbabilities:
         # remainder of -1 step, which is clamped at 0
         got = diagonal_probs([0.25 + 0.6 * U40, 0.25 + 0.6 * U40, 0.5 - 1.2 * U40 - 2e-14, 2e-14])
         assert got.tolist() == [0.25 + U40, 0.25 + U40, 0.5 - U40, 0.0]
-        assert tomography._keyed_multinomial(64, got[None], [0]).sum() == 64
+        assert tomography._keyed_multinomial(64, got[None], 0).sum() == 64
 
     def test_exact_probabilities_not_snapped(self):
         p = [0.5 + 1e-15, 0.5 - 1e-15]
@@ -156,14 +156,13 @@ class TestSnappedProbabilities:
         op = make_steering_operator(TargetSpec(parse_target(target)[1], 0.785))
         d = op.system_dim
         rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-        seeds = [(3 << 16) + n for n in range(11)]
         tomo = tomo_qubit_state if d == 2 else tomo_qutrit_state
-        want = tomo(_blind_states(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=seeds)
+        want = tomo(_blind_states(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=3)
         for _ in range(20):
             # a blind run reads the frame and the cycle in it
             moved = replace(op, frame=self.perturbed(op.frame, rng),
                             frame_unitary=self.perturbed(op.frame_unitary, rng))
-            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=seeds)
+            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=3)
             assert np.array_equal(got, want)
 
 
@@ -259,8 +258,8 @@ class TestStateTomography:
         assert np.max(np.abs(rec3 - rho3.matrix)) < 1e-10
 
     def test_consecutive_seeds_draw_independent_shots(self, monkeypatch):
-        # tomo seeds step n with (seed << 16) + n; with a key of seed + i per
-        # observable, Z at step n and Y at step n + 1 read one stream
+        # with a key of seed + i per observable, Z at seed n and Y at seed
+        # n + 1 would read one stream
         values = []
         draw = tomography._keyed_multinomial
 
@@ -272,7 +271,7 @@ class TestStateTomography:
         monkeypatch.setattr(tomography, "_keyed_multinomial", record)
         plus = pure_state(target_ket(QubitTarget(math.pi / 2, 0.0)))
         for n in range(3):
-            tomo_qubit_state(plus.matrix[None], shots=4096, seed=[(3 << 16) + n])
+            tomo_qubit_state(plus.matrix[None], shots=4096, seed=3 + n)
         xyz = np.reshape(values, (3, 3))
         assert xyz[0, 2] != xyz[1, 1] and xyz[1, 2] != xyz[2, 1]
 
@@ -280,64 +279,47 @@ class TestStateTomography:
     @pytest.mark.parametrize("tomo,dim", [(tomo_qubit_state, 3), (tomo_qutrit_state, 2)])
     def test_wrong_state_dimension_rejected(self, tomo, dim, shots):
         with pytest.raises(DimensionMismatchError):
-            tomo(random_density(dim, 0).matrix[None], shots=shots, seed=[0])
+            tomo(random_density(dim, 0).matrix[None], shots=shots, seed=0)
 
     def test_finite_shot_quality(self):
         fids = []
         for seed in range(100):
             rho = random_density(3, seed)
-            rec = tomo_qutrit_state(rho.matrix[None], shots=4096, seed=[10_000 + seed])[0]
+            rec = tomo_qutrit_state(rho.matrix[None], shots=4096, seed=10_000 + seed)[0]
             fids.append(reconstruction_fidelity(rho, rec))
         assert min(fids) >= 0.99
 
 
 MAX_SEED = 2**64 - 2
-# keys of the keyed draw: below 2**64, on both sides of 2**64, the first
-# and last tomo keys (k << 4) + i of a run at the largest seed, with
-# k = (seed << 16) + n for steps n = 0 .. 10, and the largest qpt key
-# ((seed + 7919 i) << 32) + s for 16 inputs and 9 settings
-KEYED_DRAW_KEYS = [
-    0,
-    5,
-    2**63 + 11,
-    2**64 - 1,
-    2**64,
-    ((MAX_SEED << 16) << 4) + 0,
-    (((MAX_SEED << 16) + 10) << 4) + 7,
-    ((MAX_SEED + 7919 * 15) << 32) + 8,
-]
 
 
 class TestKeyedDraws:
     @pytest.mark.parametrize("shots", [1, 64, 4096])
     @pytest.mark.parametrize("order", [1, -1])
     def test_rows_equal_fresh_generators(self, shots, order):
-        keys = KEYED_DRAW_KEYS[::order]
-        probs = np.random.default_rng(shots).dirichlet(np.ones(3), size=len(keys))
-        got = tomography._keyed_multinomial(shots, probs, keys)
-        for row, key, p in zip(got, keys, probs):
-            want = np.random.Generator(np.random.Philox(key=key)).multinomial(shots, p)
-            assert np.array_equal(row, want), key
+        # row j reads key words (j, seed + 1) whatever its probabilities
+        probs = np.random.default_rng(shots).dirichlet(np.ones(3), size=8)[::order]
+        for seed in (0, 5, 2**63 + 11, MAX_SEED):
+            got = tomography._keyed_multinomial(shots, probs, seed)
+            for j, (row, p) in enumerate(zip(got, probs)):
+                rng = np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + j))
+                assert np.array_equal(row, rng.multinomial(shots, p)), (seed, j)
 
-    @pytest.mark.parametrize("key", [-1, 2**128])
-    def test_key_outside_128_bits_rejected(self, key):
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+    def test_seed_outside_range_rejected(self, seed):
         with pytest.raises(ConfigError):
-            tomography._keyed_multinomial(8, np.array([[0.5, 0.5]]), [key])
-
-    @pytest.mark.parametrize("n_keys", [2, 5])
-    def test_one_key_per_row(self, n_keys):
-        # a row without its key would be counted from uninitialised memory
-        with pytest.raises(DimensionMismatchError, match=f"{n_keys} Philox keys for 4 rows"):
-            tomography._keyed_multinomial(100, np.full((4, 3), 1 / 3), list(range(n_keys)))
+            tomography._keyed_multinomial(8, np.array([[0.5, 0.5]]), seed)
 
     def test_process_tomography_draws_equal_fresh_generators(self, monkeypatch):
         op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), 0.9, "+"))
         chan = channel_superoperator([op.unitary])
         got = process_tomography(chan, shots=256, seed=MAX_SEED)
 
-        def fresh(shots, probs, keys):
-            return np.array([np.random.Generator(np.random.Philox(key=k)).multinomial(shots, p)
-                             for k, p in zip(keys, probs)])
+        def fresh(shots, probs, seed):
+            return np.array([
+                np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + j)).multinomial(shots, p)
+                for j, p in enumerate(probs)
+            ])
 
         monkeypatch.setattr(tomography, "_keyed_multinomial", fresh)
         assert np.array_equal(got, process_tomography(chan, shots=256, seed=MAX_SEED))
@@ -356,23 +338,19 @@ def tomography_stack(d: int) -> np.ndarray:
 class TestStackedStateTomography:
     @pytest.mark.parametrize("shots", [None, 1, 16, 4096])
     @pytest.mark.parametrize("tomo,d", [(tomo_qubit_state, 2), (tomo_qutrit_state, 3)])
-    def test_stack_equals_one_state_calls(self, monkeypatch, tomo, d, shots):
+    def test_prefix_of_stack_draws_the_same_shots(self, monkeypatch, tomo, d, shots):
+        # a state's shots depend on its position, not on the states after it
         stack = tomography_stack(d)
-        seeds = [((2**40 + 5) << 16) + n for n in range(len(stack))]
+        seed = 2**40 + 5
         projected = []
         project = tomography.mle_project
         monkeypatch.setattr(tomography, "mle_project", lambda m: projected.append(m) or project(m))
-        got = tomo(stack, shots=shots, seed=seeds)
+        got = tomo(stack, shots=shots, seed=seed)
         if shots in (1, 16):
             assert projected
         assert got.shape == stack.shape
-        for mat, seed, rec in zip(stack, seeds, got):
-            one = tomo(mat[None], shots=shots, seed=[seed])[0]
-            assert np.array_equal(rec, one)
-
-    def test_one_seed_per_state(self):
-        with pytest.raises(DimensionMismatchError):
-            tomo_qubit_state(tomography_stack(2), shots=8, seed=[1, 2])
+        for k in range(1, len(stack) + 1):
+            assert np.array_equal(tomo(stack[:k], shots=shots, seed=seed), got[:k])
 
 
 class TestProcessTomography:
@@ -545,7 +523,7 @@ class TestPipeline:
         state = random_density(2, 1)
         shots = 4096
         for n in range(6):
-            rec = tomo_qubit_state(state.matrix[None], shots=shots, seed=[100 + n])[0]
+            rec = tomo_qubit_state(state.matrix[None], shots=shots, seed=100 + n)[0]
             exact = fidelity(state.matrix, op.target)
             noisy = fidelity(rec, op.target)
             # fidelity is a linear functional of the three estimated
