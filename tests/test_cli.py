@@ -14,7 +14,7 @@ from qsteer import __version__, cli, geometry, protocol, steering, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
 from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, _blind_states, sweep
-from qsteer.states import DensityState, QubitTarget, QutritTarget
+from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 from conftest import MALFORMED_CIRCUIT_TEXTS
 
@@ -807,6 +807,64 @@ class TestTomoAndQpt:
         )
         assert result.exit_code == 0, result.output
         assert json.loads((tmp_path / f"{args[0]}.json").read_text())["config"]["shots"] == shots
+
+    @pytest.mark.parametrize("target,n_observables", [("+", 3), ("qutrit-equal", 8)])
+    def test_tomo_shot_keys_are_distinct(self, runner, tmp_path, monkeypatch, target, n_observables):
+        # the key of every draw, read off the bit generator each time it is re-keyed
+        keys = []
+        philox = np.random.Philox
+
+        class Recording(philox):
+            @property
+            def state(self):
+                return philox.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                words = value["state"]["key"]
+                keys.append(int(words[0]) + (int(words[1]) << 64))
+                philox.state.__set__(self, value)
+
+        monkeypatch.setattr(np.random, "Philox", Recording)
+        result = runner.invoke(
+            main,
+            ["tomo", "--target", target, "--J", "0.785", "--N", "10", "--shots", "64",
+             "--seed", "3", "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(keys) == 11 * n_observables
+        assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("target,shots,noisy", [
+        ("+", "64", False), ("-i", "inf", True), ("qutrit-equal", "4096", False),
+        ("qutrit:0.4,1.1,0.3,2.0", "1", True),
+    ])
+    def test_tomo_rows_equal_per_step_calls(self, runner, tmp_path, target, shots, noisy):
+        # row n is the last estimate of a call on the states of steps 0..n
+        seed, steps = 2**40 + 5, 10
+        noise_args = []
+        if noisy:
+            noise_file = tmp_path / "noise.json"
+            noise_file.write_text(json.dumps(NOISE_FILES["all"]))
+            noise_args = ["--noise", str(noise_file)]
+        result = runner.invoke(
+            main,
+            ["tomo", "--target", target, "--J", "0.785", "--N", str(steps), "--shots", shots,
+             "--seed", str(seed), *noise_args, "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        _, op = cli._operator(target, 0.785)
+        d = op.system_dim
+        noise = cli.load_noise(noise_args[1] if noisy else None)
+        _, states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
+        tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
+        n_shots = None if shots == "inf" else int(shots)
+        want = [
+            fidelity(tomo(states[: n + 1], shots=n_shots, seed=seed)[n], op.target)
+            for n in range(len(states))
+        ]
+        rows = json.loads((tmp_path / "tomo.json").read_text())["fidelities"]
+        assert [row["reconstructed"] for row in rows] == want
 
     @pytest.mark.parametrize("target,shots,noisy", [
         ("+", 64, False), ("-i", 4096, True), ("qutrit-equal", 64, False),
