@@ -33,8 +33,6 @@ from .linalg import kron
 from .protocol import (
     NO_NOISE,
     NoiseConfig,
-    RunRecord,
-    _blind_states,
     _check_run_bytes,
     _check_seed,
     _maximally_mixed,
@@ -43,14 +41,7 @@ from .protocol import (
     run_nonblind_batch,
     sweep,
 )
-from .states import (
-    QubitTarget,
-    QutritTarget,
-    QUTRIT_EQUAL_LABEL,
-    QUTRIT_EQUAL_TARGET,
-    fidelity,
-    stabilizer_catalog,
-)
+from .states import CATALOG, QubitTarget, QutritTarget, fidelity
 from .steering import TargetSpec, make_steering_operator
 from .tomography import (
     average_gate_fidelity,
@@ -78,11 +69,9 @@ def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
     """Catalog label (0, 1, +, -, i, -i, qutrit-equal) or explicit angles
     (qubit:theta,phi or qutrit:xi,theta,phi01,phi02)."""
     text = text.strip()
-    for entry in stabilizer_catalog():
-        if text == entry.label:
-            return entry.label, entry.target
-    if text == QUTRIT_EQUAL_LABEL:
-        return QUTRIT_EQUAL_LABEL, QUTRIT_EQUAL_TARGET
+    target = CATALOG.get(text)
+    if target is not None:
+        return text, target
     if ":" in text:
         kind, _, args = text.partition(":")
         try:
@@ -143,19 +132,6 @@ def load_noise(path: str | None) -> NoiseConfig:
 def _noise_echo(noise: NoiseConfig) -> dict:
     confusion = noise.readout_confusion
     return {**asdict(noise), "readout_confusion": None if confusion is None else confusion.tolist()}
-
-
-def _record_payload(rec: RunRecord) -> dict:
-    return {
-        "seed": rec.seed,
-        "mode": rec.mode,
-        "trajectory_index": rec.trajectory_index,
-        "fidelities": list(rec.fidelities),
-        "outcomes": None if rec.outcomes is None else list(rec.outcomes),
-        "repetitions_to_success": rec.repetitions_to_success,
-        "coupling": rec.coupling,
-        "target": rec.target_label,
-    }
 
 
 def _die(code: int, kind: str, message: str) -> None:
@@ -277,10 +253,13 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
     }
     fid_header = ["target", "J", "n", "mean_fid", "std"]
     if mode == "blind":
-        rec = run_blind(rho0, op, steps, noise)
-        fid_rows = [[label, coupling, n, f, 0.0] for n, f in enumerate(rec.fidelities)]
+        fids = run_blind(rho0, op, steps, noise)[0].tolist()
+        fid_rows = [[label, coupling, n, f, 0.0] for n, f in enumerate(fids)]
         tables = {"fidelity_vs_n.csv": (fid_header, fid_rows)}
-        results = {"records": [_record_payload(rec)]}
+        record = {"seed": None, "mode": "blind", "trajectory_index": 0, "fidelities": fids,
+                  "outcomes": None, "repetitions_to_success": None, "coupling": coupling,
+                  "target": label}
+        results = {"records": [record]}
     else:
         batch = run_nonblind_batch(rho0, op, steps, trajectories, noise, seed=seed)
         stats = repetition_stats(batch)
@@ -331,12 +310,11 @@ def _split_targets(text: str) -> list[str]:
     return [t for t in tokens if t.strip()]
 
 
-def write_sweep(rows: list, csv_path: Path, json_path: Path | None = None,
-                config: dict | None = None) -> None:
+def write_sweep(rows: list, csv_path: Path, json_path: Path, config: dict) -> None:
     """Writes the rows of :func:`sweep` to ``csv_path`` as write_csv does with
-    SWEEP_HEADER and, given ``json_path``, the config, tool version and rows
-    there as write_json does, byte for byte; each distinct (J, n, mean_fid,
-    std, stabilizer_avg) tail and each label is rendered once."""
+    SWEEP_HEADER, and the config, tool version and rows to ``json_path`` as
+    write_json does, byte for byte; each distinct (J, n, mean_fid, std,
+    stabilizer_avg) tail and each label is rendered once."""
     labels, tails = {}, {}  # tails are keyed with their signs: 0.0 == -0.0
     csv_parts, json_parts = [",".join(SWEEP_HEADER) + "\r\n"], []
     for row in rows:
@@ -363,14 +341,13 @@ def write_sweep(rows: list, csv_path: Path, json_path: Path | None = None,
         json_parts += ",\n", tail[1], field[1]
     with open(csv_path, "w", newline="") as fh:
         fh.write("".join(csv_parts))
-    if json_path is not None:
-        doc = json.dumps({"config": config, "rows": [], "tool_version": __version__},
-                         sort_keys=True, indent=2)
-        if rows:  # the top-level "rows" is the only one at an indent of two
-            items = "".join(json_parts[1:])
-            doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
-        with open(json_path, "w") as fh:
-            fh.write(doc + "\n")
+    doc = json.dumps({"config": config, "rows": [], "tool_version": __version__},
+                     sort_keys=True, indent=2)
+    if rows:  # the top-level "rows" is the only one at an indent of two
+        items = "".join(json_parts[1:])
+        doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
+    with open(json_path, "w") as fh:
+        fh.write(doc + "\n")
 
 
 @main.command("sweep")
@@ -423,6 +400,8 @@ def kak(target_text, coupling, circuit_path, out_dir):
     """KAK of a steering operator (read off its frame) or of a circuit file
     (decomposed); write kak.json."""
     if circuit_path is not None:
+        if target_text is not None or coupling is not None:
+            raise ConfigError("pass either --circuit or both --target and --J, not both")
         circuit = parse_text(_read_text(circuit_path, "circuit file"))
         if circuit.wire_dims != (2, 2):
             raise ConfigError("kak needs a two-qubit circuit")
@@ -489,7 +468,7 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):
     # reconstructions, rows and JSON text: up to about 1.5 KB a step under
     # tracemalloc, counted twice
     _check_run_bytes(3072 * (steps + 1))
-    fids, states = _blind_states(_maximally_mixed(d), op, steps, noise)
+    fids, states = run_blind(_maximally_mixed(d), op, steps, noise)
     exact = fids.tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
     recs = reconstruct(states, shots=n_shots, seed=seed)

@@ -7,7 +7,8 @@ it every target of one (dimension, J) has the same channel.  States leave
 once per run, or per trajectory-table row, through one kron(F, F*) product.
 
 Blind runs iterate the averaged channel (a deterministic CPTP map), so they
-need no randomness at all.  Non-blind runs sample one ancilla readout per
+need no randomness at all; :func:`run_blind` returns the fidelity and the state
+after every cycle as arrays.  Non-blind runs sample one ancilla readout per
 cycle; the true projection acts on the state, the classical record may be
 corrupted by a readout confusion matrix, and the run stops at the first
 recorded "1".
@@ -81,18 +82,13 @@ NO_NOISE = NoiseConfig()
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Outcome of one protocol execution.  A blind record holds the fidelity
-    after every cycle, the initial one first; a non-blind record holds the
-    initial and the final fidelity."""
+    """Outcome of one non-blind trajectory: the initial and the final
+    fidelity, the recorded outcomes, and the 1-based cycle of the first
+    recorded "1" (None if none came)."""
 
-    seed: int | None
-    mode: str
-    fidelities: tuple[float, ...]
-    outcomes: tuple[int, ...] | None
+    fidelities: tuple[float, float]
+    outcomes: tuple[int, ...]
     repetitions_to_success: int | None
-    coupling: float
-    target_label: str | None
-    trajectory_index: int = 0
 
 
 def amplitude_damping_kraus(dim: int, gamma: float) -> np.ndarray:
@@ -134,30 +130,6 @@ def _maximally_mixed(d: int) -> DensityState:
 def _frame_fidelity(states: np.ndarray) -> np.ndarray:
     """Fidelities of frame states (..., d, d), clamped to [0, 1]."""
     return np.clip(states[..., 0, 0].real, 0.0, 1.0)
-
-
-def run_blind(
-    rho0: DensityState,
-    op: SteeringOperator,
-    steps: int,
-    noise: NoiseConfig = NO_NOISE,
-) -> RunRecord:
-    """Deterministic averaged-channel iteration for ``steps`` cycles.
-
-    The record holds steps + 1 fidelities, including the initial state's,
-    and no seed: a blind run draws no randomness.
-    """
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
-    return RunRecord(
-        seed=None,
-        mode="blind",
-        fidelities=tuple(_frame_fidelity(_blind_grid(rho0, [op], steps, noise)[:, 0]).tolist()),
-        outcomes=None,
-        repetitions_to_success=None,
-        coupling=op.coupling,
-        target_label=op.label,
-    )
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
@@ -344,11 +316,18 @@ def _check_run_bytes(n_bytes: int) -> None:
                           f"{MAX_RUN_BYTES} bytes")
 
 
-def _blind_states(
-    rho0: DensityState, op: SteeringOperator, steps: int, noise: NoiseConfig
+def run_blind(
+    rho0: DensityState,
+    op: SteeringOperator,
+    steps: int,
+    noise: NoiseConfig = NO_NOISE,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(fidelities, states (steps + 1, d, d)) of a blind run: the one-cell
-    case of :func:`_blind_grid`, with the states out of the frame."""
+    """Deterministic averaged-channel iteration for ``steps`` cycles, the
+    one-cell case of :func:`_blind_grid`: (fidelities (steps + 1,), states
+    (steps + 1, d, d)), rho0's first and the states out of the frame.  A
+    blind run draws no randomness, so it takes no seed."""
+    if steps < 1:
+        raise ConfigError("steps must be >= 1")
     frame_states = _blind_grid(rho0, [op], steps, noise)[:, 0]
     d = op.system_dim
     states = frame_states.reshape(-1, d * d) @ kron(op.frame, op.frame.conj()).T
@@ -495,21 +474,15 @@ def run_nonblind(
     conditioning always uses the true projection.  The run stops at the first
     recorded "1" (unless ``early_stop`` is off) and reports the 1-based cycle
     index as ``repetitions_to_success``, or None if the budget is exhausted.
-    The record holds the initial and the final fidelity.
     """
     final, recorded, reps = _run_trajectories(
         rho0, op, max_steps, 1, noise, seed, early_stop, first_index=trajectory_index
     )
     n_steps = int(np.sum(recorded[0] >= 0))
     return RunRecord(
-        seed=seed,
-        mode="nonblind",
         fidelities=(fidelity(rho0.matrix, op.target), fidelity(final[0], op.target)),
         outcomes=tuple(recorded[0, :n_steps].tolist()),
         repetitions_to_success=int(reps[0]) or None,
-        coupling=op.coupling,
-        target_label=op.label,
-        trajectory_index=trajectory_index,
     )
 
 

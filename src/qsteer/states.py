@@ -1,11 +1,11 @@
 """Target-state parametrizations, density states, the Gell-Mann matrices,
-the single-qubit stabilizer catalog, and fidelity.
+the catalog of named targets, and fidelity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -197,49 +197,23 @@ def random_density(dim: int, seed: int) -> DensityState:
     return DensityState(matrix=m, dims=_SUBSYSTEM_DIMS[dim])
 
 
-@dataclass(frozen=True)
-class StabilizerEntry:
-    """One row of the single-qubit stabilizer catalog.
-
-    ``hamiltonian_terms`` is the signed Pauli-string pair (sign, "AB") such
-    that the steering generator is (J/2) * sum(sign * sigma_A^a sigma_S^b).
-    """
-
-    label: str
-    theta: float
-    phi: float
-    bloch: tuple[float, float, float]
-    hamiltonian_terms: tuple[tuple[float, str], tuple[float, str]]
-
-    target: QubitTarget = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "target", QubitTarget(self.theta, self.phi))
-
-
-_CATALOG = (
-    StabilizerEntry("0", 0.0, 0.0, (0.0, 0.0, 1.0), ((-1.0, "XX"), (-1.0, "YY"))),
-    StabilizerEntry("1", math.pi, 0.0, (0.0, 0.0, -1.0), ((1.0, "XX"), (-1.0, "YY"))),
-    StabilizerEntry("+", math.pi / 2, 0.0, (1.0, 0.0, 0.0), ((1.0, "XZ"), (-1.0, "YY"))),
-    StabilizerEntry("-", math.pi / 2, math.pi, (-1.0, 0.0, 0.0), ((1.0, "XZ"), (1.0, "YY"))),
-    StabilizerEntry("i", math.pi / 2, math.pi / 2, (0.0, 1.0, 0.0), ((1.0, "YX"), (1.0, "XZ"))),
-    StabilizerEntry(
-        "-i", math.pi / 2, 3 * math.pi / 2, (0.0, -1.0, 0.0), ((-1.0, "YX"), (1.0, "XZ"))
-    ),
-)
-
-
-def stabilizer_catalog() -> tuple[StabilizerEntry, ...]:
-    """The six single-qubit stabilizer states with their steering data."""
-    return _CATALOG
-
-
 # Exact equal-superposition qutrit target (|0>+|1>+|2>)/sqrt(3); the canonical
 # amplitude vector is stored and the (xi, theta) parameters are derived from it
 # to avoid re-deriving 1/sqrt(3) through trigonometry in hot paths.
-QUTRIT_EQUAL_LABEL = "qutrit-equal"
 QUTRIT_EQUAL_KET = np.full(3, 1.0 / math.sqrt(3.0), dtype=complex)
 QUTRIT_EQUAL_KET.setflags(write=False)
 QUTRIT_EQUAL_TARGET = QutritTarget(
     xi=2.0 * math.atan(math.sqrt(2.0)), theta=math.pi / 2, phi01=0.0, phi02=0.0
 )
+
+# The named targets, by label: the six single-qubit stabilizer states, then
+# the equal qutrit superposition.
+CATALOG = {
+    "0": QubitTarget(0.0, 0.0),
+    "1": QubitTarget(math.pi, 0.0),
+    "+": QubitTarget(math.pi / 2, 0.0),
+    "-": QubitTarget(math.pi / 2, math.pi),
+    "i": QubitTarget(math.pi / 2, math.pi / 2),
+    "-i": QubitTarget(math.pi / 2, 3 * math.pi / 2),
+    "qutrit-equal": QUTRIT_EQUAL_TARGET,
+}

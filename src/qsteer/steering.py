@@ -66,7 +66,6 @@ class SteeringOperator:
     target: np.ndarray
     frame: ComplexMatrix
     frame_unitary: ComplexMatrix
-    label: str | None = None
 
 
 def build_qubit_hamiltonian(theta: float, phi: float, coupling: float) -> ComplexMatrix:
@@ -202,7 +201,6 @@ def make_steering_operator(spec: TargetSpec) -> SteeringOperator:
         target=frame[:, 0],
         frame=frame,
         frame_unitary=cycle,
-        label=spec.label,
     )
 
 

@@ -15,6 +15,7 @@ from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.geometry import _THETA_OF_XYZ, _fold, _su4_phases
 from qsteer.linalg import herm_eig
 from qsteer.states import (
+    CATALOG,
     QUTRIT_EQUAL_TARGET,
     SX,
     SY,
@@ -22,9 +23,23 @@ from qsteer.states import (
     DensityState,
     QubitTarget,
     QutritTarget,
-    stabilizer_catalog,
 )
 from qsteer.steering import SteeringOperator, TargetSpec
+
+# (label, target) of the six single-qubit stabilizer states of the catalog
+STABILIZERS = [(label, t) for label, t in CATALOG.items() if isinstance(t, QubitTarget)]
+
+# Reference data of each stabilizer: its Bloch vector, and the signed
+# Pauli-string pair (sign, "AB") such that the steering generator is
+# (J/2) * sum(sign * sigma_A^a sigma_S^b).
+STABILIZER_ROWS = {
+    "0": ((0.0, 0.0, 1.0), ((-1.0, "XX"), (-1.0, "YY"))),
+    "1": ((0.0, 0.0, -1.0), ((1.0, "XX"), (-1.0, "YY"))),
+    "+": ((1.0, 0.0, 0.0), ((1.0, "XZ"), (-1.0, "YY"))),
+    "-": ((-1.0, 0.0, 0.0), ((1.0, "XZ"), (1.0, "YY"))),
+    "i": ((0.0, 1.0, 0.0), ((1.0, "YX"), (1.0, "XZ"))),
+    "-i": ((0.0, -1.0, 0.0), ((-1.0, "YX"), (1.0, "XZ"))),
+}
 
 
 def steering_grid() -> tuple[list[TargetSpec], list[TargetSpec]]:
@@ -34,7 +49,7 @@ def steering_grid() -> tuple[list[TargetSpec], list[TargetSpec]]:
     (the qutrit list opens with the equal superposition on the J grid)."""
     rng = np.random.default_rng(2020)
     grid = [float(j) for j in np.linspace(-4.0, 4.0, 17)]
-    qubits = [TargetSpec(e.target, j, e.label) for e in stabilizer_catalog() for j in grid]
+    qubits = [TargetSpec(target, j, label) for label, target in STABILIZERS for j in grid]
     qubits += [
         TargetSpec(QubitTarget(theta, phi), j)
         for theta in (0.0, math.pi) for phi in (0.0, 1.3, 4.0) for j in grid

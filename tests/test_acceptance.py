@@ -30,7 +30,6 @@ from qsteer.states import (
     QUTRIT_EQUAL_TARGET,
     fidelity,
     random_density,
-    stabilizer_catalog,
 )
 from qsteer.steering import (
     TargetSpec,
@@ -47,6 +46,7 @@ from qsteer.tomography import (
 )
 
 from conftest import (
+    STABILIZERS,
     bloch_vector,
     canonicalize_weyl_vector,
     channel_superoperator,
@@ -69,8 +69,8 @@ def test_criterion_01_one_step_convergence():
     op = make_steering_operator(TargetSpec(PLUS, math.pi / 2, "+"))
     worst = 1.0
     for seed in range(100):
-        rec = run_blind(random_density(2, seed), op, 1)
-        worst = min(worst, rec.fidelities[-1])
+        fids = run_blind(random_density(2, seed), op, 1)[0]
+        worst = min(worst, fids[-1])
     elapsed = time.monotonic() - t0
     ok = worst >= 1 - 1e-10 and elapsed < budget
     _report(1, f"one blind step at J=pi/2 reaches |+> (worst fidelity {worst:.3e})", ok, elapsed, budget)
@@ -106,9 +106,9 @@ def test_criterion_02_exponential_law():
 def test_criterion_03_steering_inequality():
     budget, t0 = 30.0, time.monotonic()
     violations = []
-    for entry in stabilizer_catalog():
+    for label, target in STABILIZERS:
         for coupling in (math.pi / 8, math.pi / 4, math.pi / 2):
-            op = make_steering_operator(TargetSpec(entry.target, coupling, entry.label))
+            op = make_steering_operator(TargetSpec(target, coupling, label))
             kset = kraus_from_unitary(op)
             for seed in range(50):
                 state = random_density(2, seed)
@@ -118,7 +118,7 @@ def test_criterion_03_steering_inequality():
                     fids.append(fidelity(state.matrix, op.target))
                 ok, idx = steering_inequality_holds(fids)
                 if not ok:
-                    violations.append((entry.label, coupling, seed, idx))
+                    violations.append((label, coupling, seed, idx))
     elapsed = time.monotonic() - t0
     ok = not violations and elapsed < budget
     _report(3, f"fidelity monotone for 6 targets x 50 states x 3 couplings ({len(violations)} violations)", ok, elapsed, budget)
@@ -183,11 +183,11 @@ def test_criterion_06_circuit_equivalence():
     budget, t0 = 10.0, time.monotonic()
     worst = 0.0
     cnot_counts = set()
-    for entry in stabilizer_catalog():
+    for label, target in STABILIZERS:
         for coupling in np.linspace(0.05, math.pi / 2, 20):
-            spec = TargetSpec(entry.target, float(coupling), entry.label)
+            spec = TargetSpec(target, float(coupling), label)
             circuit = synth_kak_circuit(make_steering_operator(spec))[0]
-            u = expm_i_herm(build_qubit_hamiltonian(entry.theta, entry.phi, float(coupling)))
+            u = expm_i_herm(build_qubit_hamiltonian(target.theta, target.phi, float(coupling)))
             worst = max(worst, phase_invariant_distance(evaluate_circuit(circuit), u))
             cnot_counts.add(circuit.count(CNOT))
     elapsed = time.monotonic() - t0
@@ -230,8 +230,8 @@ def test_criterion_08_nonblind_speedup_and_geometric_law():
     stats = repetition_stats(batch)
     mean_nonblind = stats.mean_repetitions
 
-    blind = run_blind(rho0, op, 40)
-    blind_steps = next(n for n, f in enumerate(blind.fidelities) if f >= 0.9)
+    blind_fids = run_blind(rho0, op, 40)[0]
+    blind_steps = next(n for n, f in enumerate(blind_fids) if f >= 0.9)
 
     succ = np.sort(batch.repetitions[batch.repetitions > 0])
     p_hat = 1.0 / float(np.mean(succ))

@@ -38,11 +38,11 @@ from qsteer.states import (
     QubitTarget,
     QutritTarget,
     QUTRIT_EQUAL_TARGET,
-    stabilizer_catalog,
 )
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import MALFORMED_CIRCUIT_TEXTS, canonicalize_weyl_vector, haar_unitary, steering_grid
+from conftest import (MALFORMED_CIRCUIT_TEXTS, STABILIZERS, canonicalize_weyl_vector, haar_unitary,
+                      steering_grid)
 
 
 class TestGateValidation:
@@ -220,11 +220,11 @@ class TestKakSynthesis:
         assert c.count(CNOT) == 2
 
     def test_catalog_grid(self):
-        for e in stabilizer_catalog():
+        for label, target in STABILIZERS:
             for coupling in np.linspace(0.05, math.pi / 2, 20):
-                spec = TargetSpec(e.target, float(coupling), e.label)
+                spec = TargetSpec(target, float(coupling), label)
                 c = synth_kak_circuit(make_steering_operator(spec))[0]
-                u = expm_i_herm(build_qubit_hamiltonian(e.theta, e.phi, float(coupling)))
+                u = expm_i_herm(build_qubit_hamiltonian(target.theta, target.phi, float(coupling)))
                 assert phase_invariant_distance(evaluate_circuit(c), u) <= 1e-9
                 assert c.count(CNOT) == 2
                 single = sum(1 for g in c.gates if g.kind in (RX, RZ, U3))
@@ -253,7 +253,7 @@ class TestKakSynthesis:
 
 
 class TestSteeringKak:
-    TARGETS = [e.target for e in stabilizer_catalog()] + [QubitTarget(0.7, 1.9), QubitTarget(2.1, 5.4)]
+    TARGETS = [t for _, t in STABILIZERS] + [QubitTarget(0.7, 1.9), QubitTarget(2.1, 5.4)]
     COUPLINGS = [float(j) for j in np.linspace(-2 * math.pi, 2 * math.pi, 37)] + [
         0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi, 0.785, 2.5
     ]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from qsteer import __version__, cli, geometry, protocol, steering, tomography
 from qsteer.cli import main, parse_target
 from qsteer.errors import ConfigError, NumericalError
-from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, _blind_states, sweep
+from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, run_blind, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 from conftest import MALFORMED_CIRCUIT_TEXTS
@@ -473,12 +473,6 @@ class TestWriteSweep:
         assert (tmp_path / "s.csv").read_bytes() == want_csv
         assert (tmp_path / "s.json").read_bytes() == want_json
 
-    def test_csv_alone(self, tmp_path):
-        rows = sweep([parse_target("+"), parse_target("qubit:0.7,1.9")], [0.3, -0.0], 3)
-        cli.write_sweep(rows, tmp_path / "s.csv")
-        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
-        assert (tmp_path / "s.csv").read_bytes() == _stdlib_sweep_files(rows, {})[0]
-
     def test_target_sorts_last(self):
         # a row's JSON object is its tail's text, then its label's
         assert sorted(cli.SWEEP_HEADER)[-1] == "target"
@@ -487,7 +481,7 @@ class TestWriteSweep:
     def test_non_finite_value_is_numerical_error(self, tmp_path, value):
         rows = [SweepRow("+", 0.5, 0, value, 0.0, None)]
         with pytest.raises(NumericalError):
-            cli.write_sweep(rows, tmp_path / "s.csv")
+            cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", {})
 
 
 class TestWriteCsv:
@@ -616,6 +610,21 @@ class TestKakCommand:
     def test_requires_source(self, runner, tmp_path):
         result = runner.invoke(main, ["kak", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [["--target", "0", "--J", "0.3"], ["--target", "0"],
+                                       ["--J", "0.3"]])
+    def test_circuit_with_target_or_coupling_is_config_error(self, runner, tmp_path, extra):
+        # kak.json's config would name only the circuit, so the other source is refused
+        assert runner.invoke(main, ["circuit", "--target", "+", "--J", "0.5",
+                                    "--out", str(tmp_path)]).exit_code == 0
+        out = tmp_path / "kak"
+        result = runner.invoke(
+            main, ["kak", "--circuit", str(tmp_path / "circuit.txt"), *extra, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"]["kind"] == "config"
+        assert not out.exists()
 
     def test_target_runs_no_eigensolver(self, runner, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -856,7 +865,7 @@ class TestTomoAndQpt:
         _, op = cli._operator(target, 0.785)
         d = op.system_dim
         noise = cli.load_noise(noise_args[1] if noisy else None)
-        _, states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
+        _, states = run_blind(cli._maximally_mixed(d), op, steps, noise)
         tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
         n_shots = None if shots == "inf" else int(shots)
         want = [
@@ -897,7 +906,7 @@ class TestTomoAndQpt:
         _, op = cli._operator(target, 0.785)
         d = op.system_dim
         noise = cli.load_noise(noise_args[1] if noisy else None)
-        _, states = _blind_states(cli._maximally_mixed(d), op, steps, noise)
+        _, states = run_blind(cli._maximally_mixed(d), op, steps, noise)
         probs = tomography._outcome_probs(states, tomography._EIGENBASES[d][1], snap=True)
         probs = probs.reshape(-1, d)
         assert len(draws) == 1 and len(draws[0]) == len(probs) == (steps + 1) * (d * d - 1)

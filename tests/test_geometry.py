@@ -17,10 +17,10 @@ from qsteer.geometry import (
     weyl_coordinates,
 )
 from qsteer.linalg import expm_i_herm, kron, phase_invariant_distance
-from qsteer.states import QubitTarget, SX, SY, SZ, stabilizer_catalog
+from qsteer.states import QubitTarget, SX, SY, SZ
 from qsteer.steering import TargetSpec, build_qubit_hamiltonian, make_steering_operator
 
-from conftest import canonicalize_weyl_vector, cphase_gate, haar_unitary
+from conftest import STABILIZERS, canonicalize_weyl_vector, cphase_gate, haar_unitary
 
 SWAP_GATE = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
@@ -160,8 +160,8 @@ class TestLocalEquivalence:
     def test_whole_catalog_shares_the_line(self):
         coupling = 0.42
         coords = []
-        for e in stabilizer_catalog():
-            op = make_steering_operator(TargetSpec(e.target, coupling, e.label))
+        for label, target in STABILIZERS:
+            op = make_steering_operator(TargetSpec(target, coupling, label))
             coords.append(weyl_coordinates(op.unitary))
         for c in coords:
             assert np.max(np.abs(c - [coupling, coupling, 0.0])) < 1e-8
@@ -190,9 +190,9 @@ class TestCnotPoint:
 
     def test_flag_agrees_with_local_equivalence(self, rng):
         cases = []
-        for e in stabilizer_catalog():
+        for _, target in STABILIZERS:
             for coupling in (0.0, 0.3, math.pi / 2, 2.5, -1.0):
-                spec = TargetSpec(e.target, coupling)
+                spec = TargetSpec(target, coupling)
                 op = make_steering_operator(spec)
                 cases.append((op.unitary, steering_kak(spec, op).c))
         gates = [CNOT_GATE, cphase_gate(math.pi)]

@@ -36,9 +36,9 @@ from qsteer.states import (
     QubitTarget,
     QUTRIT_EQUAL_TARGET,
     QutritTarget,
+    CATALOG,
     fidelity,
     random_density,
-    stabilizer_catalog,
 )
 from qsteer.steering import (
     TargetSpec,
@@ -48,7 +48,8 @@ from qsteer.steering import (
     make_steering_operator,
 )
 
-from conftest import channel_superoperator, ginibre_density, pure_state, steering_inequality_holds
+from conftest import (STABILIZERS, channel_superoperator, ginibre_density, pure_state,
+                      steering_inequality_holds)
 
 PLUS = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+")
 PLUS_QUARTER = TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 4, "+")
@@ -108,15 +109,17 @@ class TestRunBlind:
     def test_one_step_plus(self):
         op = make_steering_operator(PLUS)
         for seed in range(10):
-            rec = run_blind(random_density(2, seed), op, 1)
-            assert rec.fidelities[-1] >= 1 - 1e-10
+            fids = run_blind(random_density(2, seed), op, 1)[0]
+            assert fids[-1] >= 1 - 1e-10
 
     def test_initial_entry_is_rho0_fidelity(self):
         op = make_steering_operator(PLUS_QUARTER)
         rho = random_density(2, 11)
-        rec = run_blind(rho, op, 4)
-        assert rec.fidelities[0] == pytest.approx(fidelity(rho.matrix, op.target))
-        assert len(rec.fidelities) == 5
+        fids, states = run_blind(rho, op, 4)
+        assert fids[0] == pytest.approx(fidelity(rho.matrix, op.target))
+        assert fids.shape == (5,) and states.shape == (5, 2, 2)
+        assert np.allclose(states[0], rho.matrix, rtol=0.0, atol=1e-15)
+        assert np.allclose(fidelity(states, op.target), fids, rtol=0.0, atol=1e-15)
 
     def test_depolarizing_plateau_matches_transfer_matrix_fixed_point(self):
         # compose steering + depolarizing as a superoperator, find its
@@ -139,18 +142,18 @@ class TestRunBlind:
         want = float((op.target.conj() @ fixed @ op.target).real)
 
         noise = NoiseConfig(depolarizing_p=p)
-        rec = run_blind(random_density(2, 0), op, 200, noise)
+        fids = run_blind(random_density(2, 0), op, 200, noise)[0]
         # the nonsymmetric eigensolver limits the oracle side to ~1e-8
-        assert rec.fidelities[-1] == pytest.approx(want, abs=1e-7)
-        assert rec.fidelities[-1] < 1.0
+        assert fids[-1] == pytest.approx(want, abs=1e-7)
+        assert fids[-1] < 1.0
         # analytic fixed point for maximal coupling: (1-p) target + p I/2
-        assert rec.fidelities[-1] == pytest.approx(1 - p / 2, abs=1e-12)
+        assert fids[-1] == pytest.approx(1 - p / 2, abs=1e-12)
 
     def test_reset_infidelity_lowers_plateau(self):
         op = make_steering_operator(PLUS)
-        clean = run_blind(random_density(2, 1), op, 50)
-        dirty = run_blind(random_density(2, 1), op, 50, NoiseConfig(reset_infidelity=0.1))
-        assert dirty.fidelities[-1] < clean.fidelities[-1]
+        clean = run_blind(random_density(2, 1), op, 50)[0]
+        dirty = run_blind(random_density(2, 1), op, 50, NoiseConfig(reset_infidelity=0.1))[0]
+        assert dirty[-1] < clean[-1]
 
     def test_invalid_steps(self):
         op = make_steering_operator(PLUS)
@@ -274,7 +277,7 @@ class TestRunNonblind:
         n = 40_000
         batch = run_nonblind_batch(rho, op, 4, n, seed=11, early_stop=False)
         mean_state = batch.final_states.mean(axis=0)
-        blind = run_blind(rho, op, 4)
+        blind = run_blind(rho, op, 4)[0]
         kset = kraus_from_unitary(op)
         state = rho
         for _ in range(4):
@@ -283,7 +286,7 @@ class TestRunNonblind:
         spread = batch.final_states.std(axis=0) / math.sqrt(n)
         bound = 3 * np.abs(spread) + 1e-9
         assert np.all(np.abs(mean_state - state.matrix) <= bound)
-        assert blind.fidelities[-1] == pytest.approx(
+        assert blind[-1] == pytest.approx(
             float((op.target.conj() @ state.matrix @ op.target).real), abs=1e-12
         )
 
@@ -306,13 +309,13 @@ class TestRunNonblind:
 
 class TestSweep:
     def test_one_step_maximal_coupling(self):
-        targets = [(e.label, e.target) for e in stabilizer_catalog()]
+        targets = STABILIZERS
         rows = sweep(targets, [math.pi / 2], 1)
         finals = [r for r in rows if r.step == 1]
         assert all(r.stabilizer_average == pytest.approx(1.0, abs=1e-10) for r in finals)
 
     def test_smaller_coupling_needs_more_steps(self):
-        targets = [(e.label, e.target) for e in stabilizer_catalog()]
+        targets = STABILIZERS
         steps_needed = {}
         for coupling in (math.pi / 8, math.pi / 4, math.pi / 2):
             rows = sweep(targets, [coupling], 60)
@@ -368,9 +371,9 @@ class TestQutritProtocol:
     def test_blind_run_from_ground_state(self):
         op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, math.pi / 2, "qutrit-equal"))
         rho = pure_state(np.array([1, 0, 0], dtype=complex))
-        rec = run_blind(rho, op, 40)
-        assert rec.fidelities[-1] >= 1 - 1e-10
-        ok, _ = steering_inequality_holds(rec.fidelities)
+        fids = run_blind(rho, op, 40)[0]
+        assert fids[-1] >= 1 - 1e-10
+        ok, _ = steering_inequality_holds(fids)
         assert ok
 
 
@@ -552,8 +555,7 @@ class TestSeedContract:
     the closed-form operator's bits."""
 
     def test_readme_run(self):
-        catalog = {e.label: e.target for e in stabilizer_catalog()}
-        op = make_steering_operator(TargetSpec(catalog["+"], 0.785, "+"))
+        op = make_steering_operator(TargetSpec(CATALOG["+"], 0.785, "+"))
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         batch = run_nonblind_batch(rho, op, 40, 100_000, seed=1)
         assert np.bincount(batch.repetitions).tolist() == [
@@ -580,8 +582,7 @@ class TestSeedContract:
     def test_readme_heralded_states_are_the_target(self):
         # A_1 is rank one onto psi, so in the frame a heralded state is e_0
         # exactly, and it leaves the frame as |psi><psi| to rounding
-        catalog = {e.label: e.target for e in stabilizer_catalog()}
-        op = make_steering_operator(TargetSpec(catalog["+"], 0.785, "+"))
+        op = make_steering_operator(TargetSpec(CATALOG["+"], 0.785, "+"))
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         batch = run_nonblind_batch(rho, op, 40, 100_000, seed=1)
         heralded = batch.final_states[batch.repetitions > 0]
@@ -695,10 +696,10 @@ class TestBlindReference:
     @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
     def test_matches_step_loop(self, spec, key):
         rho = random_density(spec.system_dim, 3)
-        rec = run_blind(rho, make_steering_operator(spec), 25, NOISE_KEYS[key])
+        fids = run_blind(rho, make_steering_operator(spec), 25, NOISE_KEYS[key])[0]
         want = self.loop_fidelities(spec, rho, 25, NOISE_KEYS[key])
-        assert len(rec.fidelities) == 26
-        assert np.max(np.abs(np.subtract(rec.fidelities, want))) <= 1e-13
+        assert len(fids) == 26
+        assert np.max(np.abs(np.subtract(fids, want))) <= 1e-13
 
     def test_late_states_are_validated(self):
         # a frame cycle scaled by 1 + 1e-12 grows the trace by about 2e-12
@@ -717,7 +718,7 @@ class TestBlindReference:
 
 
 class TestSweepGrid:
-    TARGETS = [(e.label, e.target) for e in stabilizer_catalog()]
+    TARGETS = STABILIZERS
 
     def test_readme_targets_share_one_curve(self):
         # without damping every target of one (dimension, J) has the same
@@ -747,7 +748,7 @@ class TestSweepGrid:
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         for r in sweep(self.TARGETS[:2], [0.4, 1.1], 6):
             spec = TargetSpec(dict(self.TARGETS)[r.target_label], r.coupling)
-            want = run_blind(rho, make_steering_operator(spec), 6).fidelities[r.step]
+            want = run_blind(rho, make_steering_operator(spec), 6)[0][r.step]
             assert r.mean_fidelity == want
 
 
@@ -756,7 +757,7 @@ class TestQubitClosedForm:
     bright population: rho_bb <- (1 - p) cos^2(J) rho_bb + p/2, from 1/2,
     with fidelity 1 - rho_bb (criterion 2's law under depolarizing p)."""
 
-    TARGETS = [(e.label, e.target) for e in stabilizer_catalog()] + [
+    TARGETS = STABILIZERS + [
         ("qubit:0.7,1.9", QubitTarget(0.7, 1.9))
     ]
 
@@ -775,8 +776,8 @@ class TestQubitClosedForm:
         want = self.closed_form(coupling, p, 25)
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         for _, target in self.TARGETS:
-            rec = run_blind(rho, make_steering_operator(TargetSpec(target, coupling)), 25, noise)
-            assert np.max(np.abs(np.subtract(rec.fidelities, want))) <= 1e-13
+            fids = run_blind(rho, make_steering_operator(TargetSpec(target, coupling)), 25, noise)[0]
+            assert np.max(np.abs(np.subtract(fids, want))) <= 1e-13
         rows = sweep(self.TARGETS, [coupling], 25, noise)
         assert len(rows) == len(self.TARGETS) * 26
         for r in rows:
@@ -784,7 +785,7 @@ class TestQubitClosedForm:
 
 
 class TestBatchedSweepGrid:
-    QUBITS = [("-i", stabilizer_catalog()[5].target), ("q", QubitTarget(0.3, 1.2))]
+    QUBITS = [("-i", CATALOG["-i"]), ("q", QubitTarget(0.3, 1.2))]
     QUTRITS = [("qutrit-equal", QUTRIT_EQUAL_TARGET), ("r", QutritTarget(0.4, 1.1, 0.3, 2.0))]
     COUPLINGS = [0.7, 0.3, 0.7]
     NOISE = NoiseConfig(
@@ -807,7 +808,7 @@ class TestBatchedSweepGrid:
             op = make_steering_operator(TargetSpec(dict(targets)[r.target_label], r.coupling))
             d = op.system_dim
             rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-            assert r.mean_fidelity == run_blind(rho0, op, 6, self.NOISE).fidelities[r.step]
+            assert r.mean_fidelity == run_blind(rho0, op, 6, self.NOISE)[0][r.step]
             # and the plain per-cell iteration, one matrix-vector product a
             # step in the frame, where I/d is I/d and a fidelity is the (0, 0)
             # entry
@@ -819,9 +820,8 @@ class TestBatchedSweepGrid:
             assert r.mean_fidelity == want
 
     def test_stabilizer_average_stays_within_a_dimension(self):
-        catalog = {e.label: e.target for e in stabilizer_catalog()}
         labels = ["0", "+", "qutrit-equal", "-i"]
-        targets = [(label, catalog.get(label, QUTRIT_EQUAL_TARGET)) for label in labels]
+        targets = [(label, CATALOG[label]) for label in labels]
         rows = sweep(targets, self.COUPLINGS, 5, self.NOISE)
         dim = {label: 3 if label == "qutrit-equal" else 2 for label in labels}
         for r in rows:

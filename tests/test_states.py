@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.states import (
+    CATALOG,
     DensityState,
     GELL_MANN,
     QubitTarget,
@@ -18,12 +19,12 @@ from qsteer.states import (
     fidelity,
     pauli_string_matrix,
     random_density,
-    stabilizer_catalog,
     target_ket,
     validate_density,
 )
 
-from conftest import bloch_vector, ginibre_density, pure_state, qutrit_state_tomo
+from conftest import (STABILIZER_ROWS, STABILIZERS, bloch_vector, ginibre_density, pure_state,
+                      qutrit_state_tomo)
 
 
 class TestTargetKet:
@@ -138,28 +139,29 @@ class TestPauliStringMatrix:
 
 class TestStabilizerCatalog:
     def test_six_rows_with_expected_axes(self):
-        cat = stabilizer_catalog()
-        assert [e.label for e in cat] == ["0", "1", "+", "-", "i", "-i"]
-        blochs = {e.label: e.bloch for e in cat}
+        assert list(CATALOG) == ["0", "1", "+", "-", "i", "-i", "qutrit-equal"]
+        assert CATALOG["qutrit-equal"] is QUTRIT_EQUAL_TARGET
+        assert [label for label, _ in STABILIZERS] == list(STABILIZER_ROWS)
+        blochs = {label: bloch for label, (bloch, _) in STABILIZER_ROWS.items()}
         assert blochs["0"] == (0, 0, 1)
         assert blochs["+"] == (1, 0, 0)
         assert blochs["-i"] == (0, -1, 0)
 
     def test_bloch_matches_ket(self):
-        for e in stabilizer_catalog():
-            rho = pure_state(target_ket(e.target))
-            assert np.allclose(bloch_vector(rho), e.bloch, atol=1e-12)
+        for label, target in STABILIZERS:
+            rho = pure_state(target_ket(target))
+            assert np.allclose(bloch_vector(rho), STABILIZER_ROWS[label][0], atol=1e-12)
 
     def test_terms_match_hamiltonian_builder(self):
         from qsteer.states import pauli_string_matrix
         from qsteer.steering import build_qubit_hamiltonian
 
         coupling = 0.83
-        for e in stabilizer_catalog():
+        for label, target in STABILIZERS:
             h_terms = (coupling / 2) * sum(
-                sign * pauli_string_matrix(s) for sign, s in e.hamiltonian_terms
+                sign * pauli_string_matrix(s) for sign, s in STABILIZER_ROWS[label][1]
             )
-            h_built = build_qubit_hamiltonian(e.theta, e.phi, coupling)
+            h_built = build_qubit_hamiltonian(target.theta, target.phi, coupling)
             assert np.max(np.abs(h_terms - h_built)) <= 1e-12
 
 

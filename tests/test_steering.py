@@ -13,7 +13,6 @@ from qsteer.states import (
     fidelity,
     pauli_string_matrix,
     random_density,
-    stabilizer_catalog,
     target_ket,
 )
 from qsteer.steering import (
@@ -29,6 +28,7 @@ from qsteer.steering import (
 )
 
 from conftest import (
+    STABILIZERS,
     analytic_plus_trajectory,
     bloch_vector,
     channel_superoperator,
@@ -88,9 +88,9 @@ class TestQubitHamiltonian:
 
     def test_target_in_kernel_of_ground_block(self):
         # H (|0>_A (x) |target>) points entirely to the flipped-ancilla sector
-        for e in stabilizer_catalog():
-            h = build_qubit_hamiltonian(e.theta, e.phi, 1.3)
-            ket = np.kron(np.array([1, 0], dtype=complex), target_ket(e.target))
+        for _, target in STABILIZERS:
+            h = build_qubit_hamiltonian(target.theta, target.phi, 1.3)
+            ket = np.kron(np.array([1, 0], dtype=complex), target_ket(target))
             image = h @ ket
             assert np.max(np.abs(image[:2])) < 1e-12
 
@@ -323,9 +323,9 @@ class TestSteeringInequality:
         assert not ok and idx == 1
 
     def test_exact_runs_monotone(self, rng):
-        for e in stabilizer_catalog():
+        for label, target in STABILIZERS:
             for seed in range(20):
-                op = make_steering_operator(TargetSpec(e.target, 0.6, e.label))
+                op = make_steering_operator(TargetSpec(target, 0.6, label))
                 kset = kraus_from_unitary(op)
                 state = random_density(2, seed)
                 fids = [fidelity(state.matrix, op.target)]
@@ -333,15 +333,15 @@ class TestSteeringInequality:
                     state = averaged_step(state, kset)
                     fids.append(fidelity(state.matrix, op.target))
                 ok, idx = steering_inequality_holds(fids)
-                assert ok, (e.label, seed, idx)
+                assert ok, (label, seed, idx)
 
 
 class TestFixedPoints:
     @pytest.mark.parametrize("coupling", [math.pi / 8, math.pi / 4, math.pi / 2])
     def test_qubit_targets_converge(self, coupling):
         steps = math.ceil(80 / coupling**2)
-        for e in stabilizer_catalog():
-            op = make_steering_operator(TargetSpec(e.target, coupling, e.label))
+        for label, target in STABILIZERS:
+            op = make_steering_operator(TargetSpec(target, coupling, label))
             kset = kraus_from_unitary(op)
             for seed in range(10):
                 state = random_density(2, seed)
@@ -459,9 +459,9 @@ class TestAnalyticPlusTrajectory:
 class TestKernelStructure:
     def test_dark_sector_consistency(self, rng):
         # H (|0>_A (x) |target>) lies outside the ancilla-ground sector
-        for e in stabilizer_catalog():
-            h = build_qubit_hamiltonian(e.theta, e.phi, 0.77)
+        for _, target in STABILIZERS:
+            h = build_qubit_hamiltonian(target.theta, target.phi, 0.77)
             anc0 = np.array([1, 0], dtype=complex)
-            vec = h @ np.kron(anc0, target_ket(e.target))
+            vec = h @ np.kron(anc0, target_ket(target))
             ground_block = vec[:2]
             assert np.max(np.abs(ground_block)) < 1e-12

@@ -20,7 +20,7 @@ from qsteer.states import (
     random_density,
     target_ket,
 )
-from qsteer.protocol import NO_NOISE, NoiseConfig, _blind_states, _step_superoperator
+from qsteer.protocol import NO_NOISE, NoiseConfig, _step_superoperator, run_blind
 from qsteer.steering import TargetSpec, kraus_from_unitary, make_steering_operator
 from qsteer.tomography import (
     average_gate_fidelity,
@@ -157,12 +157,12 @@ class TestSnappedProbabilities:
         d = op.system_dim
         rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
         tomo = tomo_qubit_state if d == 2 else tomo_qutrit_state
-        want = tomo(_blind_states(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=3)
+        want = tomo(run_blind(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=3)
         for _ in range(20):
             # a blind run reads the frame and the cycle in it
             moved = replace(op, frame=self.perturbed(op.frame, rng),
                             frame_unitary=self.perturbed(op.frame_unitary, rng))
-            got = tomo(_blind_states(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=3)
+            got = tomo(run_blind(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=3)
             assert np.array_equal(got, want)
 
 
