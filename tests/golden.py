@@ -206,7 +206,8 @@ def main() -> int:
         moves, problems = compare(GOLDEN, fresh)
     for name, move in moves.items():
         print(f"{name}: largest relative float move {move:.3g}")
-    print(*problems, sep="\n")
+    for problem in problems:
+        print(problem)
     return 1 if problems else 0
 
 
