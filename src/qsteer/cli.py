@@ -25,7 +25,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NumericalError, QsteerError
+from .errors import ConfigError, DimensionMismatchError, NumericalError, QsteerError
 from .circuits import (CNOT, emit_text, evaluate_circuit, parse_text, steering_kak,
                        synth_kak_circuit, synth_qutrit_circuit)
 from .geometry import kak_decompose, reassembly_distance, same_weyl_point
@@ -78,10 +78,8 @@ def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
             vals = [float(v) for v in args.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad angle list in target {text!r}") from exc
-        if kind == "qubit" and len(vals) == 2:
-            return text, QubitTarget(*vals)
-        if kind == "qutrit" and len(vals) == 4:
-            return text, QutritTarget(*vals)
+        if len(vals) == _ANGLE_COUNTS.get(kind):
+            return text, (QubitTarget if kind == "qubit" else QutritTarget)(*vals)
     raise ConfigError(
         f"unknown target {text!r}; use a catalog label, qubit:theta,phi "
         "or qutrit:xi,theta,phi01,phi02"
@@ -183,6 +181,7 @@ _steps_opt = click.option(
     "--N", "steps", type=click.IntRange(min=1), default=10, show_default=True, help="protocol cycles"
 )
 _seed_opt = click.option("--seed", type=int, default=0, show_default=True)
+_noise_opt = click.option("--noise", "noise_path", default=None)
 _out_opt = click.option(
     "--out", "out_dir", type=click.Path(file_okay=False), default=".", show_default=True
 )
@@ -230,7 +229,7 @@ def _write(out_dir: str, json_name: str, config: dict, results: dict,
 @_steps_opt
 @click.option("--mode", type=click.Choice(["blind", "nonblind"]), default="blind", show_default=True)
 @click.option("--trajectories", type=click.IntRange(min=1), default=1000, show_default=True)
-@click.option("--noise", "noise_path", type=click.Path(exists=False), default=None)
+@_noise_opt
 @_seed_opt
 @_out_opt
 def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, out_dir):
@@ -288,13 +287,14 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
     _write(out_dir, "records.json", config, results, tables)
 
 
-# sweep.csv's columns, one per SweepRow field.  "target" sorts last, so a
-# sweep.json row is its tail's _JSON_TAIL text, then its label's JSON text.
+# sweep.csv's columns, and the one place that knows their order.  A row is
+# its label's CSV text, then its _CSV_TAIL; "target" sorts last, so a
+# sweep.json row is its _JSON_TAIL, then its label's JSON text.
 SWEEP_HEADER = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
-_CSV_TAIL = ",%s" * (len(SWEEP_HEADER) - 1) + "\r\n"
+_CSV_TAIL = "".join(f",%({k})s" for k in SWEEP_HEADER[1:]) + "\r\n"
 _JSON_TAIL = ("    {" + "".join(f'\n      "{k}": %({k})s,' for k in sorted(SWEEP_HEADER)[:-1])
               + '\n      "target": ')
-_ANGLE_COUNTS = {"qubit": 2, "qutrit": 4}
+_ANGLE_COUNTS = {"qubit": 2, "qutrit": 4}  # angles of a qubit: or qutrit: target
 
 
 def _split_targets(text: str) -> list[str]:
@@ -310,41 +310,45 @@ def _split_targets(text: str) -> list[str]:
     return [t for t in tokens if t.strip()]
 
 
-def write_sweep(rows: list, csv_path: Path, json_path: Path, config: dict) -> None:
-    """Writes the rows of :func:`sweep` to ``csv_path`` as write_csv does with
-    SWEEP_HEADER, and the config, tool version and rows to ``json_path`` as
-    write_json does, byte for byte; each distinct (J, n, mean_fid, std,
-    stabilizer_avg) tail and each label is rendered once."""
-    labels, tails = {}, {}  # tails are keyed with their signs: 0.0 == -0.0
+def write_sweep(labels: list[str], couplings, fids: np.ndarray, average: np.ndarray,
+                csv_path: Path, json_path: Path, config: dict) -> None:
+    """Writes the grid of :func:`sweep`, one row per (target, J, n) with a std
+    of 0, to ``csv_path`` as write_csv does with SWEEP_HEADER, and the config,
+    tool version and rows to ``json_path`` as write_json does, byte for byte;
+    a NaN average is written as None.  Each label is rendered once per
+    target, and each curve once per coupling."""
+    couplings, fids, average = (np.asarray(a, dtype=float) for a in (couplings, fids, average))
+    if fids.shape[:2] != (len(labels), couplings.size) or average.shape != fids.shape:
+        raise DimensionMismatchError("the sweep arrays do not match the labels and couplings")
+    if not (np.isfinite(couplings).all() and np.isfinite(fids).all()) or np.isinf(average).any():
+        raise NumericalError("the sweep grid has non-finite fidelities, couplings or averages")
+    tails = {}  # (J index, curve bits, average bits) -> its rows' CSV and JSON tails
     csv_parts, json_parts = [",".join(SWEEP_HEADER) + "\r\n"], []
-    for row in rows:
-        label, j, _, mean, std, avg = row
-        key = (row[1:], math.copysign(1.0, j), math.copysign(1.0, mean), math.copysign(1.0, std),
-               avg is None or math.copysign(1.0, avg))
-        tail = tails.get(key)
-        if tail is None:  # json.dumps writes a finite float as float.__repr__ does
-            if not all(v is None or math.isfinite(v) for v in row[1:]):
-                raise NumericalError(f"sweep row {row} is not finite")
-            floats = [isinstance(v, float) for v in row[1:]]
-            cells = ["" if v is None else "%.17g" % v if f else str(v)
-                     for v, f in zip(row[1:], floats)]
-            texts = ["null" if v is None else float.__repr__(v) if f else int.__repr__(v)
-                     for v, f in zip(row[1:], floats)]
-            tail = tails[key] = (_CSV_TAIL % tuple(cells),
-                                 _JSON_TAIL % dict(zip(SWEEP_HEADER[1:], texts)))
-        field = labels.get(label)
-        if field is None:  # as csv quotes one field of several; as JSON, closing the row
-            buf = io.StringIO()
-            csv.writer(buf).writerow([label, ""])
-            field = labels[label] = buf.getvalue()[:-3], json.dumps(label) + "\n    }"
-        csv_parts += field[0], tail[0]
-        json_parts += ",\n", tail[1], field[1]
+    for label, curves, averages in zip(labels, fids, average):
+        buf = io.StringIO()  # as csv quotes one field of several; as JSON, closing the row
+        csv.writer(buf).writerow([label, ""])
+        csv_label, json_label = buf.getvalue()[:-3], json.dumps(label) + "\n    },\n"
+        for j, (coupling, curve, avg) in enumerate(zip(couplings.tolist(), curves, averages)):
+            key = j, curve.tobytes(), avg.tobytes()  # bits: 0.0 == -0.0 prints apart from it
+            if key not in tails:  # json.dumps writes a finite float as float.__repr__ does
+                rows = [{"J": coupling, "n": n, "mean_fid": f, "std": 0.0,
+                         "stabilizer_avg": None if math.isnan(a) else a}
+                        for n, (f, a) in enumerate(zip(curve.tolist(), avg.tolist()))]
+                tails[key] = (
+                    [_CSV_TAIL % {k: "" if v is None else "%.17g" % v for k, v in row.items()}
+                     for row in rows],
+                    [_JSON_TAIL % {k: "null" if v is None else repr(v) for k, v in row.items()}
+                     for row in rows],
+                )
+            csv_tails, json_tails = tails[key]
+            csv_parts.append(csv_label + csv_label.join(csv_tails))
+            json_parts.append(json_label.join(json_tails) + json_label)
     with open(csv_path, "w", newline="") as fh:
         fh.write("".join(csv_parts))
     doc = json.dumps({"config": config, "rows": [], "tool_version": __version__},
                      sort_keys=True, indent=2)
-    if rows:  # the top-level "rows" is the only one at an indent of two
-        items = "".join(json_parts[1:])
+    if json_parts:  # the top-level "rows" is the only one at an indent of two
+        items = "".join(json_parts)[:-2]
         doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
     with open(json_path, "w") as fh:
         fh.write(doc + "\n")
@@ -360,7 +364,7 @@ def write_sweep(rows: list, csv_path: Path, json_path: Path, config: dict) -> No
 )
 @click.option("--Js", "js_text", required=True, help="comma-separated couplings (radians)")
 @_steps_opt
-@click.option("--noise", "noise_path", default=None)
+@_noise_opt
 @_out_opt
 def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir):
     """Fidelity grid over targets x couplings x steps (blind runs)."""
@@ -370,17 +374,18 @@ def sweep_cmd(targets_text, js_text, steps, noise_path, out_dir):
     except ValueError as exc:
         raise ConfigError(f"bad --Js list: {exc}") from exc
     noise = load_noise(noise_path)
-    rows = sweep(targets, js, steps, noise)
+    fids, average = sweep(targets, js, steps, noise)
+    labels = [t[0] for t in targets]
     config = {
         "command": "sweep",
-        "targets": [t[0] for t in targets],
+        "targets": labels,
         "couplings": js,
         "steps": steps,
         "noise": _noise_echo(noise),
     }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep(rows, out / "sweep.csv", out / "sweep.json", config)
+    write_sweep(labels, js, fids, average, out / "sweep.csv", out / "sweep.json", config)
 
 
 def _matrix_payload(m: np.ndarray) -> list[list[list[float]]]:
@@ -407,7 +412,7 @@ def kak(target_text, coupling, circuit_path, out_dir):
             raise ConfigError("kak needs a two-qubit circuit")
         u = evaluate_circuit(circuit)
         dec = kak_decompose(u)
-        source = {"circuit": circuit_path}
+        source = {"circuit": Path(circuit_path).name}
     elif target_text is not None and coupling is not None:
         spec, op = _operator(target_text, coupling)
         if not isinstance(spec.target, QubitTarget):
@@ -454,7 +459,7 @@ def circuit(target_text, coupling, out_dir):
 @_j_opt
 @_steps_opt
 @click.option("--shots", default="inf", show_default=True, help="shots per observable, or 'inf'")
-@click.option("--noise", "noise_path", default=None)
+@_noise_opt
 @_seed_opt
 @_out_opt
 def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):

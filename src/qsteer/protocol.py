@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -523,35 +522,23 @@ def run_nonblind_batch(
     )
 
 
-class SweepRow(NamedTuple):
-    """One (target, J, step) cell of a sweep; the fields are in the order of
-    the sweep.csv columns."""
-
-    target_label: str
-    coupling: float
-    step: int
-    mean_fidelity: float
-    std_fidelity: float
-    stabilizer_average: float | None = None
-
-
 def sweep(
     targets,
     couplings,
     steps: int,
     noise: NoiseConfig = NO_NOISE,
-) -> list[SweepRow]:
-    """Blind-run fidelity grid over (target, J, step).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blind-run fidelity grid over (target, J, step): (fids, average), both
+    shaped (targets, couplings, steps + 1).
 
     ``targets`` is a sequence of (label, QubitTarget | QutritTarget) pairs.
     Every run starts from I/d, which is I/d in every frame, so each distinct
     frame channel (one per dimension and J without amplitude damping) is
     iterated once, those of each dimension as one :func:`_blind_grid`, and
-    its curve serves every cell that shares it; the std is 0.  Each row also
-    carries the average fidelity of its (J, step) cell over the swept
-    targets of its own system dimension, which is the stabilizer average
-    when the six stabilizer targets are swept; qubit and qutrit rows are
-    averaged apart, and a coupling listed more than once gets None there.
+    fids[t, j] is the curve of cell (t, j)'s channel, shared bit for bit.
+    average[t, j] is the mean of fids[:, j] over the swept targets of target
+    t's system dimension (the stabilizer average when the six stabilizer
+    targets are swept), or NaN for a coupling listed more than once.
     """
     targets = list(targets)
     couplings = list(couplings)
@@ -559,35 +546,28 @@ def sweep(
         raise ConfigError("sweep needs nonempty target and coupling grids")
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    _check_run_bytes(200 * len(targets) * len(couplings) * (steps + 1))  # ~200 B per row
+    _check_run_bytes(200 * len(targets) * len(couplings) * (steps + 1))  # ~200 B per file row
     damped = noise.amplitude_damping_gamma > 0.0
-
-    def channel(spec):  # what a cell's frame channel depends on
-        return spec.system_dim, spec.coupling, spec.target if damped else None
-
-    specs = {}  # (target, J) -> the TargetSpec of each distinct cell
-    groups = {}  # system dimension -> {channel: the spec of its first cell}
+    first = {}  # frame channel -> the spec of its first cell
+    cells = []  # each (target, J) cell's frame channel, target-major
     for label, target in targets:
         for coupling in couplings:
-            if (target, coupling) not in specs:
-                spec = specs[target, coupling] = TargetSpec(target, coupling, label)
-                groups.setdefault(spec.system_dim, {}).setdefault(channel(spec), spec)
-    curves, curve_of = [], {}  # one fidelity curve per channel, and its index
-    for d, group in groups.items():
-        ops = [make_steering_operator(spec) for spec in group.values()]
-        curve_of.update((key, len(curves) + i) for i, key in enumerate(group))
-        curves.extend(_frame_fidelity(_blind_grid(_maximally_mixed(d), ops, steps, noise)).T)
-    cells = [[curve_of[channel(specs[t, j])] for j in couplings] for _, t in targets]
-    fids = np.array(curves)[cells]  # (targets, couplings, steps + 1)
-    dims = np.array([specs[t, couplings[0]].system_dim for _, t in targets])
-    average = {d: fids[dims == d].mean(axis=0).tolist() for d in groups}
-    unique = [couplings.count(coupling) == 1 for coupling in couplings]
-    return [
-        SweepRow(label, coupling, n, f, 0.0, average[d][j][n] if unique[j] else None)
-        for (label, _), d, target_fids in zip(targets, dims.tolist(), fids.tolist())
-        for j, (coupling, step_fids) in enumerate(zip(couplings, target_fids))
-        for n, f in enumerate(step_fids)
-    ]
+            spec = TargetSpec(target, coupling, label)
+            cells.append((spec.system_dim, coupling, target if damped else None))
+            first.setdefault(cells[-1], spec)
+    curves = {}  # frame channel -> its fidelity curve
+    for d in dict.fromkeys(channel[0] for channel in first):
+        group = [channel for channel in first if channel[0] == d]
+        ops = [make_steering_operator(first[channel]) for channel in group]
+        grid = _blind_grid(_maximally_mixed(d), ops, steps, noise)
+        curves.update(zip(group, _frame_fidelity(grid).T))
+    fids = np.reshape([curves[channel] for channel in cells], (len(targets), len(couplings), -1))
+    dims = np.array([channel[0] for channel in cells[:: len(couplings)]])
+    average = np.empty_like(fids)
+    for d in set(dims.tolist()):
+        average[dims == d] = fids[dims == d].mean(axis=0)
+    average[:, np.array([couplings.count(coupling) > 1 for coupling in couplings])] = np.nan
+    return fids, average
 
 
 @dataclass(frozen=True)

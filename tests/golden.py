@@ -44,7 +44,8 @@ NOISE_ALL = {
 
 # (output directory, qsteer arguments), in CI's order.  "{noise}" is the path
 # of a file holding NOISE_ALL.  The kak --circuit run reads the circuit that
-# the qc run wrote, by the relative path kak.json records, from inside qc.
+# the qc run wrote; kak.json records only the file's name, so the path it is
+# read by does not matter.
 COMMANDS = [
     ("blind", "steer --target + --J 1.5707963267948966 --N 1 --mode blind"),
     ("nonblind", "steer --target + --J 0.785 --N 40 --mode nonblind --trajectories 100000 --seed 1"),

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import tracemalloc
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from qsteer import __version__, cli, geometry, protocol, steering, tomography
 from qsteer.cli import main, parse_target
-from qsteer.errors import ConfigError, NumericalError
-from qsteer.protocol import NO_NOISE, NoiseConfig, SweepRow, run_blind, sweep
+from qsteer.errors import ConfigError, DimensionMismatchError, NumericalError
+from qsteer.protocol import NO_NOISE, NoiseConfig, run_blind, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
 from conftest import MALFORMED_CIRCUIT_TEXTS
@@ -393,10 +394,10 @@ class TestSweepCommand:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         labels = ["qubit:0.3,1.2", "+", "qutrit:0.4,1.1,0.3,2.0", "0"]
         assert payload["config"]["targets"] == labels
-        rows = sweep([parse_target(t) for t in labels], [0.7, 0.3, 0.7], 3)
+        fids, average = sweep([parse_target(t) for t in labels], [0.7, 0.3, 0.7], 3)
         assert [list(r.values()) for r in payload["rows"]] == [
-            [r.coupling, r.mean_fidelity, r.step, r.stabilizer_average, r.std_fidelity,
-             r.target_label] for r in rows
+            [j, f, n, avg, std, label]
+            for label, j, n, f, std, avg in _sweep_rows(labels, [0.7, 0.3, 0.7], fids, average)
         ]
 
     @pytest.mark.parametrize(
@@ -410,6 +411,15 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["kind"] == "config"
         assert not list(tmp_path.iterdir())
+
+
+def _sweep_rows(labels, couplings, fids, average) -> list[tuple]:
+    """A sweep grid's (label, J, n, mean_fid, std, stabilizer_avg) rows, each
+    curve's std 0.0 and a NaN average None."""
+    return [(label, j, n, f, 0.0, None if math.isnan(avg) else avg)
+            for label, target_fids, target_avgs in zip(labels, fids.tolist(), average.tolist())
+            for j, curve, avgs in zip(couplings, target_fids, target_avgs)
+            for n, (f, avg) in enumerate(zip(curve, avgs))]
 
 
 def _stdlib_sweep_files(rows, config) -> tuple[bytes, bytes]:
@@ -454,22 +464,28 @@ class TestWriteSweep:
     @example(labels=["0", "1", "+", "-", "i", "-i"], couplings=[0.39, 0.79, 1.57], steps=30,
              noise=NoiseConfig(amplitude_damping_gamma=0.02))
     def test_bytes_equal_stdlib(self, tmp_path, labels, couplings, steps, noise):
-        rows = sweep([parse_target(t) for t in labels], couplings, steps, noise)
+        fids, average = sweep([parse_target(t) for t in labels], couplings, steps, noise)
         config = {"command": "sweep", "targets": labels, "couplings": couplings, "steps": steps,
                   "noise": cli._noise_echo(noise)}
-        cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", config)
+        cli.write_sweep(labels, couplings, fids, average, tmp_path / "s.csv", tmp_path / "s.json",
+                        config)
+        rows = _sweep_rows(labels, couplings, fids, average)
         want_csv, want_json = _stdlib_sweep_files(rows, config)
         assert (tmp_path / "s.csv").read_bytes() == want_csv
         assert (tmp_path / "s.json").read_bytes() == want_json
 
     def test_signed_zeros_and_none_print_apart(self, tmp_path):
-        # 0.0 == -0.0, so every float of a row tail keys the cache with its sign
-        rows = [SweepRow("a", j, 0, m, s, avg)
-                for j in (0.0, -0.0) for m in (0.0, -0.0) for s in (-0.0, 0.0)
-                for avg in (0.0, -0.0, None)]
-        rows += [SweepRow('q"x,y', 0.5, 1, 1.0, 0.0, 1.0), SweepRow("a\nb", 0.5, 1, 1.0, 0.0, 1.0)]
-        cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", {})
-        want_csv, want_json = _stdlib_sweep_files(rows, {})
+        # 0.0 == -0.0, so the cache keys each curve and average with its signs:
+        # under every J index, the targets share no (curve, average) pattern
+        signs = list(itertools.product([0.0, -0.0], [0.0, -0.0, math.nan]))
+        labels = ["a", "b", 'q"x,y', "a\nb"]
+        couplings = [0.0, -0.0, 0.0]
+        cells = [[signs[(t + 2 * j) % len(signs)] for j in range(3)] for t in range(4)]
+        fids = np.array([[[m, 1.0] for m, _ in row] for row in cells])
+        average = np.array([[[avg, -0.0] for _, avg in row] for row in cells])
+        cli.write_sweep(labels, couplings, fids, average, tmp_path / "s.csv", tmp_path / "s.json",
+                        {})
+        want_csv, want_json = _stdlib_sweep_files(_sweep_rows(labels, couplings, fids, average), {})
         assert (tmp_path / "s.csv").read_bytes() == want_csv
         assert (tmp_path / "s.json").read_bytes() == want_json
 
@@ -479,9 +495,29 @@ class TestWriteSweep:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_value_is_numerical_error(self, tmp_path, value):
-        rows = [SweepRow("+", 0.5, 0, value, 0.0, None)]
-        with pytest.raises(NumericalError):
-            cli.write_sweep(rows, tmp_path / "s.csv", tmp_path / "s.json", {})
+        # a NaN average is written as None; any other non-finite value is refused
+        grid = np.full((1, 1, 2), 0.5)
+        bad = grid.copy()
+        bad[0, 0, 1] = value
+        cases = [([value], grid, grid), ([0.5], bad, grid)]
+        if not math.isnan(value):
+            cases.append(([0.5], grid, bad))
+        for couplings, fids, average in cases:
+            with pytest.raises(NumericalError):
+                cli.write_sweep(["+"], couplings, fids, average, tmp_path / "s.csv",
+                                tmp_path / "s.json", {})
+
+    @pytest.mark.parametrize("labels, couplings, avg_shape", [
+        (["a", "b"], [0.5], (1, 1, 2)),
+        (["a"], [0.5, 0.7], (1, 1, 2)),
+        (["a"], [0.5], (1, 1, 3)),
+    ], ids=["labels", "couplings", "average"])
+    def test_arrays_that_miss_the_grid_are_refused(self, tmp_path, labels, couplings, avg_shape):
+        # zip would drop the rows of the missing targets or couplings
+        with pytest.raises(DimensionMismatchError):
+            cli.write_sweep(labels, couplings, np.full((1, 1, 2), 0.5), np.full(avg_shape, 0.5),
+                            tmp_path / "s.csv", tmp_path / "s.json", {})
+        assert not list(tmp_path.iterdir())
 
 
 class TestWriteCsv:
@@ -596,6 +632,19 @@ class TestKakCommand:
         assert result.exit_code == 0, result.output
         payload = json.loads((tmp_path / "kak.json").read_text())
         assert np.allclose(payload["weyl_coordinates"], [0.5, 0.5, 0.0], atol=1e-8)
+
+    def test_circuit_path_spelling_writes_the_same_file(self, runner, tmp_path, monkeypatch):
+        result = runner.invoke(main, ["circuit", "--target", "+", "--J", "0.785",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0
+        monkeypatch.chdir(tmp_path)
+        spellings = ["circuit.txt", "./circuit.txt", str(tmp_path / "circuit.txt")]
+        for i, path in enumerate(spellings):
+            result = runner.invoke(main, ["kak", "--circuit", path, "--out", f"k{i}"])
+            assert result.exit_code == 0, result.output
+        files = [read(tmp_path / f"k{i}" / "kak.json") for i in range(len(spellings))]
+        assert files[0] == files[1] == files[2]
+        assert json.loads(files[0])["config"]["circuit"] == "circuit.txt"
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_CIRCUIT_TEXTS))
     def test_malformed_circuit_file_is_config_error(self, runner, tmp_path, name):

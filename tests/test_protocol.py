@@ -1,10 +1,12 @@
 import hashlib
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qsteer.cli import write_sweep
 from qsteer.errors import ConfigError, DimensionMismatchError
 from qsteer.linalg import expm_i_herm
 from qsteer import protocol
@@ -310,20 +312,18 @@ class TestRunNonblind:
 class TestSweep:
     def test_one_step_maximal_coupling(self):
         targets = STABILIZERS
-        rows = sweep(targets, [math.pi / 2], 1)
-        finals = [r for r in rows if r.step == 1]
-        assert all(r.stabilizer_average == pytest.approx(1.0, abs=1e-10) for r in finals)
+        _, average = sweep(targets, [math.pi / 2], 1)
+        finals = average[:, 0, 1]
+        assert len(finals) == 6
+        assert all(a == pytest.approx(1.0, abs=1e-10) for a in finals)
 
     def test_smaller_coupling_needs_more_steps(self):
         targets = STABILIZERS
         steps_needed = {}
         for coupling in (math.pi / 8, math.pi / 4, math.pi / 2):
-            rows = sweep(targets, [coupling], 60)
-            by_step = {}
-            for r in rows:
-                by_step.setdefault(r.step, []).append(r.mean_fidelity)
-            avg = {n: np.mean(v) for n, v in by_step.items()}
-            steps_needed[coupling] = min(n for n, f in avg.items() if f >= 0.99)
+            fids, _ = sweep(targets, [coupling], 60)
+            avg = fids[:, 0].mean(axis=0)
+            steps_needed[coupling] = min(n for n, f in enumerate(avg) if f >= 0.99)
         assert steps_needed[math.pi / 8] > steps_needed[math.pi / 4] > steps_needed[math.pi / 2]
 
     def test_empty_grid_rejected(self):
@@ -723,33 +723,37 @@ class TestSweepGrid:
     def test_readme_targets_share_one_curve(self):
         # without damping every target of one (dimension, J) has the same
         # frame channel, so the README sweep's six curves agree bit for bit
-        rows = sweep(self.TARGETS, [0.39, 0.79, 1.57], 30)
-        cells = {}
-        for r in rows:
-            cells.setdefault((r.coupling, r.step), set()).add(r.mean_fidelity)
-        assert len(cells) == 3 * 31
-        assert all(len(values) == 1 for values in cells.values())
+        fids, _ = sweep(self.TARGETS, [0.39, 0.79, 1.57], 30)
+        assert fids.shape == (6, 3, 31)
+        assert np.all(fids == fids[0])
 
     def test_duplicate_coupling_has_no_stabilizer_average(self):
-        rows = sweep(self.TARGETS, [0.7, 0.3, 0.7], 3)
-        assert len(rows) == 6 * 3 * 4
-        for r in rows:
-            assert (r.stabilizer_average is None) == (r.coupling == 0.7)
-        cell = [r.mean_fidelity for r in rows if r.coupling == 0.3 and r.step == 2]
-        for r in rows:
-            if r.coupling == 0.3 and r.step == 2:
-                assert r.stabilizer_average == pytest.approx(np.mean(cell), abs=1e-15)
+        fids, average = sweep(self.TARGETS, [0.7, 0.3, 0.7], 3)
+        assert fids.shape == average.shape == (6, 3, 4)
+        assert np.isnan(average[:, [0, 2]]).all()
+        assert not np.isnan(average[:, 1]).any()
+        cell = fids[:, 1, 2]
+        for a in average[:, 1, 2]:
+            assert a == pytest.approx(np.mean(cell), abs=1e-15)
 
-    def test_repeats_give_exactly_zero_std(self):
-        rows = sweep(self.TARGETS, [0.7], 5)
-        assert [r.std_fidelity for r in rows] == [0.0] * len(rows)
+    def test_repeats_give_exactly_zero_std(self, tmp_path):
+        # a cell is one deterministic curve, so the std its rows are written with is 0
+        fids, average = sweep(self.TARGETS, [0.7], 5)
+        labels = [label for label, _ in self.TARGETS]
+        write_sweep(labels, [0.7], fids, average, tmp_path / "s.csv", tmp_path / "s.json", {})
+        rows = json.loads((tmp_path / "s.json").read_text())["rows"]
+        assert len(rows) == 6 * 6
+        assert [r["std"] for r in rows] == [0.0] * len(rows)
 
     def test_matches_run_blind(self):
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
-        for r in sweep(self.TARGETS[:2], [0.4, 1.1], 6):
-            spec = TargetSpec(dict(self.TARGETS)[r.target_label], r.coupling)
-            want = run_blind(rho, make_steering_operator(spec), 6)[0][r.step]
-            assert r.mean_fidelity == want
+        targets, couplings = self.TARGETS[:2], [0.4, 1.1]
+        fids, _ = sweep(targets, couplings, 6)
+        for (_, target), target_fids in zip(targets, fids):
+            for coupling, curve in zip(couplings, target_fids):
+                spec = TargetSpec(target, coupling)
+                want = run_blind(rho, make_steering_operator(spec), 6)[0]
+                assert curve.tolist() == want.tolist()
 
 
 class TestQubitClosedForm:
@@ -778,10 +782,9 @@ class TestQubitClosedForm:
         for _, target in self.TARGETS:
             fids = run_blind(rho, make_steering_operator(TargetSpec(target, coupling)), 25, noise)[0]
             assert np.max(np.abs(np.subtract(fids, want))) <= 1e-13
-        rows = sweep(self.TARGETS, [coupling], 25, noise)
-        assert len(rows) == len(self.TARGETS) * 26
-        for r in rows:
-            assert abs(r.mean_fidelity - want[r.step]) <= 1e-13
+        fids, _ = sweep(self.TARGETS, [coupling], 25, noise)
+        assert fids.shape == (len(self.TARGETS), 1, 26)
+        assert np.max(np.abs(fids - want)) <= 1e-13
 
 
 class TestBatchedSweepGrid:
@@ -802,41 +805,37 @@ class TestBatchedSweepGrid:
             targets = [self.QUBITS[0], *self.QUTRITS, self.QUBITS[1]]
         else:
             targets = self.QUBITS if dim == 2 else self.QUTRITS
-        rows = sweep(targets, self.COUPLINGS, 6, self.NOISE)
-        assert len(rows) == len(targets) * 3 * 7
-        for r in rows:
-            op = make_steering_operator(TargetSpec(dict(targets)[r.target_label], r.coupling))
-            d = op.system_dim
-            rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
-            assert r.mean_fidelity == run_blind(rho0, op, 6, self.NOISE)[0][r.step]
-            # and the plain per-cell iteration, one matrix-vector product a
-            # step in the frame, where I/d is I/d and a fidelity is the (0, 0)
-            # entry
-            channel = _step_superoperator(op, self.NOISE).sum(axis=0)
-            vecs = [rho0.matrix.ravel()]
-            for _ in range(6):
-                vecs.append(channel @ vecs[-1])
-            want = np.clip(np.real(vecs)[:, 0], 0.0, 1.0)[r.step]
-            assert r.mean_fidelity == want
+        fids, _ = sweep(targets, self.COUPLINGS, 6, self.NOISE)
+        assert fids.shape == (len(targets), 3, 7)
+        for (_, target), target_fids in zip(targets, fids):
+            for coupling, curve in zip(self.COUPLINGS, target_fids):
+                op = make_steering_operator(TargetSpec(target, coupling))
+                d = op.system_dim
+                rho0 = DensityState(matrix=np.eye(d, dtype=complex) / d, dims=(d,))
+                assert curve.tolist() == run_blind(rho0, op, 6, self.NOISE)[0].tolist()
+                # and the plain per-cell iteration, one matrix-vector product a
+                # step in the frame, where I/d is I/d and a fidelity is the
+                # (0, 0) entry
+                channel = _step_superoperator(op, self.NOISE).sum(axis=0)
+                vecs = [rho0.matrix.ravel()]
+                for _ in range(6):
+                    vecs.append(channel @ vecs[-1])
+                want = np.clip(np.real(vecs)[:, 0], 0.0, 1.0)
+                assert curve.tolist() == want.tolist()
 
     def test_stabilizer_average_stays_within_a_dimension(self):
         labels = ["0", "+", "qutrit-equal", "-i"]
         targets = [(label, CATALOG[label]) for label in labels]
-        rows = sweep(targets, self.COUPLINGS, 5, self.NOISE)
-        dim = {label: 3 if label == "qutrit-equal" else 2 for label in labels}
-        for r in rows:
-            if r.coupling != 0.3:
-                assert r.stabilizer_average is None
-                continue
-            cell = [
-                s.mean_fidelity
-                for s in rows
-                if (s.coupling, s.step) == (0.3, r.step) and dim[s.target_label] == dim[r.target_label]
-            ]
-            assert len(cell) == (1 if dim[r.target_label] == 3 else 3)
-            assert r.stabilizer_average == pytest.approx(np.mean(cell), abs=1e-15)
-        qutrit = [r for r in rows if r.target_label == "qutrit-equal" and r.coupling == 0.3]
-        assert [r.stabilizer_average for r in qutrit] == [r.mean_fidelity for r in qutrit]
+        fids, average = sweep(targets, self.COUPLINGS, 5, self.NOISE)
+        dim = np.array([3 if label == "qutrit-equal" else 2 for label in labels])
+        assert np.isnan(average[:, [0, 2]]).all()
+        for t, d in enumerate(dim):
+            cell = fids[dim == d, 1]  # J = 0.3, the targets of t's dimension
+            assert len(cell) == (1 if d == 3 else 3)
+            for n in range(6):
+                assert average[t, 1, n] == pytest.approx(np.mean(cell[:, n]), abs=1e-15)
+        qutrit = labels.index("qutrit-equal")
+        assert average[qutrit, 1].tolist() == fids[qutrit, 1].tolist()
 
 
 class TestConditionalStateTable:
