@@ -13,11 +13,15 @@ and a local block that also applies the exchange: 34 gates, 8 of them
 ``cx23``.  :func:`steering_kak` reads the qubit cycle's KAK decomposition off
 the same qubit circuit.
 
-Wire dimensions are explicit because qutrit wires exist.  On a dim-3 wire the
-plain ``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
-untouched; ``rx12``/``rz12`` act on the {|1>, |2>} subspace.  The qubit-qutrit
-entangler ``cx23`` follows its hardware truth table: identity on every basis
-state except |1>|2> -> i |1>|2>.
+A circuit acts on the register of :class:`SteeringOperator.unitary`: wire w0
+is the ancilla qubit and wire w1 the system, a qubit or a qutrit, so its wire
+dimensions are (2, 2) or (2, 3).  On a qutrit system the plain
+``rx``/``rz``/``u3`` gates act on the {|0>, |1>} subspace and leave |2>
+untouched; ``rx12``/``rz12`` act on the {|1>, |2>} subspace.  ``cx`` acts on
+the qubit register in either wire order.  The qubit-qutrit entangler ``cx23``
+(control w0, target w1) follows its hardware truth table: identity on every
+basis state except |1>|2> -> i |1>|2>.  One table, ``_GATES``, describes each
+gate kind, and :class:`Circuit` checks every gate against it and the register.
 
 Global phase is tracked as a scalar per circuit (emitted as a trailing
 ``phase(g);`` line) so that phase-sensitive verification stays honest.
@@ -25,11 +29,12 @@ Global phase is tracked as a scalar per circuit (emitted as a trailing
 Text format (UTF-8, LF line endings, floats printed with 17 significant
 digits), EBNF::
 
-    circuit   = header , { wiredecl } , { gateline } , phaseline ;
-    header    = "wires: " , int , ";\n" ;
-    wiredecl  = "wire w" , int , ": dim " , ( "2" | "3" ) , ";\n" ;
+    circuit   = header , wiredecls , { gateline } , phaseline ;
+    header    = "wires: 2;\n" ;
+    wiredecls = "wire w0: dim 2;\n" , "wire w1: dim " , ( "2" | "3" ) , ";\n" ;
     gateline  = name , [ "(" , float , { ", " , float } , ")" ] ,
-                [ " w" , int , { ", w" , int } ] , ";\n" ;
+                [ " " , wire , [ ", " , wire ] ] , ";\n" ;
+    wire      = "w0" | "w1" ;
     phaseline = "phase(" , float , ");\n" ;
     name      = "rx" | "rz" | "u3" | "cx" | "cx23" | "rx12" | "rz12" | "phase" ;
 """
@@ -40,6 +45,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,78 +64,7 @@ SUBSPACE_RX12 = "rx12"
 SUBSPACE_RZ12 = "rz12"
 PHASE = "phase"
 
-# kind -> (n_params, n_wires)
-_GATE_ARITY = {
-    RX: (1, 1),
-    RZ: (1, 1),
-    U3: (3, 1),
-    CNOT: (0, 2),
-    QUBIT_QUTRIT_CNOT: (0, 2),
-    SUBSPACE_RX12: (1, 1),
-    SUBSPACE_RZ12: (1, 1),
-    PHASE: (1, 0),
-}
-
 CX23_GATE = np.diag([1, 1, 1, 1, 1, 1j]).astype(complex)
-
-
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    params: tuple[float, ...] = ()
-    wires: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _GATE_ARITY:
-            raise ConfigError(f"unknown gate kind {self.kind!r}")
-        n_params, n_wires = _GATE_ARITY[self.kind]
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-        if len(self.params) != n_params:
-            raise ConfigError(f"{self.kind} takes {n_params} params, got {len(self.params)}")
-        if len(self.wires) != n_wires:
-            raise ConfigError(f"{self.kind} takes {n_wires} wires, got {len(self.wires)}")
-        if len(set(self.wires)) != len(self.wires):
-            raise ConfigError(f"{self.kind} wires must be distinct")
-        if not all(math.isfinite(p) for p in self.params):
-            raise ConfigError(f"{self.kind} has non-finite parameter")
-
-
-@dataclass(frozen=True)
-class Circuit:
-    wire_dims: tuple[int, ...]
-    gates: tuple[Gate, ...]
-    global_phase: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "wire_dims", tuple(int(d) for d in self.wire_dims))
-        object.__setattr__(self, "gates", tuple(self.gates))
-        if not all(d in (2, 3) for d in self.wire_dims):
-            raise ConfigError(f"wire dims must be 2 or 3, got {self.wire_dims}")
-        if not math.isfinite(self.global_phase):
-            raise ConfigError(f"non-finite global phase {self.global_phase}")
-        for g in self.gates:
-            self._check_gate(g)
-
-    def _check_gate(self, g: Gate) -> None:
-        for w in g.wires:
-            if not 0 <= w < len(self.wire_dims):
-                raise ConfigError(f"gate {g.kind} uses undeclared wire w{w}")
-        if g.kind in (SUBSPACE_RX12, SUBSPACE_RZ12) and self.wire_dims[g.wires[0]] != 3:
-            raise ConfigError(f"{g.kind} requires a dim-3 wire")
-        if g.kind == CNOT:
-            if any(self.wire_dims[w] != 2 for w in g.wires):
-                raise ConfigError("cx requires two dim-2 wires")
-        if g.kind == QUBIT_QUTRIT_CNOT:
-            if self.wire_dims[g.wires[0]] != 2 or self.wire_dims[g.wires[1]] != 3:
-                raise ConfigError("cx23 requires (dim-2 control, dim-3 target) wires")
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod(self.wire_dims))
-
-    def count(self, kind: str) -> int:
-        return sum(1 for g in self.gates if g.kind == kind)
 
 
 def rx_matrix(a: float) -> ComplexMatrix:
@@ -150,35 +85,78 @@ def u3_matrix(theta: float, phi: float, lam: float) -> ComplexMatrix:
     ])
 
 
-# one-wire kind -> (2x2 rotation, lowest level it acts on); a qutrit's third
-# level is left untouched
-_ONE_WIRE = {
-    RX: (rx_matrix, 0),
-    RZ: (rz_matrix, 0),
-    U3: (u3_matrix, 0),
-    SUBSPACE_RX12: (rx_matrix, 1),
-    SUBSPACE_RZ12: (rz_matrix, 1),
+# kind -> (parameter count, action).  The action is a one-wire kind's
+# (2x2 rotation, lowest level it acts on), leaving a qutrit's third level
+# untouched; a two-wire kind's matrix on (dim-2 control, target); or None for
+# the global phase.
+_GATES = {
+    RX: (1, (rx_matrix, 0)),
+    RZ: (1, (rz_matrix, 0)),
+    U3: (3, (u3_matrix, 0)),
+    SUBSPACE_RX12: (1, (rx_matrix, 1)),
+    SUBSPACE_RZ12: (1, (rz_matrix, 1)),
+    CNOT: (0, CNOT_GATE),
+    QUBIT_QUTRIT_CNOT: (0, CX23_GATE),
+    PHASE: (1, None),
 }
-_TWO_WIRE = {CNOT: CNOT_GATE, QUBIT_QUTRIT_CNOT: CX23_GATE}
+
+
+class Gate(NamedTuple):
+    """One gate; :class:`Circuit` checks it against ``_GATES`` and the register."""
+
+    kind: str
+    params: tuple[float, ...] = ()
+    wires: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Gates on the (ancilla, system) register ``wire_dims``, (2, 2) or (2, 3),
+    in application order, and a global phase."""
+
+    wire_dims: tuple[int, ...]
+    gates: tuple[Gate, ...]
+    global_phase: float = 0.0
+
+    def __post_init__(self):
+        dims = tuple(self.wire_dims)
+        object.__setattr__(self, "wire_dims", dims)
+        object.__setattr__(self, "gates", tuple(self.gates))
+        if dims not in ((2, 2), (2, 3)):
+            raise ConfigError(f"wire dims must be (2, 2) or (2, 3), ancilla then system, got {dims}")
+        if not math.isfinite(self.global_phase):
+            raise ConfigError(f"non-finite global phase {self.global_phase}")
+        for g in self.gates:
+            if g.kind not in _GATES:
+                raise ConfigError(f"unknown gate kind {g.kind!r}")
+            n_params, action = _GATES[g.kind]
+            if len(g.params) != n_params:
+                raise ConfigError(f"{g.kind} takes {n_params} params, got {len(g.params)}")
+            if not all(math.isfinite(p) for p in g.params):
+                raise ConfigError(f"{g.kind} has non-finite parameter")
+            if action is None:
+                allowed = g.wires == ()
+            elif isinstance(action, tuple):  # levels lo and lo + 1 of one wire
+                allowed = g.wires in ((0,), (1,)) and dims[g.wires[0]] >= action[1] + 2
+            else:  # a matrix on (dim-2 control, target)
+                allowed = (g.wires in ((0, 1), (1, 0))
+                           and tuple(dims[w] for w in g.wires) == (2, len(action) // 2))
+            if not allowed:
+                raise ConfigError(f"{g.kind} cannot act on wires {g.wires} of a {dims} register")
+
+    def count(self, kind: str) -> int:
+        return sum(1 for g in self.gates if g.kind == kind)
 
 
 def _apply(total: ComplexMatrix, op: ComplexMatrix, wires: tuple[int, ...],
            dims: tuple[int, ...]) -> ComplexMatrix:
     """``op`` (acting on ``wires``, in that order) times ``total``, as one
     matmul on a (pre, block, rest) view of ``total``'s rows."""
-    if len(wires) == 2 and wires[0] > wires[1]:
-        da, db = dims[wires[0]], dims[wires[1]]
-        op = op.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
-        wires = wires[::-1]
-    lo, hi = wires[0], wires[-1]
-    pre = math.prod(dims[:lo])
-    if hi - lo == len(wires) - 1:
-        return (op @ total.reshape(pre, len(op), -1)).reshape(total.shape)
-    # wires between the two: bring ``hi`` next to ``lo`` and back
-    t = np.moveaxis(total.reshape(*dims, -1), hi, lo + 1)
-    moved = t.shape
-    t = (op @ t.reshape(pre, len(op), -1)).reshape(moved)
-    return np.moveaxis(t, lo + 1, hi).reshape(total.shape)
+    if wires == (1, 0):  # only cx, on the qubit register: swap its factors
+        op = op.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+        wires = (0, 1)
+    pre = math.prod(dims[: wires[0]])
+    return (op @ total.reshape(pre, len(op), -1)).reshape(total.shape)
 
 
 def evaluate_circuit(circuit: Circuit) -> ComplexMatrix:
@@ -189,24 +167,25 @@ def evaluate_circuit(circuit: Circuit) -> ComplexMatrix:
     applied when a two-wire gate touches the wire or at the end; phase gates
     add to one scalar."""
     dims = circuit.wire_dims
-    total = np.eye(circuit.dim, dtype=complex)
+    total = np.eye(math.prod(dims), dtype=complex)
     pending: dict[int, ComplexMatrix] = {}
     phase = circuit.global_phase
     for g in circuit.gates:
-        if g.kind == PHASE:
+        action = _GATES[g.kind][1]
+        if action is None:
             phase += g.params[0]
-        elif len(g.wires) == 1:
+        elif isinstance(action, tuple):
             w = g.wires[0]
             if w not in pending:
                 pending[w] = np.eye(dims[w], dtype=complex)
-            rotation, lo = _ONE_WIRE[g.kind]
+            rotation, lo = action
             block = pending[w]
             block[lo : lo + 2] = rotation(*g.params) @ block[lo : lo + 2]
         else:
             for w in g.wires:
                 if w in pending:
                     total = _apply(total, pending.pop(w), (w,), dims)
-            total = _apply(total, _TWO_WIRE[g.kind], g.wires, dims)
+            total = _apply(total, action, g.wires, dims)
     for w, block in pending.items():
         total = _apply(total, block, (w,), dims)
     return np.exp(1j * phase) * total
@@ -424,14 +403,9 @@ def emit_text(circuit: Circuit) -> str:
     for i, d in enumerate(circuit.wire_dims):
         lines.append(f"wire w{i}: dim {d};")
     for g in circuit.gates:
-        params = ", ".join(_fmt(p) for p in g.params)
-        wires = ", ".join(f"w{w}" for w in g.wires)
-        if g.params and g.wires:
-            lines.append(f"{g.kind}({params}) {wires};")
-        elif g.params:
-            lines.append(f"{g.kind}({params});")
-        else:
-            lines.append(f"{g.kind} {wires};")
+        params = f"({', '.join(_fmt(p) for p in g.params)})" if g.params else ""
+        wires = " " + ", ".join(f"w{w}" for w in g.wires) if g.wires else ""
+        lines.append(f"{g.kind}{params}{wires};")
     lines.append(f"phase({_fmt(circuit.global_phase)});")
     return "\n".join(lines) + "\n"
 

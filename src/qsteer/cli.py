@@ -123,7 +123,7 @@ def load_noise(path: str | None) -> NoiseConfig:
             raise ConfigError(f"noise value {key}={json.dumps(value)} is not made of JSON numbers")
     try:
         return NoiseConfig(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad noise value: {exc}") from exc
 
 

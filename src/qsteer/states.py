@@ -55,6 +55,13 @@ def pauli_string_matrix(label: str) -> ComplexMatrix:
     return out
 
 
+def _phase(name: str, value: float) -> float:
+    """A target phase: accepted on [0, 2pi], with 2pi read as 0."""
+    if not 0.0 <= value <= TWO_PI:
+        raise ConfigError(f"{name}={value} outside [0, 2pi]")
+    return 0.0 if value == TWO_PI else value
+
+
 @dataclass(frozen=True)
 class QubitTarget:
     """Pure qubit target cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
@@ -65,8 +72,7 @@ class QubitTarget:
     def __post_init__(self):
         if not 0.0 <= self.theta <= math.pi:
             raise ConfigError(f"theta={self.theta} outside [0, pi]")
-        if not 0.0 <= self.phi < TWO_PI:
-            raise ConfigError(f"phi={self.phi} outside [0, 2pi)")
+        object.__setattr__(self, "phi", _phase("phi", self.phi))
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,7 @@ class QutritTarget:
     """Pure qutrit target parametrized by (xi, theta, phi01, phi02).
 
     Amplitudes: sin(xi/2)cos(theta/2), e^{i phi01} sin(xi/2)sin(theta/2),
-    e^{i phi02} cos(xi/2).  Phases are accepted on the closed interval
-    [0, 2pi] and 2pi is canonicalized to 0.
+    e^{i phi02} cos(xi/2).  Phases follow the rule of :func:`_phase`.
     """
 
     xi: float
@@ -89,11 +94,7 @@ class QutritTarget:
             if not 0.0 <= v <= math.pi:
                 raise ConfigError(f"{name}={v} outside [0, pi]")
         for name in ("phi01", "phi02"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= TWO_PI:
-                raise ConfigError(f"{name}={v} outside [0, 2pi]")
-            if v == TWO_PI:
-                object.__setattr__(self, name, 0.0)
+            object.__setattr__(self, name, _phase(name, getattr(self, name)))
 
 
 def target_ket(spec: QubitTarget | QutritTarget) -> np.ndarray:

@@ -47,28 +47,47 @@ from conftest import (MALFORMED_CIRCUIT_TEXTS, STABILIZERS, canonicalize_weyl_ve
 
 class TestGateValidation:
     def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            Gate("ry", (0.1,), (0,))
+        with pytest.raises(ConfigError, match="unknown gate kind"):
+            Circuit((2, 2), (Gate("ry", (0.1,), (0,)),))
 
     def test_wire_checks(self):
-        with pytest.raises(ConfigError):
-            Circuit((2, 2), (Gate(SUBSPACE_RX12, (0.1,), (0,)),))
-        with pytest.raises(ConfigError):
-            Circuit((2, 2), (Gate(QUBIT_QUTRIT_CNOT, (), (0, 1)),))
-        with pytest.raises(ConfigError):
-            Circuit((2,), (Gate(RX, (0.1,), (1,)),))
+        bad = [
+            ((2, 2), Gate(SUBSPACE_RX12, (0.1,), (0,))),  # rx12 on a qubit wire
+            ((2, 3), Gate(SUBSPACE_RZ12, (0.1,), (0,))),
+            ((2, 2), Gate(QUBIT_QUTRIT_CNOT, (), (0, 1))),  # cx23 on the qubit register
+            ((2, 3), Gate(QUBIT_QUTRIT_CNOT, (), (1, 0))),  # reversed cx23
+            ((2, 3), Gate(CNOT, (), (0, 1))),  # cx on the qutrit register
+            ((2, 2), Gate(RX, (0.1,), (2,))),  # undeclared wire
+            ((2, 2), Gate(RX, (0.1,), (0, 1))),  # wire count
+            ((2, 2), Gate(CNOT, (), (0,))),
+            ((2, 2), Gate(PHASE, (0.1,), (0,))),
+        ]
+        for dims, gate in bad:
+            with pytest.raises(ConfigError, match="cannot act on wires"):
+                Circuit(dims, (gate,))
         Circuit((2, 3), (Gate(QUBIT_QUTRIT_CNOT, (), (0, 1)),))
+        Circuit((2, 2), (Gate(CNOT, (), (1, 0)),))
 
     def test_duplicate_wires(self):
-        with pytest.raises(ConfigError):
-            Gate(CNOT, (), (0, 0))
+        with pytest.raises(ConfigError, match="cannot act on wires"):
+            Circuit((2, 2), (Gate(CNOT, (), (0, 0)),))
 
     def test_nonfinite_param(self):
-        with pytest.raises(ConfigError):
-            Gate(RX, (float("nan"),), (0,))
+        with pytest.raises(ConfigError, match="non-finite parameter"):
+            Circuit((2, 2), (Gate(RX, (float("nan"),), (0,)),))
         for phase in (math.inf, -math.inf, math.nan):
             with pytest.raises(ConfigError):
-                Circuit((2,), (), phase)
+                Circuit((2, 2), (), phase)
+
+    def test_param_count(self):
+        for gate in (Gate(RX, (), (0,)), Gate(U3, (0.1, 0.2), (1,)), Gate(CNOT, (0.1,), (0, 1))):
+            with pytest.raises(ConfigError, match="params"):
+                Circuit((2, 2), (gate,))
+
+    @pytest.mark.parametrize("dims", [(2,), (3,), (3, 2), (2, 2, 2), (), (3, 3)])
+    def test_register_is_ancilla_then_system(self, dims):
+        with pytest.raises(ConfigError, match="wire dims"):
+            Circuit(dims, ())
 
 
 class TestEvaluate:
@@ -93,16 +112,17 @@ class TestEvaluate:
         assert np.allclose(got, want, atol=1e-15)
 
     def test_subspace_rotations_do_not_touch_other_level(self):
-        c = Circuit((3,), (Gate(SUBSPACE_RX12, (0.7,), (0,)),))
-        got = evaluate_circuit(c)
+        # the system block of the ancilla's |0> rows
+        c = Circuit((2, 3), (Gate(SUBSPACE_RX12, (0.7,), (1,)),))
+        got = evaluate_circuit(c)[:3, :3]
         assert got[0, 0] == 1.0 and np.allclose(got[0, 1:], 0)
-        c = Circuit((3,), (Gate(RX, (0.7,), (0,)),))
-        got = evaluate_circuit(c)
+        c = Circuit((2, 3), (Gate(RX, (0.7,), (1,)),))
+        got = evaluate_circuit(c)[:3, :3]
         assert got[2, 2] == 1.0 and np.allclose(got[2, :2], 0)
 
     def test_phase_gate(self):
-        c = Circuit((2,), (Gate(PHASE, (0.5,), ()),))
-        assert np.allclose(evaluate_circuit(c), np.exp(0.5j) * np.eye(2))
+        c = Circuit((2, 2), (Gate(PHASE, (0.5,), ()),))
+        assert np.allclose(evaluate_circuit(c), np.exp(0.5j) * np.eye(4))
 
     def test_matches_kron_reference_on_random_circuits(self):
         seen_kinds, seen_pairs = set(), set()
@@ -111,10 +131,9 @@ class TestEvaluate:
             dev = np.max(np.abs(evaluate_circuit(c) - kron_reference(c)))
             assert dev <= 1e-13, (seed, dev)
             seen_kinds |= {g.kind for g in c.gates}
-            seen_pairs |= {(g.wires[0] > g.wires[1], abs(g.wires[0] - g.wires[1]) > 1)
-                           for g in c.gates if len(g.wires) == 2}
+            seen_pairs |= {g.wires for g in c.gates if len(g.wires) == 2}
         assert seen_kinds == {RX, RZ, U3, SUBSPACE_RX12, SUBSPACE_RZ12, CNOT, QUBIT_QUTRIT_CNOT, PHASE}
-        assert {(True, False), (False, True), (True, True)} <= seen_pairs
+        assert seen_pairs == {(0, 1), (1, 0)}
 
     @pytest.mark.parametrize(
         "target, coupling, tol",
@@ -129,8 +148,8 @@ class TestEvaluate:
         assert np.max(np.abs(u - kron_reference(c))) <= 1e-13
 
     def test_gate_order_is_application_order(self):
-        c = Circuit((2,), (Gate(RX, (math.pi,), (0,)), Gate(RZ, (math.pi,), (0,))))
-        want = rz_matrix(math.pi) @ rx_matrix(math.pi)
+        c = Circuit((2, 2), (Gate(RX, (math.pi,), (0,)), Gate(RZ, (math.pi,), (0,))))
+        want = np.kron(rz_matrix(math.pi) @ rx_matrix(math.pi), np.eye(2))
         assert np.allclose(evaluate_circuit(c), want, atol=1e-14)
 
 
@@ -138,7 +157,8 @@ def kron_reference(circuit):
     """Every gate Kronecker-embedded into the full space, one full product per
     gate, with 2x2 rotations built independently of ``qsteer.circuits``."""
     dims, n = circuit.wire_dims, len(circuit.wire_dims)
-    total = np.exp(1j * circuit.global_phase) * np.eye(circuit.dim, dtype=complex)
+    dim = math.prod(dims)
+    total = np.exp(1j * circuit.global_phase) * np.eye(dim, dtype=complex)
     x, y = np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])
     rx = lambda a: math.cos(a / 2) * np.eye(2) - 1j * math.sin(a / 2) * x
     ry = lambda a: math.cos(a / 2) * np.eye(2) - 1j * math.sin(a / 2) * y
@@ -161,14 +181,14 @@ def kron_reference(circuit):
         full = np.kron(op, np.eye(math.prod(dims[i] for i in rest)))
         perm = [order.index(i) for i in range(n)]
         full = full.reshape([dims[i] for i in order] * 2).transpose(perm + [p + n for p in perm])
-        total = full.reshape(circuit.dim, circuit.dim) @ total
+        total = full.reshape(dim, dim) @ total
     return total
 
 
 def random_circuit(rng):
-    """1-3 wires of dim 2 or 3; every gate kind, two-wire gates in either
-    wire order and on non-adjacent wires, and long one-wire runs."""
-    dims = tuple(int(d) for d in rng.choice([2, 3], size=int(rng.integers(1, 4))))
+    """The (2, 2) or (2, 3) register; every gate kind, cx in either wire
+    order, and long one-wire runs."""
+    dims = (2, int(rng.choice([2, 3])))
     n = len(dims)
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     pair_gates = [Gate(CNOT, (), p) for p in pairs if dims[p[0]] == dims[p[1]] == 2]
@@ -353,7 +373,7 @@ class TestQutritSynthesis:
 
 class TestTextFormat:
     def test_single_rx_line(self):
-        c = Circuit((2,), (Gate(RX, (math.pi / 2,), (0,)),))
+        c = Circuit((2, 2), (Gate(RX, (math.pi / 2,), (0,)),))
         text = emit_text(c)
         assert "rx(1.5707963267948966) w0;" in text.splitlines()
 
@@ -395,10 +415,18 @@ class TestTextFormat:
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_text("")
-        with pytest.raises(ConfigError):
-            parse_text("wires: 1;\nwire w0: dim 2;\nfoo(1) w0;\nphase(0);\n")
-        with pytest.raises(ConfigError):
-            parse_text("wires: 1;\nwire w0: dim 2;\nrx(0.1) w0;\n")  # missing phase line
+        two_wires = "wires: 2;\nwire w0: dim 2;\nwire w1: dim 2;\n"
+        with pytest.raises(ConfigError, match="unknown gate kind 'foo'"):
+            parse_text(two_wires + "foo(1) w0;\nphase(0);\n")
+        with pytest.raises(ConfigError, match="must end with a phase"):
+            parse_text(two_wires + "rx(0.1) w0;\n")
         for text in MALFORMED_CIRCUIT_TEXTS.values():
             with pytest.raises(ConfigError):
                 parse_text(text)
+
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 3)])
+    def test_parse_rejects_other_registers(self, dims):
+        text = emit_text(Circuit((2, 3), (Gate(RX, (0.1,), (0,)),))).splitlines()
+        header = [f"wires: {len(dims)};"] + [f"wire w{i}: dim {d};" for i, d in enumerate(dims)]
+        with pytest.raises(ConfigError, match="wire dims"):
+            parse_text("\n".join(header + text[3:]) + "\n")

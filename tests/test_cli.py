@@ -117,6 +117,9 @@ class TestSteerCommand:
             {"amplitude_damping_gamma": False},
             {"readout_confusion": [[True, False], [False, True]]},
             {"readout_confusion": [["0.9", "0.1"], [0, 1]]},
+            # integers too large for a float
+            {"depolarizing_p": 10**400},
+            {"readout_confusion": [[10**400, 0], [0, 1]]},
         ],
     )
     def test_noise_file_bad_value_is_config_error(self, runner, tmp_path, raw):

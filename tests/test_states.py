@@ -50,6 +50,8 @@ class TestTargetKet:
         # 2pi is accepted and canonicalized to 0
         t = QutritTarget(1.0, 1.0, 2 * math.pi, 2 * math.pi)
         assert t.phi01 == 0.0 and t.phi02 == 0.0
+        # the qubit target follows the same rule
+        assert QubitTarget(1.0, 2 * math.pi) == QubitTarget(1.0, 0.0)
 
     def test_global_phase_convention(self):
         ket = target_ket(QubitTarget(math.pi, 0.5))
