@@ -410,31 +410,22 @@ def emit_text(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HEADER_RE = re.compile(r"^wires:\s*(\d+);$")
-_WIRE_RE = re.compile(r"^wire w(\d+): dim (\d+);$")
+# the three header lines of each register, and the wire tokens
+_HEADERS = {("wires: 2;", "wire w0: dim 2;", f"wire w1: dim {d};"): (2, d) for d in (2, 3)}
+_WIRES = {"w0": 0, "w1": 1}
 _GATE_RE = re.compile(r"^([a-z][a-z0-9]*)(?:\(([^)]*)\))?(?:\s+([w\d,\s]+))?;$")
 
 
 def parse_text(text: str) -> Circuit:
     """Inverse of :func:`emit_text`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError("empty circuit text")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise ConfigError(f"bad header line {lines[0]!r}")
-    n = int(m.group(1))
-    if len(lines) <= n:
-        raise ConfigError(f"circuit text ends before its {n} wire declarations")
-    dims = [0] * n
-    for i in range(n):
-        wm = _WIRE_RE.match(lines[1 + i])
-        if not wm or int(wm.group(1)) != i:
-            raise ConfigError(f"bad wire declaration {lines[1 + i]!r}")
-        dims[i] = int(wm.group(2))
+    dims = _HEADERS.get(tuple(lines[:3]))
+    if dims is None:
+        raise ConfigError("circuit text must declare the wire dims (2, 2) or (2, 3), ancilla "
+                          f"then system, in three header lines; got {lines[:3]!r}")
     gates: list[Gate] = []
     global_phase = 0.0
-    body = lines[1 + n :]
+    body = lines[3:]
     for idx, ln in enumerate(body):
         gm = _GATE_RE.match(ln.strip())
         if not gm:
@@ -442,13 +433,9 @@ def parse_text(text: str) -> Circuit:
         kind = gm.group(1)
         try:
             params = tuple(float(p) for p in gm.group(2).split(",")) if gm.group(2) else ()
-            wires = (
-                tuple(int(w.strip().lstrip("w")) for w in gm.group(3).split(","))
-                if gm.group(3)
-                else ()
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad number in gate line {ln!r}") from exc
+            wires = tuple(_WIRES[w.strip()] for w in gm.group(3).split(",")) if gm.group(3) else ()
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad number or wire in gate line {ln!r}") from exc
         if kind == PHASE and idx == len(body) - 1:
             if len(params) != 1 or wires:
                 raise ConfigError(f"bad phase line {ln!r}")
@@ -457,4 +444,4 @@ def parse_text(text: str) -> Circuit:
             gates.append(Gate(kind, params, wires))
     if not body or not body[-1].strip().startswith("phase("):
         raise ConfigError("circuit text must end with a phase(...) line")
-    return Circuit(tuple(dims), tuple(gates), global_phase)
+    return Circuit(dims, tuple(gates), global_phase)

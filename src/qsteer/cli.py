@@ -36,6 +36,7 @@ from .protocol import (
     _check_run_bytes,
     _check_seed,
     _maximally_mixed,
+    repetition_law,
     repetition_stats,
     run_blind,
     run_nonblind_batch,
@@ -264,13 +265,18 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
         stats = repetition_stats(batch)
         fids = fidelity(batch.final_states, op.target)
         mean_fid, std_fid = float(fids.mean()), float(fids.std())
+        # the exact law of the first recorded 1, conditioned on a flag within N
+        pmf, failure = repetition_law(rho0, op, steps, noise)
+        flagged = float(pmf.sum())
+        exact_pmf = pmf / flagged if flagged else pmf
         total = sum(stats.counts.values())
         cdf_map = dict(stats.cdf)
-        hist_rows = [[value, count, count / total, cdf_map[value]]
+        hist_rows = [[value, count, count / total, cdf_map[value], float(exact_pmf[value - 1])]
                      for value, count in sorted(stats.counts.items())]
         tables = {
             "fidelity_vs_n.csv": (fid_header, [[label, coupling, steps, mean_fid, std_fid]]),
-            "repetitions_hist.csv": (["repetitions", "count", "frequency", "cdf"], hist_rows),
+            "repetitions_hist.csv": (["repetitions", "count", "frequency", "cdf", "exact_pmf"],
+                                     hist_rows),
         }
         results = {
             "records": {
@@ -281,6 +287,8 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
                     "failures": stats.n_failures,
                     "n_trajectories": stats.n_records,
                     "counts": {str(k): v for k, v in sorted(stats.counts.items())},
+                    "exact_failure_probability": failure,
+                    "exact_mean": float(np.arange(1, steps + 1) @ exact_pmf) if flagged else None,
                 },
             }
         }
@@ -516,7 +524,7 @@ def qpt(target_text, coupling, shots, seed, out_dir):
     results = {
         "average_gate_fidelity": average_gate_fidelity(rec, ideal),
         "max_abs_r_minus_i": float(dev.max()),
-        "estimator": "linear-inversion+choi-truncation",
+        "estimator": "linear-inversion+cptp-projection",
     }
     columns = [f"c{j}" for j in range(rec.shape[1])]
     tables = {

@@ -6,6 +6,7 @@ commands in process and compares what they write with the tree.
 
     python tests/golden.py           # compare a fresh run with the tree
     python tests/golden.py --write   # regenerate the tree
+    python tests/golden.py --cli OUT # run each command in its own qsteer process
 
 A change that moves output regenerates the tree, so its diff lists every
 moved number.
@@ -27,6 +28,7 @@ import json
 import os
 import re
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -194,7 +196,12 @@ def _invoke(argv: list[str]) -> None:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--write", action="store_true", help="regenerate tests/golden/")
+    ap.add_argument("--cli", metavar="OUT", type=Path,
+                    help="run the commands through the installed qsteer console script into OUT")
     args = ap.parse_args()
+    if args.cli is not None:
+        run_commands(args.cli.resolve(), lambda argv: subprocess.run(["qsteer", *argv], check=True))
+        return 0
     sys.path.insert(0, str(REPO / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp) / "golden"

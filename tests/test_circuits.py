@@ -420,6 +420,12 @@ class TestTextFormat:
             parse_text(two_wires + "foo(1) w0;\nphase(0);\n")
         with pytest.raises(ConfigError, match="must end with a phase"):
             parse_text(two_wires + "rx(0.1) w0;\n")
+        # a wire token is w0 or w1, and the header is written as emit_text writes it
+        for line in ("cx ww0, ww1;", "rx(0.5) 1;", "rx(0.5) w01;"):
+            with pytest.raises(ConfigError, match="bad number or wire"):
+                parse_text(two_wires + line + "\nphase(0);\n")
+        with pytest.raises(ConfigError, match="wire dims"):
+            parse_text(two_wires.replace("wires: 2;", "wires:2;") + "phase(0);\n")
         for text in MALFORMED_CIRCUIT_TEXTS.values():
             with pytest.raises(ConfigError):
                 parse_text(text)

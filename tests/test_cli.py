@@ -70,10 +70,32 @@ class TestSteerCommand:
              "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
-        assert (tmp_path / "repetitions_hist.csv").exists()
+        with open(tmp_path / "repetitions_hist.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         payload = json.loads((tmp_path / "records.json").read_text())
         assert payload["config"]["mode"] == "nonblind"
-        assert payload["records"]["repetitions"]["n_trajectories"] == 500
+        rep = payload["records"]["repetitions"]
+        assert rep["n_trajectories"] == 500
+        # from I/2 without noise, the |-> half flags at cycle n with
+        # probability 2^-n: the exact law beside the samples, conditioned on
+        # a flag within N = 30 as the frequencies are
+        flagged = 1 - 0.5**30
+        assert list(rows[0]) == ["repetitions", "count", "frequency", "cdf", "exact_pmf"]
+        assert [int(r["repetitions"]) for r in rows] == sorted(int(k) for k in rep["counts"])
+        for row in rows:
+            want = 0.5 ** int(row["repetitions"]) / flagged
+            assert float(row["exact_pmf"]) == pytest.approx(want, rel=1e-12)
+        assert rep["exact_failure_probability"] == pytest.approx(0.5 + 0.5**31, rel=1e-12)
+        assert rep["exact_mean"] == pytest.approx(2 - 30 * 0.5**30 / flagged, rel=1e-12)
+
+    def test_nonblind_without_flags_has_no_exact_mean(self, runner, tmp_path):
+        # at J = 0 the ancilla never reads 1: all of the law's mass is on failure
+        args = ["steer", "--target", "+", "--J", "0", "--N", "5", "--mode", "nonblind",
+                "--trajectories", "10", "--out", str(tmp_path)]
+        assert runner.invoke(main, args).exit_code == 0
+        rep = json.loads((tmp_path / "records.json").read_text())["records"]["repetitions"]
+        assert rep["mean"] is None and rep["exact_mean"] is None
+        assert rep["exact_failure_probability"] == 1.0
 
     def test_invalid_config_exit_code(self, runner, tmp_path):
         result = runner.invoke(

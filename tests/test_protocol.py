@@ -894,15 +894,20 @@ class TestConditionalStateTable:
 
 
 class TestRepetitionLaw:
-    def test_noiseless_plus_is_geometric_on_the_minus_half(self):
+    @pytest.mark.parametrize("coupling", [0.3, math.pi / 4])
+    def test_noiseless_plus_is_geometric_on_the_minus_half(self, coupling):
         # I/2 is half |+>, which never records a 1, and half |->, which
-        # records its first 1 at cycle n with probability cos^2(J)^(n-1) sin^2(J)
-        op = make_steering_operator(PLUS_QUARTER)
+        # records its first 1 at cycle n with probability cos^2(J)^(n-1) sin^2(J);
+        # conditioned on a flag within N, the mean is the truncated geometric
+        # 1/p - N q^N / (1 - q^N)
+        op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), coupling, "+"))
         rho = DensityState(matrix=np.eye(2, dtype=complex) / 2, dims=(2,))
         pmf, failure = repetition_law(rho, op, 30)
-        p, n = math.sin(math.pi / 4) ** 2, np.arange(1, 31)
-        assert np.max(np.abs(pmf - 0.5 * p * (1 - p) ** (n - 1))) <= 1e-15
-        assert failure == pytest.approx(0.5 + 0.5 * (1 - p) ** 30, abs=1e-13)
+        p, n = math.sin(coupling) ** 2, np.arange(1, 31)
+        q = 1 - p
+        assert np.max(np.abs(pmf - 0.5 * p * q ** (n - 1))) <= 1e-15
+        assert failure == pytest.approx(0.5 + 0.5 * q**30, abs=1e-13)
+        assert n @ pmf / pmf.sum() == pytest.approx(1 / p - 30 * q**30 / (1 - q**30), rel=1e-12)
 
     @pytest.mark.parametrize("key", sorted(NOISE_KEYS))
     @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])

@@ -412,6 +412,41 @@ class TestProcessTomography:
         assert np.max(np.abs(want[0] - np.eye(4)[0])) < 1e-12  # trace preserving
         assert np.max(np.abs(process_tomography(channel) - want)) < 1e-12
 
+    @pytest.mark.parametrize("shots", [1, 16, 256, 4096])
+    def test_finite_shot_estimates_are_cptp(self, shots):
+        # first row (1, 0, ..., 0) and a positive semidefinite normalized
+        # Choi matrix, each to 1e-12, for a two-wire and a one-wire channel
+        op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+"))
+        channels = ((channel_superoperator([op.unitary]), 2), (depolarizing_channel(0.2), 1))
+        for channel, n in channels:
+            for seed in range(5):
+                ptm = process_tomography(channel, shots=shots, seed=seed)
+                assert np.max(np.abs(ptm[0] - np.eye(4**n)[0])) <= 1e-12
+                assert np.linalg.eigvalsh(loop_choi(ptm, n))[0] >= -1e-12
+
+    def test_exact_mode_runs_no_projection(self, monkeypatch):
+        # an exact estimate is CPTP already: it comes back as linear inversion
+        # gave it, and equals what the clip-and-rescale estimator gave, to 1e-12
+        monkeypatch.setattr(tomography, "mle_project", lambda m: pytest.fail("projected"))
+        op = make_steering_operator(TargetSpec(QubitTarget(1.1, 0.3), 0.785))
+        channels = ((channel_superoperator([op.unitary]), 2), (depolarizing_channel(0.35), 1))
+        for channel, n in channels:
+            raw = raw_ptms(lambda: process_tomography(channel))
+            assert np.array_equal(process_tomography(channel), raw[0])
+            assert np.max(np.abs(raw[0] - loop_clipped_ptm(raw[0], n))) <= 1e-12
+
+    def test_mean_gate_fidelity_no_lower_than_the_clipped_estimator(self):
+        # qpt --target + --J pi/2 --shots 256 over seeds 0..29
+        op = make_steering_operator(TargetSpec(QubitTarget(math.pi / 2, 0.0), math.pi / 2, "+"))
+        channel, ideal = channel_superoperator([op.unitary]), ptm_of_unitary(op.unitary)
+        new, old = [], []
+        for seed in range(30):
+            raw = raw_ptms(lambda: new.append(process_tomography(channel, shots=256, seed=seed)))
+            old.append(loop_clipped_ptm(raw[0], 2))
+        mean_new, mean_old = (np.mean([average_gate_fidelity(r, ideal) for r in ptms])
+                              for ptms in (new, old))
+        assert mean_new >= mean_old
+
 
 def loop_pauli_basis(n):
     return [pauli_string_matrix("".join(c)) for c in product("IXYZ", repeat=n)]
@@ -429,27 +464,58 @@ def loop_ptm_of_kraus(ops):
     return r
 
 
-def loop_project_ptm(r, n):
-    """Choi matrix sum_jk R_jk P_k^T (x) P_j / d^2 built term by term,
-    negative eigenvalues clipped, trace restored, PTM read back term by
-    term; also reports whether any eigenvalue was clipped."""
-    d = 2**n
+def loop_choi(r, n):
+    """Normalized Choi matrix sum_jk R_jk P_k^T (x) P_j / d^2, term by term."""
+    paulis = list(enumerate(loop_pauli_basis(n)))
+    return sum(r[j, k] * np.kron(pk.T, pj) for j, pj in paulis for k, pk in paulis) / 4**n
+
+
+def loop_ptm_of_choi(choi, n):
     paulis = loop_pauli_basis(n)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for j, pj in enumerate(paulis):
-        for k, pk in enumerate(paulis):
-            choi += r[j, k] * np.kron(pk.T, pj)
-    choi /= d * d
-    choi = 0.5 * (choi + choi.conj().T)
-    w, v = np.linalg.eigh(choi)
-    truncated = float(w.min()) <= -1e-12
-    projected = (v * np.clip(w, 0.0, None)) @ v.conj().T if truncated else choi
-    projected = projected * d / float(np.trace(projected).real)
-    out = np.zeros_like(r)
-    for j, pj in enumerate(paulis):
-        for k, pk in enumerate(paulis):
-            out[j, k] = float(np.real(np.trace(np.kron(pk.T, pj).conj().T @ projected))) / d
-    return out, truncated
+    return np.array([[np.trace(np.kron(pk.T, pj).conj().T @ choi).real for pk in paulis]
+                     for pj in paulis])
+
+
+def loop_clipped_ptm(r, n):
+    """The estimator before the CPTP projection: negative Choi eigenvalues
+    clipped and the trace restored, which is not trace preserving."""
+    w, v = np.linalg.eigh(loop_choi(r, n))
+    w = np.clip(w, 0.0, None)
+    return loop_ptm_of_choi((v * w) @ v.conj().T / w.sum(), n)
+
+
+def loop_cptp_ptm(r, n):
+    """Dykstra's alternating projection on the term-by-term Choi matrix, as
+    _project_ptm_physical runs it: eigenvalues onto the probability simplex
+    by sorting, with Dykstra's correction, then Tr_out J = I/d by an index
+    loop, until the two iterates agree to 1e-12 in Frobenius norm."""
+    d = 2**n
+
+    def trace_preserving(m):
+        tr_out = [[sum(m[a * d + i, b * d + i] for i in range(d)) for b in range(d)]
+                  for a in range(d)]
+        return m - np.kron(np.array(tr_out) - np.eye(d) / d, np.eye(d) / d)
+
+    x, correction = trace_preserving(loop_choi(r, n)), 0.0
+    while True:
+        w, v = np.linalg.eigh(x + correction)
+        u = np.sort(w)[::-1]
+        shifts = (np.cumsum(u) - 1) / np.arange(1, d * d + 1)
+        y = (v * np.maximum(w - shifts[np.flatnonzero(u > shifts)[-1]], 0.0)) @ v.conj().T
+        correction = x + correction - y
+        x = trace_preserving(y)
+        if np.linalg.norm(x - y) <= 1e-12:
+            return loop_ptm_of_choi(x, n)
+
+
+def raw_ptms(runs):
+    """The linear-inversion PTMs of the process_tomography calls in ``runs()``."""
+    raw, project = [], tomography._project_ptm_physical
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tomography, "_project_ptm_physical",
+                      lambda r, n: raw.append(r) or project(r, n))
+        runs()
+    return raw
 
 
 class TestChannelConversions:
@@ -464,25 +530,22 @@ class TestChannelConversions:
                 got = ptm_of_superoperator(channel_superoperator(ops))
                 assert np.max(np.abs(got - loop_ptm_of_kraus(ops))) < 1e-12
 
-    def test_choi_projection_matches_loop_on_finite_shot_ptms(self, rng, monkeypatch):
-        raw = []
-        project = tomography._project_ptm_physical
-        monkeypatch.setattr(
-            tomography, "_project_ptm_physical", lambda r, n: raw.append(r) or project(r, n)
-        )
-        for seed in range(6):
-            spec = TargetSpec(
-                QubitTarget(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
-                rng.uniform(0.2, 1.5),
-            )
-            op = make_steering_operator(spec)
-            process_tomography(channel_superoperator([op.unitary]), shots=256, seed=seed)
-        n_truncated = 0
+    def test_choi_projection_matches_loop_on_finite_shot_ptms(self, rng):
+        def runs():
+            for seed in range(6):
+                spec = TargetSpec(
+                    QubitTarget(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)),
+                    rng.uniform(0.2, 1.5),
+                )
+                op = make_steering_operator(spec)
+                process_tomography(channel_superoperator([op.unitary]), shots=256, seed=seed)
+
+        raw = raw_ptms(runs)
+        assert len(raw) == 6
         for r in raw:
-            want, truncated = loop_project_ptm(r, 2)
-            n_truncated += truncated
-            assert np.max(np.abs(project(r, 2) - want)) < 1e-12
-        assert n_truncated == len(raw) == 6
+            got = tomography._project_ptm_physical(r, 2)
+            assert np.max(np.abs(got - r)) > 1e-3  # each estimate needed the projection
+            assert np.max(np.abs(got - loop_cptp_ptm(r, 2))) < 1e-12
 
 
 class TestAverageGateFidelity:
