@@ -44,7 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -109,24 +109,20 @@ class Gate(NamedTuple):
     wires: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(namedtuple("Circuit", "wire_dims gates global_phase")):
     """Gates on the (ancilla, system) register ``wire_dims``, (2, 2) or (2, 3),
     in application order, and a global phase."""
 
-    wire_dims: tuple[int, ...]
-    gates: tuple[Gate, ...]
-    global_phase: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(self.wire_dims)
-        object.__setattr__(self, "wire_dims", dims)
-        object.__setattr__(self, "gates", tuple(self.gates))
+    def __new__(cls, wire_dims: tuple[int, ...], gates: tuple[Gate, ...],
+                global_phase: float = 0.0):
+        dims, gates = tuple(wire_dims), tuple(gates)
         if dims not in ((2, 2), (2, 3)):
             raise ConfigError(f"wire dims must be (2, 2) or (2, 3), ancilla then system, got {dims}")
-        if not math.isfinite(self.global_phase):
-            raise ConfigError(f"non-finite global phase {self.global_phase}")
-        for g in self.gates:
+        if not math.isfinite(global_phase):
+            raise ConfigError(f"non-finite global phase {global_phase}")
+        for g in gates:
             if g.kind not in _GATES:
                 raise ConfigError(f"unknown gate kind {g.kind!r}")
             n_params, action = _GATES[g.kind]
@@ -143,6 +139,7 @@ class Circuit:
                            and tuple(dims[w] for w in g.wires) == (2, len(action) // 2))
             if not allowed:
                 raise ConfigError(f"{g.kind} cannot act on wires {g.wires} of a {dims} register")
+        return super().__new__(cls, dims, gates, global_phase)
 
     def count(self, kind: str) -> int:
         return sum(1 for g in self.gates if g.kind == kind)

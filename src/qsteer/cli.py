@@ -18,7 +18,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -116,7 +115,7 @@ def load_noise(path: str | None) -> NoiseConfig:
         raise ConfigError(f"noise file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("noise file must hold a JSON object")
-    unknown = set(raw) - {f.name for f in fields(NoiseConfig)}
+    unknown = set(raw) - set(NoiseConfig._fields)
     if unknown:
         raise ConfigError(f"unknown noise keys: {sorted(unknown)}")
     for key, value in raw.items():
@@ -130,7 +129,7 @@ def load_noise(path: str | None) -> NoiseConfig:
 
 def _noise_echo(noise: NoiseConfig) -> dict:
     confusion = noise.readout_confusion
-    return {**asdict(noise), "readout_confusion": None if confusion is None else confusion.tolist()}
+    return {**noise._asdict(), "readout_confusion": None if confusion is None else confusion.tolist()}
 
 
 def _die(code: int, kind: str, message: str) -> None:
@@ -297,11 +296,13 @@ def steer(target_text, coupling, steps, mode, trajectories, noise_path, seed, ou
 
 # sweep.csv's columns, and the one place that knows their order.  A row is
 # its label's CSV text, then its _CSV_TAIL; "target" sorts last, so a
-# sweep.json row is its _JSON_TAIL, then its label's JSON text.
+# sweep.json row is its _JSON_TAIL, then its label's JSON text.  Each tail is
+# filled from one tuple per row: its cells' texts in SWEEP_HEADER's order for
+# _CSV_TAIL, in _JSON_KEYS' order for _JSON_TAIL.
 SWEEP_HEADER = ["target", "J", "n", "mean_fid", "std", "stabilizer_avg"]
-_CSV_TAIL = "".join(f",%({k})s" for k in SWEEP_HEADER[1:]) + "\r\n"
-_JSON_TAIL = ("    {" + "".join(f'\n      "{k}": %({k})s,' for k in sorted(SWEEP_HEADER)[:-1])
-              + '\n      "target": ')
+_JSON_KEYS = sorted(SWEEP_HEADER)[:-1]
+_CSV_TAIL = ",%s" * (len(SWEEP_HEADER) - 1) + "\r\n"
+_JSON_TAIL = "    {" + "".join(f'\n      "{k}": %s,' for k in _JSON_KEYS) + '\n      "target": '
 _ANGLE_COUNTS = {"qubit": 2, "qutrit": 4}  # angles of a qubit: or qutrit: target
 
 
@@ -332,6 +333,8 @@ def write_sweep(labels: list[str], couplings, fids: np.ndarray, average: np.ndar
         raise NumericalError("the sweep grid has non-finite fidelities, couplings or averages")
     tails = {}  # (J index, curve bits, average bits) -> its rows' CSV and JSON tails
     csv_parts, json_parts = [",".join(SWEEP_HEADER) + "\r\n"], []
+    n_rows = fids.shape[2]  # rows per (target, J) cell
+    ns = [str(n) for n in range(n_rows)]  # an int as "%.17g" and repr write it
     for label, curves, averages in zip(labels, fids, average):
         buf = io.StringIO()  # as csv quotes one field of several; as JSON, closing the row
         csv.writer(buf).writerow([label, ""])
@@ -339,14 +342,18 @@ def write_sweep(labels: list[str], couplings, fids: np.ndarray, average: np.ndar
         for j, (coupling, curve, avg) in enumerate(zip(couplings.tolist(), curves, averages)):
             key = j, curve.tobytes(), avg.tobytes()  # bits: 0.0 == -0.0 prints apart from it
             if key not in tails:  # json.dumps writes a finite float as float.__repr__ does
-                rows = [{"J": coupling, "n": n, "mean_fid": f, "std": 0.0,
-                         "stabilizer_avg": None if math.isnan(a) else a}
-                        for n, (f, a) in enumerate(zip(curve.tolist(), avg.tolist()))]
+                f, a = curve.tolist(), avg.tolist()
+                columns = {  # column -> its rows' CSV texts and JSON texts
+                    "J": (["%.17g" % coupling] * n_rows, [repr(coupling)] * n_rows),
+                    "n": (ns, ns),
+                    "mean_fid": (["%.17g" % v for v in f], list(map(repr, f))),
+                    "std": (["%.17g" % 0.0] * n_rows, [repr(0.0)] * n_rows),
+                    "stabilizer_avg": (["" if math.isnan(v) else "%.17g" % v for v in a],
+                                       ["null" if math.isnan(v) else repr(v) for v in a]),
+                }
                 tails[key] = (
-                    [_CSV_TAIL % {k: "" if v is None else "%.17g" % v for k, v in row.items()}
-                     for row in rows],
-                    [_JSON_TAIL % {k: "null" if v is None else repr(v) for k, v in row.items()}
-                     for row in rows],
+                    [_CSV_TAIL % row for row in zip(*(columns[k][0] for k in SWEEP_HEADER[1:]))],
+                    [_JSON_TAIL % row for row in zip(*(columns[k][1] for k in _JSON_KEYS))],
                 )
             csv_tails, json_tails = tails[key]
             csv_parts.append(csv_label + csv_label.join(csv_tails))

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def canonical_a_matrix(c) -> ComplexMatrix:
     return MAGIC @ np.diag(np.exp(1j * theta)) @ MAGIC_DAG
 
 
-@dataclass(frozen=True)
-class KakDecomposition:
+class KakDecomposition(NamedTuple):
     """U = e^{i global_phase} (k1_local[0] (x) k1_local[1]) A(c) (k2_local[0] (x) k2_local[1])."""
 
     k1_local: tuple[ComplexMatrix, ComplexMatrix]

@@ -37,7 +37,9 @@ in the classical mixture (1 - eps)|0><0| + eps|1><1|.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,24 +49,28 @@ from .states import DensityState, fidelity, validate_density
 from .steering import SteeringOperator, TargetSpec, make_steering_operator
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
+def _rate(name: str, value: float) -> float:
+    """A noise rate as a float, which must lie in [0, 1]."""
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise ConfigError(f"{name}={v} outside [0, 1]")
+    return v
+
+
+class NoiseConfig(namedtuple("NoiseConfig", ["depolarizing_p", "amplitude_damping_gamma",
+                                             "readout_confusion", "reset_infidelity"])):
     """Per-cycle noise model applied during protocol execution."""
 
-    depolarizing_p: float = 0.0
-    amplitude_damping_gamma: float = 0.0
-    readout_confusion: np.ndarray | None = None
-    reset_infidelity: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("depolarizing_p", "amplitude_damping_gamma", "reset_infidelity"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name}={v} outside [0, 1]")
-        if self.readout_confusion is not None:
-            c = np.asarray(self.readout_confusion, dtype=float)
-            object.__setattr__(self, "readout_confusion", c)
+    def __new__(cls, depolarizing_p: float = 0.0, amplitude_damping_gamma: float = 0.0,
+                readout_confusion: np.ndarray | None = None, reset_infidelity: float = 0.0):
+        p = _rate("depolarizing_p", depolarizing_p)
+        gamma = _rate("amplitude_damping_gamma", amplitude_damping_gamma)
+        eps = _rate("reset_infidelity", reset_infidelity)
+        c = readout_confusion
+        if c is not None:
+            c = np.asarray(c, dtype=float)
             if c.shape != (2, 2):
                 raise ConfigError("readout confusion must be 2x2 (the ancilla is a qubit), "
                                   f"got shape {c.shape}")
@@ -74,13 +80,13 @@ class NoiseConfig:
                 raise ConfigError("readout confusion has negative entries")
             if np.max(np.abs(c.sum(axis=1) - 1.0)) > 1e-12:
                 raise ConfigError("readout confusion rows must sum to 1")
+        return super().__new__(cls, p, gamma, c, eps)
 
 
 NO_NOISE = NoiseConfig()
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     """Outcome of one non-blind trajectory: the initial and the final
     fidelity, the recorded outcomes, and the 1-based cycle of the first
     recorded "1" (None if none came)."""
@@ -570,8 +576,7 @@ def sweep(
     return fids, average
 
 
-@dataclass(frozen=True)
-class RepetitionStats:
+class RepetitionStats(NamedTuple):
     counts: dict[int, int]
     cdf: tuple[tuple[int, float], ...]
     mean_repetitions: float | None

@@ -5,6 +5,7 @@ the catalog of named targets, and fidelity.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache
 
@@ -62,39 +63,31 @@ def _phase(name: str, value: float) -> float:
     return 0.0 if value == TWO_PI else value
 
 
-@dataclass(frozen=True)
-class QubitTarget:
+class QubitTarget(namedtuple("QubitTarget", "theta phi")):
     """Pure qubit target cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
 
-    theta: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ConfigError(f"theta={self.theta} outside [0, pi]")
-        object.__setattr__(self, "phi", _phase("phi", self.phi))
+    def __new__(cls, theta: float, phi: float):
+        if not 0.0 <= theta <= math.pi:
+            raise ConfigError(f"theta={theta} outside [0, pi]")
+        return super().__new__(cls, theta, _phase("phi", phi))
 
 
-@dataclass(frozen=True)
-class QutritTarget:
+class QutritTarget(namedtuple("QutritTarget", "xi theta phi01 phi02")):
     """Pure qutrit target parametrized by (xi, theta, phi01, phi02).
 
     Amplitudes: sin(xi/2)cos(theta/2), e^{i phi01} sin(xi/2)sin(theta/2),
     e^{i phi02} cos(xi/2).  Phases follow the rule of :func:`_phase`.
     """
 
-    xi: float
-    theta: float
-    phi01: float
-    phi02: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("xi", "theta"):
-            v = getattr(self, name)
+    def __new__(cls, xi: float, theta: float, phi01: float, phi02: float):
+        for name, v in (("xi", xi), ("theta", theta)):
             if not 0.0 <= v <= math.pi:
                 raise ConfigError(f"{name}={v} outside [0, pi]")
-        for name in ("phi01", "phi02"):
-            object.__setattr__(self, name, _phase(name, getattr(self, name)))
+        return super().__new__(cls, xi, theta, _phase("phi01", phi01), _phase("phi02", phi02))
 
 
 def target_ket(spec: QubitTarget | QutritTarget) -> np.ndarray:

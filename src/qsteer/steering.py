@@ -20,7 +20,8 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,25 +37,23 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class TargetSpec:
+class TargetSpec(namedtuple("TargetSpec", "target coupling label")):
     """A steering task: the desired pure state plus the coupling strength J."""
 
-    target: QubitTarget | QutritTarget
-    coupling: float
-    label: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.coupling):
-            raise ConfigError(f"coupling J={self.coupling} is not finite")
+    def __new__(cls, target: QubitTarget | QutritTarget, coupling: float,
+                label: str | None = None):
+        if not math.isfinite(coupling):
+            raise ConfigError(f"coupling J={coupling} is not finite")
+        return super().__new__(cls, target, coupling, label)
 
     @property
     def system_dim(self) -> int:
         return 2 if isinstance(self.target, QubitTarget) else 3
 
 
-@dataclass(frozen=True)
-class SteeringOperator:
+class SteeringOperator(NamedTuple):
     """One steering cycle, for a qubit ancilla reset to |0>: the cycle V in
     the steering frame F (``frame_unitary``, ``frame``) and the joint
     ancilla (x) system unitary U = (I (x) F) V (I (x) F^dag); ``target`` is

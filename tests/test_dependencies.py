@@ -4,6 +4,9 @@ root imports nothing, and each public name it defines has a caller outside
 the tests."""
 
 import ast
+import dataclasses
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -86,3 +89,21 @@ def test_every_public_name_has_a_caller():
             unreached.add((node.name, path.name))
     assert set(KEEP.items()) <= defined
     assert unreached <= set(KEEP.items())
+
+
+def test_dataclasses_are_the_two_the_benchmark_pins():
+    """Records are named tuples, whose classes take about a tenth of a
+    frozen dataclass's time to create, and every command pays for creating
+    them at import.  The two dataclasses left are pinned by the benchmark:
+    ``benchmarks/tracing.py`` traces DensityState by wrapping its
+    ``__post_init__``, and ``benchmarks/test_benchmark.py`` reads
+    ``dataclasses.fields`` of a TrajectoryBatch."""
+    import qsteer
+
+    found = set()
+    for info in pkgutil.iter_modules(qsteer.__path__):
+        module = importlib.import_module(f"qsteer.{info.name}")
+        found |= {name for name, cls in vars(module).items()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__
+                  and dataclasses.is_dataclass(cls)}
+    assert found == {"DensityState", "TrajectoryBatch"}

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -706,7 +705,7 @@ class TestBlindReference:
         # per cycle, which leaves the 1e-10 trace tolerance only after ~50
         # cycles
         op = make_steering_operator(PLUS_QUARTER)
-        leaky = replace(op, frame_unitary=(1.0 + 1e-12) * op.frame_unitary)
+        leaky = op._replace(frame_unitary=(1.0 + 1e-12) * op.frame_unitary)
         rho = random_density(2, 0)
         run_blind(rho, leaky, 30)
         with pytest.raises(DimensionMismatchError, match="trace"):
@@ -966,7 +965,7 @@ class TestChannelSpectrum:
         op = make_steering_operator(TargetSpec(QUTRIT_EQUAL_TARGET, coupling))
         h = coupling * build_qutrit_hamiltonian(QUTRIT_EQUAL_TARGET)
         lift = np.kron(np.eye(2), op.frame)  # the channel reads the cycle in the frame
-        bare = replace(op, frame_unitary=lift.conj().T @ expm_i_herm(h) @ lift)
+        bare = op._replace(frame_unitary=lift.conj().T @ expm_i_herm(h) @ lift)
         assert channel_spectrum(bare)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_depolarizing_shrinks_every_mode_but_the_fixed_point(self):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -160,8 +159,8 @@ class TestSnappedProbabilities:
         want = tomo(run_blind(rho0, op, 10, NO_NOISE)[1], shots=4096, seed=3)
         for _ in range(20):
             # a blind run reads the frame and the cycle in it
-            moved = replace(op, frame=self.perturbed(op.frame, rng),
-                            frame_unitary=self.perturbed(op.frame_unitary, rng))
+            moved = op._replace(frame=self.perturbed(op.frame, rng),
+                                frame_unitary=self.perturbed(op.frame_unitary, rng))
             got = tomo(run_blind(rho0, moved, 10, NO_NOISE)[1], shots=4096, seed=3)
             assert np.array_equal(got, want)
 
