@@ -16,8 +16,9 @@ recorded "1".
 A trajectory's state is set by its history of true outcomes alone, so the
 non-blind engine propagates a table of distinct conditional states, one row
 index per trajectory, not one state per trajectory.  With the early stop
-every live trajectory has recorded only "0"s, so the table stays small (at
-most two rows without readout confusion).  :func:`repetition_law` gives the
+every live trajectory has recorded only "0"s, so the table stays small:
+without readout confusion it holds one row, and a cycle tests every draw
+against that row's one threshold.  :func:`repetition_law` gives the
 exact law of the stopping cycle from the same per-outcome superoperators.
 
 Randomness model: trajectory i of a run with seed s owns the Philox4x64-10
@@ -212,9 +213,12 @@ def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray, buf: np.nd
     return even, odd
 
 
-def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
-    """(lanes, 4) uint64 words of block ``block`` of the Philox stream of
-    each trajectory in ``indices``.
+def _philox_chunks(seed: int, indices: np.ndarray, block: int):
+    """Words (0, 2) and (1, 3) of block ``block`` of the Philox stream of
+    each trajectory in ``indices``, a chunk of lanes at a time: yields
+    (lanes, even, odd), ``lanes`` the chunk's slice of ``indices`` and the
+    (2, chunk) word arrays views of one scratch buffer that the next chunk
+    overwrites.
 
     Trajectory i's stream has key words (i, seed + 1); block b is the output
     at counter b + 1, which numpy.random.Philox(key=((seed + 1) << 64) + i)
@@ -223,15 +227,35 @@ def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
     seed = int(seed)
     index = np.asarray(indices, dtype=np.uint64).reshape(-1)
     counter = np.array([block + 1], dtype=np.uint64)
-    lanes = index.size
-    words = np.empty((4, lanes), dtype=np.uint64)  # word-major: rows are written whole
-    buf = np.empty((6, 2, min(lanes, _PHILOX_CHUNK)), dtype=np.uint64)
-    for start in range(0, lanes, _PHILOX_CHUNK):
-        chunk = words[:, start : start + _PHILOX_CHUNK]
-        chunk[0::2], chunk[1::2] = _philox_rounds(
-            seed, index[start : start + _PHILOX_CHUNK], counter, buf[..., : chunk.shape[1]]
-        )
+    buf = np.empty((6, 2, min(index.size, _PHILOX_CHUNK)), dtype=np.uint64)
+    for start in range(0, index.size, _PHILOX_CHUNK):
+        part = index[start : start + _PHILOX_CHUNK]
+        lanes = slice(start, start + part.size)
+        yield (lanes, *_philox_rounds(seed, part, counter, buf[..., : part.size]))
+
+
+def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
+    """(lanes, 4) uint64 words of block ``block`` of the Philox stream of
+    each trajectory in ``indices``, as numpy emits them (see
+    :func:`_philox_chunks`); the engine reads :func:`_philox_draws`."""
+    index = np.asarray(indices).reshape(-1)
+    words = np.empty((4, index.size), dtype=np.uint64)  # word-major: rows are written whole
+    for lanes, even, odd in _philox_chunks(seed, index, block):
+        words[0::2, lanes], words[1::2, lanes] = even, odd
     return words.T
+
+
+def _philox_draws(seed: int, indices: np.ndarray, block: int, readout: bool) -> np.ndarray:
+    """The engine's draws from block ``block``: the top 53 bits of words 0
+    and 2 (the true outcomes of the block's two steps), then, with
+    ``readout``, of words 1 and 3 (their readouts); (2 or 4, lanes)."""
+    index = np.asarray(indices).reshape(-1)
+    draws = np.empty((4 if readout else 2, index.size), dtype=np.uint64)
+    for lanes, even, odd in _philox_chunks(seed, index, block):
+        np.right_shift(even, np.uint64(11), out=draws[:2, lanes])
+        if readout:
+            np.right_shift(odd, np.uint64(11), out=draws[2:, lanes])
+    return draws
 
 
 def _outcome_threshold(c: np.ndarray) -> np.ndarray:
@@ -383,16 +407,20 @@ def _run_trajectories(
     s of trajectory i uses draws 2s (true outcome) and 2s + 1 (readout) of
     its stream, so its outcomes do not depend on which other trajectories
     run beside it.  Only live trajectories draw, one Philox block per two
-    steps.  A draw stays a raw word, tested against an
-    :func:`_outcome_threshold`.
+    steps.  A draw is the top 53 bits of a raw word (:func:`_philox_draws`),
+    tested against an :func:`_outcome_threshold`.
 
     States live in a table (T, d^2) of distinct conditional frame states,
-    with one row index per live trajectory.  A step propagates the table
-    once, draws each trajectory's outcome against its row's outcome-0 share,
-    keys the children by row * 2 + outcome and merges them with a presence
-    mask and a cumsum (O(live), no sort); only present children are
-    normalized.  With a qubit ancilla an early-stopped record is "0"s, one
-    "1", then -1, so it is built from the repetitions at the end.
+    with one row index per live trajectory, or none while the table has one
+    row.  A step propagates the table once and draws each trajectory's
+    outcome against its row's outcome-0 share.  Trajectories that stop leave
+    first: their few child rows go out of the frame at once, and each keeps
+    the index of its row there.  The survivors' children are then merged by
+    :func:`_children`, so an early-stopped run without readout confusion
+    keeps one row and compares its draws against one threshold.  ``final``
+    is filled by one gather at the end.  With a qubit ancilla an
+    early-stopped record is "0"s, one "1", then -1, so it is built from the
+    repetitions at the end.
 
     Returns (final_states (n, d, d), recorded (n, max_steps) with -1 after a
     stop, repetitions (n,) with 0 for none).
@@ -407,8 +435,6 @@ def _run_trajectories(
     confusion = noise.readout_confusion
     # a readout records 1 when its draw reaches confusion[true outcome, 0]
     read_threshold = None if confusion is None else _outcome_threshold(confusion[:, 0])
-    # a block's true-outcome words for its two steps, then their readout words
-    word_order = [0, 2] if confusion is None else [0, 2, 1, 3]
     n, d = n_trajectories, op.system_dim
     # (d^2, 2 d^2): a row of vec(rho) @ prop holds the two outcome branches
     prop = np.concatenate([b.T for b in _step_superoperator(op, noise)], axis=1)
@@ -420,47 +446,81 @@ def _run_trajectories(
     live = np.arange(n)
     leave = kron(op.frame, op.frame.conj()).T  # table @ leave: rows out of the frame
     table = _into_frame(rho0.matrix, op.frame).reshape(1, d * d)  # distinct conditional states
-    row = np.zeros(n, dtype=np.int64)  # each live trajectory's table row
+    row = None  # each live trajectory's table row, None while the table has one row
+    exits = []  # stacks of rows out of the frame: the stoppers' of each step, the last table
+    exit_row = np.empty(n, dtype=np.intp)  # each trajectory's row in the stacked exits
+    n_exits = 0
     for step in range(max_steps):
-        if live.size == 0:
-            break
         offset = step % 2  # one Philox block serves two steps
         if offset == 0:
-            words = _philox_block(seed, indices[live], step // 2)
-            draws = words.T[word_order] >> np.uint64(11)  # top 53 bits
+            draws = _philox_draws(seed, indices[live], step // 2, confusion is not None)
         u = draws[offset::2]  # (true outcome[, readout], live)
         branches = (table @ prop).reshape(-1, d * d)  # row 2t + k: branch k of row t
         weights = sum(branches[:, j].real for j in diag)  # (2 T,) traces
         w0, w1 = weights.reshape(-1, 2).T
         # outcome 1 when the draw reaches outcome 0's share of its row's weight
-        true_k = u[0] >= _outcome_threshold(w0 / (w0 + w1))[row]
-        # trajectories that share a parent row and an outcome share a child row
-        key = row * 2 + true_k
-        present = np.zeros(weights.size, dtype=bool)
-        present[key] = True
-        row = (np.cumsum(present) - 1)[key]
-        norm = np.maximum(weights[present], 1e-300)
-        table = (branches[present].view(np.float64) / norm[:, None]).view(complex)
+        threshold = _outcome_threshold(w0 / (w0 + w1))
+        true_k = u[0] >= (threshold[0] if row is None else threshold[row])
         rec = true_k if confusion is None else u[1] >= read_threshold[true_k.view(np.int8)]
         if not early_stop:
             recorded[step] = rec
         elif np.any(rec):
-            stopped, keep = live[rec], ~rec
+            stop, keep = np.flatnonzero(rec), np.flatnonzero(~rec)
+            stopped = live[stop]
             reps[stopped] = step + 1
-            final[stopped] = (table @ leave)[row[rec]]
-            live, row = live[keep], row[keep]
+            rows, stop_row = _children(branches, weights, true_k[stop],
+                                       None if row is None else row[stop])
+            exits.append(rows @ leave)
+            exit_row[stopped] = n_exits if stop_row is None else n_exits + stop_row
+            n_exits += len(rows)
+            live, true_k = live.take(keep), true_k.take(keep)
+            if live.size == 0:
+                break
+            if row is not None:
+                row = row.take(keep)
             if offset == 0:  # the block has draws for the next step
-                draws = draws[..., keep]
-    final[live] = (table @ leave)[row]
+                draws = draws.take(keep, axis=1)
+        table, row = _children(branches, weights, true_k, row)
+    else:  # the budget ran out with trajectories still live
+        exits.append(table @ leave)
+        exit_row[live] = n_exits if row is None else n_exits + row
+    # every index is in range; mode "raise" would buffer out, a copy of final's size
+    np.take(np.concatenate(exits), exit_row, axis=0, out=final, mode="clip")
     if early_stop:  # "0"s, a "1" at the stopping cycle, then -1
-        stop = np.where(reps > 0, reps, max_steps + 1)
-        np.greater_equal(np.arange(1, max_steps + 1)[:, None], stop, out=recorded.view(bool))
+        small = np.min_scalar_type(max_steps + 1)  # a step number and "never" fit in it
+        stop = np.where(reps > 0, reps, max_steps + 1).astype(small)
+        cycles = np.arange(1, max_steps + 1, dtype=small)[:, None]
+        np.greater_equal(cycles, stop, out=recorded.view(bool))
         np.negative(recorded, out=recorded)
         hit = np.flatnonzero(reps)
         recorded[reps[hit] - 1, hit] = 1
     else:
         reps = np.where(recorded.any(axis=0), recorded.argmax(axis=0) + 1, 0)
     return final.reshape(n, d, d), recorded.T, reps
+
+
+def _children(branches: np.ndarray, weights: np.ndarray, true_k: np.ndarray, row):
+    """The distinct child states of a group of trajectories, normalized, and
+    each trajectory's row among them (None when there is one).
+
+    Row 2t + k of the (2 T, d^2) ``branches`` is branch k of parent row t,
+    with trace ``weights[2t + k]``; a trajectory in parent row ``row`` (None:
+    all in row 0) took outcome ``true_k``.  Those that share a parent and an
+    outcome share a child.  With one parent the children are the outcomes
+    that came; otherwise children are keyed by row * 2 + outcome and merged
+    with a presence mask and a cumsum (O(group), no sort).
+    """
+    if row is None:
+        present = np.array([not np.all(true_k), np.any(true_k)])
+        row = true_k.astype(np.intp) if present.all() else None
+    else:
+        key = row * 2 + true_k
+        present = np.zeros(weights.size, dtype=bool)
+        present[key] = True
+        row = (np.cumsum(present) - 1)[key]
+    norm = np.maximum(weights[present], 1e-300)
+    table = (branches[present].view(np.float64) / norm[:, None]).view(complex)
+    return table, (None if len(table) == 1 else row)
 
 
 def run_nonblind(

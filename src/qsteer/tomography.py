@@ -76,26 +76,31 @@ def mle_project(raw: ComplexMatrix) -> ComplexMatrix:
     Eigenvalues are zeroed most-negative first, each deficit being spread
     uniformly over the remaining eigenvalues; the eigenbasis is kept.  This
     is the least-squares-optimal projection among matrices sharing the
-    eigenbasis.  One eigendecomposition covers the stack, and each pass over
-    an eigenvalue column handles every row at once.
+    eigenbasis.  One eigendecomposition covers the stack, and
+    :func:`_truncate` handles every row at once.
     """
     raw = np.asarray(raw, dtype=complex)
     if (np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0) > 1e-8).any():
         raise ConfigError("mle_project expects a unit-trace matrix")
     w, v = herm_eig(raw)
-    d = w.shape[-1]
-    acc = np.zeros(w.shape[:-1])
-    zeroing = np.ones(w.shape[:-1], dtype=bool)  # rows whose deficit is not yet spread
-    for i in range(d):
-        share = acc / (d - i)
-        zero = zeroing & (w[..., i] + share < 0.0)
-        spread = (zeroing & ~zero)[..., None]
-        w[..., i:] = np.where(spread, w[..., i:] + share[..., None], w[..., i:])
-        acc = np.where(zero, acc + w[..., i], acc)
-        w[..., i] = np.where(zero, 0.0, w[..., i])
-        zeroing = zero
+    w = _truncate(w)
     mat = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _truncate(w: np.ndarray) -> np.ndarray:
+    """The truncate-and-redistribute rule on ascending eigenvalues (..., d)
+    of unit sum, in closed form.  With acc_i the sum of the i lowest,
+    eigenvalue i is zeroed when it and every one below it satisfy
+    w_i + acc_i / (d - i) < 0; the k zeroed ones (k < d, as the sum is 1)
+    leave acc_k, which is spread uniformly over the d - k others.  acc
+    starts from +0.0, as a running sum does, so signed zeros come out as a
+    column-by-column loop gives them."""
+    d = w.shape[-1]
+    acc = np.cumsum(np.concatenate([np.zeros_like(w[..., :1]), w[..., :-1]], axis=-1), axis=-1)
+    zero = np.logical_and.accumulate(w + acc / (d - np.arange(d)) < 0.0, axis=-1)
+    k = zero.sum(axis=-1, keepdims=True)
+    return np.where(zero, 0.0, w + np.take_along_axis(acc, k, axis=-1) / (d - k))
 
 
 # Tomography observables B_k with Tr(B_i B_j) = 2 delta_ij: the Paulis and

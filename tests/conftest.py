@@ -255,6 +255,27 @@ def qutrit_state_tomo(expectations) -> DensityState:
     return _from_expectations(expectations, tomography._QUTRIT_BASIS)
 
 
+def truncate_loop(w: np.ndarray) -> np.ndarray:
+    """Truncate-and-redistribute on ascending eigenvalues (..., d), one pass
+    per eigenvalue column: while a row is still zeroing, eigenvalue i goes
+    to 0 if it stays negative after its share acc / (d - i) of the deficit
+    acc zeroed so far; the first that does not takes that share, and so do
+    all above it."""
+    w = np.array(w, dtype=float)
+    d = w.shape[-1]
+    acc = np.zeros(w.shape[:-1])
+    zeroing = np.ones(w.shape[:-1], dtype=bool)  # rows whose deficit is not yet spread
+    for i in range(d):
+        share = acc / (d - i)
+        zero = zeroing & (w[..., i] + share < 0.0)
+        spread = (zeroing & ~zero)[..., None]
+        w[..., i:] = np.where(spread, w[..., i:] + share[..., None], w[..., i:])
+        acc = np.where(zero, acc + w[..., i], acc)
+        w[..., i] = np.where(zero, 0.0, w[..., i])
+        zeroing = zero
+    return w
+
+
 def reconstruction_fidelity(rho_true: DensityState, rho_rec: np.ndarray) -> float:
     """Fidelity proxy Tr[rho_true rho_rec] normalized for mixed states."""
     a = rho_true.matrix

@@ -12,6 +12,7 @@ from qsteer import protocol
 from qsteer.protocol import (
     MAX_RUN_BYTES,
     MAX_SEED,
+    NO_NOISE,
     _PHILOX_CHUNK,
     NoiseConfig,
     TrajectoryBatch,
@@ -20,6 +21,7 @@ from qsteer.protocol import (
     _maximally_mixed,
     _outcome_threshold,
     _philox_block,
+    _philox_draws,
     _run_trajectories,
     _step_superoperator,
     amplitude_damping_kraus,
@@ -514,6 +516,17 @@ class TestPhiloxStreams:
         assert np.array_equal(reps, big.repetitions[211:261])
 
 
+class TestPhiloxDraws:
+    @pytest.mark.parametrize("readout", [False, True])
+    def test_top_bits_of_the_words_the_engine_reads(self, readout):
+        # words 0 and 2 (true outcomes), then 1 and 3 (readouts), >> 11
+        lanes = 2 * _PHILOX_CHUNK + 5
+        indices = np.uint64(2**40) + np.arange(lanes, dtype=np.uint64) * np.uint64(3)
+        order = [0, 2, 1, 3] if readout else [0, 2]
+        want = _philox_block(9, indices, 2).T[order] >> np.uint64(11)
+        assert np.array_equal(_philox_draws(9, indices, 2, readout), want)
+
+
 class TestOutcomeThreshold:
     """The engine's integer test (w >> 11) >= _outcome_threshold(c) against
     numpy's uniform test _to_unit_double(w) >= c."""
@@ -846,8 +859,9 @@ class TestConditionalStateTable:
     def loop_trajectory(rho, op, steps, noise, seed, index, early_stop):
         """One trajectory the textbook way: numpy's Philox stream, the
         per-outcome superoperators applied to vec(rho) in the frame,
-        renormalized."""
-        d, f = op.system_dim, op.frame
+        renormalized; without a readout confusion the record is the true
+        outcome."""
+        d, f, confusion = op.system_dim, op.frame, noise.readout_confusion
         sup = _step_superoperator(op, noise)
         stream = np.random.Generator(np.random.Philox(key=((seed + 1) << 64) + index))
         u = stream.random(2 * steps).reshape(steps, 2)
@@ -857,7 +871,7 @@ class TestConditionalStateTable:
             weights = [np.trace(b.reshape(d, d)).real for b in branches]
             k = int(u[s, 0] >= weights[0] / sum(weights))
             vec = branches[k] / weights[k]
-            outcomes.append(int(u[s, 1] >= noise.readout_confusion[k, 0]))
+            outcomes.append(k if confusion is None else int(u[s, 1] >= confusion[k, 0]))
             if early_stop and outcomes[-1] == 1:
                 break
         return outcomes, f @ vec.reshape(d, d) @ f.conj().T
@@ -890,6 +904,54 @@ class TestConditionalStateTable:
             assert list(batch.recorded_outcomes[i][: len(outcomes)]) == outcomes
             assert np.max(np.abs(batch.final_states[i] - state)) <= 1e-12
             assert single.fidelities[-1] == pytest.approx(fidelity(state, op.target), abs=1e-12)
+
+    @pytest.mark.parametrize("key", ["depolarizing_p", "amplitude_damping_gamma",
+                                     "reset_infidelity"])
+    @pytest.mark.parametrize("spec", [PLUS_QUARTER, QUTRIT_QUARTER], ids=["qubit", "qutrit"])
+    def test_one_row_table_under_noise_matches_loop(self, spec, key):
+        # early stop without readout confusion: every live trajectory has
+        # recorded only "0"s, so the engine keeps a one-row table
+        op, noise = make_steering_operator(spec), NOISE_KEYS[key]
+        rho = random_density(op.system_dim, 3)
+        batch = run_nonblind_batch(rho, op, 12, 80, noise, seed=5)
+        assert 0 < np.sum(batch.repetitions == 0) < 80
+        for i in range(80):
+            outcomes, state = self.loop_trajectory(rho, op, 12, noise, 5, i, True)
+            assert batch.recorded_outcomes[i].tolist() == outcomes + [-1] * (12 - len(outcomes))
+            assert batch.repetitions[i] == (len(outcomes) if outcomes[-1] == 1 else 0)
+            assert np.max(np.abs(batch.final_states[i] - state)) <= 1e-12
+
+    def test_batch_that_empties_on_its_first_cycle(self):
+        # |-> under the + cycle at J = pi/2 flags at cycle 1 with
+        # probability 1 and is steered to |+>, so no trajectory reads the
+        # second step's draws of block 0
+        op = make_steering_operator(PLUS)
+        minus = pure_state(np.array([1.0, -1.0]) / math.sqrt(2.0))
+        batch = run_nonblind_batch(minus, op, 6, 300, seed=3)
+        assert batch.repetitions.tolist() == [1] * 300
+        assert batch.recorded_outcomes.tolist() == [[1] + [-1] * 5] * 300
+        plus = np.full((2, 2), 0.5)
+        assert np.max(np.abs(batch.final_states - plus)) <= 1e-15
+        for i in (0, 299):
+            outcomes, state = self.loop_trajectory(minus, op, 6, NO_NOISE, 3, i, True)
+            assert outcomes == [1] and np.max(np.abs(batch.final_states[i] - state)) <= 1e-15
+
+    def test_batch_across_philox_chunks_equals_windows_run_alone(self):
+        # live lanes shrink at every stop, so chunk edges move between
+        # blocks; a window run alone draws each trajectory from its own lanes
+        op = make_steering_operator(PLUS_QUARTER)
+        rho = random_density(2, 4)
+        noise = NoiseConfig(readout_confusion=CONFUSION)
+        n = 2 * _PHILOX_CHUNK + 5
+        batch = run_nonblind_batch(rho, op, 15, n, noise, seed=6)
+        assert 0 < np.sum(batch.repetitions == 0) < n
+        edges = [0, 5, _PHILOX_CHUNK - 3, _PHILOX_CHUNK + 2, 2 * _PHILOX_CHUNK - 1, n]
+        for start, stop in zip(edges, edges[1:]):
+            _, recorded, reps = _run_trajectories(
+                rho, op, 15, stop - start, noise, 6, early_stop=True, first_index=start
+            )
+            assert np.array_equal(recorded, batch.recorded_outcomes[start:stop]), start
+            assert np.array_equal(reps, batch.repetitions[start:stop]), start
 
 
 class TestRepetitionLaw:

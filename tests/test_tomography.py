@@ -41,6 +41,7 @@ from conftest import (
     qutrit_state_tomo,
     random_hermitian,
     reconstruction_fidelity,
+    truncate_loop,
 )
 
 
@@ -218,6 +219,31 @@ class TestMleProject:
     def test_rejects_wrong_trace(self):
         with pytest.raises(ConfigError):
             mle_project(np.diag([1.0, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 16])
+    def test_closed_form_truncation_is_the_loop_bit_for_bit(self, d):
+        # ascending unit-sum rows, many with negative eigenvalues, some
+        # with +0.0 and -0.0 entries, which the running sum must not flip
+        rng = np.random.default_rng(d)
+        w = rng.normal(size=(3000, d)) + rng.uniform(-0.5, 1.5, size=(3000, 1)) / d
+        w[rng.random(w.shape) < 0.1] = 0.0
+        w[rng.random(w.shape) < 0.1] = -0.0
+        w = w[w.sum(axis=1) > 0.05]
+        w = np.sort(w / w.sum(axis=1, keepdims=True), axis=1)
+        assert (w[:, 0] < 0).sum() > 400 and np.signbit(w[w == 0]).any()
+        got = tomography._truncate(w)
+        assert got.tobytes() == truncate_loop(w).tobytes()
+        for row in w[:50]:
+            assert tomography._truncate(row).tobytes() == truncate_loop(row).tobytes()
+
+    def test_projection_keeps_the_loop_bits(self, rng):
+        # the whole projection, against the loop on the same eigenvalues
+        rows = [random_hermitian(4, rng) for _ in range(200)]
+        stack = np.array([h - np.eye(4) * (np.trace(h).real - 1) / 4 for h in rows])
+        w, v = tomography.herm_eig(stack)
+        mat = (v * truncate_loop(w)[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
+        want = mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+        assert mle_project(stack).tobytes() == want.tobytes()
 
 
 class TestStateTomography:
