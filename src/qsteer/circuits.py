@@ -145,46 +145,29 @@ class Circuit(namedtuple("Circuit", "wire_dims gates global_phase")):
         return sum(1 for g in self.gates if g.kind == kind)
 
 
-def _apply(total: ComplexMatrix, op: ComplexMatrix, wires: tuple[int, ...],
-           dims: tuple[int, ...]) -> ComplexMatrix:
-    """``op`` (acting on ``wires``, in that order) times ``total``, as one
-    matmul on a (pre, block, rest) view of ``total``'s rows."""
-    if wires == (1, 0):  # only cx, on the qubit register: swap its factors
-        op = op.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-        wires = (0, 1)
-    pre = math.prod(dims[: wires[0]])
-    return (op @ total.reshape(pre, len(op), -1)).reshape(total.shape)
-
-
 def evaluate_circuit(circuit: Circuit) -> ComplexMatrix:
-    """Unitary of the circuit: gates applied in sequence order, times the
-    global phase.
+    """Unitary of the circuit: each gate in sequence order acts on the rows
+    of the running unitary, which ends times the global phase.
 
-    A run of one-wire gates is multiplied into one pending block per wire,
-    applied when a two-wire gate touches the wire or at the end; phase gates
-    add to one scalar."""
+    A one-wire gate rotates its two levels in place on a (pre, dim, rest)
+    view of the rows; a two-wire gate spans the register, so it is one
+    matmul; phase gates add to one scalar."""
     dims = circuit.wire_dims
     total = np.eye(math.prod(dims), dtype=complex)
-    pending: dict[int, ComplexMatrix] = {}
     phase = circuit.global_phase
     for g in circuit.gates:
         action = _GATES[g.kind][1]
         if action is None:
             phase += g.params[0]
         elif isinstance(action, tuple):
-            w = g.wires[0]
-            if w not in pending:
-                pending[w] = np.eye(dims[w], dtype=complex)
             rotation, lo = action
-            block = pending[w]
-            block[lo : lo + 2] = rotation(*g.params) @ block[lo : lo + 2]
+            w = g.wires[0]
+            rows = total.reshape(math.prod(dims[:w]), dims[w], -1)[:, lo : lo + 2]
+            rows[...] = rotation(*g.params) @ rows
+        elif g.wires == (1, 0):  # only cx, on the qubit register: swap its factors
+            total = action.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4) @ total
         else:
-            for w in g.wires:
-                if w in pending:
-                    total = _apply(total, pending.pop(w), (w,), dims)
-            total = _apply(total, action, g.wires, dims)
-    for w, block in pending.items():
-        total = _apply(total, block, (w,), dims)
+            total = action @ total
     return np.exp(1j * phase) * total
 
 
@@ -394,23 +377,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# the three header lines of each register, and the wire tokens
+_HEADERS = {("wires: 2;", "wire w0: dim 2;", f"wire w1: dim {d};"): (2, d) for d in (2, 3)}
+_WIRES = {"w0": 0, "w1": 1}
+_GATE_RE = re.compile(r"^([a-z][a-z0-9]*)(?:\(([^)]*)\))?(?:\s+([w\d,\s]+))?;$")
+
+
 def emit_text(circuit: Circuit) -> str:
     """Deterministic line-per-gate text form; ends with the global phase."""
-    lines = [f"wires: {len(circuit.wire_dims)};"]
-    for i, d in enumerate(circuit.wire_dims):
-        lines.append(f"wire w{i}: dim {d};")
+    lines = [*next(h for h, dims in _HEADERS.items() if dims == circuit.wire_dims)]
     for g in circuit.gates:
         params = f"({', '.join(_fmt(p) for p in g.params)})" if g.params else ""
         wires = " " + ", ".join(f"w{w}" for w in g.wires) if g.wires else ""
         lines.append(f"{g.kind}{params}{wires};")
     lines.append(f"phase({_fmt(circuit.global_phase)});")
     return "\n".join(lines) + "\n"
-
-
-# the three header lines of each register, and the wire tokens
-_HEADERS = {("wires: 2;", "wire w0: dim 2;", f"wire w1: dim {d};"): (2, d) for d in (2, 3)}
-_WIRES = {"w0": 0, "w1": 1}
-_GATE_RE = re.compile(r"^([a-z][a-z0-9]*)(?:\(([^)]*)\))?(?:\s+([w\d,\s]+))?;$")
 
 
 def parse_text(text: str) -> Circuit:

@@ -489,10 +489,10 @@ def tomo(target_text, coupling, steps, shots, noise_path, seed, out_dir):
     # tracemalloc, counted twice
     _check_run_bytes(3072 * (steps + 1))
     fids, states = run_blind(_maximally_mixed(d), op, steps, noise)
-    exact = fids.tolist()
     reconstruct = tomo_qubit_state if d == 2 else tomo_qutrit_state
     recs = reconstruct(states, shots=n_shots, seed=seed)
-    rows = [[label, coupling, n, exact[n], fidelity(rec, op.target)] for n, rec in enumerate(recs)]
+    pairs = zip(fids.tolist(), fidelity(recs, op.target).tolist())
+    rows = [[label, coupling, n, exact, rec] for n, (exact, rec) in enumerate(pairs)]
     config = {
         "command": "tomo",
         "target": label,

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatchError, NumericalError
-from .linalg import ComplexMatrix, kron, phase_invariant_distance, require_unitary
+from .linalg import ComplexMatrix, kron, phase_invariant_distance
 
 MAGIC = (
     np.array(
@@ -103,7 +103,11 @@ def _check_two_qubit_unitary(u: ComplexMatrix) -> ComplexMatrix:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got {u.shape}")
-    require_unitary(u, _UNITARY_TOL)
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
+    if defect > _UNITARY_TOL:
+        raise DimensionMismatchError(
+            f"matrix is not unitary: defect {defect:.3e} exceeds {_UNITARY_TOL:.1e}"
+        )
     return u
 
 

@@ -31,26 +31,6 @@ def hermiticity_defect(m: ComplexMatrix) -> float:
     return float(np.abs(m - np.swapaxes(m, -1, -2).conj()).max())
 
 
-def unitarity_defect(m: ComplexMatrix) -> float:
-    """max |m^dagger m - I| elementwise."""
-    d = m.shape[0]
-    return float(np.max(np.abs(dagger(m) @ m - np.eye(d))))
-
-
-def require_hermitian(m: ComplexMatrix) -> None:
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
-
-
-def require_unitary(m: ComplexMatrix, tol: float) -> None:
-    defect = unitarity_defect(m)
-    if defect > tol:
-        raise DimensionMismatchError(
-            f"matrix is not unitary: defect {defect:.3e} exceeds {tol:.1e}"
-        )
-
-
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     """Kronecker product a (x) b; the first factor indexes the slow axis.
     One broadcast product, the same bits as ``np.kron``."""
@@ -95,7 +75,9 @@ def herm_eig(h: ComplexMatrix) -> tuple[np.ndarray, ComplexMatrix]:
     h = V diag(w) V^dagger.
     """
     h = np.asarray(h, dtype=complex)
-    require_hermitian(h)
+    defect = hermiticity_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianError(f"hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.1e}")
     w, v = np.linalg.eigh(h)
     return w, v
 

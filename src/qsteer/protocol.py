@@ -24,7 +24,8 @@ exact law of the stopping cycle from the same per-outcome superoperators.
 Randomness model: trajectory i of a run with seed s owns the Philox4x64-10
 stream of numpy.random.Philox(key=((s + 1) << 64) + i), and cycle t uses its
 draws 2t (true outcome) and 2t + 1 (readout).  One engine serves single runs
-and batches; it generates these draws itself, only for trajectories still
+and batches, and one function, :func:`_philox_draws`, generates its draws:
+the top 53 bits of the stream's raw words, for the trajectories still
 running, so a trajectory records the same outcomes alone or in a batch of any
 size.  Seeds range over [0, 2**64 - 2].  Tomography shots follow the same
 rule: row j of a command's probability table reads the stream of trajectory j.
@@ -213,45 +214,26 @@ def _philox_rounds(seed: int, index: np.ndarray, counter: np.ndarray, buf: np.nd
     return even, odd
 
 
-def _philox_chunks(seed: int, indices: np.ndarray, block: int):
-    """Words (0, 2) and (1, 3) of block ``block`` of the Philox stream of
-    each trajectory in ``indices``, a chunk of lanes at a time: yields
-    (lanes, even, odd), ``lanes`` the chunk's slice of ``indices`` and the
-    (2, chunk) word arrays views of one scratch buffer that the next chunk
-    overwrites.
+def _philox_draws(seed: int, indices: np.ndarray, block: int, readout: bool) -> np.ndarray:
+    """The engine's draws from block ``block`` of the Philox stream of each
+    trajectory in ``indices``: the top 53 bits of words 0 and 2 (the true
+    outcomes of the block's two steps), then, with ``readout``, of words 1
+    and 3 (their readouts); (2 or 4, lanes).
 
     Trajectory i's stream has key words (i, seed + 1); block b is the output
     at counter b + 1, which numpy.random.Philox(key=((seed + 1) << 64) + i)
-    emits as words 4b .. 4b + 3 of its raw stream.
+    emits as words 4b .. 4b + 3 of its raw stream.  The lanes run through
+    :func:`_philox_rounds` a chunk at a time, in one scratch buffer.
     """
     seed = int(seed)
     index = np.asarray(indices, dtype=np.uint64).reshape(-1)
     counter = np.array([block + 1], dtype=np.uint64)
     buf = np.empty((6, 2, min(index.size, _PHILOX_CHUNK)), dtype=np.uint64)
+    draws = np.empty((4 if readout else 2, index.size), dtype=np.uint64)
     for start in range(0, index.size, _PHILOX_CHUNK):
         part = index[start : start + _PHILOX_CHUNK]
+        even, odd = _philox_rounds(seed, part, counter, buf[..., : part.size])
         lanes = slice(start, start + part.size)
-        yield (lanes, *_philox_rounds(seed, part, counter, buf[..., : part.size]))
-
-
-def _philox_block(seed: int, indices: np.ndarray, block: int) -> np.ndarray:
-    """(lanes, 4) uint64 words of block ``block`` of the Philox stream of
-    each trajectory in ``indices``, as numpy emits them (see
-    :func:`_philox_chunks`); the engine reads :func:`_philox_draws`."""
-    index = np.asarray(indices).reshape(-1)
-    words = np.empty((4, index.size), dtype=np.uint64)  # word-major: rows are written whole
-    for lanes, even, odd in _philox_chunks(seed, index, block):
-        words[0::2, lanes], words[1::2, lanes] = even, odd
-    return words.T
-
-
-def _philox_draws(seed: int, indices: np.ndarray, block: int, readout: bool) -> np.ndarray:
-    """The engine's draws from block ``block``: the top 53 bits of words 0
-    and 2 (the true outcomes of the block's two steps), then, with
-    ``readout``, of words 1 and 3 (their readouts); (2 or 4, lanes)."""
-    index = np.asarray(indices).reshape(-1)
-    draws = np.empty((4 if readout else 2, index.size), dtype=np.uint64)
-    for lanes, even, odd in _philox_chunks(seed, index, block):
         np.right_shift(even, np.uint64(11), out=draws[:2, lanes])
         if readout:
             np.right_shift(odd, np.uint64(11), out=draws[2:, lanes])

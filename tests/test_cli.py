@@ -942,10 +942,8 @@ class TestTomoAndQpt:
         _, states = run_blind(cli._maximally_mixed(d), op, steps, noise)
         tomo = tomography.tomo_qubit_state if d == 2 else tomography.tomo_qutrit_state
         n_shots = None if shots == "inf" else int(shots)
-        want = [
-            fidelity(tomo(states[: n + 1], shots=n_shots, seed=seed)[n], op.target)
-            for n in range(len(states))
-        ]
+        last = [tomo(states[: n + 1], shots=n_shots, seed=seed)[n] for n in range(len(states))]
+        want = fidelity(np.stack(last), op.target).tolist()
         rows = json.loads((tmp_path / "tomo.json").read_text())["fidelities"]
         assert [row["reconstructed"] for row in rows] == want
 

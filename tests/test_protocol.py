@@ -20,7 +20,6 @@ from qsteer.protocol import (
     _check_run_bytes,
     _maximally_mixed,
     _outcome_threshold,
-    _philox_block,
     _philox_draws,
     _run_trajectories,
     _step_superoperator,
@@ -455,23 +454,28 @@ class TestRunBytesBudget:
                 run()
 
 
+def _numpy_draws(seed: int, index: int, n_blocks: int) -> np.ndarray:
+    """(n_blocks, 4): the top 53 bits of numpy's raw Philox words of
+    trajectory ``index``, each block in the engine's order: words 0 and 2
+    (true outcomes), then 1 and 3 (readouts)."""
+    raw = np.random.Philox(key=((seed + 1) << 64) + int(index)).random_raw(4 * n_blocks)
+    return (raw >> np.uint64(11)).reshape(n_blocks, 4)[:, [0, 2, 1, 3]]
+
+
 class TestPhiloxStreams:
     @pytest.mark.parametrize("seed", [0, 17, 2**63, MAX_SEED])
     def test_uniforms_match_numpy_philox(self, seed):
-        max_steps = 7  # odd: the last block is half used
         indices = np.concatenate([
             np.arange(2000, dtype=np.uint64),
             np.uint64(2**40) + np.arange(1000, dtype=np.uint64) * np.uint64(7919),
             np.array([2**64 - 1], dtype=np.uint64),  # the largest index
         ])
-        blocks = [
-            _to_unit_double(_philox_block(seed, indices, b)) for b in range((max_steps + 1) // 2)
-        ]
-        draws = np.concatenate(blocks, axis=1)[:, : 2 * max_steps]
-        for i, row in zip(indices.tolist(), draws):
-            key = ((seed + 1) << 64) + i
-            want = np.random.Generator(np.random.Philox(key=key)).random(2 * max_steps)
-            assert np.array_equal(row, want), i
+        n_blocks = 4
+        draws = np.stack([_philox_draws(seed, indices, b, True) for b in range(n_blocks)])
+        for lane, i in enumerate(indices.tolist()):
+            assert np.array_equal(draws[:, :, lane], _numpy_draws(seed, i, n_blocks)), i
+        for b in range(n_blocks):
+            assert np.array_equal(_philox_draws(seed, indices, b, False), draws[b, :2])
 
     @pytest.mark.parametrize("seed", [0, 17, 2**63, MAX_SEED])
     def test_one_index_many_blocks_match_numpy_philox(self, seed):
@@ -479,11 +483,12 @@ class TestPhiloxStreams:
         for i in (0, 5, 2**40 + 7919, 2**64 - 1):
             for first in (0, 3):
                 index = np.array([i], dtype=np.uint64)
-                words = np.concatenate(
-                    [_philox_block(seed, index, b) for b in range(first, first + 20)]
-                )
-                raw = np.random.Philox(key=((seed + 1) << 64) + i).random_raw(4 * (first + 20))
-                assert np.array_equal(words, raw[4 * first :].reshape(20, 4)), (i, first)
+                want = _numpy_draws(seed, i, first + 20)[first:]
+                for readout, rows in ((True, 4), (False, 2)):
+                    draws = np.concatenate(
+                        [_philox_draws(seed, index, b, readout).T for b in range(first, first + 20)]
+                    )
+                    assert np.array_equal(draws, want[:, :rows]), (i, first, readout)
 
     @pytest.mark.parametrize("seed", [0, 2**63])
     def test_lanes_across_chunk_edges_match_numpy_philox(self, seed):
@@ -491,12 +496,14 @@ class TestPhiloxStreams:
         chunk = _PHILOX_CHUNK
         for lanes in (chunk - 1, chunk, chunk + 1, 2 * chunk + 5):
             indices = np.uint64(2**40) + np.arange(lanes, dtype=np.uint64)
-            words = _philox_block(seed, indices, 3)
+            full = _philox_draws(seed, indices, 3, True)
+            half = _philox_draws(seed, indices, 3, False)
+            assert full.shape == (4, lanes) and half.shape == (2, lanes)
             edges = {lanes - 1} | {e + j for e in range(chunk, lanes, chunk) for j in (-1, 0)}
             for lane in sorted(edges):
-                key = ((seed + 1) << 64) + int(indices[lane])
-                raw = np.random.Philox(key=key).random_raw(16)
-                assert np.array_equal(words[lane], raw[12:]), (lanes, lane)
+                want = _numpy_draws(seed, indices[lane], 4)[3]
+                assert np.array_equal(full[:, lane], want), (lanes, lane)
+                assert np.array_equal(half[:, lane], want[:2]), (lanes, lane)
 
     def test_outcomes_do_not_depend_on_the_batch(self):
         op = make_steering_operator(PLUS_QUARTER)
@@ -522,9 +529,8 @@ class TestPhiloxDraws:
         # words 0 and 2 (true outcomes), then 1 and 3 (readouts), >> 11
         lanes = 2 * _PHILOX_CHUNK + 5
         indices = np.uint64(2**40) + np.arange(lanes, dtype=np.uint64) * np.uint64(3)
-        order = [0, 2, 1, 3] if readout else [0, 2]
-        want = _philox_block(9, indices, 2).T[order] >> np.uint64(11)
-        assert np.array_equal(_philox_draws(9, indices, 2, readout), want)
+        want = np.stack([_numpy_draws(9, i, 3)[2] for i in indices.tolist()], axis=1)
+        assert np.array_equal(_philox_draws(9, indices, 2, readout), want[: 4 if readout else 2])
 
 
 class TestOutcomeThreshold:
@@ -920,6 +926,28 @@ class TestConditionalStateTable:
             assert batch.recorded_outcomes[i].tolist() == outcomes + [-1] * (12 - len(outcomes))
             assert batch.repetitions[i] == (len(outcomes) if outcomes[-1] == 1 else 0)
             assert np.max(np.abs(batch.final_states[i] - state)) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["plus", "plus-depolarizing", "qutrit-damping-reset",
+                                      "i-random-start"])
+    def test_one_row_table_replays_bit_for_bit(self, case):
+        # early stop without readout confusion: alone or in a batch, a
+        # trajectory's table is the same one row, so each product it goes
+        # through has the same shape and its final state the same bits
+        spec, noise, rho = {
+            "plus": (PLUS_QUARTER, NO_NOISE, None),
+            "plus-depolarizing": (PLUS_QUARTER, NoiseConfig(depolarizing_p=0.03), None),
+            "qutrit-damping-reset": (QUTRIT_QUARTER, NoiseConfig(amplitude_damping_gamma=0.02,
+                                                                 reset_infidelity=0.05), None),
+            "i-random-start": (TargetSpec(CATALOG["i"], 0.5, "i"), NO_NOISE, random_density(2, 7)),
+        }[case]
+        op = make_steering_operator(spec)
+        rho = _maximally_mixed(op.system_dim) if rho is None else rho
+        n = 3000
+        batch = run_nonblind_batch(rho, op, 20, n, noise, seed=11)
+        assert 0 < np.sum(batch.repetitions == 0) < n
+        for i in range(0, n, 97):
+            final, _, _ = _run_trajectories(rho, op, 20, 1, noise, 11, True, first_index=i)
+            assert np.array_equal(final[0], batch.final_states[i]), i
 
     def test_batch_that_empties_on_its_first_cycle(self):
         # |-> under the + cycle at J = pi/2 flags at cycle 1 with
