@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -52,17 +53,28 @@ from .tomography import (
 )
 
 
+def _overwrite(path: Path, text: str, newline: str | None = None) -> None:
+    """Writes the rendered ``text`` over ``path`` in place, then cuts off the
+    tail of a longer old file.  A render that raises never gets here, so the
+    old file stays as it was; and on ext4 a file truncated to zero is flushed
+    on close (``auto_da_alloc``), which every rerun would otherwise pay."""
+    with open(path, "w", newline=newline,
+              opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     """Writes the header and rows, each float at 17 significant digits."""
     cells = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *cells])
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *cells])
+    _overwrite(path, buf.getvalue(), newline="")
 
 
 def write_json(path: Path, payload) -> None:
     """Writes ``json.dumps(payload, sort_keys=True, indent=2)`` and a newline."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _overwrite(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def parse_target(text: str) -> tuple[str, QubitTarget | QutritTarget]:
@@ -358,15 +370,13 @@ def write_sweep(labels: list[str], couplings, fids: np.ndarray, average: np.ndar
             csv_tails, json_tails = tails[key]
             csv_parts.append(csv_label + csv_label.join(csv_tails))
             json_parts.append(json_label.join(json_tails) + json_label)
-    with open(csv_path, "w", newline="") as fh:
-        fh.write("".join(csv_parts))
+    _overwrite(csv_path, "".join(csv_parts), newline="")
     doc = json.dumps({"config": config, "rows": [], "tool_version": __version__},
                      sort_keys=True, indent=2)
     if json_parts:  # the top-level "rows" is the only one at an indent of two
         items = "".join(json_parts)[:-2]
         doc = doc.replace('\n  "rows": []', '\n  "rows": [\n' + items + "\n  ]", 1)
-    with open(json_path, "w") as fh:
-        fh.write(doc + "\n")
+    _overwrite(json_path, doc + "\n")
 
 
 @main.command("sweep")
@@ -466,7 +476,7 @@ def circuit(target_text, coupling, out_dir):
     }
     config = {"command": "circuit", "target": spec.label, "coupling": coupling}
     out = _write(out_dir, "verify.json", config, results)
-    (out / "circuit.txt").write_text(emit_text(circ))
+    _overwrite(out / "circuit.txt", emit_text(circ))
 
 
 @main.command()

@@ -3,7 +3,9 @@ import io
 import itertools
 import json
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,23 +236,28 @@ class TestSteerCommand:
         assert final == pytest.approx(0.9, abs=1e-9)  # (1-p) + p/2
 
 
+DETERMINISM_CASES = [
+    ["steer", "--target", "+", "--J", "0.9", "--N", "5", "--mode", "blind"],
+    ["steer", "--target", "+", "--J", "0.8", "--N", "20", "--mode", "nonblind",
+     "--trajectories", "400", "--seed", "11"],
+    ["sweep", "--Js", "0.5,1.0", "--N", "4"],
+    ["kak", "--target", "+", "--J", "0.4"],
+    ["circuit", "--target", "-i", "--J", "0.7"],
+    ["tomo", "--target", "+", "--J", "0.7", "--N", "3", "--shots", "512", "--seed", "5"],
+    ["qpt", "--target", "+", "--J", "0.6", "--shots", "400", "--seed", "2"],
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["steer", "--target", "+", "--J", "0.9", "--N", "5", "--mode", "blind"],
-            ["steer", "--target", "+", "--J", "0.8", "--N", "20", "--mode", "nonblind",
-             "--trajectories", "400", "--seed", "11"],
-            ["sweep", "--Js", "0.5,1.0", "--N", "4"],
-            ["kak", "--target", "+", "--J", "0.4"],
-            ["circuit", "--target", "-i", "--J", "0.7"],
-            ["tomo", "--target", "+", "--J", "0.7", "--N", "3", "--shots", "512", "--seed", "5"],
-            ["qpt", "--target", "+", "--J", "0.6", "--shots", "400", "--seed", "2"],
-        ],
-    )
+    @pytest.mark.parametrize("args", DETERMINISM_CASES)
     def test_byte_identical_reruns(self, runner, tmp_path, args):
+        """A rerun over stale, longer files leaves no old tail behind."""
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
+        assert runner.invoke(main, args + ["--out", str(out_a)]).exit_code == 0
+        for p in out_a.iterdir():
+            with open(p, "ab") as fh:
+                fh.write(b"\xff junk\n" * 512)  # 4 KiB
         for out in (out_a, out_b):
             result = runner.invoke(main, args + ["--out", str(out)])
             assert result.exit_code == 0, result.output
@@ -259,6 +266,34 @@ class TestDeterminism:
         assert files_a == files_b and files_a
         for name in files_a:
             assert read(out_a / name) == read(out_b / name), name
+
+    @pytest.mark.parametrize("args", DETERMINISM_CASES)
+    def test_rerun_writes_every_file_in_place(self, runner, tmp_path, monkeypatch, args):
+        """Every output file goes through cli._overwrite, and none is opened
+        with O_TRUNC, which on ext4 flushes the file on close."""
+        out = tmp_path / "out"
+        argv = args + ["--out", str(out)]
+        assert runner.invoke(main, argv).exit_code == 0
+        overwritten, opened = [], []
+        overwrite, os_open = cli._overwrite, os.open
+
+        def spy_overwrite(path, *rest, **kw):
+            overwritten.append(Path(path))
+            return overwrite(path, *rest, **kw)
+
+        def spy_open(path, flags, *rest, **kw):
+            opened.append((Path(path), flags))
+            return os_open(path, flags, *rest, **kw)
+
+        monkeypatch.setattr(cli, "_overwrite", spy_overwrite)
+        monkeypatch.setattr(os, "open", spy_open)
+        result = runner.invoke(main, argv)
+        monkeypatch.undo()
+        assert result.exit_code == 0, result.output
+        files = sorted(out.rglob("*"))
+        assert files and sorted(overwritten) == files
+        assert sorted(p for p, _ in opened if out in p.parents) == files
+        assert not [p for p, flags in opened if flags & os.O_TRUNC]
 
 
 OUTPUT_CASES = {
@@ -600,6 +635,22 @@ class TestWriteJson:
         cli.write_json(tmp_path / "p.json", payload)
         want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "p.json").read_bytes() == want.encode()
+
+    def _assert_failed_write_keeps_old_file(self, tmp_path, payload, error):
+        path = tmp_path / "p.json"
+        cli.write_json(path, {"ok": 1})
+        before = read(path)
+        with pytest.raises(error):
+            cli.write_json(path, payload)
+        assert read(path) == before
+
+    def test_type_error_keeps_old_file(self, tmp_path):
+        self._assert_failed_write_keeps_old_file(tmp_path, {"a": {1, 2}}, TypeError)
+
+    def test_value_error_keeps_old_file(self, tmp_path):
+        payload = {"a": []}
+        payload["a"].append(payload)
+        self._assert_failed_write_keeps_old_file(tmp_path, payload, ValueError)
 
     def test_circular_raises_value_error(self, tmp_path):
         payload = {"a": []}
