@@ -64,11 +64,17 @@ def _overwrite(path: Path, text: str, newline: str | None = None) -> None:
         fh.truncate()
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Writes the header and rows, each float at 17 significant digits."""
-    cells = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Writes the header and rows, each float at 17 significant digits; a 2-D
+    float64 array in one format over its flat cells, as no float needs quoting."""
     buf = io.StringIO()
-    csv.writer(buf).writerows([header, *cells])
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64:
+        csv.writer(buf).writerow(header)
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+        buf.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    else:
+        cells = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+        csv.writer(buf).writerows([header, *cells])
     _overwrite(path, buf.getvalue(), newline="")
 
 
@@ -544,10 +550,7 @@ def qpt(target_text, coupling, shots, seed, out_dir):
         "estimator": "linear-inversion+cptp-projection",
     }
     columns = [f"c{j}" for j in range(rec.shape[1])]
-    tables = {
-        "ptm.csv": (columns, [list(map(float, row)) for row in rec]),
-        "r_minus_i.csv": (columns, [list(map(float, row)) for row in dev]),
-    }
+    tables = {"ptm.csv": (columns, rec), "r_minus_i.csv": (columns, dev)}
     _write(out_dir, "qpt.json", config, results, tables)
 
 

@@ -17,6 +17,7 @@ that needs it in one mle_project call.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -82,7 +83,12 @@ def mle_project(raw: ComplexMatrix) -> ComplexMatrix:
     raw = np.asarray(raw, dtype=complex)
     if (np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0) > 1e-8).any():
         raise ConfigError("mle_project expects a unit-trace matrix")
-    w, v = herm_eig(raw)
+    return _project_spectrum(*herm_eig(raw))
+
+
+def _project_spectrum(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mle_project of the matrix V diag(w) V^dag from its ascending
+    eigenvalues (..., d) and eigenvector columns, unchecked."""
     w = _truncate(w)
     mat = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2).conj()
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
@@ -182,42 +188,37 @@ def _kron_all(factors: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _pauli_basis(n: int) -> np.ndarray:
-    """(4^n, 4^n) matrix B whose column k is the row-major vec(P_k), with the
-    Pauli strings P_k in itertools.product("IXYZ") order.  The strings are
-    orthogonal, B^dag B = d I, so R = Re(B^dag S B) / d turns a superoperator
-    S into its PTM and S = B R B^dag / d turns it back."""
-    labels = ("".join(combo) for combo in product("IXYZ", repeat=n))
-    return np.stack([pauli_string_matrix(label).reshape(-1) for label in labels], axis=1)
-
-
-def _measured_pauli_expectations(
-    rho_out: np.ndarray, n: int, shots: int | None, seed: int
-) -> np.ndarray:
-    """(m, 4^n) expectations of all Pauli strings, in _pauli_basis order, on
-    each of the (m, d, d) states, from 3^n product X/Y/Z settings.
-
-    Each setting's bit outcomes give the strings that keep its letter or an
-    identity on each wire; a string is read from the first setting that
-    covers it.  With shots, state i and setting s draw one multinomial
-    sample from row 3^n i + s.
+@cache
+def _qpt_tables(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables (inputs, coeffs, rotations, signs, first, basis) of
+    n-wire process tomography, d = 2^n, built on first use.  ``basis``:
+    column k is the row-major vec(P_k), the Pauli strings in
+    product("IXYZ") order; B^dag B = d I, so R = Re(B^dag S B) / d is the
+    PTM of a superoperator S and S = B R B^dag / d.  ``inputs``: the
+    row-major |in_i><in_i| over {|0>, |1>, |+>, |+i>} per wire; ``coeffs`` =
+    inv(inputs^T) @ B.  ``rotations``: eigenbases of the 3^n X/Y/Z settings,
+    whose outcomes give the strings that keep a setting's letter or I on each
+    wire.  ``signs[b, t]``: eigenvalue of outcome b on support t (a nonempty
+    wire subset), the product over kept wires of +1 for bit 1, -1 for bit 0.
+    String k > 0 is read from (setting, support) column ``first[k - 1]``.
     """
     d = 2**n
-    rotations = _kron_all(_SETTING_BASES, n)
-    probs = _outcome_probs(rho_out, rotations, snap=shots is not None)
-    if shots is not None:
-        probs = _keyed_multinomial(shots, probs.reshape(-1, d), seed).reshape(probs.shape) / shots
-    # signs[t, b]: eigenvalue of outcome b on support t (a nonempty subset of
-    # wires), the product over kept wires of +1 for bit 1 and -1 for bit 0
-    supports = np.array(list(product((0, 1), repeat=n))[1:])
+    labels = ("".join(combo) for combo in product("IXYZ", repeat=n))
+    basis = np.stack([pauli_string_matrix(label).reshape(-1) for label in labels], axis=1)
+    kets = _kron_all(_INPUT_KETS[:, :, None], n)[:, :, 0]
+    inputs = (kets[:, :, None] * kets.conj()[:, None, :]).reshape(len(kets), d * d)
+    supports = np.array(list(product((0, 1), repeat=n)))[1:]
     bits = (np.arange(d)[:, None] >> np.arange(n - 1, -1, -1)) & 1
     signs = np.prod(np.where(supports[:, None, :] == 1, 2 * bits - 1, 1), axis=-1)
     # string index of (setting, support): letter digits I=0, X=1, Y=2, Z=3
     letters = np.array(list(product((1, 2, 3), repeat=n)))
     strings = (letters[:, None, :] * supports[None, :, :]) @ 4 ** np.arange(n - 1, -1, -1)
     _, first = np.unique(strings, return_index=True)  # strings 1 .. 4^n - 1
-    values = (probs @ signs.T).reshape(len(probs), -1)[:, first]
-    return np.concatenate([np.ones((len(probs), 1)), values], axis=1)
+    tables = (inputs, np.linalg.inv(inputs.T) @ basis, _kron_all(_SETTING_BASES, n), signs.T,
+              first, basis)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def process_tomography(
@@ -228,19 +229,22 @@ def process_tomography(
     (16, 16) two), from 4^n product inputs and 3^n Pauli settings by linear
     inversion, then projected onto the completely positive,
     trace-preserving channels (:func:`_project_ptm_physical`), so every
-    estimate's first row is (1, 0, ..., 0) to 1e-12."""
+    estimate's first row is (1, 0, ..., 0) to 1e-12.  With shots, input i
+    and setting s draw one multinomial sample from row 3^n i + s."""
     n_wires = {(4, 4): 1, (16, 16): 2}.get(np.shape(channel))
     if n_wires is None:
         raise ConfigError(f"superoperator shape {np.shape(channel)} is not (4, 4) or (16, 16)")
     d = 2**n_wires
-    kets = _kron_all(_INPUT_KETS[:, :, None], n_wires)[:, :, 0]
-    inputs = kets[:, :, None] * kets.conj()[:, None, :]
-    outputs = (inputs.reshape(len(inputs), d * d) @ np.transpose(channel)).reshape(inputs.shape)
+    inputs, coeffs, rotations, signs, first, _ = _qpt_tables(n_wires)
+    outputs = (inputs @ np.transpose(channel)).reshape(-1, d, d)
     validate_density(outputs)
+    probs = _outcome_probs(outputs, rotations, snap=shots is not None)
+    if shots is not None:
+        probs = _keyed_multinomial(shots, probs.reshape(-1, d), seed).reshape(probs.shape) / shots
     # data[i, j] = measured Tr[P_j E(|in_i><in_i|)]; with P_k = sum_i c_ik |in_i><in_i|,
     # Tr[P_j E(P_k)] = sum_i c_ik data[i, j]
-    data = _measured_pauli_expectations(outputs, n_wires, shots, seed)
-    coeffs = np.linalg.inv(inputs.reshape(len(inputs), -1).T) @ _pauli_basis(n_wires)
+    values = (probs @ signs).reshape(len(probs), -1)[:, first]
+    data = np.concatenate([np.ones((len(probs), 1)), values], axis=1)
     r = np.real(data.T @ coeffs) / d
     return _project_ptm_physical(r, n_wires)
 
@@ -252,7 +256,7 @@ def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
     set Tr_out J = I/d, until the two agree to 1e-12 in Frobenius norm.  A
     PTM already CPTP to 1e-12 is returned as it is."""
     d = 2**n
-    basis = _pauli_basis(n)
+    basis = _qpt_tables(n)[-1]
     sup = basis @ r @ dagger(basis) / d
     # normalized Choi matrix J / d, J[(a, i), (b, k)] = E(|a><b|)[i, k] = sup[(i, k), (a, b)]
     choi = sup.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
@@ -268,7 +272,7 @@ def _project_ptm_physical(r: np.ndarray, n: int) -> np.ndarray:
     correction = 0.0
     for _ in range(10_000):
         z = x + correction
-        y = mle_project(0.5 * (z + dagger(z)))
+        y = _project_spectrum(*np.linalg.eigh(0.5 * (z + dagger(z))))
         correction = z - y
         x = trace_preserving(y)
         if np.linalg.norm(x - y) <= 1e-12:
@@ -286,7 +290,7 @@ def ptm_of_superoperator(sup: np.ndarray) -> np.ndarray:
     n = int(round(math.log2(d)))
     if np.shape(sup) != (d * d, d * d) or 2**n != d:
         raise DimensionMismatchError(f"PTM defined for qubit registers, not shape {np.shape(sup)}")
-    basis = _pauli_basis(n)
+    basis = _qpt_tables(n)[-1]
     return np.real(dagger(basis) @ sup @ basis) / d
 
 

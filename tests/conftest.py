@@ -5,6 +5,8 @@ check (explicit index loops instead of reshapes, scipy.linalg.expm instead
 of the eigendecomposition exponential, and so on).
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -134,6 +136,15 @@ def channel_superoperator(kraus_ops) -> np.ndarray:
     for a in kraus_ops:
         s += np.kron(a, a.conj())
     return s
+
+
+def csv_text(header, rows) -> str:
+    """The text cli.write_csv writes: csv.writer over the header and rows,
+    each float cell formatted alone at 17 significant digits (oracle path)."""
+    cells = ([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *cells])
+    return buf.getvalue()
 
 
 def joint_step(rho: DensityState, op: SteeringOperator) -> DensityState:

@@ -19,7 +19,7 @@ from qsteer.errors import ConfigError, DimensionMismatchError, NumericalError
 from qsteer.protocol import NO_NOISE, NoiseConfig, run_blind, sweep
 from qsteer.states import DensityState, QubitTarget, QutritTarget, fidelity
 
-from conftest import MALFORMED_CIRCUIT_TEXTS
+from conftest import MALFORMED_CIRCUIT_TEXTS, csv_text
 
 
 @pytest.fixture
@@ -580,6 +580,14 @@ class TestWriteSweep:
         assert not list(tmp_path.iterdir())
 
 
+# floats at the edges of "%.17g": signed zero, NaN, infinities, the smallest
+# subnormal and the largest magnitudes; header text that csv quotes
+_EDGE_FLOATS = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308, -1e308,
+                np.float64(0.1), np.float64(-1 / 3)]
+_CSV_HEADER_TEXT = st.sampled_from(["a,b", 'say "hi"', "two\nlines", "\r", "", " c0 "]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=5)
+
+
 class TestWriteCsv:
     def test_each_float_at_17_digits(self, tmp_path):
         floats = [0.1, 1 / 3, -0.0, 0.0, float("nan"), -float("inf"), 1e-300]
@@ -598,6 +606,21 @@ class TestWriteCsv:
         cli.write_csv(tmp_path / "t.csv", ["a", "b"], [[f, f] for f in floats])
         want = ["a,b"] + [f"{f:.17g},{f:.17g}" for f in floats]
         assert (tmp_path / "t.csv").read_text().splitlines() == want
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(shape=st.tuples(st.integers(0, 4), st.integers(0, 5)), data=st.data())
+    def test_float_array_matches_the_cell_by_cell_renderer(self, tmp_path, shape, data):
+        # qpt's PTM tables go in as float64 arrays and take the one-format path
+        cells = data.draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS),
+                                   min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+        header = data.draw(st.lists(_CSV_HEADER_TEXT, min_size=shape[1], max_size=shape[1]))
+        table = np.array(cells, dtype=float).reshape(shape)
+        cli.write_csv(tmp_path / "t.csv", header, table)
+        with open(tmp_path / "t.csv", newline="") as fh:
+            got = fh.read()
+        assert got == csv_text(header, table.tolist())
+        assert got == csv_text(header, [list(row) for row in table])  # np.float64 cells
 
 
 # JSON values: every scalar kind json.dumps accepts (floats include NaN,

@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 from itertools import product
 
 import numpy as np
@@ -452,7 +456,7 @@ class TestProcessTomography:
     def test_exact_mode_runs_no_projection(self, monkeypatch):
         # an exact estimate is CPTP already: it comes back as linear inversion
         # gave it, and equals what the clip-and-rescale estimator gave, to 1e-12
-        monkeypatch.setattr(tomography, "mle_project", lambda m: pytest.fail("projected"))
+        monkeypatch.setattr(tomography, "_project_spectrum", lambda w, v: pytest.fail("projected"))
         op = make_steering_operator(TargetSpec(QubitTarget(1.1, 0.3), 0.785))
         channels = ((channel_superoperator([op.unitary]), 2), (depolarizing_channel(0.35), 1))
         for channel, n in channels:
@@ -571,6 +575,81 @@ class TestChannelConversions:
             got = tomography._project_ptm_physical(r, 2)
             assert np.max(np.abs(got - r)) > 1e-3  # each estimate needed the projection
             assert np.max(np.abs(got - loop_cptp_ptm(r, 2))) < 1e-12
+
+
+def fresh_qpt_tables(n):
+    """The tables of tomography._qpt_tables(n), built one entry at a time
+    from the Pauli matrices and the four input kets (oracle path)."""
+    kets = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex),
+            tomography.KET_PLUS, tomography.KET_PLUS_I]
+    inputs = []
+    for combo in product(kets, repeat=n):
+        ket = functools.reduce(np.kron, combo, np.ones(1, dtype=complex))
+        inputs.append(np.outer(ket, ket.conj()).reshape(-1))
+    inputs = np.array(inputs)
+    basis = np.stack([p.reshape(-1) for p in loop_pauli_basis(n)], axis=1)
+    eigvecs = {a: np.linalg.eigh(PAULIS[a])[1] for a in "XYZ"}
+    rotations = np.array([
+        functools.reduce(np.kron, (eigvecs[a] for a in setting), np.ones((1, 1), dtype=complex))
+        for setting in product("XYZ", repeat=n)
+    ])
+    supports = [t for t in product((0, 1), repeat=n) if any(t)]
+    # bit w of outcome b is wire w's, most significant first; bit 1 is the +1 eigenvalue
+    signs = np.array([[math.prod(2 * (b >> (n - 1 - w) & 1) - 1 for w in range(n) if t[w])
+                       for t in supports] for b in range(2**n)])
+    columns = [(s, t) for s in product((1, 2, 3), repeat=n) for t in supports]
+    first = []
+    for label in product(range(4), repeat=n):  # letters I=0, X=1, Y=2, Z=3
+        if any(label):
+            first.append(next(col for col, (s, t) in enumerate(columns)
+                              if all(k == (x if kept else 0) for k, x, kept in zip(label, s, t))))
+    return inputs, np.linalg.inv(inputs.T) @ basis, rotations, signs, np.array(first), basis
+
+
+# the order in which _qpt_tables returns its tables
+QPT_TABLE_NAMES = ("inputs", "coeffs", "rotations", "signs", "first", "basis")
+
+
+def amplitude_damping_channel(gamma: float) -> np.ndarray:
+    k0 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]], dtype=complex)
+    k1 = np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
+    return channel_superoperator([k0, k1])
+
+
+class TestQptTables:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_tables_equal_a_fresh_build(self, n):
+        got, want = tomography._qpt_tables(n), fresh_qpt_tables(n)
+        assert got is tomography._qpt_tables(n)
+        for name, table, fresh in zip(QPT_TABLE_NAMES, got, want, strict=True):
+            assert table.shape == fresh.shape and np.array_equal(table, fresh), name
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_cached_tables_are_read_only(self, n):
+        for name, table in zip(QPT_TABLE_NAMES, tomography._qpt_tables(n), strict=True):
+            with pytest.raises(ValueError):
+                table.flat[0] = 0
+            assert not table.flags.writeable, name
+
+    def test_nothing_is_built_at_import(self):
+        # the benchmark's set-up imports qsteer afresh each time
+        code = ("from qsteer import cli, tomography; "
+                "assert tomography._qpt_tables.cache_info().currsize == 0")
+        src = os.path.dirname(os.path.dirname(tomography.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    def test_channels_give_the_bits_of_fresh_tables(self, monkeypatch):
+        # a one-wire amplitude damping and a two-wire steering unitary, exact
+        # and at 64 shots, where the Dykstra projection runs
+        op = make_steering_operator(TargetSpec(QubitTarget(1.1, 0.3), 0.785))
+        channels = (amplitude_damping_channel(0.3), channel_superoperator([op.unitary]))
+        runs = [(channel, shots) for channel in channels for shots in (None, 64)]
+        cached = [process_tomography(channel, shots=shots, seed=7) for channel, shots in runs]
+        monkeypatch.setattr(tomography, "_qpt_tables", fresh_qpt_tables)
+        for (channel, shots), got in zip(runs, cached):
+            want = process_tomography(channel, shots=shots, seed=7)
+            assert got.tobytes() == want.tobytes(), (channel.shape, shots)
 
 
 class TestAverageGateFidelity:
